@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,6 +73,20 @@ class Cover:
     def universe(self) -> PointSet:
         return self.carrier if self.carrier is not None else PointSet.universe(self.space.n)
 
+    @cached_property
+    def depths(self) -> np.ndarray:
+        """|carrier| x |sets| table of d(x, carrier minus U), rows in
+        carrier order; +inf where U is the whole carrier.  A carrier point
+        lies in U exactly when its depth is positive."""
+        car = np.array(self.universe().indices)
+        out = np.full((len(car), len(self.sets)), math.inf)
+        for j, s in enumerate(self.sets):
+            comp = car[~np.isin(car, s.indices)]
+            if comp.size:
+                out[:, j] = self.space.matrix[np.ix_(car, comp)].min(axis=1)
+        out.setflags(write=False)
+        return out
+
 
 def make_cover(space, sets: Iterable, carrier=None, partial=False) -> Cover:
     return Cover(
@@ -84,11 +99,7 @@ def make_cover(space, sets: Iterable, carrier=None, partial=False) -> Cover:
 
 def multiplicity(cover: Cover) -> int:
     """Largest number of cover sets through a single point."""
-    counts = {}
-    for s in cover.sets:
-        for p in s:
-            counts[p] = counts.get(p, 0) + 1
-    return max(counts.values())
+    return int((cover.depths > 0).sum(axis=1).max())
 
 
 def r_multiplicity(cover: Cover, radius: float) -> int:
@@ -118,21 +129,7 @@ def lebesgue_number(cover: Cover) -> float:
     """inf over carrier points of the largest distance to a member's
     complement (complement taken inside the carrier).  A member equal to
     the whole carrier makes this +inf."""
-    uni = cover.universe()
-    best = math.inf
-    m = cover.space.matrix
-    complements = [uni.difference(s) for s in cover.sets]
-    for x in uni:
-        val = 0.0
-        for comp in complements:
-            if not comp.indices:
-                val = math.inf
-                break
-            val = max(val, float(m[x, list(comp.indices)].min()))
-        best = min(best, val)
-        if best == 0.0:
-            break
-    return best
+    return float(cover.depths.max(axis=1).min())
 
 
 def is_d_disjoint(space, family: Sequence, d: float) -> tuple[bool, tuple | None]:
@@ -203,9 +200,6 @@ class ColoredDecomposition:
             raise InvariantViolation(
                 f"families do not cover the carrier exactly (missing {missing}, extra {extra})"
             )
-
-    def as_cover(self) -> Cover:
-        return Cover(self.space, tuple(self.all_sets()), self.carrier)
 
 
 # ---------------------------------------------------------------------------

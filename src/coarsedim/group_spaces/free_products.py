@@ -69,9 +69,6 @@ class FreeProductSpace:
     index: dict = field(compare=False)
     rescale_constant: float = 1.0
 
-    def word_index(self, w: Word) -> int:
-        return self.index[w]
-
 
 def word_norm(fps_or_factors, w: Word) -> float:
     factors = fps_or_factors.factors if isinstance(fps_or_factors, FreeProductSpace) else fps_or_factors

@@ -107,9 +107,6 @@ class CayleyBall:
     elements: tuple
     index: dict = field(compare=False)
 
-    def element_of(self, i: int):
-        return self.elements[i]
-
 
 def cayley_ball(group: GroupModel, radius: int, cap: int = BALL_CAP) -> CayleyBall:
     """Enumerate B_radius with the exact word metric (computed in B_2radius

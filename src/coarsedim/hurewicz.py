@@ -21,6 +21,7 @@ by side with every bound so each link of the chain can be audited.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -42,12 +43,14 @@ from .metric_core import (
     diameter_of,
     measured_lipschitz,
     neighborhood,
+    sup_ratio,
 )
 from .polyhedra import (
     EmbeddedPoint,
     SimplicialComplex,
     SimplicialMap,
     canonical_projection,
+    coordinate_matrix,
     embedded_distance,
     glue,
     mapping_cylinder,
@@ -233,12 +236,6 @@ class Assembly:
     def phi(self, x: int) -> EmbeddedPoint:
         return self.tower_map(self.towers[self.assignment[x]], x)
 
-    def phi_metric_map(self) -> MetricMap:
-        images = tuple(self.phi(x) for x in range(self.config.f.domain.n))
-        return MetricMap(
-            self.config.f.domain, images, embedded_distance, None, None, self.K
-        )
-
 
 def _base_distance(space: FiniteMetricSpace, p: int, points: PointSet) -> float:
     return float(space.matrix[p, list(points.indices)].min())
@@ -397,7 +394,7 @@ def build_assembly(
     # stage 4: towers, one per maximal flag
     towers: dict[tuple, Tower] = {}
     for tau in base_nerve.maximal_simplices():
-        for perm in _permutations(tau):
+        for perm in itertools.permutations(tau):
             flag = tuple(tuple(sorted(perm[: i + 1])) for i in range(len(perm)))
             towers[flag] = _build_tower(config, flag, enlarged_sets, face_covers, face_nerves, step_maps)
 
@@ -435,12 +432,6 @@ def build_assembly(
     )
     _finish_report(asm)
     return asm
-
-
-def _permutations(items):
-    import itertools
-
-    return itertools.permutations(items)
 
 
 def _build_tower(config, flag, enlarged_sets, face_covers, face_nerves, step_maps) -> Tower:
@@ -508,18 +499,11 @@ def _assign_flag(f, enlarged_cover, base_nerve, maximal, x: int) -> tuple:
 def _finish_report(asm: Assembly) -> None:
     config = asm.config
     report = asm.report
+    space_x = config.f.domain
 
     per_tower = []
     for flag, tower in sorted(asm.towers.items()):
-        values = {x: asm.tower_map(tower, x) for x in tower.fiber}
-        worst = 0.0
-        pts = list(tower.fiber)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                dd = config.f.domain.dist(pts[i], pts[j])
-                if dd <= 0:
-                    continue
-                worst = max(worst, embedded_distance(values[pts[i]], values[pts[j]]) / dd)
+        values = coordinate_matrix([asm.tower_map(tower, x) for x in tower.fiber])
         bound = recursion_closed_form_bound(config.n, config.r, config.c_table, tower.depth)
         per_tower.append(
             {
@@ -529,29 +513,26 @@ def _finish_report(asm: Assembly) -> None:
                 "meshes": list(tower.meshes),
                 "lambda_k": tower.lambdas[-1],
                 "closed_form_bound": bound,
-                "measured": worst,
+                "measured": sup_ratio(space_x, tower.fiber.indices, values),
             }
         )
     report["per_simplex"] = per_tower
     report["lambda_k_per_simplex"] = [t["lambda_k"] for t in per_tower]
 
-    phi = asm.phi_metric_map()
-    report["measured_lipschitz"] = measured_lipschitz(phi)
+    images = [asm.phi(x) for x in range(space_x.n)]
+    report["measured_lipschitz"] = sup_ratio(space_x, range(space_x.n), coordinate_matrix(images))
 
     # coboundedness over open stars: points whose image carrier contains
     # the simplex; two such points share the simplex's common set, whose
     # diameter is below twice any level mesh
-    import itertools as _it
-
     star_points: dict[tuple, list[int]] = {}
-    for x in range(config.f.domain.n):
-        supp = asm.phi(x).support()
+    for x, supp in enumerate(image.support() for image in images):
         for size in range(1, len(supp) + 1):
-            for sub in _it.combinations(supp, size):
+            for sub in itertools.combinations(supp, size):
                 star_points.setdefault(sub, []).append(x)
     cobound = 0.0
     for pts in star_points.values():
-        cobound = max(cobound, diameter_of(config.f.domain, PointSet.of(pts)))
+        cobound = max(cobound, diameter_of(space_x, PointSet.of(pts)))
     all_meshes = [m for t in asm.towers.values() for m in t.meshes]
     cobound_bound = max(
         [2.0 * m for m in all_meshes] + [2.0 * mesh(asm.enlarged_cover)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -30,6 +31,9 @@ TOL = 1e-9
 # Exhaustive triangle checks run below this size; above it a seeded sample
 # is used (the seed is part of the report).
 EXHAUSTIVE_TRIPLE_LIMIT = 300
+
+# Largest temporary of sup_ratio, in matrix entries.
+SUP_RATIO_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +68,8 @@ class PointSet:
         return len(self.indices)
 
     def __contains__(self, p) -> bool:
-        return p in set(self.indices)
+        i = bisect_left(self.indices, p)
+        return i < len(self.indices) and self.indices[i] == p
 
     def as_set(self) -> frozenset[int]:
         return frozenset(self.indices)
@@ -306,13 +311,6 @@ def set_distance(space: FiniteMetricSpace, a, b) -> float:
     return float(sub.min())
 
 
-def point_set_distance(space: FiniteMetricSpace, p: int, a) -> float:
-    a = as_point_set(a)
-    if not a.indices:
-        raise InputError("distance to an empty set is undefined")
-    return float(space.matrix[p, list(a.indices)].min())
-
-
 def neighborhood(space: FiniteMetricSpace, a, r: float, within=None) -> PointSet:
     """Closed r-neighborhood of a set, optionally restricted to a carrier
     subset (used when a cover lives on a subspace)."""
@@ -429,6 +427,8 @@ def measured_lipschitz(m: MetricMap, pair_budget="all", seed: int = 0) -> float:
         di = m.codomain.matrix[np.ix_(img, img)]
         iu = np.triu_indices(len(pts), k=1)
         return float(np.max(di[iu] / dd[iu])) if len(iu[0]) else 0.0
+    if pair_budget == "all" and m.codomain == "reals":
+        return sup_ratio(m.domain, pts, [m.images[p] for p in pts])
     if pair_budget == "all":
         pairs = ((pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts)))
     else:
@@ -444,6 +444,32 @@ def measured_lipschitz(m: MetricMap, pair_budget="all", seed: int = 0) -> float:
         if dxy <= 0:
             continue
         best = max(best, m.image_distance(m.images[x], m.images[y]) / dxy)
+    return best
+
+
+def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
+    """Largest ||X_i - X_j|| / d(p_i, p_j) over pairs i < j with
+    d(p_i, p_j) > 0; 0.0 for fewer than two points.
+
+    ``X`` holds one coordinate row per point (a 1-d array is one column).
+    Norms come from exact row differences, not from a Gram matrix, whose
+    distances lose about sqrt(eps); one column gives |X_i - X_j| exactly.
+    Temporaries stay below ``SUP_RATIO_BLOCK`` entries.
+    """
+    idx = np.asarray(pts, dtype=np.intp)
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    step = max(1, SUP_RATIO_BLOCK // max(1, X.shape[1]))
+    best = 0.0
+    for i in range(len(idx) - 1):
+        for lo in range(i + 1, len(idx), step):
+            diff = X[lo:lo + step] - X[i]
+            norms = np.abs(diff[:, 0]) if X.shape[1] == 1 else np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            dist = space.matrix[idx[i], idx[lo:lo + step]]
+            pos = dist > 0
+            if pos.any():
+                best = max(best, float((norms[pos] / dist[pos]).max()))
     return best
 
 

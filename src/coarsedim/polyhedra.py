@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .covers import Cover, lebesgue_number, mesh, multiplicity
 from .errors import InputError, InvariantViolation
@@ -127,6 +130,20 @@ def embedded_distance(p: EmbeddedPoint, q: EmbeddedPoint) -> float:
     return math.sqrt(total)
 
 
+def coordinate_matrix(points: Sequence[EmbeddedPoint]) -> np.ndarray:
+    """Dense coordinates of the points: one row per point, one column per
+    vertex of the union of their supports (first-seen order)."""
+    columns: dict = {}
+    for p in points:
+        for v, _ in p.coords:
+            columns.setdefault(v, len(columns))
+    out = np.zeros((len(points), len(columns)))
+    for i, p in enumerate(points):
+        for v, w in p.coords:
+            out[i, columns[v]] = w
+    return out
+
+
 def polyhedron_distance(p: EmbeddedPoint, q: EmbeddedPoint) -> float:
     """Distance between two points of the same complex; use
     :func:`embedded_distance` directly for points of a glued family."""
@@ -184,20 +201,15 @@ def canonical_projection(cover: Cover, x: int, complex: SimplicialComplex | None
 
     A set equal to the whole carrier has infinite depth; when any such set
     contains x the weight concentrates evenly on those sets (the limit of
-    the formula as the depth grows)."""
+    the formula as the depth grows).  Depths come from ``cover.depths``."""
     if complex is None:
         complex = nerve(cover)
-    uni = cover.universe()
-    m = cover.space.matrix
-    depths = []
-    infinite = []
-    for si, s in enumerate(cover.sets):
-        comp = uni.difference(s)
-        if not comp.indices:
-            depths.append(math.inf)
-            infinite.append(si)
-        else:
-            depths.append(float(m[x, list(comp.indices)].min()))
+    uni = cover.universe().indices
+    row = bisect_left(uni, x)
+    if row == len(uni) or uni[row] != x:
+        raise InputError(f"point {x} is outside the cover's carrier")
+    depths = cover.depths[row].tolist()
+    infinite = [si for si, d in enumerate(depths) if d == math.inf]
     ids = complex.vertices
     if infinite:
         w = 1.0 / len(infinite)
@@ -285,9 +297,6 @@ class SimplicialMap:
                     "image of a simplex is not a simplex", witness=s
                 )
 
-    def apply_vertex(self, v):
-        return self.assignment[v]
-
     def apply(self, point: EmbeddedPoint) -> EmbeddedPoint:
         acc: dict = {}
         for v, w in point.coords:
@@ -303,10 +312,6 @@ class SimplicialMap:
             later.target,
             {v: later.assignment[self.assignment[v]] for v in self.source.vertices},
         )
-
-
-def identity_simplicial_map(complex: SimplicialComplex) -> SimplicialMap:
-    return SimplicialMap(complex, complex, {v: v for v in complex.vertices})
 
 
 def refinement_map(

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,27 @@ def stress_assembly():
     return build_assembly(cfg)
 
 
+GOLDEN_REPORT = Path(__file__).parent / "data" / "assembly_column_projection_4x64_r2.json"
+# measured constants; every other report field is combinatorial or an exact
+# distance and must match exactly
+MEASURED_FIELDS = {"measured_lipschitz", "cobound", "lambda_k", "lambda_k_per_simplex", "measured"}
+
+
+def assert_matches_golden(got, want, path="report", measured=False):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{path}.{key}", key in MEASURED_FIELDS)
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{path}[{i}]", measured)
+    elif measured:
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9), path
+    else:
+        assert got == want, path
+
+
 class TestStressAssembly:
     """Thin 4 x 64 grid over a 64-path at a deliberately small scale: many
     towers, real cylinders, shared faces."""
@@ -138,6 +161,11 @@ class TestStressAssembly:
     @pytest.fixture
     def asm(self, stress_assembly):
         return stress_assembly
+
+    def test_report_matches_golden(self, asm):
+        report = {k: v for k, v in asm.report.items() if k != "seed"}
+        got = json.loads(json.dumps(report))
+        assert_matches_golden(got, json.loads(GOLDEN_REPORT.read_text()))
 
     def test_dimension_bound(self, asm):
         assert asm.K.dimension <= 2
