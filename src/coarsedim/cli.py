@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import __version__
@@ -87,12 +88,16 @@ class Workspace:
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
     def get(self, kind: str, params: dict):
+        """The cached data, or None for a missing, stale or unusable entry
+        (unreadable, truncated, not an object, no data), which the next
+        ``put`` overwrites."""
         path = self.root / f"{self.key(kind, params)}.json"
-        if not path.exists():
+        try:
+            with path.open() as f:
+                doc = json.load(f)
+        except (OSError, ValueError):
             return None
-        with path.open() as f:
-            doc = json.load(f)
-        if doc.get("version") != __version__:
+        if not isinstance(doc, dict) or doc.get("version") != __version__ or "data" not in doc:
             return None
         return doc["data"]
 
@@ -102,19 +107,24 @@ class Workspace:
         _atomic_write_json(path, {"version": __version__, "data": data})
 
 
-def _atomic_write_json(path, doc) -> None:
+def _atomic_write(path, text: str) -> None:
+    """Write through a temporary file in the same directory and rename it
+    into place, so readers never see a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_json(path, doc) -> None:
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _stamp(doc: dict, args_echo: dict, rule: str | None = None, seed: int = 0) -> dict:
@@ -217,12 +227,7 @@ def cmd_cover(args) -> int:
             )
         text = "\n".join(lines) + "\n"
         if args.out:
-            tmp = Path(args.out)
-            tmp.parent.mkdir(parents=True, exist_ok=True)
-            fd, name = tempfile.mkstemp(dir=str(tmp.parent))
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.replace(name, tmp)
+            _atomic_write(args.out, text)
         else:
             sys.stdout.write(text)
         return 0
@@ -324,8 +329,8 @@ def cmd_group(args) -> int:
         if cached is not None and not args.verify_cache:
             _emit(cached, args.out)
             return 0
-        group = group_from_json(group_doc)
-        ball = cayley_ball(group, args.R)
+        with ExitStack() as stack:  # closes a custom group's oracle on every path
+            ball = cayley_ball(group_from_json(group_doc, stack), args.R)
         doc = space_to_json(ball.space)
         doc["elements"] = [repr(e) for e in ball.elements]
         _stamp(doc, params, rule="word-metric ball")

@@ -144,13 +144,6 @@ def is_d_disjoint(space, family: Sequence, d: float) -> tuple[bool, tuple | None
     return True, None
 
 
-def enlarge(cover: Cover, d: float) -> Cover:
-    # set-wise closed d-neighborhood inside the carrier; cardinality kept
-    uni = cover.universe()
-    sets = tuple(neighborhood(cover.space, s, d, within=uni) for s in cover.sets)
-    return Cover(cover.space, sets, cover.carrier, cover.partial)
-
-
 # ---------------------------------------------------------------------------
 # colored decompositions
 

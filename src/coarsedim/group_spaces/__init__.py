@@ -32,7 +32,6 @@ from .free_products import (  # noqa: F401
 )
 from .amalgams import (  # noqa: F401
     AmalgamModel,
-    ExternalAmalgamOracle,
     amalgam_group_model,
     amalgam_projection,
     normal_presentation,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..errors import InputError, InvariantViolation
+from ..errors import InvariantViolation
 from ..metric_core import build_explicit
 from .free_products import PointedSpace, Word, free_product_space
 from .groups import GroupModel, cayley_ball
@@ -342,48 +342,3 @@ def amalgam_projection(model: AmalgamModel, radius: int = 4, max_norm: float | N
         "ball": ball,
     }
 
-
-# ---------------------------------------------------------------------------
-# external oracle
-
-
-class ExternalAmalgamOracle:
-    """Amalgam oracles served by an external process over a line protocol:
-    "INC c" -> 0|1 (membership in the amalgamated subgroup),
-    "TRANSA x" / "TRANSB x" -> coset representative token."""
-
-    def __init__(self, command: Sequence[str]):
-        import subprocess
-
-        self.proc = subprocess.Popen(
-            list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
-        )
-
-    def _ask(self, line: str) -> str:
-        assert self.proc.stdin and self.proc.stdout
-        self.proc.stdin.write(line + "\n")
-        self.proc.stdin.flush()
-        out = self.proc.stdout.readline()
-        if not out:
-            raise InputError("amalgam oracle process closed the stream")
-        return out.strip()
-
-    def in_subgroup(self, token: str) -> bool:
-        return self._ask(f"INC {token}") == "1"
-
-    def transversal_a(self, token: str) -> str:
-        return self._ask(f"TRANSA {token}")
-
-    def transversal_b(self, token: str) -> str:
-        return self._ask(f"TRANSB {token}")
-
-    def close(self):
-        if self.proc.poll() is None:
-            self.proc.terminate()
-            self.proc.wait(timeout=5)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -11,7 +11,12 @@ not depend on generator order.
 
 from __future__ import annotations
 
+import os
+import select
+import shlex
 import subprocess
+import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -21,6 +26,8 @@ from ..errors import CapExceeded, InputError, InvariantViolation
 from ..metric_core import FiniteMetricSpace
 
 BALL_CAP = 200_000
+ORACLE_TIMEOUT_S = 10.0  # per oracle call
+ORACLE_CLOSE_WAIT_S = 2.0  # between end of input and kill
 
 
 @dataclass(frozen=True)
@@ -311,36 +318,56 @@ def kernel_neighborhood_check(q: QuotientPresentation, R: int, ball_radius: int)
 
 class ExternalGroupOracle:
     """Group multiplication served by an external process over a line
-    protocol: send "MUL a b", read back the product token."""
+    protocol: send "MUL a b", read back the product token.
+
+    Each call waits at most ``ORACLE_TIMEOUT_S`` for the answer line
+    (``CapExceeded``); a closed stream or a dead process is an
+    ``InputError``.  ``close()`` ends the input first, so the oracle can
+    finish cleanly, and kills it only if it has not exited
+    ``ORACLE_CLOSE_WAIT_S`` later.  The caller owns the process and must
+    close it."""
 
     def __init__(self, command: Sequence[str]):
+        self.command = shlex.join(command)
         self.proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
+            list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
         )
+        self._out = self.proc.stdout.fileno()
+        self._poll = select.poll()
+        self._poll.register(self._out, select.POLLIN)
+        self._buffer = b""
 
     def multiply(self, a: str, b: str) -> str:
-        assert self.proc.stdin and self.proc.stdout
-        self.proc.stdin.write(f"MUL {a} {b}\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise InputError("group oracle process closed the stream")
-        return line.strip()
+        request = f"MUL {a} {b}"
+        try:
+            self.proc.stdin.write(f"{request}\n".encode())
+        except (BrokenPipeError, ValueError) as exc:
+            raise InputError(f"group oracle {self.command!r} is gone: {exc}") from exc
+        deadline = time.monotonic() + ORACLE_TIMEOUT_S
+        while b"\n" not in self._buffer:
+            wait_ms = max(0.0, deadline - time.monotonic()) * 1000.0
+            if not self._poll.poll(wait_ms):
+                raise CapExceeded(
+                    f"group oracle {self.command!r} gave no answer to {request!r} "
+                    f"within {ORACLE_TIMEOUT_S:g} s"
+                )
+            chunk = os.read(self._out, 65536)
+            if not chunk:
+                raise InputError(f"group oracle {self.command!r} closed the stream")
+            self._buffer += chunk
+        line, self._buffer = self._buffer.split(b"\n", 1)
+        return line.decode().strip()
 
-    def close(self):
-        if self.proc.poll() is None:
-            self.proc.terminate()
-            self.proc.wait(timeout=5)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+    def close(self) -> None:
+        if self.proc.stdin.closed:
+            return
+        self.proc.stdin.close()  # end of input: the oracle may finish cleanly
+        try:
+            self.proc.wait(timeout=ORACLE_CLOSE_WAIT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
 
 
 _BUILTIN_FACTORIES: dict[str, Callable[..., GroupModel]] = {
@@ -352,9 +379,12 @@ _BUILTIN_FACTORIES: dict[str, Callable[..., GroupModel]] = {
 }
 
 
-def group_from_json(doc: dict) -> GroupModel:
+def group_from_json(doc: dict, stack: ExitStack | None = None) -> GroupModel:
     """Group JSON: {"builtin": name, "params": {...}} or
-    {"custom": {"command": [...], "identity": tok, "generators": [[label, tok], ...]}}."""
+    {"custom": {"command": [...], "identity": tok, "generators": [[label, tok], ...]}}.
+
+    A custom group's oracle process is started only after the whole spec
+    is validated, and is closed by ``stack``, which the caller owns."""
     if "builtin" in doc:
         name = doc["builtin"]
         if name not in _BUILTIN_FACTORIES:
@@ -363,10 +393,16 @@ def group_from_json(doc: dict) -> GroupModel:
     if "custom" in doc:
         spec = doc["custom"]
         try:
-            oracle = ExternalGroupOracle(spec["command"])
-            identity = spec["identity"]
+            command = spec["command"]
+            identity = str(spec["identity"])
             gens = tuple((str(l), str(e)) for l, e in spec["generators"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"custom group JSON missing field: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"custom group JSON missing or malformed field: {exc}") from exc
+        if not (isinstance(command, list) and command and all(isinstance(c, str) for c in command)):
+            raise InputError("custom group 'command' must be a non-empty list of strings")
+        if stack is None:
+            raise TypeError("a custom group needs an ExitStack to own its oracle process")
+        oracle = ExternalGroupOracle(command)
+        stack.callback(oracle.close)
         return GroupModel("custom", identity, gens, oracle.multiply)
     raise InputError("group JSON needs 'builtin' or 'custom'")

@@ -83,12 +83,11 @@ def height_projection(hspace: BallSpace) -> MetricMap:
     holds exactly since max(t,s)^2 >= t s, checked to 1e-12 on all pairs."""
     values = [math.log(p.radius) for p in hspace.points]
     m = map_to_reals(hspace.space, values, declared_lipschitz=1.0)
-    pts = list(range(len(values)))
-    for i in pts:
-        for j in pts[i + 1:]:
-            gap = abs(values[i] - values[j])
-            if gap > hspace.space.dist(i, j) + HEIGHT_TOL:
-                raise InputError(
-                    f"height projection expands pair {(i, j)}: {gap} > {hspace.space.dist(i, j)}"
-                )
+    gap = np.abs(np.subtract.outer(values, values))
+    bad = np.argwhere(np.triu(gap > hspace.space.matrix + HEIGHT_TOL, 1))
+    if len(bad):
+        i, j = map(int, bad[0])  # first pair i < j in row-major order
+        raise InputError(
+            f"height projection expands pair {(i, j)}: {gap[i, j]} > {hspace.space.dist(i, j)}"
+        )
     return m

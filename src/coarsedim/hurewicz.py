@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from .covers import (
     ColoredDecomposition,
     Cover,
@@ -661,13 +663,16 @@ def orbit_reduction(
         defined = [p for p, q in moved.items() if q is not None]
         if not defined:
             raise InputError(f"generator {label} acts nowhere on the finite space")
-        for i in defined:
-            for j in defined:
-                if space.dist(moved[i], moved[j]) != space.dist(i, j):
-                    raise InvariantViolation(
-                        f"generator {label} does not act isometrically",
-                        witness=(label, i, j),
-                    )
+        images = [moved[p] for p in defined]
+        bad = np.argwhere(
+            space.matrix[np.ix_(images, images)] != space.matrix[np.ix_(defined, defined)]
+        )
+        if len(bad):
+            a, b = bad[0]  # first pair in row-major order
+            raise InvariantViolation(
+                f"generator {label} does not act isometrically",
+                witness=(label, defined[a], defined[b]),
+            )
     ball_data = cayley_ball(action.group, radius)
     images = []
     for elem in ball_data.elements:

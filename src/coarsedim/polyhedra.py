@@ -1,4 +1,4 @@
-"""Uniform polyhedra: nerves, canonical projections, subdivisions and
+"""Uniform polyhedra: nerves, canonical projections, simplicial maps and
 mapping cylinders.
 
 Complexes are realized with one orthonormal basis vector per vertex, so a
@@ -22,7 +22,7 @@ import numpy as np
 
 from .covers import Cover, lebesgue_number, mesh, multiplicity
 from .errors import InputError, InvariantViolation
-from .metric_core import TOL, MetricMap, measured_lipschitz
+from .metric_core import TOL, FiniteMetricSpace, MetricMap, measured_lipschitz, sup_ratio
 
 COORD_EPS = 1e-12
 
@@ -144,14 +144,6 @@ def coordinate_matrix(points: Sequence[EmbeddedPoint]) -> np.ndarray:
     return out
 
 
-def polyhedron_distance(p: EmbeddedPoint, q: EmbeddedPoint) -> float:
-    """Distance between two points of the same complex; use
-    :func:`embedded_distance` directly for points of a glued family."""
-    if p.complex is not q.complex:
-        raise InputError("points belong to different complexes")
-    return embedded_distance(p, q)
-
-
 def vertex_point(complex: SimplicialComplex, v) -> EmbeddedPoint:
     return EmbeddedPoint.of(complex, {v: 1.0})
 
@@ -159,20 +151,6 @@ def vertex_point(complex: SimplicialComplex, v) -> EmbeddedPoint:
 def barycenter_point(complex: SimplicialComplex, simplex: Iterable) -> EmbeddedPoint:
     ids = complex.sort_ids(simplex)
     return EmbeddedPoint.of(complex, {v: 1.0 / len(ids) for v in ids})
-
-
-def combine(points: Sequence[EmbeddedPoint], weights: Sequence[float]) -> EmbeddedPoint:
-    """Convex combination inside a common complex; the combined support
-    must still be a simplex (checked)."""
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise InputError("weights must sum to 1")
-    acc: dict = {}
-    for pt, w in zip(points, weights):
-        if w <= COORD_EPS:
-            continue
-        for v, c in pt.coords:
-            acc[v] = acc.get(v, 0.0) + w * c
-    return EmbeddedPoint.of(points[0].complex, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +232,7 @@ def projection_lipschitz_check(cover: Cover) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subdivision, simplicial maps, refinement
-
-
-def barycentric_subdivision(complex: SimplicialComplex):
-    """Subdivide: one vertex per simplex, one simplex per containment
-    chain.  Returns the subdivision and a map from new vertex ids (the
-    original simplex tuples) to their barycenters in the original complex.
-    """
-    verts = sorted(complex.simplices, key=lambda s: (len(s), s))
-    chains: set[tuple] = set()
-
-    def grow(chain):
-        chains.add(tuple(chain))
-        last = chain[-1]
-        for s in complex.simplices:
-            if len(s) > len(last) and set(last) < set(s):
-                grow(chain + [s])
-
-    for s in complex.simplices:
-        grow([s])
-    sub = SimplicialComplex(tuple(verts), frozenset(chains))
-    barycenters = {s: barycenter_point(complex, s) for s in verts}
-    return sub, barycenters
+# simplicial maps and refinement
 
 
 @dataclass(frozen=True)
@@ -439,20 +395,18 @@ def _sample_points(complex: SimplicialComplex) -> list[EmbeddedPoint]:
 def measure_cylinder_constant(cyl: MappingCylinder, t_steps: int = 16) -> float:
     """Measured Lipschitz constant of the quotient map q on the product
     source x [0, 1] with metric sqrt(d^2 + dt^2), sampled on vertices,
-    barycenters, and a uniform t grid."""
+    barycenters, and a uniform t grid (pairs closer than ``COORD_EPS``
+    are skipped)."""
     samples = _sample_points(cyl.source)
     ts = [i / t_steps for i in range(t_steps + 1)]
-    states = [(z, t, cyl.point(z, t)) for z in samples for t in ts]
-    best = 0.0
-    for i in range(len(states)):
-        z1, t1, q1 = states[i]
-        for j in range(i + 1, len(states)):
-            z2, t2, q2 = states[j]
-            denom = math.hypot(embedded_distance(z1, z2), t1 - t2)
-            if denom <= COORD_EPS:
-                continue
-            best = max(best, embedded_distance(q1, q2) / denom)
-    return best
+    states = [(z, t) for z in samples for t in ts]
+    rows = np.hstack(
+        [coordinate_matrix([z for z, _ in states]), np.tile(ts, len(samples))[:, None]]
+    )
+    dist = np.array([np.sqrt(np.einsum("ij,ij->i", rows - row, rows - row)) for row in rows])
+    dist[dist <= COORD_EPS] = 0.0
+    grid = FiniteMetricSpace(dist)
+    return sup_ratio(grid, grid.points(), coordinate_matrix([cyl.point(z, t) for z, t in states]))
 
 
 def measure_uniformization_constant(dim: int, sample_maps: Sequence[SimplicialMap] | None = None) -> float:
@@ -504,55 +458,6 @@ def glue(complexes: Sequence[SimplicialComplex]) -> SimplicialComplex:
         for s in c.simplices:
             cells.add(tuple(sorted(s, key=pos.__getitem__)))
     return SimplicialComplex(tuple(order), _closure(cells))
-
-
-def glue_with_identifications(
-    a: SimplicialComplex,
-    b: SimplicialComplex,
-    identify: dict,
-) -> SimplicialComplex:
-    """Glue two complexes along an explicit vertex bijection b-id -> a-id.
-
-    The identification must be an isomorphism of the induced subcomplexes:
-    a simplex on identified b-vertices must exist exactly when its a-image
-    does.  Other vertex ids must not collide.
-    """
-    dom = set(identify)
-    img = set(identify.values())
-    if len(img) != len(dom):
-        raise InputError("identification is not injective")
-    if not dom <= set(b.vertices) or not img <= set(a.vertices):
-        raise InputError("identification references unknown vertices")
-    for s in b.simplices:
-        if set(s) <= dom:
-            if not a.has_simplex(identify[v] for v in s):
-                raise InvariantViolation(
-                    "identification is not a subcomplex isomorphism", witness=s
-                )
-    for s in a.simplices:
-        if set(s) <= img:
-            inv = {v: k for k, v in identify.items()}
-            if not b.has_simplex(inv[v] for v in s):
-                raise InvariantViolation(
-                    "identification is not a subcomplex isomorphism", witness=s
-                )
-    rename = {v: identify.get(v, v) for v in b.vertices}
-    leftover = [rename[v] for v in b.vertices if v not in dom]
-    if set(leftover) & set(a.vertices):
-        raise InputError("unidentified vertex ids collide; relabel first")
-    order = list(a.vertices) + [v for v in leftover]
-    pos = {v: i for i, v in enumerate(order)}
-    cells = set(a.simplices)
-    for s in b.simplices:
-        cells.add(tuple(sorted((rename[v] for v in s), key=pos.__getitem__)))
-    return SimplicialComplex(tuple(order), _closure(cells))
-
-
-def euler_characteristic(complex: SimplicialComplex) -> int:
-    chi = 0
-    for s in complex.simplices:
-        chi += (-1) ** (len(s) - 1)
-    return chi
 
 
 # ---------------------------------------------------------------------------

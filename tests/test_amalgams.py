@@ -1,8 +1,4 @@
-import sys
-import textwrap
-
 from coarsedim.group_spaces.amalgams import (
-    ExternalAmalgamOracle,
     amalgam_group_model,
     amalgam_projection,
     normal_presentation,
@@ -95,32 +91,3 @@ class TestProjection:
     def test_one_lipschitz_on_z4_z6(self):
         rep = amalgam_projection(z4_amalgam_z6(), radius=4)
         assert rep["lipschitz_ok"], rep["max_generator_ratio"]
-
-
-ORACLE = textwrap.dedent(
-    """
-    import sys
-    # trivial-subgroup oracle over string tokens: C = {"e"}; every element
-    # is its own coset representative
-    for line in sys.stdin:
-        parts = line.split()
-        if not parts:
-            continue
-        cmd = parts[0]
-        if cmd == "INC":
-            print("1" if parts[1] == "e" else "0", flush=True)
-        elif cmd in ("TRANSA", "TRANSB"):
-            print(parts[1], flush=True)
-    """
-)
-
-
-class TestExternalOracle:
-    def test_protocol(self, tmp_path):
-        script = tmp_path / "amalgam_oracle.py"
-        script.write_text(ORACLE)
-        with ExternalAmalgamOracle([sys.executable, str(script)]) as oracle:
-            assert oracle.in_subgroup("e")
-            assert not oracle.in_subgroup("a")
-            assert oracle.transversal_a("a") == "a"
-            assert oracle.transversal_b("b2") == "b2"

@@ -5,12 +5,14 @@ import pytest
 from coarsedim.errors import InputError
 from coarsedim.group_spaces.bounds import NormalSeries, asdim_upper_bound, hirsch_length
 from coarsedim.group_spaces.hyperbolic import (
+    BallSpace,
     BallSpacePoint,
     geometric_radii,
     height_projection,
     hyperbolization,
 )
 from coarsedim.metric_core import (
+    FiniteMetricSpace,
     measured_lipschitz,
     path_space,
     verify_metric_axioms,
@@ -111,3 +113,11 @@ class TestHeightProjection:
         h = hyperbolization(path_space(10), geometric_radii(levels=5))
         proj = height_projection(h)
         assert measured_lipschitz(proj) <= 1.0 + 1e-12
+
+    def test_expanding_pair_witnessed(self):
+        h = hyperbolization(path_space(3), [1.0, math.e])
+        shrunk = BallSpace(FiniteMetricSpace(h.space.matrix * 0.1), h.points, h.base, h.index)
+        # points are ordered by radius, then center: (0, 3) is the first
+        # pair i < j whose radii differ
+        with pytest.raises(InputError, match=r"pair \(0, 3\)"):
+            height_projection(shrunk)

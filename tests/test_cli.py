@@ -1,6 +1,13 @@
 import json
+import sys
+import textwrap
+import time
 
+import pytest
+
+from coarsedim import __version__
 from coarsedim.cli import Workspace, main
+from coarsedim.group_spaces import groups
 from coarsedim.metric_core import grid_space, path_space, space_to_json
 
 
@@ -91,6 +98,14 @@ class TestCover:
         strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
         assert strip(a.read_text()) == strip(b.read_text())
 
+    def test_profile_write_failure_leaves_no_temp_file(self, tmp_path, capsys):
+        space = write_space(tmp_path, "p.json", path_space(8))
+        target = tmp_path / "out"
+        target.mkdir()  # the rename onto a directory fails
+        code, _, _ = run(capsys, "cover", "profile", space, "--Dlist", "2", "-o", str(target))
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "p.json"]
+
     def test_exact_cap_exceeded_exit_3(self, tmp_path, capsys):
         # tiny mesh on a large space carves hundreds of clusters
         space = write_space(tmp_path, "p.json", path_space(100))
@@ -156,6 +171,20 @@ class TestGroup:
         assert code == 0
         assert "cache verified" in out2
 
+    @pytest.mark.parametrize("entry", ["truncated", "[1, 2]", "no data"])
+    def test_unusable_cache_entry_is_recomputed(self, tmp_path, capsys, entry):
+        argv = ("group", "ball", "--builtin", "heisenberg", "--R", "2",
+                "--cache-dir", str(tmp_path))
+        code, cold, _ = run(capsys, *argv)
+        assert code == 0
+        (path,) = tmp_path.glob("*.json")
+        text = path.read_text()
+        path.write_text({"truncated": text[: len(text) // 2],
+                         "no data": json.dumps({"version": __version__})}.get(entry, entry))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, cold, "")
+        assert path.read_text() == text  # the recomputation overwrote the entry
+
     def test_freeprod_and_tree(self, tmp_path, capsys):
         code, out, _ = run(capsys, "group", "freeprod", "--factor-size", "4",
                            "--max-norm", "6")
@@ -193,6 +222,75 @@ class TestGroup:
         assert "amalgam rule" in out
 
 
+ORACLE_SCRIPTS = {
+    "adds": """
+        import sys
+        for line in sys.stdin:
+            parts = line.split()
+            print(int(parts[1]) + int(parts[2]), flush=True)
+        open(sys.argv[1], "w").write("end of input")
+    """,
+    "exits after one answer": """
+        import sys
+        parts = sys.stdin.readline().split()
+        print(int(parts[1]) + int(parts[2]), flush=True)
+    """,
+    "hangs": """
+        import sys, time
+        sys.stdin.readline()
+        time.sleep(60)
+    """,
+}
+
+
+class TestCustomGroupOracle:
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        """Every oracle the CLI starts."""
+        oracles = []
+        raw_init = groups.ExternalGroupOracle.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            raw_init(self, *args, **kwargs)
+            oracles.append(self)
+
+        monkeypatch.setattr(groups.ExternalGroupOracle, "__init__", tracked_init)
+        return oracles
+
+    def ball(self, tmp_path, capsys, script):
+        path = tmp_path / "oracle.py"
+        path.write_text(textwrap.dedent(ORACLE_SCRIPTS[script]))
+        command = [sys.executable, str(path), str(tmp_path / "closed")]
+        group = {"custom": {"command": command, "identity": "0",
+                            "generators": [["t", "1"], ["t~", "-1"]]}}
+        return run(capsys, "group", "ball", "--group", json.dumps(group), "--R", "2",
+                   "--no-cache")
+
+    def test_success_closes_by_end_of_input(self, tmp_path, capsys, spawned):
+        code, out, _ = self.ball(tmp_path, capsys, "adds")
+        assert code == 0
+        assert json.loads(out)["n"] == 5
+        (oracle,) = spawned
+        assert oracle.proc.returncode == 0  # exited by itself, not killed
+        assert (tmp_path / "closed").read_text() == "end of input"
+
+    def test_closed_stream_exit_2(self, tmp_path, capsys, spawned):
+        code, _, err = self.ball(tmp_path, capsys, "exits after one answer")
+        assert code == 2
+        assert "closed the stream" in err or "is gone" in err
+        assert all(o.proc.returncode is not None for o in spawned)
+
+    def test_hanging_oracle_exit_3(self, tmp_path, capsys, spawned, monkeypatch):
+        monkeypatch.setattr(groups, "ORACLE_TIMEOUT_S", 0.5)
+        t0 = time.monotonic()
+        code, _, err = self.ball(tmp_path, capsys, "hangs")
+        assert time.monotonic() - t0 < 5.0
+        assert code == 3
+        assert "oracle.py" in err and "0.5 s" in err
+        (oracle,) = spawned
+        assert oracle.proc.returncode is not None  # no live child is left
+
+
 class TestVerify:
     def test_clean_tree_exit_0(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -220,3 +318,12 @@ class TestWorkspace:
         ws.put("thing", {"a": 1}, {"data": [1, 2, 3]})
         assert ws.get("thing", {"a": 1}) == {"data": [1, 2, 3]}
         assert ws.get("thing", {"a": 2}) is None
+
+    @pytest.mark.parametrize("text", ["", "{\"version\":", "[1, 2]", "\"data\"",
+                                      json.dumps({"version": __version__})])
+    def test_unusable_entry_is_a_miss(self, tmp_path, text):
+        ws = Workspace(str(tmp_path))
+        (tmp_path / f"{ws.key('thing', {})}.json").write_text(text)
+        assert ws.get("thing", {}) is None
+        ws.put("thing", {}, [1])
+        assert ws.get("thing", {}) == [1]

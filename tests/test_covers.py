@@ -14,7 +14,6 @@ from coarsedim.covers import (
     decomposition_from_json,
     decomposition_to_json,
     disjoint_to_cover,
-    enlarge,
     finite_union_cover,
     is_d_disjoint,
     lebesgue_number,
@@ -100,14 +99,6 @@ class TestBasics:
         assert ok  # gap is 3 > 2
         ok, witness = is_d_disjoint(s, [[0, 1], [4, 5]], 3)
         assert not ok and witness == (0, 1, 3.0)
-
-    def test_enlarge(self):
-        s = path_space(10)
-        c = make_cover(s, [[0], [9]], partial=True)
-        assert [t.indices for t in enlarge(c, 0).sets] == [(0,), (9,)]
-        e = enlarge(c, 2)
-        assert [t.indices for t in e.sets] == [(0, 1, 2), (7, 8, 9)]
-        assert len(enlarge(c, 100).sets) == 2
 
 
 class TestSaturatedUnion:

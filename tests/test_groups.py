@@ -1,10 +1,13 @@
 import sys
 import textwrap
+from contextlib import ExitStack, closing
 
 import pytest
 
-from coarsedim.errors import InputError
+from coarsedim.errors import CapExceeded, InputError
+from coarsedim.group_spaces import groups
 from coarsedim.group_spaces.groups import (
+    ExternalGroupOracle,
     GroupModel,
     cayley_ball,
     cyclic_group,
@@ -112,26 +115,85 @@ ORACLE_SCRIPT = textwrap.dedent(
         parts = line.split()
         if parts and parts[0] == "MUL":
             print(int(parts[1]) + int(parts[2]), flush=True)
+    if len(sys.argv) > 1:
+        open(sys.argv[1], "w").write("end of input")
+    """
+)
+# answers the first request, then exits
+ONE_SHOT_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    parts = sys.stdin.readline().split()
+    print(int(parts[1]) + int(parts[2]), flush=True)
+    """
+)
+# reads the first request and never answers, not even after end of input
+HANGING_SCRIPT = textwrap.dedent(
+    """
+    import sys, time
+    sys.stdin.readline()
+    time.sleep(60)
     """
 )
 
 
+def oracle_command(tmp_path, script, *args):
+    path = tmp_path / "oracle.py"
+    path.write_text(script)
+    return [sys.executable, str(path), *args]
+
+
+def integer_group_doc(command):
+    return {"custom": {"command": command, "identity": "0", "generators": [["t", "1"], ["t~", "-1"]]}}
+
+
 class TestExternalOracle:
     def test_integer_oracle_ball(self, tmp_path):
-        script = tmp_path / "oracle.py"
-        script.write_text(ORACLE_SCRIPT)
-        doc = {
-            "custom": {
-                "command": [sys.executable, str(script)],
-                "identity": "0",
-                "generators": [["t", "1"], ["t~", "-1"]],
-            }
-        }
-        g = group_from_json(doc)
-        ball = cayley_ball(g, 3)
+        marker = tmp_path / "closed"
+        with ExitStack() as stack:
+            command = oracle_command(tmp_path, ORACLE_SCRIPT, str(marker))
+            g = group_from_json(integer_group_doc(command), stack)
+            ball = cayley_ball(g, 3)
         assert ball.space.n == 7
         center = ball.index["0"]
         assert ball.space.dist(center, ball.index["3"]) == 3.0
+        assert marker.read_text() == "end of input"  # closed by end of input, not killed
+
+    def test_close_is_graceful(self, tmp_path):
+        with closing(ExternalGroupOracle(oracle_command(tmp_path, ORACLE_SCRIPT))) as oracle:
+            assert oracle.multiply("2", "-5") == "-3"
+        assert oracle.proc.returncode == 0
+        oracle.close()  # idempotent
+
+    def test_hanging_oracle_times_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(groups, "ORACLE_TIMEOUT_S", 0.2)
+        with closing(ExternalGroupOracle(oracle_command(tmp_path, HANGING_SCRIPT))) as oracle:
+            with pytest.raises(CapExceeded, match="oracle.py"):
+                oracle.multiply("1", "1")
+        assert oracle.proc.returncode is not None
+
+    def test_closed_stream_is_input_error(self, tmp_path):
+        with closing(ExternalGroupOracle(oracle_command(tmp_path, ONE_SHOT_SCRIPT))) as oracle:
+            assert oracle.multiply("1", "1") == "2"
+            with pytest.raises(InputError):
+                oracle.multiply("1", "1")
+
+    @pytest.mark.parametrize("field, value", [
+        ("command", None), ("identity", None), ("generators", None),
+        ("command", "python oracle.py"),  # a string, not an argument list
+    ])
+    def test_invalid_custom_spec_starts_no_process(self, monkeypatch, field, value):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("oracle process started")
+
+        monkeypatch.setattr(groups.subprocess, "Popen", no_spawn)
+        doc = integer_group_doc([sys.executable, "-c", "pass"])
+        if value is None:
+            del doc["custom"][field]
+        else:
+            doc["custom"][field] = value
+        with ExitStack() as stack, pytest.raises(InputError):
+            group_from_json(doc, stack)
 
     def test_builtin_from_json(self):
         g = group_from_json({"builtin": "heisenberg"})

@@ -336,5 +336,6 @@ class TestOrbitReduction:
             return 0 if g else p
 
         action = IsometricAction(group, space, squash)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation) as excinfo:
             orbit_reduction(action, 0, 1, epsilon=1.0, n=0, k=0, allow_sub_required=True, r=1.0)
+        assert excinfo.value.witness == ("t", 0, 1)  # first pair in row-major order
