@@ -2,11 +2,10 @@
 
 A :class:`GroupModel` is an oracle: an identity element, a generator list
 closed under inverses, and a total multiplication.  Balls are enumerated
-breadth-first; the word metric restricted to a radius-R ball is computed
-inside the radius-2R enumeration, which is exact because word-metric
-geodesics between B_R points stay inside B_2R (2|z| <= |x| + |y| + d(x,y)).
-Element order is canonical (word length, then repr), so the metric does
-not depend on generator order.
+breadth-first, once, keeping the products in a table.  The word metric is
+left-invariant, d(x, y) = |x^-1 y|, so a radius-R ball's metric is walked in
+the table of the radius-2R enumeration.  Element order is canonical (word
+length, then repr), so the metric does not depend on generator order.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from ..errors import CapExceeded, InputError, InvariantViolation
 from ..metric_core import FiniteMetricSpace
 
 BALL_CAP = 200_000
+MATRIX_CAP = 1 << 26  # n*n entries: the walk and the matrix stay within 1 GiB
 ORACLE_TIMEOUT_S = 10.0  # per oracle call
 ORACLE_CLOSE_WAIT_S = 2.0  # between end of input and kill
 
@@ -61,45 +61,50 @@ def validate_group_model(group: GroupModel, radius: int = 2) -> dict:
     return {"ok": True, "ball_checked": radius}
 
 
+def _bfs(group: GroupModel, radius: int, cap: int = BALL_CAP) -> tuple:
+    """BFS of the radius ball keeping, in discovery order, each element, its
+    word length, the index and generator it was reached from, and
+    ``table[i, g]``, the index of ``elements[i] * g`` if i is shorter than radius."""
+    gens = group.generator_elements()
+    elements, length, parent, letter = [group.identity], [0], [0], [-1]
+    index, table = {group.identity: 0}, []
+    for i, elem in enumerate(elements):  # the list grows while it is read
+        if length[i] == radius:
+            break
+        for gi, g in enumerate(gens):
+            new = group.multiply(elem, g)
+            if new not in index:
+                index[new] = len(elements)
+                elements.append(new)
+                length.append(length[i] + 1)
+                parent.append(i)
+                letter.append(gi)
+                if len(elements) > cap:
+                    raise CapExceeded(f"ball of {group.name} exceeds cap {cap}")
+            table.append(index[new])
+    rows = sum(n < radius for n in length)
+    return elements, length, parent, letter, np.array(table, dtype=np.intp).reshape(rows, len(gens))
+
+
 def enumerate_ball(group: GroupModel, radius: int, cap: int = BALL_CAP) -> dict:
-    """BFS enumeration of the radius ball: element -> (word length, word),
-    where the word is a tuple of generator indices reaching it."""
-    gens = group.generator_elements()
-    found = {group.identity: (0, ())}
-    frontier = [group.identity]
-    for depth in range(1, radius + 1):
-        nxt = []
-        for elem in frontier:
-            word = found[elem][1]
-            for gi, g in enumerate(gens):
-                new = group.multiply(elem, g)
-                if new not in found:
-                    found[new] = (depth, word + (gi,))
-                    nxt.append(new)
-                    if len(found) > cap:
-                        raise CapExceeded(f"ball of {group.name} exceeds cap {cap}")
-        frontier = nxt
-    return found
+    """BFS enumeration of the radius ball: element -> word length."""
+    return dict(zip(*_bfs(group, radius, cap)[:2]))
 
 
-def _inverse_generator_indices(group: GroupModel) -> list[int]:
-    gens = group.generator_elements()
-    inv = []
-    for g in gens:
-        match = next((j for j, h in enumerate(gens) if group.multiply(g, h) == group.identity), None)
-        if match is None:
-            raise InvariantViolation("generator set is not closed under inverses")
-        inv.append(match)
-    return inv
-
-
-def element_inverse(group: GroupModel, word: tuple[int, ...]) -> Any:
-    """Inverse of the element reached by a generator word."""
-    inv_idx = _inverse_generator_indices(group)
-    gens = group.generator_elements()
-    out = group.identity
-    for gi in reversed(word):
-        out = group.multiply(out, gens[inv_idx[gi]])
+def _inverses(bfs: tuple, targets: Sequence[int]) -> list[int]:
+    """Discovery index of y^-1 for each discovery index y in ``targets``, walked from
+    the identity along y's word backwards; the identity alone needs no inverse letter."""
+    _, _, parent, letter, table = bfs
+    inverse = [np.flatnonzero(row == 0) for row in table[table[0]]] if any(targets) else []
+    if not all(len(h) for h in inverse):
+        raise InvariantViolation("generator set is not closed under inverses")
+    out = []
+    for y in targets:
+        i = 0
+        while y:
+            i = table[i, inverse[letter[y]][0]]
+            y = parent[y]
+        out.append(i)
     return out
 
 
@@ -116,41 +121,34 @@ class CayleyBall:
 
 
 def cayley_ball(group: GroupModel, radius: int, cap: int = BALL_CAP) -> CayleyBall:
-    """Enumerate B_radius with the exact word metric (computed in B_2radius
-    so no geodesic is cut off)."""
+    """Enumerate B_radius with the exact word metric d(x, y) = |x^-1 y|, read
+    from the product table of the B_2radius enumeration.  Row c of the walk
+    holds x^-1 y for the c-th y and every x: the row of y's parent times y's
+    last letter, all shorter than 2radius.  A nonzero diagonal or an
+    asymmetric matrix means the oracle breaks the group law."""
     if radius < 0:
         raise InputError("radius must be nonnegative")
-    wide = enumerate_ball(group, 2 * radius, cap)
-    inner = {e: lw for e, lw in wide.items() if lw[0] <= radius}
-    order_all = sorted(wide, key=lambda e: (wide[e][0], repr(e)))
-    pos = {e: i for i, e in enumerate(order_all)}
-    gens = group.generator_elements()
-    adjacency: list[list[int]] = [[] for _ in order_all]
-    for e in order_all:
-        for g in gens:
-            to = group.multiply(e, g)
-            if to in pos:
-                adjacency[pos[e]].append(pos[to])
-    inner_sorted = sorted(inner, key=lambda e: (inner[e][0], repr(e)))
-    n = len(inner_sorted)
-    matrix = np.zeros((n, n))
-    for i, e in enumerate(inner_sorted):
-        dist = {pos[e]: 0}
-        frontier = [pos[e]]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if v not in dist:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        for j, f in enumerate(inner_sorted):
-            matrix[i, j] = dist[pos[f]]
-    space = FiniteMetricSpace(matrix, tuple(repr(e) for e in inner_sorted), "word-metric-ball")
-    return CayleyBall(group, radius, space, tuple(inner_sorted), {e: i for i, e in enumerate(inner_sorted)})
+    bfs = elements, length, parent, letter, table = _bfs(group, 2 * radius, cap)
+    canon = sorted((i for i, n in enumerate(length) if n <= radius), key=lambda i: (length[i], repr(elements[i])))
+    n = len(canon)
+    if n * n > MATRIX_CAP:
+        raise CapExceeded(f"ball of {group.name} has {n} points; its matrix exceeds cap {MATRIX_CAP}")
+    row_of = {y: c for c, y in enumerate(canon)}
+    walks = np.empty((n, n), dtype=np.intp)
+    walks[0] = _inverses(bfs, canon)
+    for c, y in enumerate(canon[1:], 1):
+        walks[c] = table[walks[row_of[parent[y]]], letter[y]]
+    matrix = np.array(length, dtype=float)[walks]
+    inner = [elements[i] for i in canon]
+    broken = matrix != matrix.T
+    np.fill_diagonal(broken, np.diagonal(matrix) != 0)
+    if broken.any():
+        c, r = np.argwhere(broken)[0]  # matrix[c, r] = d(x, y) for x = inner[r], y = inner[c]
+        raise InvariantViolation(
+            f"multiply oracle of {group.name} breaks the group law: d(x, y) = {matrix[c, r]:g}, d(y, x) = "
+            f"{matrix[r, c]:g} at x = {inner[r]!r}, y = {inner[c]!r}", witness=(inner[r], inner[c]))
+    space = FiniteMetricSpace(matrix, tuple(repr(e) for e in inner), "word-metric-ball")
+    return CayleyBall(group, radius, space, tuple(inner), {e: i for i, e in enumerate(inner)})
 
 
 def left_invariance_check(group: GroupModel, radius: int) -> dict:
@@ -159,7 +157,10 @@ def left_invariance_check(group: GroupModel, radius: int) -> dict:
     oracle is broken."""
     if radius < 1:
         raise InputError("radius must be at least 1")
-    big = cayley_ball(group, 2 * radius)
+    try:
+        big = cayley_ball(group, 2 * radius)
+    except InvariantViolation as exc:
+        return {"ok": False, "witness": exc.witness}
     inner = [e for e in big.elements if big.space.matrix[big.index[group.identity], big.index[e]] <= radius]
     for g in inner:
         for x in inner:
@@ -289,15 +290,14 @@ def kernel_neighborhood_check(q: QuotientPresentation, R: int, ball_radius: int)
     """
     if ball_radius < 2 * R:
         raise InputError("ball radius must be at least 2R for a safe check")
-    ball = enumerate_ball(q.group, ball_radius)
+    bfs = ball, length, *_ = _bfs(q.group, ball_radius)
     quotient_ball = enumerate_ball(q.quotient, R)
-    small = enumerate_ball(q.group, R)
-    inverses = {e: element_inverse(q.group, w) for e, (_, w) in small.items()}
+    inverses = [ball[i] for i in _inverses(bfs, [i for i, n in enumerate(length) if n <= R])]
     side_w, side_n = set(), set()
     for g in ball:
         if q.project(g) in quotient_ball:
             side_w.add(g)
-        if any(q.in_kernel(q.group.multiply(g, inv)) for inv in inverses.values()):
+        if any(q.in_kernel(q.group.multiply(g, inv)) for inv in inverses):
             side_n.add(g)
     only_w = sorted(side_w - side_n, key=repr)
     only_n = sorted(side_n - side_w, key=repr)

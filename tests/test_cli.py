@@ -185,6 +185,15 @@ class TestGroup:
         assert (code, out, err) == (0, cold, "")
         assert path.read_text() == text  # the recomputation overwrote the entry
 
+    def test_oversized_ball_exit_3(self, tmp_path, capsys):
+        t0 = time.monotonic()
+        code, _, err = run(capsys, "group", "ball", "--group", '{"builtin": "zn", "params": {"rank": 1}}',
+                           "--R", "5000", "--cache-dir", str(tmp_path))
+        assert time.monotonic() - t0 < 30.0  # the cap is checked before the n x n arrays exist
+        assert code == 3
+        assert "matrix exceeds cap" in err
+        assert not list(tmp_path.iterdir())
+
     def test_freeprod_and_tree(self, tmp_path, capsys):
         code, out, _ = run(capsys, "group", "freeprod", "--factor-size", "4",
                            "--max-norm", "6")
@@ -230,6 +239,12 @@ ORACLE_SCRIPTS = {
             print(int(parts[1]) + int(parts[2]), flush=True)
         open(sys.argv[1], "w").write("end of input")
     """,
+    "wrong on 2 * 1": """
+        import sys
+        for line in sys.stdin:
+            a, b = (int(v) for v in line.split()[1:])
+            print(0 if (a, b) == (2, 1) else a + b, flush=True)
+    """,
     "exits after one answer": """
         import sys
         parts = sys.stdin.readline().split()
@@ -257,14 +272,14 @@ class TestCustomGroupOracle:
         monkeypatch.setattr(groups.ExternalGroupOracle, "__init__", tracked_init)
         return oracles
 
-    def ball(self, tmp_path, capsys, script):
+    def ball(self, tmp_path, capsys, script, cache_dir=None):
         path = tmp_path / "oracle.py"
         path.write_text(textwrap.dedent(ORACLE_SCRIPTS[script]))
         command = [sys.executable, str(path), str(tmp_path / "closed")]
         group = {"custom": {"command": command, "identity": "0",
                             "generators": [["t", "1"], ["t~", "-1"]]}}
-        return run(capsys, "group", "ball", "--group", json.dumps(group), "--R", "2",
-                   "--no-cache")
+        cache = ["--cache-dir", str(cache_dir)] if cache_dir else ["--no-cache"]
+        return run(capsys, "group", "ball", "--group", json.dumps(group), "--R", "2", *cache)
 
     def test_success_closes_by_end_of_input(self, tmp_path, capsys, spawned):
         code, out, _ = self.ball(tmp_path, capsys, "adds")
@@ -279,6 +294,15 @@ class TestCustomGroupOracle:
         assert code == 2
         assert "closed the stream" in err or "is gone" in err
         assert all(o.proc.returncode is not None for o in spawned)
+
+    def test_law_breaking_oracle_exit_1(self, tmp_path, capsys, spawned):
+        cache = tmp_path / "cache"
+        code, out, err = self.ball(tmp_path, capsys, "wrong on 2 * 1", cache_dir=cache)
+        assert code == 1
+        assert "breaks the group law" in err and out == ""
+        assert not cache.exists() or not list(cache.iterdir())  # nothing was cached
+        (oracle,) = spawned
+        assert oracle.proc.returncode == 0
 
     def test_hanging_oracle_exit_3(self, tmp_path, capsys, spawned, monkeypatch):
         monkeypatch.setattr(groups, "ORACLE_TIMEOUT_S", 0.5)

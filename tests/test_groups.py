@@ -1,11 +1,20 @@
+import dataclasses
+import random
 import sys
 import textwrap
 from contextlib import ExitStack, closing
 
+import numpy as np
 import pytest
 
-from coarsedim.errors import CapExceeded, InputError
+from coarsedim.errors import CapExceeded, InputError, InvariantViolation
 from coarsedim.group_spaces import groups
+from coarsedim.group_spaces.amalgams import (
+    amalgam_group_model,
+    plain_free_product_z2_z3,
+    z4_amalgam_z6,
+    z_amalgam_2z,
+)
 from coarsedim.group_spaces.groups import (
     ExternalGroupOracle,
     GroupModel,
@@ -22,6 +31,74 @@ from coarsedim.group_spaces.groups import (
     left_invariance_check,
     validate_group_model,
 )
+
+
+MODELS = {
+    "free2": lambda: free_group(2),
+    "zn3": lambda: free_abelian_group(3),
+    "z2": lambda: cyclic_group(2),
+    "z7": lambda: cyclic_group(7),
+    "heisenberg": heisenberg_group,
+    "z_x_z3": lambda: direct_product(free_group(1), cyclic_group(3)),
+    "amalgam_z2_z3": lambda: amalgam_group_model(plain_free_product_z2_z3()),
+    "amalgam_z_2z": lambda: amalgam_group_model(z_amalgam_2z()),
+    "amalgam_z4_z6": lambda: amalgam_group_model(z4_amalgam_z6()),
+}
+
+
+def reference_ball(group, radius):
+    """Elements, labels and matrix of the word-metric ball by the direct
+    method: the Cayley graph of B_2radius as adjacency lists, and one BFS
+    per ball point inside it."""
+    gens = group.generator_elements()
+    wide = {group.identity: 0}
+    frontier = [group.identity]
+    for depth in range(1, 2 * radius + 1):
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                new = group.multiply(e, g)
+                if new not in wide:
+                    wide[new] = depth
+                    nxt.append(new)
+        frontier = nxt
+    order = sorted(wide, key=lambda e: (wide[e], repr(e)))
+    pos = {e: i for i, e in enumerate(order)}
+    adjacency = [[pos[t] for t in (group.multiply(e, g) for g in gens) if t in pos] for e in order]
+    inner = [e for e in order if wide[e] <= radius]
+    matrix = np.zeros((len(inner), len(inner)))
+    for i, e in enumerate(inner):
+        dist = {pos[e]: 0}
+        frontier = [pos[e]]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        for j, f in enumerate(inner):
+            matrix[i, j] = dist[pos[f]]
+    return tuple(inner), tuple(repr(e) for e in inner), matrix
+
+
+def shuffled(group, seed):
+    gens = list(group.generators)
+    random.Random(seed).shuffle(gens)
+    return dataclasses.replace(group, generators=tuple(gens))
+
+
+def broken_z():
+    """Z whose multiply is wrong on one input pair."""
+    g = free_abelian_group(1)
+
+    def broken(a, b):
+        if a == (2,) and b == (1,):
+            return (0,)
+        return (a[0] + b[0],)
+
+    return GroupModel("broken", g.identity, g.generators, broken)
 
 
 class TestModels:
@@ -84,12 +161,74 @@ class TestCayleyBall:
         bad = GroupModel("broken", g.identity, g.generators, broken)
         assert not left_invariance_check(bad, 2)["ok"]
 
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_reference_bfs(self, name):
+        for seed in (0, 1):
+            group = shuffled(MODELS[name](), seed)
+            for radius in range(4):
+                ball = cayley_ball(group, radius)
+                elements, labels, matrix = reference_ball(group, radius)
+                assert ball.elements == elements
+                assert ball.space.labels == labels
+                assert ball.space.matrix.dtype == matrix.dtype
+                assert ball.space.matrix.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("name", ["free2", "heisenberg", "z7"])
+    def test_oracle_calls_are_the_enumeration(self, name):
+        group = MODELS[name]()
+        for radius in range(4):
+            calls = []
+
+            def counting(a, b):
+                calls.append((a, b))
+                return group.multiply(a, b)
+
+            cayley_ball(dataclasses.replace(group, multiply=counting), radius)
+            inside = len(enumerate_ball(group, 2 * radius - 1)) if radius else 0
+            assert len(calls) == inside * len(group.generators)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_left_invariance_on_every_model(self, name):
+        rep = left_invariance_check(MODELS[name](), 2)
+        assert rep == {"ok": True, "witness": None}
+
+    def test_broken_oracle_raises_with_pair(self):
+        with pytest.raises(InvariantViolation, match="breaks the group law") as exc:
+            cayley_ball(broken_z(), 2)
+        x, y = exc.value.witness
+        assert x != y  # an asymmetric pair; the diagonal is intact here
+        rep = left_invariance_check(broken_z(), 2)
+        assert not rep["ok"] and len(rep["witness"]) == 2
+
+    def test_not_closed_under_inverses_raises(self):
+        g = free_abelian_group(1)
+        one_way = GroupModel("N", g.identity, g.generators[:1], g.multiply)
+        assert cayley_ball(one_way, 0).space.n == 1  # no inverse is needed at radius 0
+        with pytest.raises(InvariantViolation, match="not closed under inverses"):
+            cayley_ball(one_way, 1)
+
+    @pytest.mark.parametrize("group", [broken_z(), free_group(2), heisenberg_group()],
+                             ids=["broken_z", "free2", "heisenberg"])
+    def test_table_steps_lengthen_by_at_most_one(self, group):
+        # so a walk of k steps from the identity reads only rows shorter than k,
+        # and no walk in cayley_ball can reach an element without a row
+        _, length, _, _, table = groups._bfs(group, 6)
+        length = np.array(length)
+        assert len(table) == np.count_nonzero(length < 6)
+        assert (length[table] <= length[: len(table), None] + 1).all()
+
+    def test_matrix_cap_before_allocation(self):
+        with pytest.raises(CapExceeded, match="matrix exceeds cap"):
+            cayley_ball(free_abelian_group(1), 5000)  # n = 10,001
+        assert 10_001**2 > groups.MATRIX_CAP and 20_001 < groups.BALL_CAP
+
 
 class TestKernelNeighborhood:
     def test_radius_zero_is_kernel(self):
         q = heisenberg_center_quotient()
-        rep = kernel_neighborhood_check(q, 0, 2)
-        assert rep["ok"]
+        for ball_radius in (2, 0, 1):  # a table of radius < 2 has no generator rows
+            rep = kernel_neighborhood_check(q, 0, ball_radius)
+            assert rep["ok"]
 
     def test_z_mod_two_everything(self):
         g = free_abelian_group(1)
