@@ -74,8 +74,9 @@ AMALGAM_MODELS = {
 
 
 class Workspace:
-    """Content-hash keyed JSON cache; entries are stamped with the tool
-    version so stale data is never served across upgrades."""
+    """Content-hash keyed cache of report texts.  An entry is the report
+    itself, which echoes the tool version and its parameters, so stale data
+    is never served across upgrades."""
 
     def __init__(self, root: str | None = None):
         root = root or os.environ.get("COARSEDIM_CACHE") or os.path.join(
@@ -87,24 +88,23 @@ class Workspace:
         blob = json.dumps({"kind": kind, "params": params, "version": __version__}, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
-    def get(self, kind: str, params: dict):
-        """The cached data, or None for a missing, stale or unusable entry
-        (unreadable, truncated, not an object, no data), which the next
+    def get(self, kind: str, params: dict) -> str | None:
+        """The cached report text, or None unless it parses to an object
+        stamped with this version and these parameters.  An unusable entry
+        (unreadable, truncated, another format) is a miss, which the next
         ``put`` overwrites."""
         path = self.root / f"{self.key(kind, params)}.json"
         try:
-            with path.open() as f:
-                doc = json.load(f)
+            text = path.read_text()
+            doc = json.loads(text)
         except (OSError, ValueError):
             return None
-        if not isinstance(doc, dict) or doc.get("version") != __version__ or "data" not in doc:
+        if not isinstance(doc, dict) or doc.get("version") != __version__ or doc.get("parameters") != params:
             return None
-        return doc["data"]
+        return text
 
-    def put(self, kind: str, params: dict, data) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / f"{self.key(kind, params)}.json"
-        _atomic_write_json(path, {"version": __version__, "data": data})
+    def put(self, kind: str, params: dict, text: str) -> None:
+        _atomic_write(self.root / f"{self.key(kind, params)}.json", text)
 
 
 def _atomic_write(path, text: str) -> None:
@@ -123,10 +123,6 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _atomic_write_json(path, doc) -> None:
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _stamp(doc: dict, args_echo: dict, rule: str | None = None, seed: int = 0) -> dict:
     doc["version"] = __version__
     doc["parameters"] = args_echo
@@ -136,12 +132,15 @@ def _stamp(doc: dict, args_echo: dict, rule: str | None = None, seed: int = 0) -
     return doc
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
+def _report_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        _atomic_write_json(out_path, doc)
+        _atomic_write(out_path, text)
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def cmd_space(args) -> int:
             space = load_space(args.params[0])
         else:
             raise InputError(f"unknown space kind {kind!r}")
-        _emit(space_to_json(space), args.out)
+        _emit(_report_text(space_to_json(space)), args.out)
         return 0
     if args.action == "check":
         if not args.file:
@@ -203,7 +202,7 @@ def cmd_cover(args) -> int:
                rule="scale-separated decomposition")
         doc["colors"] = dec.colors
         doc["label"] = dec.info["label"]
-        _emit(doc, args.out)
+        _emit(_report_text(doc), args.out)
         return 0
     if args.action == "verify":
         if not args.decomposition:
@@ -225,11 +224,7 @@ def cmd_cover(args) -> int:
             lines.append(
                 f"{row['D']:g},{row['B']:g},{row['colors']},{row['mode']},{row['seconds']:.6f}"
             )
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            _atomic_write(args.out, text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", args.out)
         return 0
     raise InputError(f"unknown cover action {args.action!r}")
 
@@ -286,7 +281,7 @@ def cmd_hurewicz(args) -> int:
         seed=args.seed,
     )
     report["sub_required_scale"] = sub_required
-    _emit(report, args.out)
+    _emit(_report_text(report), args.out)
     return 0
 
 
@@ -333,15 +328,15 @@ def cmd_group(args) -> int:
             ball = cayley_ball(group_from_json(group_doc, stack), args.R)
         doc = space_to_json(ball.space)
         doc["elements"] = [repr(e) for e in ball.elements]
-        _stamp(doc, params, rule="word-metric ball")
+        text = _report_text(_stamp(doc, params, rule="word-metric ball"))
         if args.verify_cache and cached is not None:
-            if json.dumps(cached, sort_keys=True) != json.dumps(doc, sort_keys=True):
+            if cached != text:
                 print("cache mismatch against recomputation", file=sys.stderr)
                 return 1
             print("cache verified: identical to recomputation")
         if not args.no_cache:
-            ws.put("cayley-ball", params, doc)
-        _emit(doc, args.out)
+            ws.put("cayley-ball", params, text)
+        _emit(text, args.out)
         return 0
     if args.action == "freeprod":
         x = PointedSpace(path_space(args.factor_size), 0)
@@ -355,7 +350,7 @@ def cmd_group(args) -> int:
         }
         _stamp(doc, {"factor_size": args.factor_size, "max_norm": args.max_norm},
                rule="free product of pointed spaces")
-        _emit(doc, args.out)
+        _emit(_report_text(doc), args.out)
         return 0
     if args.action == "tree":
         x = PointedSpace(path_space(args.factor_size), 0)
@@ -371,7 +366,7 @@ def cmd_group(args) -> int:
         }
         _stamp(doc, {"factor_size": args.factor_size, "max_norm": args.max_norm},
                rule="coset tree projection")
-        _emit(doc, args.out)
+        _emit(_report_text(doc), args.out)
         return 0
     if args.action == "amalgam":
         if args.model not in AMALGAM_MODELS:
@@ -382,7 +377,7 @@ def cmd_group(args) -> int:
             "max_generator_ratio", "max_generator_ratio_plain_metric", "lipschitz_ok",
         )}
         _stamp(doc, {"model": args.model, "R": args.R}, rule="amalgam coset projection")
-        _emit(doc, args.out)
+        _emit(_report_text(doc), args.out)
         return 0 if rep["lipschitz_ok"] else 1
     if args.action == "hyperbolize":
         if not args.space:
@@ -395,7 +390,7 @@ def cmd_group(args) -> int:
         doc["height_lipschitz"] = measured_lipschitz(proj)
         _stamp(doc, {"space": args.space, "levels": args.levels, "t0": args.t0, "ratio": args.ratio},
                rule="logarithmic space of balls")
-        _emit(doc, args.out)
+        _emit(_report_text(doc), args.out)
         return 0
     if args.action == "bound":
         if not args.expr:

@@ -24,6 +24,7 @@ import numpy as np
 from ..covers import scale_dimension_profile
 from ..errors import CapExceeded, InputError, InvariantViolation
 from ..metric_core import (
+    MATRIX_CAP,
     FiniteMetricSpace,
     MetricMap,
     PointSet,
@@ -98,6 +99,8 @@ def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norm)
     letter stripped.  One dense write per trie node keeps this near-linear
     in matrix size."""
     n = len(words)
+    if n * n > MATRIX_CAP:
+        raise CapExceeded(f"free product truncation has {n} words; its matrix exceeds cap {MATRIX_CAP}")
     out = np.zeros((n, n))
 
     def fill(indices: list[int], depth: int, remaining: np.ndarray):

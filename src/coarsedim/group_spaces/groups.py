@@ -22,10 +22,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..errors import CapExceeded, InputError, InvariantViolation
-from ..metric_core import FiniteMetricSpace
+from ..metric_core import MATRIX_CAP, FiniteMetricSpace
 
 BALL_CAP = 200_000
-MATRIX_CAP = 1 << 26  # n*n entries: the walk and the matrix stay within 1 GiB
 ORACLE_TIMEOUT_S = 10.0  # per oracle call
 ORACLE_CLOSE_WAIT_S = 2.0  # between end of input and kill
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InputError
-from ..metric_core import FiniteMetricSpace, MetricMap, map_to_reals
+from ..errors import CapExceeded, InputError
+from ..metric_core import MATRIX_CAP, FiniteMetricSpace, MetricMap, map_to_reals
 
 HEIGHT_TOL = 1e-12
 
@@ -57,10 +57,12 @@ def hyperbolization(base: FiniteMetricSpace, radii) -> BallSpace:
         raise InputError("need at least one radius")
     if radii[0] <= 0:
         raise InputError("radii must be positive")
+    n = len(radii) * base.n
+    if n * n > MATRIX_CAP:
+        raise CapExceeded(f"space of balls has {n} points; its matrix exceeds cap {MATRIX_CAP}")
     points = tuple(
         BallSpacePoint(x, t) for t in radii for x in range(base.n)
     )
-    n = len(points)
     matrix = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

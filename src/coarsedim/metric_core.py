@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError, MetricAxiomError
 
@@ -34,6 +32,9 @@ EXHAUSTIVE_TRIPLE_LIMIT = 300
 
 # Largest temporary of sup_ratio, in matrix entries.
 SUP_RATIO_BLOCK = 1 << 14
+
+# Largest n*n distance matrix a construction may allocate, in entries (512 MiB).
+MATRIX_CAP = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +237,14 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     """Shortest-path metric of a connected, positively weighted graph.
 
     ``edges`` is a list of ``(i, j)`` or ``(i, j, w)`` entries; missing
-    weights default to 1.  Disconnected graphs are rejected.
+    weights default to 1.  Parallel edges keep their lightest weight.
+    Disconnected graphs are rejected.  scipy is imported on the first call
+    with n > 1, so processes that build no graph never load it.
     """
     if n <= 0:
         raise InputError("graph needs at least one vertex")
-    rows, cols, data = [], [], []
+    given = []
+    lightest: dict[tuple[int, int], float] = {}
     for e in edges:
         if len(e) == 2:
             i, j, w = e[0], e[1], 1.0
@@ -250,19 +254,25 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
             raise InputError(f"edge {e} out of range")
         if w <= 0:
             raise InputError(f"edge {e} has nonpositive weight")
-        rows.append(i)
-        cols.append(j)
-        data.append(float(w))
+        w = float(w)
+        given.append((int(i), int(j), w))
+        pair = (min(i, j), max(i, j))
+        lightest[pair] = min(w, lightest.get(pair, w))
     if n == 1:
         m = np.zeros((1, 1))
     else:
-        graph = coo_matrix((data, (rows, cols)), shape=(n, n))
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        rows = [i for i, _ in lightest]
+        cols = [j for _, j in lightest]
+        graph = coo_matrix((list(lightest.values()), (rows, cols)), shape=(n, n))
         m = dijkstra(graph, directed=False)
         if np.isinf(m).any():
             i, j = map(int, np.argwhere(np.isinf(m))[0])
             raise InputError(f"graph is disconnected: no path between {i} and {j}")
     space = FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path")
-    space.meta["edges"] = [(int(r), int(c), float(w)) for r, c, w in zip(rows, cols, data)]
+    space.meta["edges"] = given
     return space
 
 

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from coarsedim.errors import InputError
+from coarsedim.errors import CapExceeded, InputError
+from coarsedim.group_spaces import hyperbolic
 from coarsedim.group_spaces.bounds import NormalSeries, asdim_upper_bound, hirsch_length
 from coarsedim.group_spaces.hyperbolic import (
     BallSpace,
@@ -100,6 +102,19 @@ class TestHyperbolization:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(InputError):
             hyperbolization(path_space(2), [0.0, 1.0])
+
+    def test_matrix_cap_before_allocation(self, monkeypatch):
+        base = path_space(5)
+        monkeypatch.setattr(hyperbolic, "MATRIX_CAP", 16)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an n x n matrix was allocated")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "zeros", no_allocation)
+            with pytest.raises(CapExceeded, match="has 15 points; its matrix exceeds cap 16"):
+                hyperbolization(base, geometric_radii(levels=3))
+        assert hyperbolization(path_space(4), [1.0]).space.n == 4  # 16 entries still build
 
 
 class TestHeightProjection:

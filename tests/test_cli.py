@@ -1,13 +1,16 @@
 import json
+import os
+import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
 from coarsedim import __version__
 from coarsedim.cli import Workspace, main
-from coarsedim.group_spaces import groups
+from coarsedim.group_spaces import free_products, groups, hyperbolic
 from coarsedim.metric_core import grid_space, path_space, space_to_json
 
 
@@ -185,6 +188,46 @@ class TestGroup:
         assert (code, out, err) == (0, cold, "")
         assert path.read_text() == text  # the recomputation overwrote the entry
 
+    def test_cold_warm_and_out_file_byte_identical(self, tmp_path, capsys):
+        argv = ("group", "ball", "--builtin", "heisenberg", "--R", "2",
+                "--cache-dir", str(tmp_path / "cache"))
+        code, cold, _ = run(capsys, *argv)
+        assert code == 0
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        assert entry.read_text() == cold  # the cache entry is the report itself
+        code, warm, _ = run(capsys, *argv)
+        assert code == 0 and warm == cold
+        out = tmp_path / "ball.json"
+        code, printed, _ = run(capsys, *argv, "-o", str(out))
+        assert code == 0 and printed == ""
+        assert out.read_bytes() == cold.encode()
+
+    def test_verify_cache_mismatch_exit_1(self, tmp_path, capsys):
+        argv = ("group", "ball", "--builtin", "heisenberg", "--R", "2",
+                "--cache-dir", str(tmp_path))
+        code, cold, _ = run(capsys, *argv)
+        assert code == 0
+        (path,) = tmp_path.glob("*.json")
+        doc = json.loads(path.read_text())
+        doc["matrix"][0][1] += 1.0  # still valid JSON with this version and parameters
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        code, out, err = run(capsys, *argv, "--verify-cache")
+        assert code == 1
+        assert "cache mismatch" in err and out == ""
+
+    def test_freeprod_matrix_cap_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(free_products, "MATRIX_CAP", 16)
+        code, out, err = run(capsys, "group", "freeprod", "--factor-size", "4", "--max-norm", "6")
+        assert code == 3
+        assert "matrix exceeds cap 16" in err and out == ""
+
+    def test_hyperbolize_matrix_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hyperbolic, "MATRIX_CAP", 16)
+        space = write_space(tmp_path, "p.json", path_space(5))
+        code, out, err = run(capsys, "group", "hyperbolize", "--space", space, "--levels", "3")
+        assert code == 3
+        assert "matrix exceeds cap 16" in err and out == ""
+
     def test_oversized_ball_exit_3(self, tmp_path, capsys):
         t0 = time.monotonic()
         code, _, err = run(capsys, "group", "ball", "--group", '{"builtin": "zn", "params": {"rank": 1}}',
@@ -315,6 +358,45 @@ class TestCustomGroupOracle:
         assert oracle.proc.returncode is not None  # no live child is left
 
 
+SCIPY_PROBE = """
+import contextlib, io, sys
+from coarsedim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+print("scipy" in sys.modules)
+"""
+
+IMPORT_ALL = """
+import importlib, pkgutil, sys, coarsedim
+for m in pkgutil.walk_packages(coarsedim.__path__, "coarsedim."):
+    importlib.import_module(m.name)
+print("scipy" in sys.modules)
+"""
+
+
+def fresh_python(code, *argv):
+    """Standard output of ``code`` run in a new interpreter on this source tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestColdStart:
+    """scipy is loaded by the first graph metric, not by importing the CLI."""
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["group", "ball", "--builtin", "heisenberg", "--R", "2", "--no-cache"], "False"),
+        (["space", "build", "grid", "3", "3"], "True"),
+    ], ids=["group ball", "space build"])
+    def test_scipy_loaded_only_for_graph_metrics(self, argv, loaded):
+        assert fresh_python(SCIPY_PROBE, *argv) == loaded
+
+    def test_no_module_imports_scipy(self):
+        assert fresh_python(IMPORT_ALL) == "False"
+
+
 class TestVerify:
     def test_clean_tree_exit_0(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -335,12 +417,19 @@ class TestVerify:
         assert all(r["ok"] for r in doc["results"])
 
 
+def cache_entry(params, **fields):
+    """A report text as the CLI writes it, stamped with this version."""
+    doc = {"version": __version__, "parameters": params, **fields}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 class TestWorkspace:
     def test_round_trip(self, tmp_path):
         ws = Workspace(str(tmp_path))
         assert ws.get("thing", {"a": 1}) is None
-        ws.put("thing", {"a": 1}, {"data": [1, 2, 3]})
-        assert ws.get("thing", {"a": 1}) == {"data": [1, 2, 3]}
+        text = cache_entry({"a": 1}, data=[1, 2, 3])
+        ws.put("thing", {"a": 1}, text)
+        assert ws.get("thing", {"a": 1}) == text
         assert ws.get("thing", {"a": 2}) is None
 
     @pytest.mark.parametrize("text", ["", "{\"version\":", "[1, 2]", "\"data\"",
@@ -349,5 +438,17 @@ class TestWorkspace:
         ws = Workspace(str(tmp_path))
         (tmp_path / f"{ws.key('thing', {})}.json").write_text(text)
         assert ws.get("thing", {}) is None
-        ws.put("thing", {}, [1])
-        assert ws.get("thing", {}) == [1]
+        ws.put("thing", {}, cache_entry({}))
+        assert ws.get("thing", {}) == cache_entry({})
+
+    @pytest.mark.parametrize("doc", [
+        {"version": __version__, "data": json.loads(cache_entry({}))},
+        json.loads(cache_entry({"a": 1})),
+        {"version": "0.0.0", "parameters": {}},
+    ], ids=["parent format", "other parameters", "other version"])
+    def test_stale_entry_is_a_miss(self, tmp_path, doc):
+        ws = Workspace(str(tmp_path))
+        (tmp_path / f"{ws.key('thing', {})}.json").write_text(json.dumps(doc))
+        assert ws.get("thing", {}) is None
+        ws.put("thing", {}, cache_entry({}))
+        assert ws.get("thing", {}) == cache_entry({})

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from coarsedim.errors import InputError
+from coarsedim.errors import CapExceeded, InputError
+from coarsedim.group_spaces import free_products
 from coarsedim.group_spaces.free_products import (
     PointedSpace,
     free_product_space,
@@ -17,6 +19,10 @@ from coarsedim.metric_core import (
     path_space,
     verify_metric_axioms,
 )
+
+
+def no_allocation(*args, **kwargs):
+    raise AssertionError("an n x n matrix was allocated")
 
 
 def pointed_path(n):
@@ -63,6 +69,15 @@ class TestWordSpace:
         for w in fps.words:
             for a, b in zip(w, w[1:]):
                 assert a[0] != b[0]
+
+    def test_matrix_cap_before_allocation(self, monkeypatch):
+        x = pointed_path(4)
+        monkeypatch.setattr(free_products, "MATRIX_CAP", 8)
+        with monkeypatch.context() as m:
+            m.setattr(np, "zeros", no_allocation)
+            with pytest.raises(CapExceeded, match="has 3 words; its matrix exceeds cap 8"):
+                free_product_space(x, x, max_norm=1)  # e, x1, y1
+        assert free_product_space(x, x, max_norm=0).space.n == 1
 
     def test_min_letter_norm_enforced(self):
         half = build_explicit([[0, 0.5], [0.5, 0]])

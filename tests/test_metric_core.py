@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsedim.errors import InputError, MetricAxiomError
 from coarsedim.metric_core import (
@@ -99,6 +101,35 @@ class TestGraphMetric:
         assert doc["kind"] == "graph"
         s2 = space_from_json(doc)
         assert np.array_equal(s.matrix, s2.matrix)
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 1), (0, 1, 1)], [(0, 1, 3), (0, 1, 1)],
+                                       [(0, 1, 1), (1, 0, 3)]])
+    def test_parallel_edges_keep_lightest_weight(self, edges):
+        s = build_graph_metric(2, edges)
+        assert s.dist(0, 1) == 1.0
+        assert space_to_json(s)["edges"] == [list(map(float, e)) for e in edges]  # as given
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.integers(1, 12).map(lambda k: k / 4)), max_size=3 * n),
+        st.randoms(use_true_random=False),
+    )))
+    def test_multigraph_equals_lightest_simple_graph(self, case):
+        n, extra, rng = case
+        path = [(v, v + 1, 1.0) for v in range(n - 1)]  # keeps it connected
+        multi = path + extra + [(j, i, w) for i, j, w in extra if rng.random() < 0.5]
+        rng.shuffle(multi)
+        lightest = {}
+        for i, j, w in multi:
+            if i != j:
+                pair = (min(i, j), max(i, j))
+                lightest[pair] = min(w, lightest.get(pair, w))
+        simple = [(i, j, w) for (i, j), w in lightest.items()]
+        m = build_graph_metric(n, multi).matrix
+        assert np.array_equal(m, build_graph_metric(n, simple).matrix)
+        assert np.array_equal(m, np.array(floyd_warshall(n, multi)))
 
 
 class TestBallsAndSets:
