@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -109,10 +108,12 @@ class Workspace:
 
 def _atomic_write(path, text: str) -> None:
     """Write through a temporary file in the same directory and rename it
-    into place, so readers never see a partial file."""
+    into place, so readers never see a partial file.  The file is created
+    with mode 0o666 less the umask, as ``open(path, "w")`` would."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

@@ -102,19 +102,6 @@ def multiplicity(cover: Cover) -> int:
     return int((cover.depths > 0).sum(axis=1).max())
 
 
-def r_multiplicity(cover: Cover, radius: float) -> int:
-    """Largest number of cover sets meeting a single closed radius-ball,
-    centers ranging over the carrier."""
-    if radius < 0:
-        raise InputError("radius must be nonnegative")
-    m = cover.space.matrix
-    best = 0
-    for x in cover.universe():
-        hits = sum(1 for s in cover.sets if m[x, list(s.indices)].min() <= radius + TOL)
-        best = max(best, hits)
-    return best
-
-
 def mesh(cover: Cover) -> float:
     """Largest member diameter (the uniform boundedness witness)."""
     return max(diameter_of(cover.space, s) for s in cover.sets)
@@ -646,18 +633,6 @@ def scale_dimension_profile(
 
 # ---------------------------------------------------------------------------
 # JSON formats
-
-
-def cover_to_json(cover: Cover) -> dict:
-    return {"sets": [list(s.indices) for s in cover.sets]}
-
-
-def cover_from_json(doc: dict, space, carrier=None, partial=False) -> Cover:
-    try:
-        sets = doc["sets"]
-    except (KeyError, TypeError) as exc:
-        raise InputError("cover JSON needs a 'sets' field") from exc
-    return make_cover(space, sets, carrier=carrier, partial=partial)
 
 
 def decomposition_to_json(decomp: ColoredDecomposition) -> dict:

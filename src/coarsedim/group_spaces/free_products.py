@@ -30,6 +30,7 @@ from ..metric_core import (
     PointSet,
     ball,
     build_graph_metric,
+    map_between_spaces,
     measured_lipschitz,
     set_distance,
 )
@@ -79,18 +80,6 @@ def word_norm(fps_or_factors, w: Word) -> float:
         ps = by_tag[tag]
         total += float(ps.space.matrix[p, ps.basepoint])
     return total
-
-
-def _common_prefix(u: Word, v: Word) -> int:
-    i = 0
-    while i < len(u) and i < len(v) and u[i] == v[i]:
-        i += 1
-    return i
-
-
-def word_distance(fps: FreeProductSpace, u: Word, v: Word) -> float:
-    i = _common_prefix(u, v)
-    return word_norm(fps, u[i:]) + word_norm(fps, v[i:])
 
 
 def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norm) -> np.ndarray:
@@ -264,14 +253,7 @@ def tree_projection(fps: FreeProductSpace, tree: TreeSpace | None = None) -> Met
     for w in fps.words:
         v = ("X", _strip_trailing(w, "x"))
         assignment.append(tree.index[v])
-    return MetricMap(
-        fps.space,
-        tuple(assignment),
-        lambda a, b: float(tree.space.matrix[a, b]),
-        1.0,
-        None,
-        tree.space,
-    )
+    return map_between_spaces(fps.space, tree.space, assignment, 1.0)
 
 
 def word_stratification(fps: FreeProductSpace) -> dict:

@@ -43,6 +43,7 @@ from .metric_core import (
     MetricMap,
     PointSet,
     diameter_of,
+    map_between_spaces,
     measured_lipschitz,
     neighborhood,
     sup_ratio,
@@ -687,14 +688,7 @@ def orbit_reduction(
         moved = action.act(g, x0)
         if moved is not None:
             lam = max(lam, space.dist(moved, x0))
-    orbit_map = MetricMap(
-        ball_data.space,
-        tuple(images),
-        lambda a, b: float(space.matrix[a, b]),
-        lam,
-        None,
-        space,
-    )
+    orbit_map = map_between_spaces(ball_data.space, space, images, lam)
     config = make_config(orbit_map, epsilon, n, k, **config_kwargs)
     fibers = {}
     for R in R_list:

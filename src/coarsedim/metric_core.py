@@ -15,14 +15,13 @@ else a 1e-9 tolerance applies.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, MetricAxiomError
+from .errors import CapExceeded, InputError, MetricAxiomError
 
 TOL = 1e-9
 
@@ -238,11 +237,14 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
 
     ``edges`` is a list of ``(i, j)`` or ``(i, j, w)`` entries; missing
     weights default to 1.  Parallel edges keep their lightest weight.
-    Disconnected graphs are rejected.  scipy is imported on the first call
-    with n > 1, so processes that build no graph never load it.
+    Disconnected graphs are rejected, and so is an n*n matrix over
+    ``MATRIX_CAP`` before it is allocated.  scipy is imported on the first
+    call with n > 1, so processes that build no graph never load it.
     """
     if n <= 0:
         raise InputError("graph needs at least one vertex")
+    if n * n > MATRIX_CAP:
+        raise CapExceeded(f"graph has {n} vertices; its matrix exceeds cap {MATRIX_CAP}")
     given = []
     lightest: dict[tuple[int, int], float] = {}
     for e in edges:
@@ -351,32 +353,24 @@ def diameter_of(space: FiniteMetricSpace, a) -> float:
 
 @dataclass(frozen=True)
 class MetricMap:
-    """Total map from a finite metric space into anything with a metric.
-
-    ``images[p]`` is the image of point ``p``; ``image_distance`` computes
-    distances between images.  ``domain_points`` restricts the map (and all
-    measurements) to a subset of the domain, which is how maps defined on
-    fibers are represented.
-    """
+    """Total map from a finite metric space into a codomain whose metric
+    the map does not restate: a :class:`FiniteMetricSpace` (``images[p]``
+    is a point index of it) or ``"reals"`` (``images[p]`` is a float,
+    distances are absolute differences)."""
 
     domain: FiniteMetricSpace
     images: tuple
-    image_distance: Callable[[Any, Any], float]
+    codomain: FiniteMetricSpace | str
     declared_lipschitz: float | None = None
-    domain_points: PointSet | None = None
-    codomain: Any = None
 
     def __post_init__(self):
         if len(self.images) != self.domain.n:
             raise InputError("assignment must be total on the domain")
+        if not isinstance(self.codomain, FiniteMetricSpace) and self.codomain != "reals":
+            raise InputError(f"codomain must be a finite metric space or 'reals', not {self.codomain!r}")
 
-    def points(self) -> Sequence[int]:
-        if self.domain_points is not None:
-            return self.domain_points.indices
+    def points(self) -> range:
         return range(self.domain.n)
-
-    def __call__(self, p: int):
-        return self.images[p]
 
 
 def map_between_spaces(
@@ -384,77 +378,29 @@ def map_between_spaces(
     codomain: FiniteMetricSpace,
     assignment: Sequence[int],
     declared_lipschitz: float | None = None,
-    domain_points: PointSet | None = None,
 ) -> MetricMap:
     assignment = tuple(int(a) for a in assignment)
     for a in assignment:
         if not (0 <= a < codomain.n):
             raise InputError(f"image point {a} outside codomain")
-    return MetricMap(
-        domain,
-        assignment,
-        lambda a, b: float(codomain.matrix[a, b]),
-        declared_lipschitz,
-        domain_points,
-        codomain,
-    )
+    return MetricMap(domain, assignment, codomain, declared_lipschitz)
 
 
-def identity_map(space: FiniteMetricSpace) -> MetricMap:
-    return map_between_spaces(space, space, range(space.n), declared_lipschitz=1.0)
+def map_to_reals(domain: FiniteMetricSpace, values: Sequence[float], declared_lipschitz=None) -> MetricMap:
+    return MetricMap(domain, tuple(float(v) for v in values), "reals", declared_lipschitz)
 
 
-def constant_map(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, point: int) -> MetricMap:
-    return map_between_spaces(domain, codomain, [point] * domain.n, declared_lipschitz=0.0)
-
-
-def map_to_reals(domain: FiniteMetricSpace, values: Sequence[float], declared_lipschitz=None,
-                 domain_points=None) -> MetricMap:
-    return MetricMap(
-        domain,
-        tuple(float(v) for v in values),
-        lambda a, b: abs(a - b),
-        declared_lipschitz,
-        domain_points,
-        "reals",
-    )
-
-
-def measured_lipschitz(m: MetricMap, pair_budget="all", seed: int = 0) -> float:
-    """Largest ratio d(f(x), f(y)) / d(x, y) over distinct point pairs.
-
-    With ``pair_budget="all"`` the supremum is exact; otherwise that many
-    pairs are sampled with the given seed.
-    """
-    pts = list(m.points())
-    if len(pts) < 2:
+def measured_lipschitz(m: MetricMap) -> float:
+    """Largest ratio d(f(x), f(y)) / d(x, y) over all pairs of distinct
+    points, exact: one matrix lookup for a finite codomain, ``sup_ratio``
+    for the reals."""
+    if m.codomain == "reals":
+        return sup_ratio(m.domain, m.points(), m.images)
+    img = np.asarray(m.images, dtype=np.intp)
+    iu = np.triu_indices(m.domain.n, k=1)
+    if not len(iu[0]):
         return 0.0
-    if pair_budget == "all" and m.codomain is not None and isinstance(m.codomain, FiniteMetricSpace):
-        # vectorized fast path: integer images into a finite space
-        idx = np.array(pts)
-        img = np.array([m.images[p] for p in pts])
-        dd = m.domain.matrix[np.ix_(idx, idx)]
-        di = m.codomain.matrix[np.ix_(img, img)]
-        iu = np.triu_indices(len(pts), k=1)
-        return float(np.max(di[iu] / dd[iu])) if len(iu[0]) else 0.0
-    if pair_budget == "all" and m.codomain == "reals":
-        return sup_ratio(m.domain, pts, [m.images[p] for p in pts])
-    if pair_budget == "all":
-        pairs = ((pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts)))
-    else:
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(int(pair_budget)):
-            i, j = rng.integers(0, len(pts), 2)
-            if i != j:
-                pairs.append((pts[int(i)], pts[int(j)]))
-    best = 0.0
-    for x, y in pairs:
-        dxy = m.domain.dist(x, y)
-        if dxy <= 0:
-            continue
-        best = max(best, m.image_distance(m.images[x], m.images[y]) / dxy)
-    return best
+    return float(np.max(m.codomain.matrix[img[iu[0]], img[iu[1]]] / m.domain.matrix[iu]))
 
 
 def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
@@ -481,37 +427,6 @@ def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
             if pos.any():
                 best = max(best, float((norms[pos] / dist[pos]).max()))
     return best
-
-
-def check_declared_lipschitz(m: MetricMap) -> dict:
-    """Measure the map and compare against its declared constant."""
-    measured = measured_lipschitz(m)
-    ok = m.declared_lipschitz is None or measured <= m.declared_lipschitz + TOL
-    return {"measured": measured, "declared": m.declared_lipschitz, "ok": ok}
-
-
-def product_map(f: MetricMap, g: MetricMap) -> MetricMap:
-    """Pair two maps on a common domain into the product of their codomains
-    with metric sqrt(d1^2 + d2^2); the declared constant is
-    sqrt(2) * max of the factors' constants."""
-    if f.domain is not g.domain and f.domain != g.domain:
-        raise InputError("product_map needs a common domain")
-    lam_f = f.declared_lipschitz if f.declared_lipschitz is not None else measured_lipschitz(f)
-    lam_g = g.declared_lipschitz if g.declared_lipschitz is not None else measured_lipschitz(g)
-    df, dg = f.image_distance, g.image_distance
-
-    def dist(a, b):
-        return math.hypot(df(a[0], b[0]), dg(a[1], b[1]))
-
-    images = tuple((f.images[p], g.images[p]) for p in range(f.domain.n))
-    return MetricMap(
-        f.domain,
-        images,
-        dist,
-        math.sqrt(2.0) * max(lam_f, lam_g),
-        f.domain_points,
-        ("product", f.codomain, g.codomain),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .covers import Cover, lebesgue_number, mesh, multiplicity
 from .errors import InputError, InvariantViolation
-from .metric_core import TOL, FiniteMetricSpace, MetricMap, measured_lipschitz, sup_ratio
+from .metric_core import TOL, FiniteMetricSpace, sup_ratio
 
 COORD_EPS = 1e-12
 
@@ -198,30 +198,17 @@ def canonical_projection(cover: Cover, x: int, complex: SimplicialComplex | None
     return EmbeddedPoint.of(complex, {ids[si]: d / total for si, d in enumerate(depths) if d > 0})
 
 
-def projection_map(cover: Cover, complex: SimplicialComplex | None = None) -> MetricMap:
-    """Canonical projection packaged as a measurable map on the carrier."""
-    if complex is None:
-        complex = nerve(cover)
-    images = [None] * cover.space.n
-    for x in cover.universe():
-        images[x] = canonical_projection(cover, x, complex)
-    return MetricMap(
-        cover.space,
-        tuple(images),
-        embedded_distance,
-        None,
-        cover.universe(),
-        complex,
-    )
-
-
 def projection_lipschitz_check(cover: Cover) -> dict:
-    """Measure the canonical projection against the (2k+3)^2 / L bound,
-    where k+1 is the multiplicity and L the Lebesgue number."""
+    """Measure the canonical projection of the carrier (exactly, over all
+    pairs, by ``sup_ratio``) against the (2k+3)^2 / L bound, where k+1 is
+    the multiplicity and L the Lebesgue number."""
     k = multiplicity(cover) - 1
     leb = lebesgue_number(cover)
     bound = 0.0 if math.isinf(leb) else (2 * k + 3) ** 2 / leb
-    measured = measured_lipschitz(projection_map(cover))
+    complex = nerve(cover)
+    carrier = cover.universe().indices
+    X = coordinate_matrix([canonical_projection(cover, x, complex) for x in carrier])
+    measured = sup_ratio(cover.space, carrier, X)
     return {
         "measured": measured,
         "bound": bound,
@@ -458,20 +445,3 @@ def glue(complexes: Sequence[SimplicialComplex]) -> SimplicialComplex:
         for s in c.simplices:
             cells.add(tuple(sorted(s, key=pos.__getitem__)))
     return SimplicialComplex(tuple(order), _closure(cells))
-
-
-# ---------------------------------------------------------------------------
-# JSON formats
-
-
-def complex_to_json(complex: SimplicialComplex) -> dict:
-    return {
-        "vertices": [list(v) if isinstance(v, tuple) else v for v in complex.vertices],
-        "simplices": sorted(
-            [list(v) if isinstance(v, tuple) else v for v in s] for s in complex.simplices
-        ),
-    }
-
-
-def embedded_point_to_json(point: EmbeddedPoint) -> dict:
-    return {"coords": {str(v): w for v, w in point.coords}}

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coarsedim import __version__
+from coarsedim import __version__, metric_core
 from coarsedim.cli import Workspace, main
 from coarsedim.group_spaces import free_products, groups, hyperbolic
 from coarsedim.metric_core import grid_space, path_space, space_to_json
@@ -33,6 +34,14 @@ class TestSpace:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["n"] == 64
+
+    def test_build_grid_matrix_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(metric_core, "MATRIX_CAP", 16)
+        out = tmp_path / "grid.json"
+        code, printed, err = run(capsys, "space", "build", "grid", "5", "5", "-o", str(out))
+        assert code == 3
+        assert "matrix exceeds cap 16" in err and printed == ""
+        assert not out.exists()
 
     def test_check_good(self, tmp_path, capsys):
         f = write_space(tmp_path, "p.json", path_space(10))
@@ -201,6 +210,19 @@ class TestGroup:
         code, printed, _ = run(capsys, *argv, "-o", str(out))
         assert code == 0 and printed == ""
         assert out.read_bytes() == cold.encode()
+
+    def test_written_files_follow_umask(self, tmp_path, capsys):
+        out = tmp_path / "ball.json"
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run(capsys, "group", "ball", "--builtin", "heisenberg", "--R", "1",
+                             "--cache-dir", str(tmp_path / "cache"), "-o", str(out))
+        finally:
+            os.umask(old)
+        assert code == 0
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert stat.S_IMODE(entry.stat().st_mode) == 0o644
 
     def test_verify_cache_mismatch_exit_1(self, tmp_path, capsys):
         argv = ("group", "ball", "--builtin", "heisenberg", "--R", "2",

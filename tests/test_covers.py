@@ -9,8 +9,6 @@ from coarsedim.covers import (
     carve_clusters,
     chromatic_number,
     colored_decomposition,
-    cover_from_json,
-    cover_to_json,
     decomposition_from_json,
     decomposition_to_json,
     disjoint_to_cover,
@@ -20,7 +18,6 @@ from coarsedim.covers import (
     make_cover,
     mesh,
     multiplicity,
-    r_multiplicity,
     saturated_union,
     scale_dimension_profile,
     uniform_decomposition,
@@ -51,27 +48,6 @@ class TestBasics:
         assert multiplicity(make_cover(s, [[0, 1, 2], [1, 2, 3]])) == 2
         whole = [list(range(4))] * 3
         assert multiplicity(make_cover(s, whole)) == 3
-
-    def test_r_multiplicity(self):
-        s = path_space(4)
-        c = make_cover(s, [[0, 1], [2, 3]])
-        assert r_multiplicity(c, 0) == multiplicity(c)
-        # ball(1, 1) = {0,1,2} meets both sets
-        assert r_multiplicity(c, 1) == 2
-        assert r_multiplicity(c, s.diameter()) == 2
-
-    def test_r_multiplicity_double_loop_oracle(self):
-        s = grid_space(3, 5)
-        c = make_cover(s, [range(0, 8), range(5, 15), [0, 14]])
-        for radius in (0, 1, 2):
-            expected = 0
-            for x in range(s.n):
-                hits = 0
-                for u in c.sets:
-                    if any(s.dist(x, p) <= radius for p in u):
-                        hits += 1
-                expected = max(expected, hits)
-            assert r_multiplicity(c, radius) == expected
 
     def test_lebesgue_whole_space_flag(self):
         s = path_space(4)
@@ -366,14 +342,6 @@ class TestProfile:
 
 
 class TestJson:
-    def test_cover_round_trip(self):
-        s = path_space(4)
-        c = make_cover(s, [[0, 1, 2], [1, 2, 3]])
-        doc = cover_to_json(c)
-        assert doc == {"sets": [[0, 1, 2], [1, 2, 3]]}
-        c2 = cover_from_json(doc, s)
-        assert c2.sets == c.sets
-
     def test_decomposition_round_trip(self):
         s = path_space(10)
         dec = colored_decomposition(s, D=2, B=2, mode="exact")

@@ -21,12 +21,15 @@ from coarsedim.hurewicz import (
 )
 from coarsedim.metric_core import (
     build_graph_metric,
-    constant_map,
     grid_space,
     map_between_spaces,
     measured_lipschitz,
     path_space,
 )
+
+
+def constant_map(domain, codomain, point):
+    return map_between_spaces(domain, codomain, [point] * domain.n, 0.0)
 
 
 def column_projection(rows, cols):

@@ -1,5 +1,6 @@
-"""Property tests of the cover depth table and the sup-ratio kernel against
-the per-point and per-pair formulas they replace."""
+"""Property tests of the cover depth table, the sup-ratio kernel and the
+measured Lipschitz constants against the per-point and per-pair formulas
+they replace."""
 
 import math
 from unittest import mock
@@ -12,8 +13,11 @@ from coarsedim import metric_core
 from coarsedim.covers import lebesgue_number, make_cover, multiplicity
 from coarsedim.errors import InputError
 from coarsedim.metric_core import (
+    TOL,
     PointSet,
     build_graph_metric,
+    grid_space,
+    map_between_spaces,
     map_to_reals,
     measured_lipschitz,
     path_space,
@@ -25,6 +29,7 @@ from coarsedim.polyhedra import (
     canonical_projection,
     coordinate_matrix,
     embedded_distance,
+    projection_lipschitz_check,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -193,14 +198,69 @@ class TestSupRatio:
     @given(weighted_graphs(min_n=2), st.data())
     def test_real_valued_lipschitz_matches_pairs(self, space, data):
         values = data.draw(st.lists(st.floats(-50, 50), min_size=space.n, max_size=space.n))
-        pts = PointSet.of(data.draw(st.sets(st.integers(0, space.n - 1))))
-        f = map_to_reals(space, values, domain_points=pts)
+        f = map_to_reals(space, values)
         want = 0.0
-        for i in pts:
-            for j in pts:
-                if i < j:
-                    want = max(want, abs(values[i] - values[j]) / space.dist(i, j))
+        for i in range(space.n):
+            for j in range(i + 1, space.n):
+                want = max(want, abs(values[i] - values[j]) / space.dist(i, j))
         assert measured_lipschitz(f) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestFiniteCodomain:
+    @SETTINGS
+    @given(weighted_graphs(), weighted_graphs(), st.data())
+    def test_lipschitz_matches_pairs(self, space, target, data):
+        images = data.draw(st.lists(st.integers(0, target.n - 1), min_size=space.n, max_size=space.n))
+        f = map_between_spaces(space, target, images)
+        want = 0.0
+        for i in range(space.n):
+            for j in range(i + 1, space.n):
+                want = max(want, target.dist(images[i], images[j]) / space.dist(i, j))
+        assert measured_lipschitz(f) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# the canonical projection's constant
+
+
+def reference_projection_constant(cover):
+    carrier = cover.universe().indices
+    return pairwise_sup(cover.space, carrier, [canonical_projection(cover, x) for x in carrier])
+
+
+def strips(space):
+    """Overlapping index strips, as in the polyhedra projection tests."""
+    width = max(2, space.n // 3)
+    return [range(lo, min(space.n, lo + width + 2)) for lo in range(0, space.n, width)]
+
+
+POLYHEDRA_CASES = [
+    (path_space(6), [range(6)]),
+    (path_space(10), [range(0, 6), range(4, 10)]),
+    (path_space(2), [[0], [1]]),
+    (path_space(12), strips(path_space(12))),
+    (path_space(20), strips(path_space(20))),
+    (grid_space(4, 5), strips(grid_space(4, 5))),
+]
+
+
+class TestProjectionConstant:
+    @SETTINGS
+    @given(covers())
+    def test_matches_pair_loop(self, cover):
+        rep = projection_lipschitz_check(cover)
+        want = reference_projection_constant(cover)
+        assert rep["measured"] == pytest.approx(want, rel=1e-12, abs=0)
+        assert rep["ok"] == (want <= rep["bound"] + TOL)
+
+    @pytest.mark.parametrize("space, sets", POLYHEDRA_CASES, ids=[
+        "whole-space", "two-halves", "two-points", "path12-strips", "path20-strips", "grid4x5-strips"])
+    def test_polyhedra_cases(self, space, sets):
+        cover = make_cover(space, sets)
+        rep = projection_lipschitz_check(cover)
+        want = reference_projection_constant(cover)
+        assert rep["measured"] == pytest.approx(want, rel=1e-12, abs=0)
+        assert rep["ok"] and want <= rep["bound"] + TOL
 
 
 @SETTINGS

@@ -12,7 +12,6 @@ from coarsedim.polyhedra import (
     _sample_points,
     barycenter_point,
     canonical_projection,
-    complex_to_json,
     embedded_distance,
     glue,
     mapping_cylinder,
@@ -293,13 +292,3 @@ class TestGlue:
         g = glue([t1, t2])
         assert len(g.vertices) == 4
         assert len([s for s in g.simplices if len(s) == 3]) == 2
-
-    def test_json_shape(self):
-        doc = complex_to_json(TRIANGLE)
-        assert set(doc) == {"vertices", "simplices"}
-
-    def test_embedded_point_json(self):
-        from coarsedim.polyhedra import embedded_point_to_json
-
-        doc = embedded_point_to_json(barycenter_point(TRIANGLE, ("a", "b")))
-        assert doc == {"coords": {"a": 0.5, "b": 0.5}}
