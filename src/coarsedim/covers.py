@@ -32,7 +32,7 @@ from .metric_core import (
     as_point_set,
     diameter_of,
     neighborhood,
-    set_distance,
+    set_distances,
 )
 
 EXACT_CLUSTER_CAP = 12
@@ -107,11 +107,6 @@ def mesh(cover: Cover) -> float:
     return max(diameter_of(cover.space, s) for s in cover.sets)
 
 
-def family_mesh(space, sets: Sequence) -> float:
-    sets = [as_point_set(s) for s in sets]
-    return max((diameter_of(space, s) for s in sets), default=0.0)
-
-
 def lebesgue_number(cover: Cover) -> float:
     """inf over carrier points of the largest distance to a member's
     complement (complement taken inside the carrier).  A member equal to
@@ -121,13 +116,14 @@ def lebesgue_number(cover: Cover) -> float:
 
 def is_d_disjoint(space, family: Sequence, d: float) -> tuple[bool, tuple | None]:
     """Whether distinct members are pairwise more than d apart; on failure
-    the witness is (i, j, distance)."""
-    fam = [as_point_set(s) for s in family]
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            dist = set_distance(space, fam[i], fam[j])
-            if dist <= d:
-                return False, (i, j, dist)
+    the witness is (i, j, distance) for the first close pair i < j in
+    row-major order of one set-distance table (rows: all members but the
+    last)."""
+    table = set_distances(space, family[:-1], family)
+    close = np.argwhere(np.triu(table <= d, 1))
+    if close.size:
+        i, j = map(int, close[0])
+        return False, (i, j, float(table[i, j]))
     return True, None
 
 
@@ -158,6 +154,8 @@ class ColoredDecomposition:
         return [s for fam in self.families for s in fam]
 
     def validate(self) -> None:
+        if any(not s.indices for s in self.all_sets()):
+            raise InputError("decomposition sets must be nonempty")
         covered: set[int] = set()
         for ci, fam in enumerate(self.families):
             ok, witness = is_d_disjoint(self.space, fam, self.D)
@@ -191,17 +189,12 @@ def saturated_union(space, v_family: Sequence, u_family: Sequence, d: float) -> 
     distance d of it; U's farther than d from all V's survive unchanged."""
     vs = [as_point_set(s) for s in v_family]
     us = [as_point_set(s) for s in u_family]
-    absorbed = [False] * len(us)
-    merged = []
-    for v in vs:
-        acc = set(v.indices)
-        for i, u in enumerate(us):
-            if set_distance(space, v, u) <= d:
-                acc.update(u.indices)
-                absorbed[i] = True
-        merged.append(PointSet.of(acc))
-    survivors = [u for i, u in enumerate(us) if not absorbed[i]]
-    return merged + survivors
+    near = set_distances(space, vs, us) <= d
+    merged = [
+        PointSet.of(v.as_set().union(*(us[j].indices for j in np.flatnonzero(row))))
+        for v, row in zip(vs, near)
+    ]
+    return merged + [u for u, absorbed in zip(us, near.any(axis=0)) if not absorbed]
 
 
 def finite_union_cover(
@@ -278,35 +271,34 @@ def disjoint_to_cover(decomp: ColoredDecomposition) -> Cover:
 
 def carve_clusters(space, B: float, carrier=None, first_seed: int | None = None) -> list[PointSet]:
     """Deterministic ball carving: repeatedly take the unassigned point of
-    smallest index and claim every unassigned point within B/2 of it.
+    smallest index and claim every unassigned point within B/2 of it, read
+    from the seed's matrix row against a mask of unassigned points.
     ``first_seed`` overrides only the first pick (used by the exact solver
     to scan alternative carvings)."""
-    uni = as_point_set(carrier) if carrier is not None else PointSet.universe(space.n)
-    unassigned = set(uni.indices)
-    m = space.matrix
+    unassigned = np.zeros(space.n, dtype=bool)
+    unassigned[list(as_point_set(carrier)) if carrier is not None else slice(None)] = True
+    seed = None
+    if first_seed is not None and 0 <= first_seed < space.n and unassigned[first_seed]:
+        seed = first_seed
     clusters = []
-    first = True
-    while unassigned:
-        if first and first_seed is not None and first_seed in unassigned:
-            seed = first_seed
-        else:
-            seed = min(unassigned)
-        first = False
-        members = [p for p in unassigned if m[seed, p] <= B / 2.0 + TOL]
-        clusters.append(PointSet.of(members))
-        unassigned.difference_update(members)
+    while unassigned.any():
+        if seed is None:
+            seed = int(np.argmax(unassigned))
+        members = np.flatnonzero(unassigned & (space.matrix[seed] <= B / 2.0 + TOL))
+        clusters.append(PointSet(tuple(members.tolist())))
+        unassigned[members] = False
+        seed = None
     return clusters
 
 
 def _conflict_graph(space, clusters: Sequence[PointSet], D: float) -> list[set[int]]:
-    n = len(clusters)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if set_distance(space, clusters[i], clusters[j]) <= D:
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
+    """Clusters i < j conflict when d(clusters[i], clusters[j]) <= D, read
+    from one set-distance table with a row per cluster but the last."""
+    near = np.zeros((len(clusters), len(clusters)), dtype=bool)
+    near[:-1] = set_distances(space, clusters[:-1], clusters) <= D
+    near = np.triu(near, 1)
+    near |= near.T
+    return [set(np.flatnonzero(row).tolist()) for row in near]
 
 
 def greedy_coloring(adj: list[set[int]], sizes: Sequence[int]) -> list[int]:
@@ -362,23 +354,12 @@ def _lex_min_coloring(adj: list[set[int]], k: int) -> list[int] | None:
 
 def chromatic_number(adj: list[set[int]]) -> tuple[int, list[int]]:
     """Exact chromatic number by branch and bound, with a deterministic
-    lexicographically minimal witness at the optimum."""
-    n = len(adj)
-    if n == 0:
-        return 0, []
-    sizes = [1] * n
-    ub_coloring = greedy_coloring(adj, sizes)
-    best = max(ub_coloring) + 1
-    lb = _greedy_clique(adj)
-    k = lb
-    while k < best:
-        if _lex_min_coloring(adj, k) is not None:
-            best = k
-            break
+    lexicographically minimal witness at the optimum: the first k from the
+    clique bound up that admits a coloring is the chromatic number."""
+    k = _greedy_clique(adj)
+    while (witness := _lex_min_coloring(adj, k)) is None:
         k += 1
-    witness = _lex_min_coloring(adj, best)
-    assert witness is not None
-    return best, witness
+    return k, witness
 
 
 def brute_force_chromatic(adj: list[set[int]]) -> int:
@@ -414,14 +395,13 @@ def colored_decomposition(
     B: float,
     mode: str = "auto",
     carrier=None,
-    cluster_cap: int = EXACT_CLUSTER_CAP,
 ) -> ColoredDecomposition:
     """Carve clusters at mesh B and color them so same-color clusters are
     more than D apart.
 
     ``mode="greedy"`` is the first-fit heuristic; ``mode="exact"`` returns
     a provably minimal color count for the carved clustering (branch and
-    bound, at most ``cluster_cap`` clusters) and additionally scans the
+    bound, at most ``EXACT_CLUSTER_CAP`` clusters) and additionally scans the
     alternative carvings obtained by letting each point seed the first
     cluster; ``mode="auto"`` runs exact when the default carving is small
     enough.  Color counts are minimal among colorings of carved
@@ -432,22 +412,22 @@ def colored_decomposition(
     t0 = time.perf_counter()
     base_clusters = carve_clusters(space, B, carrier)
     if mode == "auto":
-        mode = "exact" if len(base_clusters) <= cluster_cap else "greedy"
+        mode = "exact" if len(base_clusters) <= EXACT_CLUSTER_CAP else "greedy"
     if mode == "greedy":
         adj = _conflict_graph(space, base_clusters, D)
         colors = greedy_coloring(adj, [len(c) for c in base_clusters])
         chosen, coloring = base_clusters, colors
     elif mode == "exact":
-        if len(base_clusters) > cluster_cap:
+        if len(base_clusters) > EXACT_CLUSTER_CAP:
             raise CapExceeded(
-                f"exact mode capped at {cluster_cap} clusters, carving produced {len(base_clusters)}"
+                f"exact mode capped at {EXACT_CLUSTER_CAP} clusters, carving produced {len(base_clusters)}"
             )
         best = None
         uni = as_point_set(carrier) if carrier is not None else PointSet.universe(space.n)
-        seeds = [None] + [p for p in uni if p != min(uni.indices)]
+        seeds = [None, *uni.indices[1:]]
         for seed in seeds:
             clusters = base_clusters if seed is None else carve_clusters(space, B, carrier, seed)
-            if len(clusters) > cluster_cap:
+            if len(clusters) > EXACT_CLUSTER_CAP:
                 continue
             adj = _conflict_graph(space, clusters, D)
             chi, witness = chromatic_number(adj)
@@ -551,16 +531,14 @@ def union_cover(
     members = [as_point_set(m) for m in members]
     core = saturating_decomp.universe() if saturating_decomp is not None else PointSet.of([])
     trimmed = [m.difference(core) for m in members]
-    for i in range(len(trimmed)):
-        for j in range(i + 1, len(trimmed)):
-            if not trimmed[i].indices or not trimmed[j].indices:
-                continue
-            dist = set_distance(space, trimmed[i], trimmed[j])
-            if dist <= r:
-                raise InvariantViolation(
-                    f"members {i} and {j} are only {dist} apart outside the core (need > {r})",
-                    witness=(i, j, dist),
-                )
+    live = [i for i, t in enumerate(trimmed) if t.indices]
+    ok, close = is_d_disjoint(space, [trimmed[i] for i in live], r)
+    if not ok:
+        i, j, dist = live[close[0]], live[close[1]], close[2]
+        raise InvariantViolation(
+            f"members {i} and {j} are only {dist} apart outside the core (need > {r})",
+            witness=(i, j, dist),
+        )
     n_colors = max(d.colors for d in member_decomps)
     if saturating_decomp is not None:
         n_colors = max(n_colors, saturating_decomp.colors)
@@ -587,7 +565,7 @@ def union_cover(
             families.append(tuple(concat[color]))
     carrier = PointSet.of(set().union(*(m.as_set() for m in members)) | core.as_set())
     d_out = min([r] + [d.D for d in member_decomps] + ([saturating_decomp.D] if saturating_decomp is not None else []))
-    b_out = max(family_mesh(space, fam) for fam in families if fam)
+    b_out = max(diameter_of(space, s) for fam in families for s in fam)
     out = ColoredDecomposition(
         space,
         tuple(families),
@@ -609,7 +587,6 @@ def scale_dimension_profile(
     d_list: Sequence[float],
     mesh_multiplier: float = 3.0,
     carrier=None,
-    cluster_cap: int = EXACT_CLUSTER_CAP,
 ) -> list[dict]:
     """Minimal color counts found at each separation scale D with mesh
     policy B = multiplier * D.  Exact when the carving is small enough,
@@ -618,7 +595,7 @@ def scale_dimension_profile(
     for d in d_list:
         b = mesh_multiplier * d
         t0 = time.perf_counter()
-        dec = colored_decomposition(space, d, b, mode="auto", carrier=carrier, cluster_cap=cluster_cap)
+        dec = colored_decomposition(space, d, b, mode="auto", carrier=carrier)
         rows.append(
             {
                 "D": d,

@@ -357,42 +357,30 @@ def build_assembly(
     base_nerve = nerve(enlarged_cover)
 
     # stage 2: one fiber cover per base face, laddered by dimension
-    faces_by_dim: dict[int, list[tuple]] = {}
-    for s in base_nerve.simplices:
-        faces_by_dim.setdefault(len(s) - 1, []).append(s)
     face_covers: dict[tuple, Cover] = {}
     face_nerves: dict[tuple, SimplicialComplex] = {}
     face_mesh: dict[tuple, float] = {}
-    for dim in sorted(faces_by_dim):
-        for face in sorted(faces_by_dim[dim]):
-            carrier = _fiber_carrier(f, enlarged_sets, face)
-            if not carrier.indices:
-                raise StageFailure("fiber-carrier", f"face {face} has empty fiber")
-            floor = 0.0
-            for facet_dim in range(dim):
-                for facet in faces_by_dim.get(facet_dim, []):
-                    if set(facet) < set(face):
-                        floor = max(floor, face_mesh[facet])
-            cover, info = _build_face_cover(config, face, carrier, floor, stage_log)
-            face_covers[face] = cover
-            face_nerves[face] = nerve(cover, vertex_ids=[(face, j) for j in range(len(cover.sets))])
-            face_mesh[face] = mesh(cover)
+    for face in sorted(base_nerve.simplices, key=lambda s: (len(s), s)):
+        carrier = _fiber_carrier(f, enlarged_sets, face)
+        if not carrier.indices:
+            raise StageFailure("fiber-carrier", f"face {face} has empty fiber")
+        floor = max(
+            (face_mesh[sub] for size in range(1, len(face)) for sub in itertools.combinations(face, size)),
+            default=0.0,
+        )
+        cover, info = _build_face_cover(config, face, carrier, floor, stage_log)
+        face_covers[face] = cover
+        face_nerves[face] = nerve(cover, vertex_ids=[(face, j) for j in range(len(cover.sets))])
+        face_mesh[face] = mesh(cover)
 
-    # stage 3: refinement maps along facet inclusions
+    # stage 3: refinement maps along facet inclusions (the nerve is
+    # face-closed, so every facet has a cover)
     step_maps: dict[tuple, SimplicialMap] = {}
-    for dim in sorted(faces_by_dim):
-        if dim == 0:
-            continue
-        for face in faces_by_dim[dim]:
-            for facet_dim in [dim - 1]:
-                for facet in faces_by_dim.get(facet_dim, []):
-                    if set(facet) < set(face):
-                        step_maps[(facet, face)] = refinement_map(
-                            face_covers[facet],
-                            face_covers[face],
-                            face_nerves[facet],
-                            face_nerves[face],
-                        )
+    for face in [s for s in face_covers if len(s) > 1]:
+        for facet in itertools.combinations(face, len(face) - 1):
+            step_maps[(facet, face)] = refinement_map(
+                face_covers[facet], face_covers[face], face_nerves[facet], face_nerves[face]
+            )
 
     # stage 4: towers, one per maximal flag
     towers: dict[tuple, Tower] = {}
@@ -438,7 +426,6 @@ def build_assembly(
 
 
 def _build_tower(config, flag, enlarged_sets, face_covers, face_nerves, step_maps) -> Tower:
-    f = config.f
     w_sets = []
     for face in flag:
         inter = enlarged_sets[face[0]].as_set()
@@ -447,10 +434,8 @@ def _build_tower(config, flag, enlarged_sets, face_covers, face_nerves, step_map
         if not inter:
             raise InvariantViolation(f"face {face} has empty intersection region")
         w_sets.append(PointSet.of(inter))
-    fiber = PointSet.of(
-        p for p in range(f.domain.n) if f.images[p] in enlarged_sets[flag[0][0]].as_set()
-    )
     covers = tuple(face_covers[face] for face in flag)
+    fiber = covers[0].universe()
     nerves = tuple(face_nerves[face] for face in flag)
 
     complexes = [nerves[0]]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ TOL = 1e-9
 # is used (the seed is part of the report).
 EXHAUSTIVE_TRIPLE_LIMIT = 300
 
-# Largest temporary of sup_ratio, in matrix entries.
+# Largest temporary of sup_ratio and distance_to_set, in matrix entries.
 SUP_RATIO_BLOCK = 1 << 14
 
 # Largest n*n distance matrix a construction may allocate, in entries (512 MiB).
@@ -314,13 +315,43 @@ def ball(space: FiniteMetricSpace, center: int, radius: float) -> PointSet:
     return PointSet(tuple(int(i) for i in hits))
 
 
+def distance_to_set(space: FiniteMetricSpace, a) -> np.ndarray:
+    """Vector of d(x, A) for every point x, exact: the minimum of A's
+    matrix rows, gathered in blocks of at most ``SUP_RATIO_BLOCK``
+    entries."""
+    idx = np.asarray(as_point_set(a).indices, dtype=np.intp)
+    if not idx.size:
+        raise InputError("distance to a set needs a nonempty set")
+    m = space.matrix
+    step = max(1, SUP_RATIO_BLOCK // max(1, space.n))
+    out = m[idx[:step]].min(axis=0)
+    for lo in range(step, len(idx), step):
+        np.minimum(out, m[idx[lo:lo + step]].min(axis=0), out=out)
+    return out
+
+
+def set_distances(space: FiniteMetricSpace, family_a: Sequence, family_b: Sequence) -> np.ndarray:
+    """|family_a| x |family_b| table of set distances, 0 where two sets
+    intersect.  Each row is ``distance_to_set`` of one A, min-reduced over
+    the segments of family_b's concatenated indices.  Every member must be
+    nonempty: ``reduceat`` would fill an empty segment with its
+    neighbour's value."""
+    fam_a = [as_point_set(s) for s in family_a]
+    fam_b = [as_point_set(s).indices for s in family_b]
+    if not all(fam_b) or not all(a.indices for a in fam_a):
+        raise InputError("set distances need nonempty sets")
+    out = np.empty((len(fam_a), len(fam_b)))
+    if fam_a and fam_b:
+        cols = np.fromiter(chain.from_iterable(fam_b), dtype=np.intp)
+        starts = np.cumsum([0] + [len(b) for b in fam_b[:-1]])
+        for i, a in enumerate(fam_a):
+            out[i] = np.minimum.reduceat(distance_to_set(space, a)[cols], starts)
+    return out
+
+
 def set_distance(space: FiniteMetricSpace, a, b) -> float:
     """Minimum distance over pairs; 0 when the sets intersect."""
-    a, b = as_point_set(a), as_point_set(b)
-    if not a.indices or not b.indices:
-        raise InputError("set_distance needs nonempty sets")
-    sub = space.matrix[np.ix_(a.indices, b.indices)]
-    return float(sub.min())
+    return float(set_distances(space, [a], [b])[0, 0])
 
 
 def neighborhood(space: FiniteMetricSpace, a, r: float, within=None) -> PointSet:
@@ -331,9 +362,8 @@ def neighborhood(space: FiniteMetricSpace, a, r: float, within=None) -> PointSet
     a = as_point_set(a)
     if not a.indices:
         return a
-    dist_to_a = space.matrix[:, list(a.indices)].min(axis=1)
-    hits = np.nonzero(dist_to_a <= r + TOL)[0]
-    out = PointSet(tuple(int(i) for i in hits))
+    hits = np.flatnonzero(distance_to_set(space, a) <= r + TOL)
+    out = PointSet(tuple(hits.tolist()))
     if within is not None:
         out = out.intersection(as_point_set(within))
     return out
@@ -392,15 +422,16 @@ def map_to_reals(domain: FiniteMetricSpace, values: Sequence[float], declared_li
 
 def measured_lipschitz(m: MetricMap) -> float:
     """Largest ratio d(f(x), f(y)) / d(x, y) over all pairs of distinct
-    points, exact: one matrix lookup for a finite codomain, ``sup_ratio``
-    for the reals."""
+    points, exact: one codomain row gather per domain row for a finite
+    codomain, ``sup_ratio`` for the reals."""
     if m.codomain == "reals":
         return sup_ratio(m.domain, m.points(), m.images)
     img = np.asarray(m.images, dtype=np.intp)
-    iu = np.triu_indices(m.domain.n, k=1)
-    if not len(iu[0]):
-        return 0.0
-    return float(np.max(m.codomain.matrix[img[iu[0]], img[iu[1]]] / m.domain.matrix[iu]))
+    cod, dom = m.codomain.matrix, m.domain.matrix
+    best = 0.0
+    for i in range(len(img) - 1):
+        best = max(best, float((cod[img[i], img[i + 1:]] / dom[i, i + 1:]).max()))
+    return best
 
 
 def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:

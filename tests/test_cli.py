@@ -90,6 +90,20 @@ class TestCover:
         assert code == 1
         assert "witness" in out
 
+    @pytest.mark.parametrize("families", [
+        [[[0, 1, 2, 3, 4, 5]], [[]]],
+        [[[]], [[0, 1, 2, 3, 4, 5]]],
+        [[[0, 1, 2], []], [[3, 4, 5]]],
+    ], ids=["alone-in-last-color", "alone-in-first-color", "next-to-a-set"])
+    def test_verify_empty_set_exit_2(self, tmp_path, capsys, families):
+        space = write_space(tmp_path, "p6.json", path_space(6))
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps({"D": 1, "B": 5, "families": families}))
+        code, out, err = run(capsys, "cover", "verify", space, "--decomposition", str(dec))
+        assert code == 2
+        assert out == ""
+        assert "nonempty" in err
+
     def test_profile_csv(self, tmp_path, capsys):
         space = write_space(tmp_path, "p64.json", path_space(64))
         out = tmp_path / "profile.csv"

@@ -77,6 +77,23 @@ class TestBasics:
         assert not ok and witness == (0, 1, 3.0)
 
 
+    @pytest.mark.parametrize("families", [
+        [[[0, 1, 2, 3, 4, 5]], [[]]],
+        [[[]], [[0, 1, 2, 3, 4, 5]]],
+        [[[0, 1, 2], []], [[3, 4, 5]]],
+        [[[]]],
+    ])
+    def test_decomposition_rejects_empty_sets(self, families):
+        s = path_space(6)
+        dec = ColoredDecomposition(
+            s, tuple(tuple(PointSet.of(m) for m in fam) for fam in families), D=1, B=5
+        )
+        with pytest.raises(InputError, match="nonempty"):
+            dec.validate()
+        with pytest.raises(InputError, match="nonempty"):
+            decomposition_from_json({"D": 1, "B": 5, "families": families}, s)
+
+
 class TestSaturatedUnion:
     def test_empty_u_keeps_v(self):
         s = path_space(12)

@@ -1,26 +1,45 @@
-"""Property tests of the cover depth table, the sup-ratio kernel and the
-measured Lipschitz constants against the per-point and per-pair formulas
-they replace."""
+"""Property tests of the cover depth table, the sup-ratio kernel, the
+distance-to-set kernel and the measured Lipschitz constants against the
+per-point and per-pair formulas they replace."""
 
 import math
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsedim import metric_core
-from coarsedim.covers import lebesgue_number, make_cover, multiplicity
-from coarsedim.errors import InputError
+from coarsedim.covers import (
+    _conflict_graph,
+    _greedy_clique,
+    _lex_min_coloring,
+    carve_clusters,
+    chromatic_number,
+    colored_decomposition,
+    greedy_coloring,
+    is_d_disjoint,
+    lebesgue_number,
+    make_cover,
+    multiplicity,
+    saturated_union,
+    union_cover,
+)
+from coarsedim.errors import InputError, InvariantViolation
 from coarsedim.metric_core import (
     TOL,
     PointSet,
     build_graph_metric,
+    distance_to_set,
     grid_space,
     map_between_spaces,
     map_to_reals,
     measured_lipschitz,
     path_space,
+    set_distance,
+    set_distances,
     sup_ratio,
 )
 from coarsedim.polyhedra import (
@@ -217,6 +236,207 @@ class TestFiniteCodomain:
             for j in range(i + 1, space.n):
                 want = max(want, target.dist(images[i], images[j]) / space.dist(i, j))
         assert measured_lipschitz(f) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+    def test_identity_map_temporaries_stay_small(self):
+        space = path_space(2000)
+        f = map_between_spaces(space, space, range(space.n))
+        tracemalloc.start()
+        try:
+            assert measured_lipschitz(f) == 1.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# distance to a set, and the set-geometry checks of covers built on it
+
+
+def reference_set_distance(space, a, b):
+    return space.matrix[np.ix_(sorted(a), sorted(b))].min()
+
+
+def reference_carving(space, B, carrier=None, first_seed=None):
+    """The per-point carving that the mask version replaced."""
+    uni = PointSet.of(carrier) if carrier is not None else PointSet.universe(space.n)
+    unassigned = set(uni.indices)
+    clusters = []
+    first = True
+    while unassigned:
+        if first and first_seed is not None and first_seed in unassigned:
+            seed = first_seed
+        else:
+            seed = min(unassigned)
+        first = False
+        members = [p for p in unassigned if space.matrix[seed, p] <= B / 2.0 + TOL]
+        clusters.append(PointSet.of(members))
+        unassigned.difference_update(members)
+    return clusters
+
+
+def reference_conflict_graph(space, clusters, D):
+    adj = [set() for _ in clusters]
+    for i in range(len(clusters)):
+        for j in range(i + 1, len(clusters)):
+            if reference_set_distance(space, clusters[i], clusters[j]) <= D:
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+def reference_first_close_pair(space, family, d):
+    """First pair i < j of nonempty members at most d apart, row-major."""
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            if not family[i] or not family[j]:
+                continue
+            dist = reference_set_distance(space, family[i], family[j])
+            if dist <= d:
+                return (i, j, dist)
+    return None
+
+
+def reference_saturated_union(space, vs, us, d):
+    absorbed = [False] * len(us)
+    merged = []
+    for v in vs:
+        acc = set(v)
+        for i, u in enumerate(us):
+            if reference_set_distance(space, v, u) <= d:
+                acc.update(u)
+                absorbed[i] = True
+        merged.append(PointSet.of(acc))
+    return merged + [PointSet.of(u) for i, u in enumerate(us) if not absorbed[i]]
+
+
+def reference_chromatic_number(adj):
+    """The two-solve version: greedy upper bound, first feasible k below
+    it from the clique bound, then a second solve for the witness."""
+    n = len(adj)
+    if n == 0:
+        return 0, []
+    best = max(greedy_coloring(adj, [1] * n)) + 1
+    k = _greedy_clique(adj)
+    while k < best:
+        if _lex_min_coloring(adj, k) is not None:
+            best = k
+            break
+        k += 1
+    return best, _lex_min_coloring(adj, best)
+
+
+def families(space, max_size=4):
+    """Lists of nonempty point sets of a space, overlaps and singletons
+    included."""
+    member = st.sets(st.integers(0, space.n - 1), min_size=1, max_size=max(1, space.n // 2))
+    return st.lists(member, max_size=max_size)
+
+
+class TestDistanceToSet:
+    @SETTINGS
+    @given(weighted_graphs(), st.data(), st.integers(1, 12))
+    def test_matches_gathered_minimum(self, space, data, block):
+        a = data.draw(st.sets(st.integers(0, space.n - 1), min_size=1))
+        want = space.matrix[np.ix_(sorted(a), range(space.n))].min(axis=0)
+        assert np.array_equal(distance_to_set(space, a), want)
+        # blocks smaller than one row: one row gathered at a time
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+            assert np.array_equal(distance_to_set(space, a), want)
+
+    @SETTINGS
+    @given(weighted_graphs(), st.data(), st.integers(1, 12))
+    def test_table_matches_pairwise_minima(self, space, data, block):
+        fam_a = data.draw(families(space))
+        fam_b = data.draw(families(space))
+        want = np.array([[reference_set_distance(space, a, b) for b in fam_b] for a in fam_a])
+        for size in (metric_core.SUP_RATIO_BLOCK, block):
+            with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", size):
+                got = set_distances(space, fam_a, fam_b)
+            assert got.shape == (len(fam_a), len(fam_b))
+            assert np.array_equal(got, want.reshape(got.shape))
+        for a in fam_a[:1]:
+            for b in fam_b[:1]:
+                assert set_distance(space, a, b) == want[0, 0]
+
+    @SETTINGS
+    @given(weighted_graphs(), st.data())
+    def test_empty_member_rejected(self, space, data):
+        fam = data.draw(families(space))
+        at = data.draw(st.integers(0, len(fam)))
+        with_empty = fam[:at] + [set()] + fam[at:]
+        with pytest.raises(InputError):
+            set_distances(space, with_empty, fam)
+        with pytest.raises(InputError):
+            set_distances(space, fam, with_empty)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(InputError):
+            distance_to_set(path_space(3), [])
+
+    def test_overlap_is_zero(self):
+        space = path_space(6)
+        assert set_distances(space, [[0, 1, 2], [5]], [[2, 3], [4], [0]]).tolist() == [
+            [0.0, 2.0, 0.0], [2.0, 1.0, 5.0]]
+
+
+class TestSetGeometry:
+    @SETTINGS
+    @given(weighted_graphs(), st.data(), st.floats(0.0, 8.0))
+    def test_carving_and_conflict_graph_match_references(self, space, data, B):
+        carrier = data.draw(st.none() | st.sets(st.integers(0, space.n - 1)))
+        points = range(space.n) if carrier is None else sorted(carrier)
+        for seed in [None, *points]:
+            got = carve_clusters(space, B, carrier, seed)
+            assert got == reference_carving(space, B, carrier, seed)
+        clusters = carve_clusters(space, B, carrier)
+        D = data.draw(st.floats(0.0, 8.0))
+        assert _conflict_graph(space, clusters, D) == reference_conflict_graph(space, clusters, D)
+
+    @SETTINGS
+    @given(weighted_graphs(), st.data(), st.floats(0.0, 6.0))
+    def test_is_d_disjoint_witness(self, space, data, d):
+        fam = data.draw(families(space, max_size=6))
+        ok, witness = is_d_disjoint(space, fam, d)
+        want = reference_first_close_pair(space, fam, d)
+        assert ok == (want is None)
+        assert witness == want
+
+    @SETTINGS
+    @given(weighted_graphs(), st.data(), st.floats(0.0, 6.0))
+    def test_saturated_union(self, space, data, d):
+        vs = data.draw(families(space))
+        us = data.draw(families(space))
+        assert saturated_union(space, vs, us, d) == reference_saturated_union(space, vs, us, d)
+
+    @SETTINGS
+    @given(weighted_graphs(min_n=2), st.data(), st.floats(0.0, 4.0))
+    def test_union_cover_member_witness(self, space, data, r):
+        members = data.draw(families(space, max_size=5).filter(bool))
+        decomps = [colored_decomposition(space, 1, 3, "greedy", carrier=m) for m in members]
+        core = data.draw(st.none() | st.sets(st.integers(0, space.n - 1), min_size=1))
+        saturating = None if core is None else colored_decomposition(space, 1, 3, "greedy", carrier=core)
+        trimmed = [set(m) - (core or set()) for m in members]
+        want = reference_first_close_pair(space, trimmed, r)
+        try:
+            union_cover(members, decomps, saturating, r)
+            got = None
+        except InvariantViolation as exc:
+            got = exc.witness if str(exc).startswith("members") else None
+        assert got == want
+
+    @SETTINGS
+    @given(st.integers(0, 9), st.data())
+    def test_chromatic_number_matches_two_solves(self, n, data):
+        pairs = st.tuples(st.integers(0, max(0, n - 1)), st.integers(0, max(0, n - 1)))
+        edges = data.draw(st.lists(pairs, max_size=3 * n)) if n else []
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        assert chromatic_number(adj) == reference_chromatic_number(adj)
 
 
 # ---------------------------------------------------------------------------
