@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .metric_core import (
     MetricMap,
     PointSet,
     diameter_of,
+    distance_to_set,
     map_between_spaces,
     measured_lipschitz,
     neighborhood,
@@ -129,10 +130,10 @@ def default_c_table(n: int, k: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def proximity_weights(lam: float, r: float, distances: Sequence[float]) -> list[float]:
-    """Clamped proximity of a base point to each tower region: 1 on the
+def proximity_weights(lam: float, r: float, distances) -> np.ndarray:
+    """Clamped proximity of base points to a tower region: 1 on the
     region, falling linearly to 0 at distance lam*r."""
-    return [max(0.0, (lam * r - d) / (lam * r)) for d in distances]
+    return np.maximum(0.0, (lam * r - np.asarray(distances, dtype=float)) / (lam * r))
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +185,36 @@ def make_config(
 
 
 # ---------------------------------------------------------------------------
-# towers
+# faces and towers
+
+
+@dataclass(frozen=True, eq=False)
+class Face:
+    """Everything the assembly needs of one base-nerve simplex, built once.
+
+    ``region`` is W, the intersection of the simplex's enlarged base sets;
+    ``weights[y]`` is the proximity weight of base point y to W.  ``cover``
+    covers the preimage of the union of those sets, with its nerve,
+    Lebesgue number and mesh."""
+
+    simplex: tuple[int, ...]
+    region: PointSet
+    weights: np.ndarray
+    cover: Cover
+    nerve: SimplicialComplex
+    lebesgue: float
+    mesh: float
 
 
 @dataclass(frozen=True, eq=False)
 class Tower:
-    """One maximal flag of base faces with its ladder of fiber covers and
-    iterated mapping cylinders."""
+    """One maximal flag of base faces with its iterated mapping cylinders."""
 
     flag: tuple[tuple[int, ...], ...]
-    w_sets: tuple[PointSet, ...]
-    fiber: PointSet
-    covers: tuple[Cover, ...]
-    nerves: tuple[SimplicialComplex, ...]
+    faces: tuple[Face, ...]
     g_maps: tuple
     cylinders: tuple
     complexes: tuple[SimplicialComplex, ...]
-    L_values: tuple[float, ...]
-    meshes: tuple[float, ...]
     lambdas: tuple[float, ...]
 
     @property
@@ -212,23 +225,29 @@ class Tower:
     def complex(self) -> SimplicialComplex:
         return self.complexes[-1]
 
+    @property
+    def fiber(self) -> PointSet:
+        return self.faces[0].cover.universe()
 
+
+@dataclass(eq=False)
 class Assembly:
     """The glued map Phi: X -> K with all the per-tower data that built it."""
 
-    def __init__(self, config, base_decomposition, enlarged_cover, base_nerve,
-                 face_covers, face_nerves, towers, assignment, K, report):
-        self.config = config
-        self.base_decomposition = base_decomposition
-        self.enlarged_cover = enlarged_cover
-        self.base_nerve = base_nerve
-        self.face_covers = face_covers
-        self.face_nerves = face_nerves
-        self.towers = towers
-        self.assignment = assignment
-        self.K = K
-        self.report = report
-        self._tower_values: dict = {}
+    config: HurewiczConfig
+    base_decomposition: ColoredDecomposition
+    enlarged_cover: Cover
+    base_nerve: SimplicialComplex
+    faces: dict[tuple, Face]
+    towers: dict[tuple, Tower]
+    assignment: dict[int, tuple]
+    K: SimplicialComplex
+    report: dict
+    _tower_values: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def face_covers(self) -> dict[tuple, Cover]:
+        return {simplex: face.cover for simplex, face in self.faces.items()}
 
     def tower_map(self, tower: Tower, x: int) -> EmbeddedPoint:
         cache = self._tower_values.setdefault(tower.flag, {})
@@ -240,19 +259,13 @@ class Assembly:
         return self.tower_map(self.towers[self.assignment[x]], x)
 
 
-def _base_distance(space: FiniteMetricSpace, p: int, points: PointSet) -> float:
-    return float(space.matrix[p, list(points.indices)].min())
-
-
 def tower_t_coordinates(config: HurewiczConfig, tower: Tower, x: int) -> list[float]:
     """Proximity weights of f(x) to the tower's nested base regions; the
     level-0 weight is 1 on the tower's own fiber."""
     if x not in tower.fiber:
         raise InputError(f"point {x} is outside the tower fiber")
     y = config.f.images[x]
-    space_y = config.f.codomain
-    dists = [_base_distance(space_y, y, w) for w in tower.w_sets]
-    ts = proximity_weights(config.lam, config.r, dists)
+    ts = [float(face.weights[y]) for face in tower.faces]
     if abs(ts[0] - 1.0) > T_EPS:
         raise InvariantViolation(f"level-0 weight is {ts[0]} != 1 on the fiber")
     return ts
@@ -260,21 +273,20 @@ def tower_t_coordinates(config: HurewiczConfig, tower: Tower, x: int) -> list[fl
 
 def _evaluate_tower(config: HurewiczConfig, tower: Tower, x: int) -> EmbeddedPoint:
     ts = tower_t_coordinates(config, tower, x)
-    phi = canonical_projection(tower.covers[0], x, tower.nerves[0])
-    for p in range(1, tower.depth + 1):
+    phi = canonical_projection(tower.faces[0].cover, x, tower.faces[0].nerve)
+    for p, face in enumerate(tower.faces[1:], start=1):
         tp = ts[p]
-        complex_p = tower.complexes[p]
         if tp <= 0.5:
             phi = tower.cylinders[p].point(phi, 2.0 * tp)
         else:
             pushed = tower.g_maps[p].apply(phi)
-            proj = canonical_projection(tower.covers[p], x, tower.nerves[p])
+            proj = canonical_projection(face.cover, x, face.nerve)
             coords: dict = {}
             for v, w in pushed.coords:
                 coords[v] = coords.get(v, 0.0) + 2.0 * (1.0 - tp) * w
             for v, w in proj.coords:
                 coords[v] = coords.get(v, 0.0) + (2.0 * tp - 1.0) * w
-            phi = EmbeddedPoint.of(complex_p, coords)
+            phi = EmbeddedPoint.of(tower.complexes[p], coords)
     return phi
 
 
@@ -282,42 +294,41 @@ def _evaluate_tower(config: HurewiczConfig, tower: Tower, x: int) -> EmbeddedPoi
 # assembly pipeline
 
 
-def _fiber_carrier(f: MetricMap, base_sets: Sequence[PointSet], face: tuple) -> PointSet:
-    union = set()
-    for v in face:
-        union |= base_sets[v].as_set()
-    return PointSet.of(p for p in range(f.domain.n) if f.images[p] in union)
+def _masked(mask: np.ndarray) -> PointSet:
+    return PointSet(tuple(np.flatnonzero(mask).tolist()))
 
 
-def _build_face_cover(config, face, carrier, level_floor, stage_log) -> tuple[Cover, dict]:
-    """Fiber cover over a base face: a colored decomposition at separation
-    2*max(r, floor) pooled into one cover (Lebesgue > max(r, floor))."""
-    target = max(config.r, level_floor)
-    d_sep = 2.0 * target
+def _build_face(config, simplex, member, images, floor, stage_log) -> Face:
+    """Face record of a base simplex.  Its fiber cover is a colored
+    decomposition of the preimage at separation 2*max(r, floor), pooled
+    into one cover (Lebesgue > max(r, floor)).  ``member[v]`` is the mask
+    of enlarged base set v over the base points."""
+    rows = member[list(simplex)]
+    region = _masked(rows.all(axis=0))
+    if not region.indices:
+        raise InvariantViolation(f"face {simplex} has empty intersection region")
+    carrier = _masked(rows.any(axis=0)[images])
+    if not carrier.indices:
+        raise StageFailure("fiber-carrier", f"face {simplex} has empty fiber")
+    d_sep = 2.0 * max(config.r, floor)
     b_mesh = config.mesh_multiplier * d_sep
-    dec = colored_decomposition(
-        config.f.domain, d_sep, b_mesh, mode="auto", carrier=carrier
-    )
+    dec = colored_decomposition(config.f.domain, d_sep, b_mesh, mode="auto", carrier=carrier)
     if dec.colors > config.n + 1:
         raise StageFailure(
             "fiber-cover",
-            f"face {face} needs {dec.colors} colors at separation {d_sep}, "
+            f"face {simplex} needs {dec.colors} colors at separation {d_sep}, "
             f"allowed {config.n + 1}",
-            details={"face": face, "D": d_sep, "B": b_mesh, "colors": dec.colors},
+            details={"face": simplex, "D": d_sep, "B": b_mesh, "colors": dec.colors},
         )
     cover = disjoint_to_cover(dec)
-    info = {
-        "face": face,
-        "D": d_sep,
-        "B": b_mesh,
-        "colors": dec.colors,
-        "mode": dec.info.get("mode"),
-        "lebesgue": lebesgue_number(cover),
-        "mesh": mesh(cover),
-        "carrier_size": len(carrier),
-    }
-    stage_log.append(info)
-    return cover, info
+    weights = proximity_weights(config.lam, config.r, distance_to_set(config.f.codomain, region))
+    vertex_ids = [(simplex, j) for j in range(len(cover.sets))]
+    face = Face(simplex, region, weights, cover, nerve(cover, vertex_ids),
+                lebesgue_number(cover), mesh(cover))
+    stage_log.append({"face": simplex, "D": d_sep, "B": b_mesh, "colors": dec.colors,
+                      "mode": dec.info.get("mode"), "lebesgue": face.lebesgue,
+                      "mesh": face.mesh, "carrier_size": len(carrier)})
+    return face
 
 
 def build_assembly(
@@ -325,7 +336,7 @@ def build_assembly(
     base_decomposition: ColoredDecomposition | None = None,
 ) -> Assembly:
     f = config.f
-    space_x, space_y = f.domain, f.codomain
+    space_y = f.codomain
     lam_r = config.lam * config.r
     stage_log: list[dict] = []
 
@@ -344,8 +355,10 @@ def build_assembly(
         )
     base_sets = list(base_decomposition.all_sets())
     enlarged_sets = [neighborhood(space_y, s, lam_r) for s in base_sets]
-    carrier_y = PointSet.of(set().union(*(s.as_set() for s in enlarged_sets)))
-    enlarged_cover = Cover(space_y, tuple(enlarged_sets), carrier_y)
+    member = np.zeros((len(enlarged_sets), space_y.n), dtype=bool)
+    for v, s in enumerate(enlarged_sets):
+        member[v, list(s.indices)] = True
+    enlarged_cover = Cover(space_y, tuple(enlarged_sets), _masked(member.any(axis=0)))
     mult = multiplicity(enlarged_cover)
     if mult > config.k + 1:
         raise StageFailure(
@@ -356,30 +369,26 @@ def build_assembly(
 
     base_nerve = nerve(enlarged_cover)
 
-    # stage 2: one fiber cover per base face, laddered by dimension
-    face_covers: dict[tuple, Cover] = {}
-    face_nerves: dict[tuple, SimplicialComplex] = {}
-    face_mesh: dict[tuple, float] = {}
-    for face in sorted(base_nerve.simplices, key=lambda s: (len(s), s)):
-        carrier = _fiber_carrier(f, enlarged_sets, face)
-        if not carrier.indices:
-            raise StageFailure("fiber-carrier", f"face {face} has empty fiber")
+    # stage 2: one face record per base simplex, laddered by dimension
+    images = np.asarray(f.images, dtype=np.intp)
+    faces: dict[tuple, Face] = {}
+    for simplex in sorted(base_nerve.simplices, key=lambda s: (len(s), s)):
         floor = max(
-            (face_mesh[sub] for size in range(1, len(face)) for sub in itertools.combinations(face, size)),
+            (faces[sub].mesh for size in range(1, len(simplex))
+             for sub in itertools.combinations(simplex, size)),
             default=0.0,
         )
-        cover, info = _build_face_cover(config, face, carrier, floor, stage_log)
-        face_covers[face] = cover
-        face_nerves[face] = nerve(cover, vertex_ids=[(face, j) for j in range(len(cover.sets))])
-        face_mesh[face] = mesh(cover)
+        faces[simplex] = _build_face(config, simplex, member, images, floor, stage_log)
 
     # stage 3: refinement maps along facet inclusions (the nerve is
-    # face-closed, so every facet has a cover)
+    # face-closed, so every facet has a record)
     step_maps: dict[tuple, SimplicialMap] = {}
-    for face in [s for s in face_covers if len(s) > 1]:
-        for facet in itertools.combinations(face, len(face) - 1):
-            step_maps[(facet, face)] = refinement_map(
-                face_covers[facet], face_covers[face], face_nerves[facet], face_nerves[face]
+    for simplex in [s for s in faces if len(s) > 1]:
+        top = faces[simplex]
+        for facet in itertools.combinations(simplex, len(simplex) - 1):
+            low = faces[facet]
+            step_maps[(facet, simplex)] = refinement_map(
+                low.cover, top.cover, low.nerve, top.nerve
             )
 
     # stage 4: towers, one per maximal flag
@@ -387,15 +396,16 @@ def build_assembly(
     for tau in base_nerve.maximal_simplices():
         for perm in itertools.permutations(tau):
             flag = tuple(tuple(sorted(perm[: i + 1])) for i in range(len(perm)))
-            towers[flag] = _build_tower(config, flag, enlarged_sets, face_covers, face_nerves, step_maps)
+            towers[flag] = _build_tower(config, flag, faces, step_maps)
 
     # stage 5: assign every point to the tower over its base position
     maximal = base_nerve.maximal_simplices()
-    assignment = {}
-    for x in range(space_x.n):
-        assignment[x] = _assign_flag(f, enlarged_cover, base_nerve, maximal, x)
-        if assignment[x] not in towers:
-            raise InvariantViolation(f"point {x} assigned to unknown flag {assignment[x]}")
+    flag_of = {}
+    for y in image:
+        flag_of[y] = _assign_flag(enlarged_cover, base_nerve, maximal, y)
+        if flag_of[y] not in towers:
+            raise InvariantViolation(f"base point {y} assigned to unknown flag {flag_of[y]}")
+    assignment = {x: flag_of[y] for x, y in enumerate(f.images)}
 
     K = glue([t.complex for t in towers.values()])
     if K.dimension > config.n + config.k:
@@ -419,65 +429,43 @@ def build_assembly(
     }
     asm = Assembly(
         config, base_decomposition, enlarged_cover, base_nerve,
-        face_covers, face_nerves, towers, assignment, K, report,
+        faces, towers, assignment, K, report,
     )
     _finish_report(asm)
     return asm
 
 
-def _build_tower(config, flag, enlarged_sets, face_covers, face_nerves, step_maps) -> Tower:
-    w_sets = []
-    for face in flag:
-        inter = enlarged_sets[face[0]].as_set()
-        for v in face[1:]:
-            inter &= enlarged_sets[v].as_set()
-        if not inter:
-            raise InvariantViolation(f"face {face} has empty intersection region")
-        w_sets.append(PointSet.of(inter))
-    covers = tuple(face_covers[face] for face in flag)
-    fiber = covers[0].universe()
-    nerves = tuple(face_nerves[face] for face in flag)
-
-    complexes = [nerves[0]]
+def _build_tower(config, flag, faces, step_maps) -> Tower:
+    """Iterated cylinders of g_p: complexes[p-1] -> nerve p, where g_p is
+    step[p-1 -> p] composed with (g_{p-1} on the older vertices, the
+    identity on nerve p-1)."""
+    records = tuple(faces[simplex] for simplex in flag)
+    complexes = [records[0].nerve]
     g_maps: list = [None]
     cylinders: list = [None]
+    carry: dict = {}
     for p in range(1, len(flag)):
-        assignment = {}
-        for j, face in enumerate(flag[:p]):
-            comp = None
-            for q in range(j, p):
-                step = step_maps[(flag[q], flag[q + 1])]
-                comp = step if comp is None else comp.compose(step)
-            for v in face_nerves[face].vertices:
-                assignment[v] = comp.assignment[v]
-        g = SimplicialMap(complexes[p - 1], nerves[p], assignment)
+        step = step_maps[(flag[p - 1], flag[p])].assignment
+        carry = {**{v: step[w] for v, w in carry.items()}, **step}
+        g = SimplicialMap(complexes[p - 1], records[p].nerve, carry)
         cyl = mapping_cylinder(g)
         g_maps.append(g)
         cylinders.append(cyl)
         complexes.append(cyl.complex)
 
-    L_values = tuple(lebesgue_number(c) for c in covers)
-    meshes = tuple(mesh(c) for c in covers)
-    lambdas = tuple(
-        lipschitz_recursion(config.n, config.lam, config.r, config.c_table, L_values)
+    lambdas = lipschitz_recursion(
+        config.n, config.lam, config.r, config.c_table, [face.lebesgue for face in records]
     )
-    return Tower(
-        flag, tuple(w_sets), fiber, covers, nerves,
-        tuple(g_maps), tuple(cylinders), tuple(complexes),
-        L_values, meshes, lambdas,
-    )
+    return Tower(flag, records, tuple(g_maps), tuple(cylinders), tuple(complexes), tuple(lambdas))
 
 
-def _assign_flag(f, enlarged_cover, base_nerve, maximal, x: int) -> tuple:
-    """Deterministic flag over the base position of f(x): order the cover
-    sets through f(x) by decreasing projection weight (ties and the rest
-    of the maximal simplex by index), and take prefixes."""
-    y = f.images[x]
+def _assign_flag(enlarged_cover, base_nerve, maximal, y: int) -> tuple:
+    """Deterministic flag over base point y: order the cover sets through
+    y by decreasing projection weight (ties and the rest of the maximal
+    simplex by index), and take prefixes."""
     proj = canonical_projection(enlarged_cover, y, base_nerve)
-    weights = {v: w for v, w in proj.coords}
-    support = tuple(sorted(weights))
-    candidates = [s for s in maximal if set(support) <= set(s)]
-    tau = min(candidates)
+    weights = dict(proj.coords)
+    tau = min(s for s in maximal if set(weights) <= set(s))
     in_support = sorted(weights, key=lambda v: (-weights[v], v))
     rest = sorted(v for v in tau if v not in weights)
     order = in_support + rest
@@ -497,8 +485,8 @@ def _finish_report(asm: Assembly) -> None:
             {
                 "flag": [list(face) for face in flag],
                 "depth": tower.depth,
-                "L_values": list(tower.L_values),
-                "meshes": list(tower.meshes),
+                "L_values": [face.lebesgue for face in tower.faces],
+                "meshes": [face.mesh for face in tower.faces],
                 "lambda_k": tower.lambdas[-1],
                 "closed_form_bound": bound,
                 "measured": sup_ratio(space_x, tower.fiber.indices, values),
@@ -521,9 +509,8 @@ def _finish_report(asm: Assembly) -> None:
     cobound = 0.0
     for pts in star_points.values():
         cobound = max(cobound, diameter_of(space_x, PointSet.of(pts)))
-    all_meshes = [m for t in asm.towers.values() for m in t.meshes]
     cobound_bound = max(
-        [2.0 * m for m in all_meshes] + [2.0 * mesh(asm.enlarged_cover)]
+        [2.0 * face.mesh for face in asm.faces.values()] + [2.0 * mesh(asm.enlarged_cover)]
     )
     report["cobound"] = cobound
     report["cobound_bound"] = cobound_bound
@@ -548,41 +535,27 @@ def face_agreement_check(asm: Assembly, flag_a: tuple, flag_b: tuple, tol: float
     coordinate by coordinate.
     """
     ta, tb = asm.towers[flag_a], asm.towers[flag_b]
-    shared = set(flag_a) & set(flag_b)
-    if not shared:
+    if not set(flag_a) & set(flag_b):
         return {"adjacent": False, "ok": True, "points_checked": 0, "max_deviation": 0.0}
-    prefix_len = 0
-    for fa, fb in zip(flag_a, flag_b):
-        if fa != fb:
-            break
-        prefix_len += 1
-    both = ta.fiber.intersection(tb.fiber)
-    checked = 0
+    both = np.intersect1d(ta.fiber.indices, tb.fiber.indices)
+    ys = np.asarray(asm.config.f.images, dtype=np.intp)[both]
+
+    def zero_above(tower):
+        # row q: every weight at levels q.. vanishes (row len(flag) is all True)
+        zero = [face.weights[ys] <= T_EPS for face in tower.faces] + [np.ones(len(ys), bool)]
+        return np.logical_and.accumulate(np.array(zero)[::-1])[::-1]
+
+    za, zb = zero_above(ta), zero_above(tb)
+    same = [fa == fb for fa, fb in zip(flag_a, flag_b)]
+    prefix_len = same.index(False) if False in same else len(same)
+    eligible = np.zeros(len(ys), dtype=bool)
+    if prefix_len:
+        eligible |= za[prefix_len] & zb[prefix_len]
+    for pos in itertools.compress(range(len(same)), same):
+        eligible |= (ta.faces[pos].weights[ys] >= 1.0 - T_EPS) & za[pos + 1] & zb[pos + 1]
     worst = 0.0
     witness = None
-    for x in both:
-        tsa = tower_t_coordinates(asm.config, ta, x)
-        tsb = tower_t_coordinates(asm.config, tb, x)
-        eligible = False
-        if prefix_len and all(t <= T_EPS for t in tsa[prefix_len:]) and all(
-            t <= T_EPS for t in tsb[prefix_len:]
-        ):
-            eligible = True
-        else:
-            for pos in range(min(len(flag_a), len(flag_b))):
-                if flag_a[pos] != flag_b[pos] or flag_a[pos] not in shared:
-                    continue
-                if (
-                    tsa[pos] >= 1.0 - T_EPS
-                    and tsb[pos] >= 1.0 - T_EPS
-                    and all(t <= T_EPS for t in tsa[pos + 1:])
-                    and all(t <= T_EPS for t in tsb[pos + 1:])
-                ):
-                    eligible = True
-                    break
-        if not eligible:
-            continue
-        checked += 1
+    for x in both[eligible].tolist():
         dev = embedded_distance(asm.tower_map(ta, x), asm.tower_map(tb, x))
         if dev > worst:
             worst = dev
@@ -590,21 +563,19 @@ def face_agreement_check(asm: Assembly, flag_a: tuple, flag_b: tuple, tol: float
     return {
         "adjacent": True,
         "ok": worst <= tol,
-        "points_checked": checked,
+        "points_checked": int(eligible.sum()),
         "max_deviation": worst,
         "witness": witness if worst > tol else None,
     }
 
 
 def all_face_agreements(asm: Assembly, tol: float = 1e-9) -> list[dict]:
-    flags = sorted(asm.towers)
     out = []
-    for i in range(len(flags)):
-        for j in range(i + 1, len(flags)):
-            rep = face_agreement_check(asm, flags[i], flags[j], tol)
-            if rep["adjacent"]:
-                rep["pair"] = (flags[i], flags[j])
-                out.append(rep)
+    for pair in itertools.combinations(sorted(asm.towers), 2):
+        rep = face_agreement_check(asm, *pair, tol)
+        if rep["adjacent"]:
+            rep["pair"] = pair
+            out.append(rep)
     return out
 
 

@@ -30,7 +30,8 @@ TOL = 1e-9
 # is used (the seed is part of the report).
 EXHAUSTIVE_TRIPLE_LIMIT = 300
 
-# Largest temporary of sup_ratio and distance_to_set, in matrix entries.
+# Largest temporary of sup_ratio, distance_to_set and the symmetrization of
+# shortest-path matrices, in matrix entries.
 SUP_RATIO_BLOCK = 1 << 14
 
 # Largest n*n distance matrix a construction may allocate, in entries (512 MiB).
@@ -237,10 +238,12 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     """Shortest-path metric of a connected, positively weighted graph.
 
     ``edges`` is a list of ``(i, j)`` or ``(i, j, w)`` entries; missing
-    weights default to 1.  Parallel edges keep their lightest weight.
-    Disconnected graphs are rejected, and so is an n*n matrix over
-    ``MATRIX_CAP`` before it is allocated.  scipy is imported on the first
-    call with n > 1, so processes that build no graph never load it.
+    weights default to 1.  Parallel edges keep their lightest weight.  The
+    matrix is exactly symmetric: d(s, t) is the smaller of the two
+    directions' sums.  Disconnected graphs are rejected, and so is an n*n
+    matrix over ``MATRIX_CAP`` before it is allocated.  scipy is imported
+    on the first call with n > 1, so processes that build no graph never
+    load it.
     """
     if n <= 0:
         raise InputError("graph needs at least one vertex")
@@ -274,6 +277,13 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
         if np.isinf(m).any():
             i, j = map(int, np.argwhere(np.isinf(m))[0])
             raise InputError(f"graph is disconnected: no path between {i} and {j}")
+        # each source sums its own paths, so d(s, t) and d(t, s) can differ
+        # in the last ulp; keep the smaller, a row block at a time
+        step = max(1, SUP_RATIO_BLOCK // n)
+        for lo in range(0, n, step):
+            block = np.minimum(m[lo:lo + step], m[:, lo:lo + step].T)
+            m[lo:lo + step] = block
+            m[:, lo:lo + step] = block.T
     space = FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path")
     space.meta["edges"] = given
     return space

@@ -68,9 +68,6 @@ class SimplicialComplex:
         cells += [(v,) for v in vertices]
         return SimplicialComplex(vertices, _closure(cells))
 
-    def position(self, v) -> int:
-        return self.vertices.index(v)
-
     def sort_ids(self, ids: Iterable) -> tuple:
         pos = {v: i for i, v in enumerate(self.vertices)}
         return tuple(sorted(set(ids), key=pos.__getitem__))
@@ -311,7 +308,6 @@ class MappingCylinder:
 
     map: SimplicialMap
     complex: SimplicialComplex
-    measured_constant: float | None = None
 
     @property
     def source(self) -> SimplicialComplex:

@@ -89,7 +89,7 @@ class TestScaleArithmetic:
         assert all(c >= 1.0 for c in cs)
 
     def test_proximity_weights(self):
-        assert proximity_weights(1.0, 4.0, [0.0, 2.0, 4.0, 9.0]) == [1.0, 0.5, 0.0, 0.0]
+        assert proximity_weights(1.0, 4.0, [0.0, 2.0, 4.0, 9.0]).tolist() == [1.0, 0.5, 0.0, 0.0]
 
 
 class TestConfig:
@@ -215,7 +215,7 @@ class TestStressAssembly:
             ts = tower_t_coordinates(cfg, tower, x)
             assert ts[0] == 1.0
             y = cfg.f.images[x]
-            d = min(cfg.f.codomain.dist(y, w) for w in tower.w_sets[1])
+            d = min(cfg.f.codomain.dist(y, w) for w in tower.faces[1].region)
             if d >= cfg.lam * cfg.r:
                 assert ts[1] == 0.0
             if d == 0:
@@ -234,7 +234,7 @@ class TestStressAssembly:
             for x in tower.fiber:
                 ts = tower_t_coordinates(cfg, tower, x)
                 if ts[1] == 0.0:
-                    base = canonical_projection(tower.covers[0], x, tower.nerves[0])
+                    base = canonical_projection(tower.faces[0].cover, x, tower.faces[0].nerve)
                     assert asm.tower_map(tower, x).as_dict() == base.as_dict()
                     hits += 1
         assert hits > 0
@@ -251,10 +251,110 @@ class TestStressAssembly:
             for x in tower.fiber:
                 ts = tower_t_coordinates(cfg, tower, x)
                 if ts[1] == 1.0:
-                    top = canonical_projection(tower.covers[1], x, tower.nerves[1])
+                    top = canonical_projection(tower.faces[1].cover, x, tower.faces[1].nerve)
                     assert asm.tower_map(tower, x).as_dict() == pytest.approx(top.as_dict())
                     hits += 1
         assert hits > 0
+
+
+@pytest.fixture(scope="module")
+def depth2_assembly():
+    g = grid_space(6, 6)
+    f = map_between_spaces(g, g, range(36), 1.0)
+    cfg = make_config(f, 1.0, 1, 2, r=1.0, allow_sub_required=True)
+    return build_assembly(cfg)
+
+
+DEPTH2_GOLDEN = Path(__file__).parent / "data" / "assembly_identity_grid6x6_r1.json"
+
+
+class TestDepthTwoAssembly:
+    """Identity of a 6 x 6 grid at r=1 with k=2: every tower has depth 2,
+    so each g_2 composes two refinement steps."""
+
+    def test_report_and_agreements_match_golden(self, depth2_assembly):
+        want = json.loads(DEPTH2_GOLDEN.read_text())
+        report = {k: v for k, v in depth2_assembly.report.items() if k != "seed"}
+        assert_matches_golden(json.loads(json.dumps(report)), want["report"])
+        got = [
+            {k: rep[k] for k in ("pair", "points_checked", "ok", "witness")}
+            for rep in all_face_agreements(depth2_assembly)
+        ]
+        assert json.loads(json.dumps(got)) == want["agreements"]
+        assert sum(rep["points_checked"] for rep in got) == 478
+
+    def test_g_maps_are_the_composed_refinement_steps(self, depth2_assembly):
+        # g_2 is defined on both lower nerves and sends a nerve-0 vertex
+        # where g_1 and then the last step send it
+        for tower in depth2_assembly.towers.values():
+            g1, g2 = tower.g_maps[1], tower.g_maps[2]
+            assert set(g2.assignment) == set(tower.complexes[1].vertices)
+            for v in tower.faces[0].nerve.vertices:
+                assert g2.assignment[v] == g2.assignment[g1.assignment[v]]
+
+
+class TestFaceRecords:
+    def test_towers_share_the_face_records(self, stress_assembly, depth2_assembly):
+        for asm in (stress_assembly, depth2_assembly):
+            for flag, tower in asm.towers.items():
+                assert all(face is asm.faces[s] for s, face in zip(flag, tower.faces))
+                assert tower.fiber == asm.faces[flag[0]].cover.universe()
+            assert list(asm.faces) == sorted(asm.faces, key=lambda s: (len(s), s))
+            assert asm.face_covers == {s: face.cover for s, face in asm.faces.items()}
+
+    def test_region_and_weights_per_base_point(self, depth2_assembly):
+        asm = depth2_assembly
+        cfg = asm.config
+        space_y = cfg.f.codomain
+        for simplex, face in asm.faces.items():
+            inter = set.intersection(*(set(asm.enlarged_cover.sets[v]) for v in simplex))
+            assert set(face.region) == inter
+            for y in range(space_y.n):
+                d = min(space_y.dist(y, w) for w in face.region)
+                assert face.weights[y] == max(0.0, (cfg.lam * cfg.r - d) / (cfg.lam * cfg.r))
+
+    def test_fiber_cover_is_the_preimage_of_the_enlarged_sets(self, stress_assembly):
+        asm = stress_assembly
+        images = asm.config.f.images
+        for simplex, face in asm.faces.items():
+            union = set().union(*(set(asm.enlarged_cover.sets[v]) for v in simplex))
+            want = [x for x in range(len(images)) if images[x] in union]
+            assert list(face.cover.universe()) == want
+
+    def test_agreement_points_match_the_per_point_rule(self, stress_assembly, depth2_assembly):
+        # reference: the per-point eligibility loop the weight masks replace
+        def eligible(cfg, ta, tb, x):
+            tsa = tower_t_coordinates(cfg, ta, x)
+            tsb = tower_t_coordinates(cfg, tb, x)
+            prefix = 0
+            while prefix < min(len(ta.flag), len(tb.flag)) and ta.flag[prefix] == tb.flag[prefix]:
+                prefix += 1
+            if prefix and all(t <= 1e-12 for t in tsa[prefix:] + tsb[prefix:]):
+                return True
+            return any(
+                fa == fb and tsa[pos] >= 1.0 - 1e-12 and tsb[pos] >= 1.0 - 1e-12
+                and all(t <= 1e-12 for t in tsa[pos + 1:] + tsb[pos + 1:])
+                for pos, (fa, fb) in enumerate(zip(ta.flag, tb.flag))
+            )
+
+        # on the 8 x 8 identity at r=1.5 a few points are eligible only by
+        # the common-prefix rule with a prefix of length 2
+        g = grid_space(8, 8)
+        f = map_between_spaces(g, g, range(64), 1.0)
+        prefix_case = build_assembly(make_config(f, 1.0, 1, 2, r=1.5, allow_sub_required=True))
+        for asm in (stress_assembly, depth2_assembly, prefix_case):
+            for rep in all_face_agreements(asm):
+                ta, tb = (asm.towers[flag] for flag in rep["pair"])
+                both = ta.fiber.intersection(tb.fiber)
+                want = sum(eligible(asm.config, ta, tb, x) for x in both)
+                assert rep["points_checked"] == want, rep["pair"]
+
+    def test_assignment_depends_on_the_base_point_only(self, stress_assembly):
+        asm = stress_assembly
+        images = asm.config.f.images
+        by_base: dict = {}
+        for x, flag in asm.assignment.items():
+            assert by_base.setdefault(images[x], flag) == flag
 
 
 class TestRequiredScaleRun:

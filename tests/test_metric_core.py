@@ -143,6 +143,31 @@ class TestGraphMetric:
         assert np.array_equal(m, np.array(floyd_warshall(n, multi)))
 
 
+    @pytest.mark.parametrize("block", [metric_core.SUP_RATIO_BLOCK, 64, 1])
+    def test_fractional_weights_give_an_exactly_symmetric_matrix(self, monkeypatch, block):
+        # Dijkstra sums each path from its own source, so d(s, t) and
+        # d(t, s) can differ in the last ulp; the metric keeps the smaller
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        monkeypatch.setattr(metric_core, "SUP_RATIO_BLOCK", block)
+        rng = np.random.default_rng(11)
+        asymmetric = 0
+        for _ in range(20):
+            n = int(rng.integers(20, 60))
+            weights = {(v, v + 1): 0.25 + 3.75 * rng.random() for v in range(n - 1)}
+            for i, j in rng.integers(0, n, size=(2 * n, 2)):
+                if i < j:
+                    weights[(int(i), int(j))] = 0.25 + 3.75 * rng.random()
+            edges = [(i, j, w) for (i, j), w in weights.items()]
+            m = build_graph_metric(n, edges).matrix
+            assert np.array_equal(m, m.T)
+            rows, cols, ws = zip(*edges)
+            raw = dijkstra(coo_matrix((ws, (rows, cols)), shape=(n, n)), directed=False)
+            asymmetric += not np.array_equal(raw, raw.T)
+            assert np.array_equal(m, np.minimum(raw, raw.T))
+        assert asymmetric  # the family does hit unequal sums
+
 class TestBallsAndSets:
     def test_ball_radius_zero(self):
         s = path_space(10)
