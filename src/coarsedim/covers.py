@@ -87,6 +87,13 @@ class Cover:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def diameters(self) -> np.ndarray:
+        """Member diameters in set order, measured once per cover."""
+        out = np.array([diameter_of(self.space, s) for s in self.sets])
+        out.setflags(write=False)
+        return out
+
 
 def make_cover(space, sets: Iterable, carrier=None, partial=False) -> Cover:
     return Cover(
@@ -104,7 +111,7 @@ def multiplicity(cover: Cover) -> int:
 
 def mesh(cover: Cover) -> float:
     """Largest member diameter (the uniform boundedness witness)."""
-    return max(diameter_of(cover.space, s) for s in cover.sets)
+    return float(cover.diameters.max())
 
 
 def lebesgue_number(cover: Cover) -> float:
@@ -389,6 +396,31 @@ def brute_force_chromatic(adj: list[set[int]]) -> int:
     return k
 
 
+def _color_floor(space, D: float, B: float, carrier: PointSet) -> int:
+    """Lower bound on the chromatic number of every carving's conflict
+    graph, from the carrier's submatrix: 0 for an empty carrier; 1 when
+    some seed's row is within B/2 of the whole carrier (read as
+    ``carve_clusters`` reads it, so that carving is one cluster) or when
+    the carrier is not D-connected; 2 otherwise.  In the last case every
+    carving has two clusters, and some edge of the D-graph joins two of
+    them.  An edge needs both directions within D, with no tolerance, so
+    the two clusters conflict whichever side ``_conflict_graph`` reads."""
+    idx = np.asarray(carrier.indices, dtype=np.intp)
+    if not idx.size:
+        return 0
+    sub = space.matrix if idx.size == space.n else space.matrix[np.ix_(idx, idx)]
+    if (sub <= B / 2.0 + TOL).all(axis=1).any():
+        return 1
+    near = (sub <= D) & (sub.T <= D)
+    reached = np.zeros(len(idx), dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = near[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return 2 if reached.all() else 1
+
+
 def colored_decomposition(
     space,
     D: float,
@@ -403,9 +435,15 @@ def colored_decomposition(
     a provably minimal color count for the carved clustering (branch and
     bound, at most ``EXACT_CLUSTER_CAP`` clusters) and additionally scans the
     alternative carvings obtained by letting each point seed the first
-    cluster; ``mode="auto"`` runs exact when the default carving is small
-    enough.  Color counts are minimal among colorings of carved
-    clusterings, which may overestimate the true optimum at (D, B).
+    cluster, keeping the first carving with the fewest colors.  The scan
+    colors each distinct clustering once and stops when the best count
+    reaches a proven floor on every carving's count (``_color_floor``),
+    so the result is still exact over carved clusterings.
+    ``mode="auto"`` runs exact when the default carving is small enough.
+    Color counts are minimal among colorings of carved clusterings, which
+    may overestimate the true optimum at (D, B).  ``info`` records the
+    carvings made, the distinct clusterings colored and the floor (exact
+    mode only).
     """
     if D < 0 or B < 0:
         raise InputError("D and B must be nonnegative")
@@ -417,6 +455,7 @@ def colored_decomposition(
         adj = _conflict_graph(space, base_clusters, D)
         colors = greedy_coloring(adj, [len(c) for c in base_clusters])
         chosen, coloring = base_clusters, colors
+        scan = {"carvings": 1, "distinct": 1, "color_floor": None}
     elif mode == "exact":
         if len(base_clusters) > EXACT_CLUSTER_CAP:
             raise CapExceeded(
@@ -424,17 +463,23 @@ def colored_decomposition(
             )
         best = None
         uni = as_point_set(carrier) if carrier is not None else PointSet.universe(space.n)
-        seeds = [None, *uni.indices[1:]]
-        for seed in seeds:
+        floor = _color_floor(space, D, B, uni)
+        colored: set[frozenset] = set()
+        for carvings, seed in enumerate([None, *uni.indices[1:]], start=1):
             clusters = base_clusters if seed is None else carve_clusters(space, B, carrier, seed)
-            if len(clusters) > EXACT_CLUSTER_CAP:
+            key = frozenset(c.indices for c in clusters)
+            if len(clusters) > EXACT_CLUSTER_CAP or key in colored:
                 continue
+            colored.add(key)
             adj = _conflict_graph(space, clusters, D)
             chi, witness = chromatic_number(adj)
             if best is None or chi < best[0]:
                 best = (chi, clusters, witness)
+            if best[0] <= floor:
+                break
         assert best is not None
         _, chosen, coloring = best
+        scan = {"carvings": carvings, "distinct": len(colored), "color_floor": floor}
     else:
         raise InputError(f"unknown mode {mode!r}")
 
@@ -454,6 +499,7 @@ def colored_decomposition(
             "colors": n_colors,
             "seconds": time.perf_counter() - t0,
             "label": "exact over carved clusterings" if mode == "exact" else "upper bound (greedy/carved)",
+            **scan,
         },
     )
     decomp.validate()

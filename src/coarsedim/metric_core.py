@@ -223,7 +223,10 @@ def verify_metric_axioms(
 
 def build_explicit(matrix, labels=None, *, provenance: str = "explicit-matrix") -> FiniteMetricSpace:
     """Build a space from an explicit square distance matrix, verifying the
-    axioms first (exhaustively up to 300 points, sampled above)."""
+    axioms first (exhaustively up to 300 points, sampled above).  The
+    axioms accept an asymmetry within tolerance; the kept matrix is exactly
+    symmetric, d(s, t) being the smaller of the two given entries, so no
+    set-geometry result depends on which side it reads."""
     m = np.asarray(matrix, dtype=float)
     report = verify_metric_axioms(m)
     if not report["ok"]:
@@ -231,7 +234,7 @@ def build_explicit(matrix, labels=None, *, provenance: str = "explicit-matrix") 
             f"matrix violates {report['axiom']} axiom at {report['witness']}",
             witness=report["witness"],
         )
-    return FiniteMetricSpace(m, tuple(labels) if labels else None, provenance)
+    return FiniteMetricSpace(np.minimum(m, m.T), tuple(labels) if labels else None, provenance)
 
 
 def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMetricSpace:

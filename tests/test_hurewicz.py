@@ -257,6 +257,21 @@ class TestStressAssembly:
         assert hits > 0
 
 
+REQUIRED_SCALE_GOLDEN = (
+    Path(__file__).parent / "data" / "assembly_column_projection_1x2600_required.json"
+)
+
+
+def test_required_scale_report_matches_golden():
+    """A 1 x 2600 grid over a 2600-path at the required scale for
+    epsilon=1 (r about 212): fiber carriers of up to 1,061 points, each
+    decomposed by the exact carving scan."""
+    asm = build_assembly(make_config(column_projection(1, 2600), epsilon=1, n=1, k=1))
+    report = {k: v for k, v in asm.report.items() if k != "seed"}
+    got = json.loads(json.dumps(report))
+    assert_matches_golden(got, json.loads(REQUIRED_SCALE_GOLDEN.read_text()))
+
+
 @pytest.fixture(scope="module")
 def depth2_assembly():
     g = grid_space(6, 6)

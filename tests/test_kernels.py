@@ -1,6 +1,7 @@
 """Property tests of the cover depth table, the sup-ratio kernel, the
-distance-to-set kernel and the measured Lipschitz constants against the
-per-point and per-pair formulas they replace."""
+distance-to-set kernel, the exact carving scan and the measured Lipschitz
+constants against the per-point, per-pair and full-scan versions they
+replace."""
 
 import math
 import tracemalloc
@@ -8,14 +9,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coarsedim import covers as covers_module
 from coarsedim import metric_core
 from coarsedim.covers import (
+    EXACT_CLUSTER_CAP,
+    _color_floor,
     _conflict_graph,
     _greedy_clique,
     _lex_min_coloring,
+    brute_force_chromatic,
     carve_clusters,
     chromatic_number,
     colored_decomposition,
@@ -23,6 +28,7 @@ from coarsedim.covers import (
     is_d_disjoint,
     lebesgue_number,
     make_cover,
+    mesh,
     multiplicity,
     saturated_union,
     union_cover,
@@ -144,6 +150,14 @@ class TestDepthTable:
     def test_table_is_cached(self):
         cover = make_cover(path_space(4), [[0, 1, 2], [1, 2, 3]])
         assert cover.depths is cover.depths
+
+    def test_mesh_is_measured_once(self):
+        cover = make_cover(path_space(6), [[0, 1, 2], [1, 2, 3, 4], [5]])
+        with mock.patch.object(covers_module, "diameter_of", wraps=metric_core.diameter_of) as spy:
+            assert mesh(cover) == 3.0
+            assert mesh(cover) == 3.0
+        assert spy.call_count == len(cover.sets)
+        assert cover.diameters.tolist() == [2.0, 3.0, 0.0]
 
     def test_projection_outside_carrier_rejected(self):
         cover = make_cover(path_space(6), [[1, 2], [2, 3]], carrier=[1, 2, 3])
@@ -437,6 +451,128 @@ class TestSetGeometry:
                 adj[u].add(v)
                 adj[v].add(u)
         assert chromatic_number(adj) == reference_chromatic_number(adj)
+
+
+# ---------------------------------------------------------------------------
+# the exact carving scan
+
+
+def reference_exact_scan(space, D, B, carrier=None):
+    """The full scan that the color floor and the dedupe cut short: every
+    carrier point seeds one carving, every carving is colored, and the
+    first with the fewest colors is kept.  Returns the families."""
+    uni = PointSet.of(carrier) if carrier is not None else PointSet.universe(space.n)
+    best = None
+    for seed in [None, *uni.indices[1:]]:
+        clusters = carve_clusters(space, B, carrier, seed)
+        if len(clusters) > EXACT_CLUSTER_CAP:
+            continue
+        chi, witness = chromatic_number(_conflict_graph(space, clusters, D))
+        if best is None or chi < best[0]:
+            best = (chi, clusters, witness)
+    _, clusters, witness = best
+    families = [[] for _ in range(max(witness) + 1 if witness else 1)]
+    for cluster, color in zip(clusters, witness):
+        families[color].append(cluster)
+    return tuple(tuple(fam) for fam in families)
+
+
+def min_carved_chromatic(space, D, B, carrier):
+    """Brute-force minimum color count over the carvings of every seed."""
+    return min(
+        brute_force_chromatic(reference_conflict_graph(space, reference_carving(space, B, carrier, seed), D))
+        for seed in (carrier or [None])
+    )
+
+
+@st.composite
+def scan_instances(draw):
+    """(space, carrier, D, B): carriers empty, one point, any subset, or
+    split in two parts with D below their distance, so the carrier is not
+    D-connected; None stands for the whole space."""
+    space = draw(weighted_graphs())
+    points = st.integers(0, space.n - 1)
+    B = draw(st.floats(0.0, 8.0))
+    kind = draw(st.sampled_from(["whole", "empty", "point", "subset", "split"]))
+    D = draw(st.floats(0.0, 8.0))
+    carrier = None
+    if kind == "empty":
+        carrier = set()
+    elif kind == "point":
+        carrier = {draw(points)}
+    elif kind == "subset":
+        carrier = draw(st.sets(points, min_size=1))
+    elif kind == "split" and space.n >= 2:
+        carrier = draw(st.sets(points, min_size=2))
+        part = draw(st.sets(st.sampled_from(sorted(carrier)), min_size=1, max_size=len(carrier) - 1))
+        gap = reference_set_distance(space, part, carrier - part)
+        D = draw(st.floats(0.0, gap, exclude_max=True))
+    return space, carrier, D, B
+
+
+class TestExactScan:
+    @SETTINGS
+    @given(scan_instances())
+    def test_matches_full_scan(self, instance):
+        space, carrier, D, B = instance
+        got = colored_decomposition(space, D, B, "exact", carrier=carrier)
+        assert got.families == reference_exact_scan(space, D, B, carrier)
+        assert got.colors == len(got.families)
+        assert got.info["mode"] == "exact"
+        assert got.info["label"] == "exact over carved clusterings"
+        size = space.n if carrier is None else len(carrier)
+        assert 1 <= got.info["distinct"] <= got.info["carvings"] <= max(1, size)
+
+    @SETTINGS
+    @given(scan_instances())
+    def test_floor_is_below_every_carving(self, instance):
+        space, carrier, D, B = instance
+        uni = PointSet.universe(space.n) if carrier is None else PointSet.of(carrier)
+        floor = _color_floor(space, D, B, uni)
+        assert floor == colored_decomposition(space, D, B, "exact", carrier=carrier).info["color_floor"]
+        assert floor <= min_carved_chromatic(space, D, B, list(uni))
+        assert (floor == 0) == (not uni.indices)
+
+    @pytest.mark.parametrize(
+        "edges, D, B",
+        [
+            # a later carving with as many clusters needs fewer colors
+            ([(0, 1, 1), (0, 2, 3), (2, 3, 1)], 1.0, 7.0),
+            # a later carving is one cluster, below the first one's count
+            ([(0, 1, 2), (1, 2, 2), (1, 3, 3)], 2.5, 7.0),
+        ],
+    )
+    def test_later_carving_wins(self, edges, D, B):
+        space = build_graph_metric(4, edges)
+        got = colored_decomposition(space, D, B, "exact")
+        assert got.families == reference_exact_scan(space, D, B)
+        assert chromatic_number(_conflict_graph(space, carve_clusters(space, B), D))[0] == 2
+        assert got.colors == 1
+        assert got.info["carvings"] > 1
+
+    def test_split_carrier_floor_cases(self):
+        # two far-apart halves of a path: each carving needs two clusters,
+        # but no D-edge joins them
+        space = path_space(10)
+        carrier = PointSet.of([0, 1, 2, 7, 8, 9])
+        assert _color_floor(space, 3.0, 2.0, carrier) == 1
+        assert _color_floor(space, 5.0, 2.0, carrier) == 2
+        assert _color_floor(space, 5.0, 18.0, carrier) == 1
+
+    @SETTINGS
+    @given(weighted_graphs(min_n=2), st.data())
+    def test_connected_two_colorable_first_carving_is_the_only_one(self, space, data):
+        # D at least every edge weight: the whole space is D-connected
+        D = max(w for _, _, w in space.meta["edges"]) + data.draw(st.floats(0.0, 2.0))
+        B = data.draw(st.floats(0.0, 2.0 * space.diameter()))
+        first = carve_clusters(space, B)
+        assume(_color_floor(space, D, B, PointSet.universe(space.n)) == 2)
+        assume(chromatic_number(_conflict_graph(space, first, D))[0] == 2)
+        with mock.patch.object(covers_module, "carve_clusters", wraps=carve_clusters) as spy:
+            got = colored_decomposition(space, D, B, "exact")
+        assert spy.call_count == 1
+        assert (got.info["carvings"], got.info["distinct"], got.info["color_floor"]) == (1, 1, 2)
+        assert got.families == reference_exact_scan(space, D, B)
 
 
 # ---------------------------------------------------------------------------

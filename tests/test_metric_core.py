@@ -71,6 +71,14 @@ class TestBuildExplicit:
         with pytest.raises(MetricAxiomError):
             build_explicit([[0, 0], [0, 0]])
 
+    def test_asymmetry_within_tolerance_is_symmetrized(self):
+        # accepted by the axiom check, kept as the smaller entry, so a set
+        # distance reads the same whichever side it gathers
+        s = build_explicit([[0, 1, 2], [1 + 2**-40, 0, 1], [2, 1, 0]])
+        assert np.array_equal(s.matrix, s.matrix.T)
+        assert s.dist(1, 0) == 1.0
+        assert metric_core.distance_to_set(s, [1])[0] == s.matrix[0, [1]].min()
+
 
 class TestGraphMetric:
     def test_path(self):
