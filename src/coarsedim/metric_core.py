@@ -4,8 +4,10 @@ Everything downstream runs on a :class:`FiniteMetricSpace`: an immutable
 point set with an explicit distance matrix that is checked against the
 metric axioms at construction time.  Balls, neighborhoods and set-to-set
 distances are computed exactly.  Lipschitz constants of maps are *measured*
-over point pairs rather than trusted, which is the verification instrument
-used by every other module.
+rather than trusted, which is the verification instrument used by every
+other module: over the edges of a graph metric when a Bellman certificate
+shows that the edges carry every pair's ratio, over all point pairs
+otherwise.
 
 Distances are 64-bit floats.  Integer-weight graphs (the dominant case)
 produce exact values, so comparisons against them are exact; everywhere
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Any, Iterable, Sequence
 
@@ -143,6 +146,18 @@ class FiniteMetricSpace:
 
     def label(self, p: int) -> str:
         return self.labels[p] if self.labels else str(p)
+
+    @cached_property
+    def graph_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(u, v, w)`` arrays of ``meta["edges"]`` without self-loops, for
+        a graph metric that keeps its edges; None for any other space."""
+        edges = self.meta.get("edges")
+        if self.provenance != "graph-shortest-path" or edges is None:
+            return None
+        arr = np.array(edges, dtype=float).reshape(-1, 3)
+        u, v = arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp)
+        keep = u != v
+        return u[keep], v[keep], arr[keep, 2]
 
 
 def _triangle_violation_exhaustive(m: np.ndarray, tol: float):
@@ -435,16 +450,115 @@ def map_to_reals(domain: FiniteMetricSpace, values: Sequence[float], declared_li
 
 def measured_lipschitz(m: MetricMap) -> float:
     """Largest ratio d(f(x), f(y)) / d(x, y) over all pairs of distinct
-    points, exact: one codomain row gather per domain row for a finite
-    codomain, ``sup_ratio`` for the reals."""
+    points, exact.
+
+    For the reals this is ``sup_ratio``.  For a finite codomain, when
+    ``edge_certificate`` passes on the whole domain, the value is the
+    maximum of d_cod(f(u), f(v)) / d(u, v) over the domain's edges: the
+    certificate's chain argument (see ``sup_ratio``) goes through with the
+    codomain's symmetry and triangle inequality, which its axiom check
+    holds it to, in place of the Euclidean norm's.  Otherwise it takes one codomain row
+    gather per domain row over all pairs.  Either way temporaries stay
+    below ``SUP_RATIO_BLOCK`` entries per row or edge block.
+    """
     if m.codomain == "reals":
         return sup_ratio(m.domain, m.points(), m.images)
     img = np.asarray(m.images, dtype=np.intp)
     cod, dom = m.codomain.matrix, m.domain.matrix
     best = 0.0
+    edges = edge_certificate(m.domain, range(m.domain.n))
+    if edges is not None:
+        a, b = edges
+        for lo in range(0, len(a), SUP_RATIO_BLOCK):
+            ea, eb = a[lo:lo + SUP_RATIO_BLOCK], b[lo:lo + SUP_RATIO_BLOCK]
+            best = max(best, float((cod[img[ea], img[eb]] / dom[ea, eb]).max()))
+        return best
     for i in range(len(img) - 1):
         best = max(best, float((cod[img[i], img[i + 1:]] / dom[i, i + 1:]).max()))
     return best
+
+
+def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndarray] | None:
+    """The edges of ``space`` inside the point list ``idx``, as local index
+    arrays ``(a, b)`` with a < b, when the certificate below proves that
+    they carry every pair's ratio; None otherwise.  Every comparison is
+    exact; there is no tolerance.
+
+    (a) ``space`` is a graph metric that keeps its edges
+        (``graph_edges``), ``idx`` repeats no point, and d(s, s) = 0 on it.
+    (b) Every edge (u, v, w) inside ``idx`` has 0 < d(u, v) <= w and
+        0 < d(v, u) <= w, so a forged light edge is rejected.
+    (c) Bellman: for every s != v in ``idx`` some edge (u, v, w) inside
+        ``idx`` has d(s, u) + w <= d(s, v).
+
+    The condition is scanned through a padded predecessor table (one row
+    per in-degree slot, weight +inf in unused slots) in blocks of source
+    rows of at most ``SUP_RATIO_BLOCK`` entries, each gathered from the
+    matrix as the scan reaches it; the |idx| x |idx| submatrix is never
+    built.  A fractional-weight graph can miss (c) by an ulp; it then
+    gets None, and the callers fall back to their pair loop.
+    """
+    edges = space.graph_edges
+    if edges is None:
+        return None
+    idx = np.asarray(idx, dtype=np.intp)
+    n_idx = len(idx)
+    m = space.matrix
+    local = np.full(space.n, -1, dtype=np.intp)
+    local[idx] = np.arange(n_idx)
+    if not np.array_equal(local[idx], np.arange(n_idx)) or (m[idx, idx] != 0).any():
+        return None
+    inside = _inside_edges(m, edges, local)
+    if inside is None:
+        return None
+    a, b, w = inside
+    pred, pred_w = _predecessor_table(a, b, w, n_idx)
+    step = max(1, SUP_RATIO_BLOCK // max(1, n_idx))
+    for lo in range(0, n_idx, step):
+        rows = m[np.ix_(idx[lo:lo + step], idx)]
+        held = np.zeros(rows.shape, dtype=bool)
+        held[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = True
+        for k in range(len(pred)):
+            via = rows[:, pred[k]]
+            via += pred_w[k]
+            held |= via <= rows
+        if not held.all():
+            return None
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _inside_edges(m: np.ndarray, edges, local: np.ndarray):
+    """The edges (u, v, w) with both ends in the set (``local[p] >= 0``),
+    as local ``(a, b, w)`` arrays; None unless each has 0 < d(u, v) <= w
+    and 0 < d(v, u) <= w."""
+    u, v, w = edges
+    inside = (local[u] >= 0) & (local[v] >= 0)
+    u, v, w = u[inside], v[inside], w[inside]
+    duv, dvu = m[u, v], m[v, u]
+    if not ((duv > 0) & (dvu > 0) & (duv <= w) & (dvu <= w)).all():
+        return None
+    return local[u], local[v], w
+
+
+def _predecessor_table(a: np.ndarray, b: np.ndarray, w: np.ndarray, n: int):
+    """In-edges of the undirected edges (a, b, w) over n vertices, padded:
+    ``pred[k, v]`` is the tail of v's k-th in-edge and ``pred_w[k, v]`` its
+    weight; unused slots point at v itself with weight +inf."""
+    head = np.concatenate([b, a])
+    order = np.argsort(head, kind="stable")
+    count = np.bincount(head, minlength=n)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count)
+    slots = int(count.max()) if n else 0
+    pred = np.tile(np.arange(n), (slots, 1))
+    pred_w = np.full((slots, n), np.inf)
+    pred[slot, head] = np.concatenate([a, b])
+    pred_w[slot, head] = np.concatenate([w, w])
+    return pred, pred_w
+
+
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    return np.abs(diff[:, 0]) if diff.shape[1] == 1 else np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
@@ -455,6 +569,20 @@ def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
     Norms come from exact row differences, not from a Gram matrix, whose
     distances lose about sqrt(eps); one column gives |X_i - X_j| exactly.
     Temporaries stay below ``SUP_RATIO_BLOCK`` entries.
+
+    When ``edge_certificate(space, pts)`` passes, the value is the maximum
+    E over the certified edges alone.  Proof: take s != v in ``pts``.  By
+    (c), v has an edge (u, v, w) with d(s, u) + w <= d(s, v); as w > 0,
+    d(s, u) < d(s, v), so following such predecessors from v strictly
+    decreases d(s, .) and, the set being finite, ends at s.  Summing the
+    inequalities along the chain s = u_0, ..., u_k = v gives
+    d(s, s) + sum w_i <= d(s, v), with d(s, s) = 0.  By (b) each link has
+    ||X_{u_i} - X_{u_(i+1)}|| <= E d(u_i, u_(i+1)) <= E w_i, so the triangle
+    inequality gives ||X_s - X_v|| <= E sum w_i <= E d(s, v).  Every edge
+    is itself a pair, so the supremum over pairs is E.  Each edge ratio is
+    computed as its pair would be (same orientation, same row
+    difference), so E is the pair loop's value up to the rounding of the
+    pairs that are not edges.  Otherwise every pair is scanned.
     """
     idx = np.asarray(pts, dtype=np.intp)
     X = np.asarray(X, dtype=float)
@@ -462,10 +590,17 @@ def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
         X = X[:, None]
     step = max(1, SUP_RATIO_BLOCK // max(1, X.shape[1]))
     best = 0.0
+    edges = edge_certificate(space, idx)
+    if edges is not None:
+        a, b = edges
+        for lo in range(0, len(a), step):
+            ea, eb = a[lo:lo + step], b[lo:lo + step]
+            dist = space.matrix[idx[ea], idx[eb]]
+            best = max(best, float((_row_norms(X[eb] - X[ea]) / dist).max()))
+        return best
     for i in range(len(idx) - 1):
         for lo in range(i + 1, len(idx), step):
-            diff = X[lo:lo + step] - X[i]
-            norms = np.abs(diff[:, 0]) if X.shape[1] == 1 else np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            norms = _row_norms(X[lo:lo + step] - X[i])
             dist = space.matrix[idx[i], idx[lo:lo + step]]
             pos = dist > 0
             if pos.any():

@@ -16,6 +16,7 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -35,6 +36,10 @@ def _closure(cells: Iterable[tuple]) -> frozenset[tuple]:
     return frozenset(out)
 
 
+def _positions(vertices: Sequence) -> dict:
+    return {v: i for i, v in enumerate(vertices)}
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Abstract simplicial complex over ordered, hashable vertex ids.
@@ -48,7 +53,7 @@ class SimplicialComplex:
     simplices: frozenset[tuple]
 
     def __post_init__(self):
-        pos = {v: i for i, v in enumerate(self.vertices)}
+        pos = self.positions
         if len(pos) != len(self.vertices):
             raise InputError("duplicate vertex ids")
         for s in self.simplices:
@@ -63,14 +68,18 @@ class SimplicialComplex:
     @staticmethod
     def from_maximal(vertices: Sequence, maximal: Iterable[Iterable]) -> "SimplicialComplex":
         vertices = tuple(vertices)
-        pos = {v: i for i, v in enumerate(vertices)}
+        pos = _positions(vertices)
         cells = [tuple(sorted(set(c), key=pos.__getitem__)) for c in maximal]
         cells += [(v,) for v in vertices]
         return SimplicialComplex(vertices, _closure(cells))
 
+    @cached_property
+    def positions(self) -> dict:
+        """Vertex id -> index in ``vertices``, built once per complex."""
+        return _positions(self.vertices)
+
     def sort_ids(self, ids: Iterable) -> tuple:
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        return tuple(sorted(set(ids), key=pos.__getitem__))
+        return tuple(sorted(set(ids), key=self.positions.__getitem__))
 
     @property
     def dimension(self) -> int:
@@ -321,9 +330,9 @@ class MappingCylinder:
         if not (-TOL <= t <= 1 + TOL):
             raise InputError("cylinder parameter must lie in [0, 1]")
         t = min(1.0, max(0.0, t))
-        order = {v: i for i, v in enumerate(self.source.vertices)}
-        supp = sorted(w.as_dict(), key=order.__getitem__)
-        a = [w.as_dict()[v] for v in supp]
+        weights = w.as_dict()
+        supp = self.source.sort_ids(weights)
+        a = [weights[v] for v in supp]
         p = len(a)
         suffix = [0.0] * (p + 1)
         for j in range(p - 1, -1, -1):
@@ -351,14 +360,13 @@ def mapping_cylinder(g: SimplicialMap) -> MappingCylinder:
     src, dst = g.source, g.target
     if set(src.vertices) & set(dst.vertices):
         raise InputError("source and target vertex ids must be disjoint")
-    vertices = src.vertices + dst.vertices
-    pos = {v: i for i, v in enumerate(vertices)}
+    # source ids precede target ids in the cylinder's vertex order, and a
+    # source simplex is already sorted, so each cell sorts only its image
     cells = set(dst.simplices)
     for s in src.simplices:
         for i in range(len(s)):
-            cell = set(s[: i + 1]) | {g.assignment[v] for v in s[i:]}
-            cells.add(tuple(sorted(cell, key=pos.__getitem__)))
-    complex = SimplicialComplex(vertices, _closure(cells))
+            cells.add(s[: i + 1] + dst.sort_ids(g.assignment[v] for v in s[i:]))
+    complex = SimplicialComplex(src.vertices + dst.vertices, _closure(cells))
     return MappingCylinder(g, complex)
 
 
@@ -435,7 +443,7 @@ def glue(complexes: Sequence[SimplicialComplex]) -> SimplicialComplex:
             if v not in seen:
                 seen.add(v)
                 order.append(v)
-    pos = {v: i for i, v in enumerate(order)}
+    pos = _positions(order)
     cells = set()
     for c in complexes:
         for s in c.simplices:

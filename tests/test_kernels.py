@@ -1,7 +1,7 @@
-"""Property tests of the cover depth table, the sup-ratio kernel, the
-distance-to-set kernel, the exact carving scan and the measured Lipschitz
-constants against the per-point, per-pair and full-scan versions they
-replace."""
+"""Property tests of the cover depth table, the sup-ratio kernel and its
+edge certificate, the distance-to-set kernel, the exact carving scan and
+the measured Lipschitz constants against the per-point, per-pair and
+full-scan versions they replace."""
 
 import math
 import tracemalloc
@@ -34,11 +34,15 @@ from coarsedim.covers import (
     union_cover,
 )
 from coarsedim.errors import InputError, InvariantViolation
+from coarsedim.hurewicz import build_assembly, make_config
 from coarsedim.metric_core import (
     TOL,
+    FiniteMetricSpace,
     PointSet,
     build_graph_metric,
+    cycle_space,
     distance_to_set,
+    edge_certificate,
     grid_space,
     map_between_spaces,
     map_to_reals,
@@ -61,11 +65,11 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def weighted_graphs(draw, min_n=1, max_n=10):
+def weighted_graphs(draw, min_n=1, max_n=10, integer=False):
     """Shortest-path metric of a random connected graph with positive
-    integer or fractional weights."""
+    integer or (unless ``integer``) fractional weights."""
     n = draw(st.integers(min_n, max_n))
-    weight = st.one_of(st.integers(1, 5), st.floats(0.25, 4.0))
+    weight = st.integers(1, 5) if integer else st.one_of(st.integers(1, 5), st.floats(0.25, 4.0))
     edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, n)]
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
     edges += [e for e in draw(st.lists(pairs, max_size=n)) if e[0] != e[1]]
@@ -251,9 +255,15 @@ class TestFiniteCodomain:
                 want = max(want, target.dist(images[i], images[j]) / space.dist(i, j))
         assert measured_lipschitz(f) == pytest.approx(want, rel=1e-12, abs=0)
 
-
     def test_identity_map_temporaries_stay_small(self):
-        space = path_space(2000)
+        self.assert_identity_temporaries_stay_small(path_space(2000))
+
+    def test_pair_loop_temporaries_stay_small(self):
+        # the same matrix without its edges: the pair loop runs
+        self.assert_identity_temporaries_stay_small(FiniteMetricSpace(path_space(2000).matrix))
+
+    @staticmethod
+    def assert_identity_temporaries_stay_small(space):
         f = map_between_spaces(space, space, range(space.n))
         tracemalloc.start()
         try:
@@ -262,6 +272,174 @@ class TestFiniteCodomain:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# the edge certificate
+
+
+def reference_sup_ratio(space, pts, X):
+    """The all-pairs loop ``sup_ratio`` runs without a certificate, with
+    its arithmetic: one row difference per pair, in one block."""
+    idx = np.asarray(pts, dtype=np.intp)
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    best = 0.0
+    for i in range(len(idx) - 1):
+        diff = X[i + 1:] - X[i]
+        norms = np.abs(diff[:, 0]) if X.shape[1] == 1 else np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dist = space.matrix[idx[i], idx[i + 1:]]
+        pos = dist > 0
+        if pos.any():
+            best = max(best, float((norms[pos] / dist[pos]).max()))
+    return best
+
+
+def reference_certificate(space, pts):
+    """Conditions (a)-(c) of ``edge_certificate``, one point and one edge
+    at a time; the set of local (a, b) edges with a < b, or None."""
+    edges = space.meta.get("edges")
+    if space.provenance != "graph-shortest-path" or edges is None or len(set(pts)) != len(pts):
+        return None
+    d = space.dist
+    if any(d(p, p) != 0 for p in pts):
+        return None
+    local = {p: i for i, p in enumerate(pts)}
+    inside = [(u, v, w) for u, v, w in edges if u != v and u in local and v in local]
+    if not all(0 < d(u, v) <= w and 0 < d(v, u) <= w for u, v, w in inside):
+        return None
+    into = {p: [] for p in pts}
+    for u, v, w in inside:
+        into[v].append((u, w))
+        into[u].append((v, w))
+    for s in pts:
+        for v in pts:
+            if s != v and not any(d(s, u) + w <= d(s, v) for u, w in into[v]):
+                return None
+    return {tuple(sorted((local[u], local[v]))) for u, v, _ in inside}
+
+
+def certified_edges(space, pts):
+    out = edge_certificate(space, pts)
+    return None if out is None else set(zip(out[0].tolist(), out[1].tolist()))
+
+
+@st.composite
+def coordinate_rows(draw, n):
+    """n coordinate rows of 1 to 4 columns; a 1-d array for one column."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.floats(-10, 10), min_size=cols, max_size=cols), min_size=n, max_size=n))
+    X = np.array(rows, dtype=float).reshape(n, cols)
+    return X[:, 0] if cols == 1 else X
+
+
+class TestEdgeCertificate:
+    @SETTINGS
+    @given(weighted_graphs(min_n=2, integer=True), st.data(), st.sampled_from([1, 3, metric_core.SUP_RATIO_BLOCK]))
+    def test_whole_integer_graph_takes_the_edge_path(self, space, data, block):
+        pts = range(space.n)
+        X = data.draw(coordinate_rows(space.n))
+        values = X if X.ndim == 1 else X[:, 0]
+        target = data.draw(weighted_graphs())
+        images = data.draw(st.lists(st.integers(0, target.n - 1), min_size=space.n, max_size=space.n))
+        want_finite = max(
+            target.dist(images[i], images[j]) / space.dist(i, j)
+            for i in range(space.n)
+            for j in range(i + 1, space.n)
+        )
+        # small blocks split the edge list and the Bellman scan
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+            assert edge_certificate(space, pts) is not None
+            assert sup_ratio(space, pts, X) == pytest.approx(reference_sup_ratio(space, pts, X), rel=1e-12, abs=0)
+            want = reference_sup_ratio(space, pts, values)
+            assert measured_lipschitz(map_to_reals(space, values)) == pytest.approx(want, rel=1e-12, abs=0)
+            f = map_between_spaces(space, target, images)
+            assert measured_lipschitz(f) == pytest.approx(want_finite, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("space", [path_space(7), cycle_space(6), grid_space(3, 5)], ids=["path", "cycle", "grid"])
+    def test_whole_unit_graphs_pass(self, space):
+        edges = certified_edges(space, range(space.n))
+        assert edges == reference_certificate(space, list(range(space.n)))
+        assert len(edges) == len(space.meta["edges"])
+
+    @SETTINGS
+    @given(weighted_graphs(min_n=2), st.data(), st.integers(1, 12))
+    def test_any_point_list_matches_pair_loop(self, space, data, block):
+        pts = data.draw(st.lists(st.integers(0, space.n - 1), max_size=space.n + 2))
+        X = data.draw(coordinate_rows(len(pts)))
+        assert certified_edges(space, pts) == reference_certificate(space, pts)
+        want = reference_sup_ratio(space, pts, X)
+        assert sup_ratio(space, pts, X) == pytest.approx(want, rel=1e-12, abs=0)
+        # blocks smaller than a row: several blocks per scan
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+            assert certified_edges(space, pts) == reference_certificate(space, pts)
+            assert sup_ratio(space, pts, X) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_cycle_without_a_point_is_rejected(self):
+        # d(2, 4) = 2 runs through the missing point 3; inside the set the
+        # only route has length 4, so no edge maximum bounds that pair
+        space, pts = cycle_space(6), [0, 1, 2, 4, 5]
+        assert edge_certificate(space, pts) is None
+        X = [1.0, 0.5, 0.0, 2.0, 1.5]
+        assert max(abs(X[i] - X[j]) for i, j in [(0, 1), (1, 2), (3, 4), (4, 0)]) == 0.5
+        assert sup_ratio(space, pts, X) == reference_sup_ratio(space, pts, X) == 1.0
+
+    @SETTINGS
+    @given(weighted_graphs(min_n=2), st.data())
+    def test_forged_light_edge_is_rejected(self, space, data):
+        u, v = data.draw(st.lists(st.integers(0, space.n - 1), min_size=2, max_size=2, unique=True))
+        space.meta["edges"].append((u, v, space.dist(u, v) * data.draw(st.floats(0.01, 0.99))))
+        assert edge_certificate(space, range(space.n)) is None
+        assert reference_certificate(space, list(range(space.n))) is None
+
+    def test_repeated_point_is_rejected(self):
+        space = path_space(4)
+        assert edge_certificate(space, [0, 1, 1, 2]) is None
+        assert sup_ratio(space, [0, 1, 1, 2], [0.0, 3.0, 1.0, 2.0]) == 3.0
+
+    def test_spaces_without_edges_are_rejected(self):
+        space = path_space(4)
+        assert edge_certificate(FiniteMetricSpace(space.matrix), range(4)) is None
+        assert edge_certificate(FiniteMetricSpace(space.matrix, provenance="graph-shortest-path"), range(4)) is None
+
+    def test_certificate_temporaries_stay_small(self):
+        space = grid_space(4, 500)
+        X = np.arange(space.n, dtype=float) % 500
+        tracemalloc.start()
+        try:
+            assert sup_ratio(space, range(space.n), X) == 1.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert edge_certificate(space, range(space.n)) is not None
+
+
+@pytest.fixture(scope="module")
+def thin_grid_assembly():
+    """column_projection(4, 64) at r=2, the golden assembly of
+    tests/test_hurewicz.py."""
+    grid, path = grid_space(4, 64), path_space(64)
+    f = map_between_spaces(grid, path, [p % 64 for p in range(grid.n)], 1.0)
+    return build_assembly(make_config(f, 1.0, 1, 1, r=2.0, allow_sub_required=True))
+
+
+def test_assembly_constants_take_the_edge_path(thin_grid_assembly):
+    """Every tower fiber and the global map pass the certificate, and the
+    report's constants equal the pair loop exactly."""
+    asm = thin_grid_assembly
+    space = asm.config.f.domain
+    towers = [t for _, t in sorted(asm.towers.items())]
+    cases = [(t.fiber.indices, [asm.tower_map(t, x) for x in t.fiber]) for t in towers]
+    cases.append((range(space.n), [asm.phi(x) for x in range(space.n)]))
+    want = []
+    for pts, images in cases:
+        assert edge_certificate(space, pts) is not None
+        X = coordinate_matrix(images)
+        want.append(reference_sup_ratio(space, pts, X))
+        assert sup_ratio(space, pts, X) == want[-1]
+    assert [t["measured"] for t in asm.report["per_simplex"]] + [asm.report["measured_lipschitz"]] == want
 
 
 # ---------------------------------------------------------------------------
