@@ -36,6 +36,7 @@ from .metric_core import (
 )
 
 EXACT_CLUSTER_CAP = 12
+COORD_EPS = 1e-12  # barycentric weights at most this are zero
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,28 @@ class Cover:
             comp = car[~np.isin(car, s.indices)]
             if comp.size:
                 out[:, j] = self.space.matrix[np.ix_(car, comp)].min(axis=1)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def projections(self) -> np.ndarray:
+        """|carrier| x |sets| partition of unity of the canonical
+        projection, rows in carrier order: a set's weight is its depth over
+        the row's depth total, summed left to right as Python's ``sum``
+        adds.  Where sets equal to the whole carrier contain a point, the
+        weight concentrates evenly on them (the limit of the formula as the
+        depth grows).  Weights at most ``COORD_EPS`` are 0; a point in no
+        set (a partial cover) has all depths 0, so its row is 0/0 = NaN."""
+        depths = self.depths
+        total = np.zeros(len(depths))
+        for col in depths.T:
+            total += col
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = depths / total[:, None]
+        infinite = np.isinf(depths)
+        deep = infinite.any(axis=1)
+        out[deep] = infinite[deep] / infinite[deep].sum(axis=1, keepdims=True)
+        out[np.abs(out) <= COORD_EPS] = 0.0
         out.setflags(write=False)
         return out
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -53,14 +53,15 @@ from .polyhedra import (
     EmbeddedPoint,
     SimplicialComplex,
     SimplicialMap,
-    canonical_projection,
-    coordinate_matrix,
-    embedded_distance,
+    check_rows,
     glue,
     mapping_cylinder,
     measure_uniformization_constant,
     nerve,
+    projection_rows,
     refinement_map,
+    row_point,
+    used_columns,
 )
 
 T_EPS = 1e-12
@@ -232,7 +233,11 @@ class Tower:
 
 @dataclass(eq=False)
 class Assembly:
-    """The glued map Phi: X -> K with all the per-tower data that built it."""
+    """The glued map Phi: X -> K with all the per-tower data that built it.
+
+    ``values[flag]`` is the tower map over the whole fiber (see
+    ``tower_values``); Phi at x is the row of x in its assigned tower's
+    block."""
 
     config: HurewiczConfig
     base_decomposition: ColoredDecomposition
@@ -240,20 +245,18 @@ class Assembly:
     base_nerve: SimplicialComplex
     faces: dict[tuple, Face]
     towers: dict[tuple, Tower]
+    values: dict[tuple, np.ndarray]
     assignment: dict[int, tuple]
     K: SimplicialComplex
     report: dict
-    _tower_values: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def face_covers(self) -> dict[tuple, Cover]:
         return {simplex: face.cover for simplex, face in self.faces.items()}
 
     def tower_map(self, tower: Tower, x: int) -> EmbeddedPoint:
-        cache = self._tower_values.setdefault(tower.flag, {})
-        if x not in cache:
-            cache[x] = _evaluate_tower(self.config, tower, x)
-        return cache[x]
+        row = tower.fiber.rank([x], "the tower fiber")[0]
+        return row_point(tower.complex, self.values[tower.flag][row])
 
     def phi(self, x: int) -> EmbeddedPoint:
         return self.tower_map(self.towers[self.assignment[x]], x)
@@ -271,22 +274,38 @@ def tower_t_coordinates(config: HurewiczConfig, tower: Tower, x: int) -> list[fl
     return ts
 
 
-def _evaluate_tower(config: HurewiczConfig, tower: Tower, x: int) -> EmbeddedPoint:
-    ts = tower_t_coordinates(config, tower, x)
-    phi = canonical_projection(tower.faces[0].cover, x, tower.faces[0].nerve)
+def tower_values(config: HurewiczConfig, tower: Tower) -> np.ndarray:
+    """The tower map over its whole fiber, as one coordinate block over
+    ``tower.complex`` with rows in fiber order.
+
+    Level 0 is the fiber cover's canonical projection.  At level p, a row
+    with t_p <= 1/2 goes through cylinder p's quotient at 2 t_p; a row with
+    t_p > 1/2 blends its g_p-image, weighted 2 (1 - t_p), with face p's
+    projection, weighted 2 t_p - 1.  Every level's block is checked as
+    ``EmbeddedPoint.of`` checks a point."""
+    pts = np.asarray(tower.fiber.indices, dtype=np.intp)
+    base = tower.faces[0]
+    phi = check_rows(base.nerve, projection_rows(base.cover, pts))
+    ys = np.asarray(config.f.images, dtype=np.intp)[pts]
+    ts = [face.weights[ys] for face in tower.faces]
+    off = np.abs(ts[0] - 1.0) > T_EPS
+    if off.any():
+        raise InvariantViolation(
+            f"level-0 weight is {ts[0][off][0]} != 1 on the fiber", witness=int(pts[off][0])
+        )
     for p, face in enumerate(tower.faces[1:], start=1):
         tp = ts[p]
-        if tp <= 0.5:
-            phi = tower.cylinders[p].point(phi, 2.0 * tp)
-        else:
-            pushed = tower.g_maps[p].apply(phi)
-            proj = canonical_projection(face.cover, x, face.nerve)
-            coords: dict = {}
-            for v, w in pushed.coords:
-                coords[v] = coords.get(v, 0.0) + 2.0 * (1.0 - tp) * w
-            for v, w in proj.coords:
-                coords[v] = coords.get(v, 0.0) + (2.0 * tp - 1.0) * w
-            phi = EmbeddedPoint.of(tower.complexes[p], coords)
+        low = tp <= 0.5
+        high = ~low
+        nxt = np.zeros((len(pts), len(tower.complexes[p].vertices)))
+        nxt[low] = tower.cylinders[p].rows(phi[low], 2.0 * tp[low])
+        if high.any():
+            pushed = tower.g_maps[p].apply_rows(phi[high])
+            proj = check_rows(face.nerve, projection_rows(face.cover, pts[high]))
+            th = tp[high][:, None]
+            nxt[high, phi.shape[1]:] = 2.0 * (1.0 - th) * pushed + (2.0 * th - 1.0) * proj
+            nxt[high] = check_rows(tower.complexes[p], nxt[high])
+        phi = nxt
     return phi
 
 
@@ -391,18 +410,20 @@ def build_assembly(
                 low.cover, top.cover, low.nerve, top.nerve
             )
 
-    # stage 4: towers, one per maximal flag
+    # stage 4: towers, one per maximal flag, each evaluated over its fiber
     towers: dict[tuple, Tower] = {}
     for tau in base_nerve.maximal_simplices():
         for perm in itertools.permutations(tau):
             flag = tuple(tuple(sorted(perm[: i + 1])) for i in range(len(perm)))
             towers[flag] = _build_tower(config, flag, faces, step_maps)
+    values = {flag: tower_values(config, tower) for flag, tower in towers.items()}
 
     # stage 5: assign every point to the tower over its base position
     maximal = base_nerve.maximal_simplices()
+    weights = check_rows(base_nerve, projection_rows(enlarged_cover, image.indices))
     flag_of = {}
-    for y in image:
-        flag_of[y] = _assign_flag(enlarged_cover, base_nerve, maximal, y)
+    for y, row in zip(image, weights):
+        flag_of[y] = _assign_flag(maximal, row)
         if flag_of[y] not in towers:
             raise InvariantViolation(f"base point {y} assigned to unknown flag {flag_of[y]}")
     assignment = {x: flag_of[y] for x, y in enumerate(f.images)}
@@ -429,7 +450,7 @@ def build_assembly(
     }
     asm = Assembly(
         config, base_decomposition, enlarged_cover, base_nerve,
-        faces, towers, assignment, K, report,
+        faces, towers, values, assignment, K, report,
     )
     _finish_report(asm)
     return asm
@@ -459,12 +480,13 @@ def _build_tower(config, flag, faces, step_maps) -> Tower:
     return Tower(flag, records, tuple(g_maps), tuple(cylinders), tuple(complexes), tuple(lambdas))
 
 
-def _assign_flag(enlarged_cover, base_nerve, maximal, y: int) -> tuple:
-    """Deterministic flag over base point y: order the cover sets through
-    y by decreasing projection weight (ties and the rest of the maximal
-    simplex by index), and take prefixes."""
-    proj = canonical_projection(enlarged_cover, y, base_nerve)
-    weights = dict(proj.coords)
+def _assign_flag(maximal, row: np.ndarray) -> tuple:
+    """Deterministic flag over a base point with projection weights
+    ``row`` into the base nerve: order the cover sets through the point by
+    decreasing weight (ties and the rest of the maximal simplex by index),
+    and take prefixes."""
+    support = np.flatnonzero(row)
+    weights = dict(zip(support.tolist(), row[support].tolist()))
     tau = min(s for s in maximal if set(weights) <= set(s))
     in_support = sorted(weights, key=lambda v: (-weights[v], v))
     rest = sorted(v for v in tau if v not in weights)
@@ -479,7 +501,7 @@ def _finish_report(asm: Assembly) -> None:
 
     per_tower = []
     for flag, tower in sorted(asm.towers.items()):
-        values = coordinate_matrix([asm.tower_map(tower, x) for x in tower.fiber])
+        values = asm.values[flag]
         bound = recursion_closed_form_bound(config.n, config.r, config.c_table, tower.depth)
         per_tower.append(
             {
@@ -489,26 +511,21 @@ def _finish_report(asm: Assembly) -> None:
                 "meshes": [face.mesh for face in tower.faces],
                 "lambda_k": tower.lambdas[-1],
                 "closed_form_bound": bound,
-                "measured": sup_ratio(space_x, tower.fiber.indices, values),
+                "measured": sup_ratio(space_x, tower.fiber.indices, values[:, used_columns(values)]),
             }
         )
     report["per_simplex"] = per_tower
     report["lambda_k_per_simplex"] = [t["lambda_k"] for t in per_tower]
 
-    images = [asm.phi(x) for x in range(space_x.n)]
-    report["measured_lipschitz"] = sup_ratio(space_x, range(space_x.n), coordinate_matrix(images))
+    phi = _phi_matrix(asm)
+    report["measured_lipschitz"] = sup_ratio(space_x, range(space_x.n), phi)
 
     # coboundedness over open stars: points whose image carrier contains
     # the simplex; two such points share the simplex's common set, whose
-    # diameter is below twice any level mesh
-    star_points: dict[tuple, list[int]] = {}
-    for x, supp in enumerate(image.support() for image in images):
-        for size in range(1, len(supp) + 1):
-            for sub in itertools.combinations(supp, size):
-                star_points.setdefault(sub, []).append(x)
-    cobound = 0.0
-    for pts in star_points.values():
-        cobound = max(cobound, diameter_of(space_x, PointSet.of(pts)))
+    # diameter is below twice any level mesh.  A simplex's star lies in
+    # each of its vertices' stars, so the largest diameter is a vertex
+    # star's: the points with a nonzero entry in one column of Phi.
+    cobound = max(diameter_of(space_x, np.flatnonzero(col).tolist()) for col in phi.T)
     cobound_bound = max(
         [2.0 * face.mesh for face in asm.faces.values()] + [2.0 * mesh(asm.enlarged_cover)]
     )
@@ -518,6 +535,33 @@ def _finish_report(asm: Assembly) -> None:
     report["epsilon_certified"] = bool(
         config.meets_required_scale and report["measured_lipschitz"] <= config.epsilon + 1e-9
     )
+
+
+def _phi_matrix(asm: Assembly) -> np.ndarray:
+    """Coordinate matrix of Phi, read from the rows of the points assigned
+    to each tower.  Its columns are the vertices Phi uses, in the order a
+    scan of the points in index order first meets them, which is
+    ``coordinate_matrix``'s order: a vertex is keyed by its first point and
+    its column in that point's tower."""
+    assigned: dict[tuple, list[int]] = {}
+    for x, flag in asm.assignment.items():
+        assigned.setdefault(flag, []).append(x)
+    first: dict = {}
+    parts = []
+    for flag, xs in assigned.items():
+        tower = asm.towers[flag]
+        block = asm.values[flag][tower.fiber.rank(xs, "the tower fiber")]
+        nz = block != 0
+        used = np.flatnonzero(nz.any(axis=0)).tolist()
+        vertices = [tower.complex.vertices[c] for c in used]
+        for v, c, row in zip(vertices, used, nz[:, used].argmax(axis=0).tolist()):
+            first[v] = min(first.get(v, (xs[row], c)), (xs[row], c))
+        parts.append((xs, vertices, block[:, used]))
+    column = {v: j for j, v in enumerate(sorted(first, key=first.__getitem__))}
+    out = np.zeros((len(asm.assignment), len(column)))
+    for xs, vertices, sub in parts:
+        out[np.ix_(xs, [column[v] for v in vertices])] = sub
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +597,21 @@ def face_agreement_check(asm: Assembly, flag_a: tuple, flag_b: tuple, tol: float
         eligible |= za[prefix_len] & zb[prefix_len]
     for pos in itertools.compress(range(len(same)), same):
         eligible |= (ta.faces[pos].weights[ys] >= 1.0 - T_EPS) & za[pos + 1] & zb[pos + 1]
+    xs = both[eligible]
     worst = 0.0
     witness = None
-    for x in both[eligible].tolist():
-        dev = embedded_distance(asm.tower_map(ta, x), asm.tower_map(tb, x))
-        if dev > worst:
-            worst = dev
-            witness = x
+    if len(xs):
+        # both blocks over the union of the towers' vertices, which are
+        # one orthonormal basis
+        union = {v: j for j, v in enumerate(dict.fromkeys(ta.complex.vertices + tb.complex.vertices))}
+        diff = np.zeros((len(xs), len(union)))
+        for tower, sign in ((ta, 1.0), (tb, -1.0)):
+            rows = asm.values[tower.flag][tower.fiber.rank(xs, "the tower fiber")]
+            diff[:, [union[v] for v in tower.complex.vertices]] += sign * rows
+        dev = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        at = int(dev.argmax())
+        if dev[at] > 0:
+            worst, witness = float(dev[at]), int(xs[at])
     return {
         "adjacent": True,
         "ok": worst <= tol,

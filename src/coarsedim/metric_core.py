@@ -76,6 +76,17 @@ class PointSet:
         i = bisect_left(self.indices, p)
         return i < len(self.indices) and self.indices[i] == p
 
+    def rank(self, points, where: str) -> np.ndarray:
+        """Position of each point in the set; a point outside it raises
+        ``InputError`` saying it is outside ``where``."""
+        own = np.asarray(self.indices, dtype=np.intp)
+        pts = np.asarray(points, dtype=np.intp)
+        rows = np.minimum(np.searchsorted(own, pts), len(own) - 1)
+        outside = own[rows] != pts
+        if outside.any():
+            raise InputError(f"point {pts[outside][0]} is outside {where}")
+        return rows
+
     def as_set(self) -> frozenset[int]:
         return frozenset(self.indices)
 

@@ -8,24 +8,27 @@ Mapping cylinders are triangulated on the disjoint union of source and
 target vertices; the quotient map q from (source point, t) onto the
 cylinder is computed explicitly from the ordered prism decomposition, and
 its Lipschitz constant is measured, not assumed.
+
+Many points of one complex form a coordinate block: one row per point,
+one column per vertex in the complex's vertex order.  Projections,
+simplicial maps and cylinder quotients act on whole blocks; the per-point
+calls are one-row blocks, and ``check_rows`` checks a block as
+``EmbeddedPoint.of`` checks a point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .covers import Cover, lebesgue_number, mesh, multiplicity
+from .covers import COORD_EPS, Cover, lebesgue_number, mesh, multiplicity
 from .errors import InputError, InvariantViolation
 from .metric_core import TOL, FiniteMetricSpace, sup_ratio
-
-COORD_EPS = 1e-12
 
 
 def _closure(cells: Iterable[tuple]) -> frozenset[tuple]:
@@ -107,16 +110,11 @@ class EmbeddedPoint:
 
     @staticmethod
     def of(complex: SimplicialComplex, coords: dict) -> "EmbeddedPoint":
-        clean = {v: float(w) for v, w in coords.items() if abs(w) > COORD_EPS}
-        total = sum(clean.values())
-        if abs(total - 1.0) > 1e-7:
-            raise InputError(f"coordinates sum to {total}, expected 1")
-        if any(w < 0 for w in clean.values()):
-            raise InputError("negative barycentric coordinate")
-        support = complex.sort_ids(clean)
-        if support not in complex.simplices:
-            raise InvariantViolation(f"support {support} is not a simplex")
-        return EmbeddedPoint(complex, tuple((v, clean[v]) for v in support))
+        """The point with these weights, checked by ``check_rows``."""
+        row = np.zeros((1, len(complex.vertices)))
+        for v, w in coords.items():
+            row[0, complex.positions[v]] = w
+        return row_point(complex, check_rows(complex, row)[0])
 
     def as_dict(self) -> dict:
         return dict(self.coords)
@@ -150,6 +148,50 @@ def coordinate_matrix(points: Sequence[EmbeddedPoint]) -> np.ndarray:
     return out
 
 
+def block_of(complex: SimplicialComplex, points: Sequence[EmbeddedPoint]) -> np.ndarray:
+    """Coordinate block of points of ``complex``."""
+    pos = complex.positions
+    out = np.zeros((len(points), len(complex.vertices)))
+    for i, p in enumerate(points):
+        for v, w in p.coords:
+            out[i, pos[v]] = w
+    return out
+
+
+def check_rows(complex: SimplicialComplex, block: np.ndarray) -> np.ndarray:
+    """Zero the weights at most ``COORD_EPS`` of a coordinate block, in
+    place, and check each row as ``EmbeddedPoint.of`` checks a point: the
+    weights sum to 1 within 1e-7, none is negative, and the support is a
+    simplex (each distinct support pattern is looked up once)."""
+    block[np.abs(block) <= COORD_EPS] = 0.0
+    totals = block.sum(axis=1)
+    off = ~(np.abs(totals - 1.0) <= 1e-7)
+    if off.any():
+        raise InputError(f"coordinates sum to {totals[off][0]}, expected 1")
+    if (block < 0).any():
+        raise InputError("negative barycentric coordinate")
+    for pattern in dict.fromkeys(row.tobytes() for row in block != 0):
+        support = tuple(itertools.compress(complex.vertices, pattern))
+        if support not in complex.simplices:
+            raise InvariantViolation(f"support {support} is not a simplex", witness=support)
+    return block
+
+
+def row_point(complex: SimplicialComplex, row: np.ndarray) -> EmbeddedPoint:
+    """The point of one row of a checked coordinate block."""
+    nz = np.flatnonzero(row)
+    return EmbeddedPoint(complex, tuple(zip([complex.vertices[c] for c in nz], row[nz].tolist())))
+
+
+def used_columns(block: np.ndarray) -> np.ndarray:
+    """The block's columns with a nonzero entry, in the order a row-major
+    scan first meets them: ``block[:, used_columns(block)]`` is the
+    ``coordinate_matrix`` of the block's rows."""
+    nz = block != 0
+    used = np.flatnonzero(nz.any(axis=0))
+    return used[np.lexsort((used, nz[:, used].argmax(axis=0)))]
+
+
 def vertex_point(complex: SimplicialComplex, v) -> EmbeddedPoint:
     return EmbeddedPoint.of(complex, {v: 1.0})
 
@@ -179,29 +221,24 @@ def nerve(cover: Cover, vertex_ids: Sequence | None = None) -> SimplicialComplex
     return SimplicialComplex(ids, _closure(cells))
 
 
+def projection_rows(cover: Cover, points) -> np.ndarray:
+    """Rows of ``cover.projections`` at the given carrier points, as a new
+    coordinate block over the nerve's vertices."""
+    out = cover.projections[cover.universe().rank(points, "the cover's carrier")]
+    lost = np.isnan(out[:, 0])
+    if lost.any():
+        x = np.asarray(points)[lost][0]
+        raise InputError(f"point {x} lies in no cover set; family is not a cover at {x}")
+    return out
+
+
 def canonical_projection(cover: Cover, x: int, complex: SimplicialComplex | None = None) -> EmbeddedPoint:
     """Partition-of-unity projection of a carrier point into the nerve:
-    the weight of a set is its normalized depth d(x, carrier minus set).
-
-    A set equal to the whole carrier has infinite depth; when any such set
-    contains x the weight concentrates evenly on those sets (the limit of
-    the formula as the depth grows).  Depths come from ``cover.depths``."""
+    one row of ``cover.projections`` (the weight of a set is its
+    normalized depth d(x, carrier minus set))."""
     if complex is None:
         complex = nerve(cover)
-    uni = cover.universe().indices
-    row = bisect_left(uni, x)
-    if row == len(uni) or uni[row] != x:
-        raise InputError(f"point {x} is outside the cover's carrier")
-    depths = cover.depths[row].tolist()
-    infinite = [si for si, d in enumerate(depths) if d == math.inf]
-    ids = complex.vertices
-    if infinite:
-        w = 1.0 / len(infinite)
-        return EmbeddedPoint.of(complex, {ids[si]: w for si in infinite})
-    total = sum(depths)
-    if total <= 0:
-        raise InputError(f"point {x} lies in no cover set; family is not a cover at {x}")
-    return EmbeddedPoint.of(complex, {ids[si]: d / total for si, d in enumerate(depths) if d > 0})
+    return row_point(complex, check_rows(complex, projection_rows(cover, [x]))[0])
 
 
 def projection_lipschitz_check(cover: Cover) -> dict:
@@ -211,10 +248,9 @@ def projection_lipschitz_check(cover: Cover) -> dict:
     k = multiplicity(cover) - 1
     leb = lebesgue_number(cover)
     bound = 0.0 if math.isinf(leb) else (2 * k + 3) ** 2 / leb
-    complex = nerve(cover)
     carrier = cover.universe().indices
-    X = coordinate_matrix([canonical_projection(cover, x, complex) for x in carrier])
-    measured = sup_ratio(cover.space, carrier, X)
+    X = check_rows(nerve(cover), projection_rows(cover, carrier))
+    measured = sup_ratio(cover.space, carrier, X[:, used_columns(X)])
     return {
         "measured": measured,
         "bound": bound,
@@ -246,12 +282,23 @@ class SimplicialMap:
                     "image of a simplex is not a simplex", witness=s
                 )
 
-    def apply(self, point: EmbeddedPoint) -> EmbeddedPoint:
-        acc: dict = {}
-        for v, w in point.coords:
-            img = self.assignment[v]
-            acc[img] = acc.get(img, 0.0) + w
-        return EmbeddedPoint.of(self.target, acc)
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Target column of each source column's image."""
+        pos = self.target.positions
+        return np.array([pos[self.assignment[v]] for v in self.source.vertices], dtype=np.intp)
+
+    def push(self, block: np.ndarray) -> np.ndarray:
+        """Target block of the images of source rows, unchecked: each
+        column is added to its image's column in source vertex order."""
+        out = np.zeros((len(block), len(self.target.vertices)))
+        for c in np.flatnonzero(block.any(axis=0)):
+            out[:, self.columns[c]] += block[:, c]
+        return out
+
+    def apply_rows(self, block: np.ndarray) -> np.ndarray:
+        """The map on a block of source rows, checked in the target."""
+        return check_rows(self.target, self.push(block))
 
     def compose(self, later: "SimplicialMap") -> "SimplicialMap":
         if later.source is not self.target:
@@ -326,34 +373,41 @@ class MappingCylinder:
     def target(self) -> SimplicialComplex:
         return self.map.target
 
-    def point(self, w: EmbeddedPoint, t: float) -> EmbeddedPoint:
-        if not (-TOL <= t <= 1 + TOL):
+    def rows(self, block: np.ndarray, t) -> np.ndarray:
+        """The quotient map on a block of source rows, with one parameter
+        per row.  Row by row: with suffix sums s_j of the weights (support
+        in vertex order), the point lies in the prism cell of the last
+        support vertex i with s_(i+1) <= t <= s_i; the weights before i
+        stay on the source copy, vertex i keeps s_i - t there, and
+        t - s_(i+1) and the weights after i move to their g-images."""
+        t = np.asarray(t, dtype=float)
+        if not ((-TOL <= t) & (t <= 1 + TOL)).all():
             raise InputError("cylinder parameter must lie in [0, 1]")
-        t = min(1.0, max(0.0, t))
-        weights = w.as_dict()
-        supp = self.source.sort_ids(weights)
-        a = [weights[v] for v in supp]
-        p = len(a)
-        suffix = [0.0] * (p + 1)
-        for j in range(p - 1, -1, -1):
-            suffix[j] = suffix[j + 1] + a[j]
-        valid = [
-            i
-            for i in range(p)
-            if suffix[i + 1] <= t + COORD_EPS and t <= suffix[i] + COORD_EPS
-        ]
-        i = max(valid)
-        coords: dict = {}
-        for j in range(i):
-            coords[supp[j]] = coords.get(supp[j], 0.0) + a[j]
-        coords[supp[i]] = coords.get(supp[i], 0.0) + (suffix[i] - t)
-        top = {supp[i]: t - suffix[i + 1]}
-        for j in range(i + 1, p):
-            top[supp[j]] = top.get(supp[j], 0.0) + a[j]
-        for v, weight in top.items():
-            img = self.map.assignment[v]
-            coords[img] = coords.get(img, 0.0) + weight
-        return EmbeddedPoint.of(self.complex, coords)
+        t = np.clip(t, 0.0, 1.0)[:, None]
+        m, p = block.shape
+        suffix = np.zeros((m, p + 1))
+        suffix[:, :p] = np.cumsum(block[:, ::-1], axis=1)[:, ::-1]
+        valid = (block != 0) & (suffix[:, 1:] <= t + COORD_EPS) & (t <= suffix[:, :-1] + COORD_EPS)
+        held = valid.any(axis=1)
+        if not held.all():
+            r = int(np.flatnonzero(~held)[0])
+            nz = np.flatnonzero(block[r])
+            support = tuple(self.source.vertices[c] for c in nz)
+            raise InvariantViolation(
+                f"no cylinder cell holds the point at t={t[r, 0]}: its weights sum to {suffix[r, 0]}",
+                witness=(support, tuple(block[r, nz].tolist()), float(t[r, 0])),
+            )
+        i = (p - 1 - valid[:, ::-1].argmax(axis=1))[:, None]
+        cols = np.arange(p)
+        at = cols == i
+        bottom = np.where(cols < i, block, 0.0)
+        top = np.where(cols > i, block, 0.0)
+        bottom[at] = np.take_along_axis(suffix, i, axis=1)[:, 0] - t[:, 0]
+        top[at] = t[:, 0] - np.take_along_axis(suffix, i + 1, axis=1)[:, 0]
+        return check_rows(self.complex, np.hstack([bottom, self.map.push(top)]))
+
+    def point(self, w: EmbeddedPoint, t: float) -> EmbeddedPoint:
+        return row_point(self.complex, self.rows(block_of(self.source, [w]), [t])[0])
 
 
 def mapping_cylinder(g: SimplicialMap) -> MappingCylinder:
@@ -397,7 +451,8 @@ def measure_cylinder_constant(cyl: MappingCylinder, t_steps: int = 16) -> float:
     dist = np.array([np.sqrt(np.einsum("ij,ij->i", rows - row, rows - row)) for row in rows])
     dist[dist <= COORD_EPS] = 0.0
     grid = FiniteMetricSpace(dist)
-    return sup_ratio(grid, grid.points(), coordinate_matrix([cyl.point(z, t) for z, t in states]))
+    images = cyl.rows(block_of(cyl.source, [z for z, _ in states]), [t for _, t in states])
+    return sup_ratio(grid, grid.points(), images[:, used_columns(images)])
 
 
 def measure_uniformization_constant(dim: int, sample_maps: Sequence[SimplicialMap] | None = None) -> float:

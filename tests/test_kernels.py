@@ -1,10 +1,14 @@
-"""Property tests of the cover depth table, the sup-ratio kernel and its
-edge certificate, the distance-to-set kernel, the exact carving scan and
-the measured Lipschitz constants against the per-point, per-pair and
-full-scan versions they replace."""
+"""Property tests of the cover depth and projection tables, the sup-ratio
+kernel and its edge certificate, the distance-to-set kernel, the exact
+carving scan, the measured Lipschitz constants and the tower coordinate
+blocks against the per-point, per-pair and full-scan versions they
+replace."""
 
+import dataclasses
+import itertools
 import math
 import tracemalloc
+from bisect import bisect_left
 from unittest import mock
 
 import numpy as np
@@ -34,7 +38,13 @@ from coarsedim.covers import (
     union_cover,
 )
 from coarsedim.errors import InputError, InvariantViolation
-from coarsedim.hurewicz import build_assembly, make_config
+from coarsedim.hurewicz import (
+    all_face_agreements,
+    build_assembly,
+    make_config,
+    tower_t_coordinates,
+    tower_values,
+)
 from coarsedim.metric_core import (
     TOL,
     FiniteMetricSpace,
@@ -53,12 +63,15 @@ from coarsedim.metric_core import (
     sup_ratio,
 )
 from coarsedim.polyhedra import (
+    COORD_EPS,
     EmbeddedPoint,
     SimplicialComplex,
     canonical_projection,
     coordinate_matrix,
     embedded_distance,
+    nerve,
     projection_lipschitz_check,
+    projection_rows,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -77,17 +90,21 @@ def weighted_graphs(draw, min_n=1, max_n=10, integer=False):
 
 
 @st.composite
-def covers(draw):
+def covers(draw, whole=False):
     """A cover of a random carrier (sometimes the whole space, sometimes a
     proper subset, left implicit when it is the whole space), sometimes
-    with a member equal to the whole carrier."""
+    with a member equal to the whole carrier; with ``whole``, always with
+    one or two such members."""
     space = draw(weighted_graphs())
     points = list(range(space.n))
     carrier = sorted(draw(st.sets(st.sampled_from(points), min_size=1)))
     sets = draw(st.lists(st.sets(st.sampled_from(carrier), min_size=1), min_size=1, max_size=5))
     for p in set(carrier) - set().union(*sets):
         sets[draw(st.integers(0, len(sets) - 1))].add(p)
-    if draw(st.booleans()):
+    if whole:
+        for _ in range(draw(st.integers(1, 2))):
+            sets.insert(draw(st.integers(0, len(sets))), set(carrier))
+    elif draw(st.booleans()):
         sets.append(set(carrier))
     implicit = len(carrier) == space.n and draw(st.booleans())
     return make_cover(space, sets, carrier=None if implicit else carrier)
@@ -119,6 +136,38 @@ def reference_projection(cover, x):
         return {si: 1.0 / len(infinite) for si in infinite}
     total = sum(depths)
     return {si: d / total for si, d in enumerate(depths) if d > 0}
+
+
+def reference_point(complex, coords):
+    """The per-point EmbeddedPoint.of that the block check replaced."""
+    clean = {v: float(w) for v, w in coords.items() if abs(w) > COORD_EPS}
+    total = sum(clean.values())
+    if abs(total - 1.0) > 1e-7:
+        raise InputError(f"coordinates sum to {total}, expected 1")
+    if any(w < 0 for w in clean.values()):
+        raise InputError("negative barycentric coordinate")
+    support = complex.sort_ids(clean)
+    if support not in complex.simplices:
+        raise InvariantViolation(f"support {support} is not a simplex")
+    return EmbeddedPoint(complex, tuple((v, clean[v]) for v in support))
+
+
+def reference_canonical_projection(cover, x, complex):
+    """The per-point canonical projection the projection table replaced."""
+    uni = cover.universe().indices
+    row = bisect_left(uni, x)
+    if row == len(uni) or uni[row] != x:
+        raise InputError(f"point {x} is outside the cover's carrier")
+    depths = cover.depths[row].tolist()
+    infinite = [si for si, d in enumerate(depths) if d == math.inf]
+    ids = complex.vertices
+    if infinite:
+        w = 1.0 / len(infinite)
+        return reference_point(complex, {ids[si]: w for si in infinite})
+    total = sum(depths)
+    if total <= 0:
+        raise InputError(f"point {x} lies in no cover set; family is not a cover at {x}")
+    return reference_point(complex, {ids[si]: d / total for si, d in enumerate(depths) if d > 0})
 
 
 class TestDepthTable:
@@ -167,6 +216,36 @@ class TestDepthTable:
         cover = make_cover(path_space(6), [[1, 2], [2, 3]], carrier=[1, 2, 3])
         with pytest.raises(InputError):
             canonical_projection(cover, 5)
+
+    @SETTINGS
+    @given(st.one_of(covers(), covers(whole=True)))
+    def test_projection_table_matches_per_point_projection(self, cover):
+        complex = nerve(cover)
+        table = cover.projections
+        assert table.shape == (len(cover.universe()), len(cover.sets))
+        assert not table.flags.writeable
+        for row, x in enumerate(cover.universe()):
+            want = reference_canonical_projection(cover, x, complex)
+            assert canonical_projection(cover, x, complex).coords == want.coords
+            dense = [0.0] * len(cover.sets)
+            for v, w in want.coords:
+                dense[v] = w
+            assert table[row].tolist() == dense
+            assert abs(table[row].sum() - 1.0) <= 1e-7 and (table[row] >= 0).all()
+
+    def test_whole_carrier_members_share_the_weight(self):
+        cover = make_cover(path_space(5), [[0, 1, 2, 3], [2, 3], [0, 1, 2, 3], [0, 1, 2, 3]],
+                           carrier=[0, 1, 2, 3])
+        assert cover.projections.tolist() == [[1 / 3, 0.0, 1 / 3, 1 / 3]] * 4
+
+    def test_point_in_no_set_has_no_projection(self):
+        cover = make_cover(path_space(4), [[0, 1], [1]], carrier=[0, 1, 2], partial=True)
+        assert np.isnan(cover.projections[2]).all()
+        assert cover.projections[0].tolist() == [1.0, 0.0]
+        with pytest.raises(InputError, match="lies in no cover set"):
+            projection_rows(cover, [0, 2])
+        with pytest.raises(InputError, match="lies in no cover set"):
+            canonical_projection(cover, 2, SimplicialComplex.from_maximal((0, 1), [(0, 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +519,229 @@ def test_assembly_constants_take_the_edge_path(thin_grid_assembly):
         want.append(reference_sup_ratio(space, pts, X))
         assert sup_ratio(space, pts, X) == want[-1]
     assert [t["measured"] for t in asm.report["per_simplex"]] + [asm.report["measured_lipschitz"]] == want
+
+
+# ---------------------------------------------------------------------------
+# the tower coordinate blocks against the per-point evaluation they replace
+
+
+def reference_cylinder_point(cyl, w, t):
+    """The per-point cylinder quotient the block version replaced."""
+    t = min(1.0, max(0.0, t))
+    weights = w.as_dict()
+    supp = cyl.source.sort_ids(weights)
+    a = [weights[v] for v in supp]
+    p = len(a)
+    suffix = [0.0] * (p + 1)
+    for j in range(p - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + a[j]
+    valid = [i for i in range(p) if suffix[i + 1] <= t + COORD_EPS and t <= suffix[i] + COORD_EPS]
+    i = max(valid)
+    coords: dict = {}
+    for j in range(i):
+        coords[supp[j]] = coords.get(supp[j], 0.0) + a[j]
+    coords[supp[i]] = coords.get(supp[i], 0.0) + (suffix[i] - t)
+    top = {supp[i]: t - suffix[i + 1]}
+    for j in range(i + 1, p):
+        top[supp[j]] = top.get(supp[j], 0.0) + a[j]
+    for v, weight in top.items():
+        img = cyl.map.assignment[v]
+        coords[img] = coords.get(img, 0.0) + weight
+    return reference_point(cyl.complex, coords)
+
+
+def reference_apply(g, point):
+    acc: dict = {}
+    for v, w in point.coords:
+        img = g.assignment[v]
+        acc[img] = acc.get(img, 0.0) + w
+    return reference_point(g.target, acc)
+
+
+def reference_tower_value(config, tower, x):
+    """The per-point tower evaluation the coordinate blocks replaced."""
+    ts = tower_t_coordinates(config, tower, x)
+    phi = reference_canonical_projection(tower.faces[0].cover, x, tower.faces[0].nerve)
+    for p, face in enumerate(tower.faces[1:], start=1):
+        tp = ts[p]
+        if tp <= 0.5:
+            phi = reference_cylinder_point(tower.cylinders[p], phi, 2.0 * tp)
+        else:
+            pushed = reference_apply(tower.g_maps[p], phi)
+            proj = reference_canonical_projection(face.cover, x, face.nerve)
+            coords: dict = {}
+            for v, w in pushed.coords:
+                coords[v] = coords.get(v, 0.0) + 2.0 * (1.0 - tp) * w
+            for v, w in proj.coords:
+                coords[v] = coords.get(v, 0.0) + (2.0 * tp - 1.0) * w
+            phi = reference_point(tower.complexes[p], coords)
+    return phi
+
+
+def reference_face_agreement(asm, flag_a, flag_b, values, tol=1e-9):
+    """The per-point agreement loop over the eligible points, on the
+    reference tower values ``values[flag][x]``."""
+    ta, tb = asm.towers[flag_a], asm.towers[flag_b]
+    both = np.intersect1d(ta.fiber.indices, tb.fiber.indices)
+    ys = np.asarray(asm.config.f.images, dtype=np.intp)[both]
+
+    def zero_above(tower):
+        zero = [face.weights[ys] <= 1e-12 for face in tower.faces] + [np.ones(len(ys), bool)]
+        return np.logical_and.accumulate(np.array(zero)[::-1])[::-1]
+
+    za, zb = zero_above(ta), zero_above(tb)
+    same = [fa == fb for fa, fb in zip(flag_a, flag_b)]
+    prefix_len = same.index(False) if False in same else len(same)
+    eligible = np.zeros(len(ys), dtype=bool)
+    if prefix_len:
+        eligible |= za[prefix_len] & zb[prefix_len]
+    for pos in [i for i, s in enumerate(same) if s]:
+        eligible |= (ta.faces[pos].weights[ys] >= 1.0 - 1e-12) & za[pos + 1] & zb[pos + 1]
+    worst = 0.0
+    witness = None
+    for x in both[eligible].tolist():
+        dev = embedded_distance(values[flag_a][x], values[flag_b][x])
+        if dev > worst:
+            worst = dev
+            witness = x
+    return {"pair": (flag_a, flag_b), "ok": worst <= tol, "points_checked": int(eligible.sum()),
+            "max_deviation": worst, "witness": witness if worst > tol else None}
+
+
+def column_projection(rows, cols):
+    grid, path = grid_space(rows, cols), path_space(cols)
+    return map_between_spaces(grid, path, [p % cols for p in range(grid.n)], 1.0)
+
+
+def grid_identity(side):
+    grid = grid_space(side, side)
+    return map_between_spaces(grid, grid, range(grid.n), 1.0)
+
+
+@pytest.fixture(scope="module")
+def block_cases(thin_grid_assembly):
+    """Assemblies with both t regimes, strictly inside (0, 1) as well, and
+    (the identities at k=2) depth-2 towers."""
+    return {
+        "4x64-r2": thin_grid_assembly,
+        "1x128-r8": build_assembly(make_config(column_projection(1, 128), 1.0, 1, 1, r=8.0,
+                                               allow_sub_required=True)),
+        "identity6x6-r1": build_assembly(make_config(grid_identity(6), 1.0, 1, 2, r=1.0,
+                                                     allow_sub_required=True)),
+        "identity8x8-r1.5": build_assembly(make_config(grid_identity(8), 1.0, 1, 2, r=1.5,
+                                                       allow_sub_required=True)),
+    }
+
+
+@pytest.fixture(scope="module")
+def reference_values(block_cases):
+    """values[case][flag][x]: the per-point tower value at every fiber point."""
+    return {
+        name: {flag: {x: reference_tower_value(asm.config, tower, x) for x in tower.fiber}
+               for flag, tower in asm.towers.items()}
+        for name, asm in block_cases.items()
+    }
+
+
+class TestTowerBlocks:
+    def test_rows_match_the_per_point_evaluation(self, block_cases, reference_values):
+        regimes = set()
+        for name, asm in block_cases.items():
+            for flag, tower in asm.towers.items():
+                for x in tower.fiber:
+                    assert asm.tower_map(tower, x).coords == reference_values[name][flag][x].coords
+                    for p, t in enumerate(tower_t_coordinates(asm.config, tower, x)[1:], start=1):
+                        regimes.add((p, t <= 0.5, 0 < t < 1))
+        assert {(1, True, True), (1, False, True), (2, True, True), (2, False, False)} <= regimes
+
+    def test_report_reads_the_per_point_values(self, block_cases, reference_values):
+        # the constants, in coordinate_matrix's column order, and the open
+        # stars of the per-point values
+        for name, asm in block_cases.items():
+            values = reference_values[name]
+            space = asm.config.f.domain
+            for entry, (flag, tower) in zip(asm.report["per_simplex"], sorted(asm.towers.items())):
+                X = coordinate_matrix([values[flag][x] for x in tower.fiber])
+                assert entry["measured"] == sup_ratio(space, tower.fiber.indices, X)
+            images = [values[asm.assignment[x]][x] for x in range(space.n)]
+            assert asm.report["measured_lipschitz"] == sup_ratio(space, range(space.n), coordinate_matrix(images))
+            stars: dict = {}
+            for x, image in enumerate(images):
+                supp = image.support()
+                for size in range(1, len(supp) + 1):
+                    for sub in itertools.combinations(supp, size):
+                        stars.setdefault(sub, []).append(x)
+            assert asm.report["cobound"] == max(space.matrix[np.ix_(p, p)].max() for p in stars.values())
+
+    def test_face_agreements_match_the_per_point_loop(self, block_cases, reference_values):
+        for name in ("4x64-r2", "identity6x6-r1", "identity8x8-r1.5"):
+            asm = block_cases[name]
+            got = all_face_agreements(asm)
+            want = [reference_face_agreement(asm, *pair, reference_values[name])
+                    for pair in itertools.combinations(sorted(asm.towers), 2)
+                    if set(pair[0]) & set(pair[1])]
+            assert [{k: r[k] for k in ("pair", "points_checked", "ok", "witness")} for r in got] == \
+                [{k: r[k] for k in ("pair", "points_checked", "ok", "witness")} for r in want]
+            for g, w in zip(got, want):
+                assert g["max_deviation"] == pytest.approx(w["max_deviation"], rel=0, abs=1e-12)
+            assert sum(r["points_checked"] for r in got) > 0
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from([0.0, 1e-13, -1e-13, 0.25, 0.5, 1.0, -0.25, 1 / 3]), min_size=3, max_size=3),
+       st.booleans())
+def test_point_check_matches_per_point_check(weights, bare):
+    # a triangle, or its three vertices alone
+    vertices = ("a", "b", "c")
+    complex = SimplicialComplex.from_maximal(vertices, [] if bare else [vertices])
+    coords = dict(zip(vertices, weights))
+    try:
+        want = reference_point(complex, coords)
+    except (InputError, InvariantViolation) as exc:
+        with pytest.raises(type(exc), match=str(exc).split(" ")[0]):
+            EmbeddedPoint.of(complex, coords)
+    else:
+        assert EmbeddedPoint.of(complex, coords).coords == want.coords
+
+
+class TestTowerBlockChecks:
+    """The checks EmbeddedPoint.of made per point, on the block path."""
+
+    def test_point_outside_the_carrier(self, thin_grid_assembly):
+        asm = thin_grid_assembly
+        tower = next(iter(asm.towers.values()))
+        outside = next(x for x in range(asm.config.f.domain.n) if x not in tower.fiber)
+        with pytest.raises(InputError, match="outside the cover's carrier"):
+            projection_rows(tower.faces[0].cover, [tower.fiber.indices[0], outside])
+        with pytest.raises(InputError, match="outside the tower fiber"):
+            asm.tower_map(tower, outside)
+
+    def test_level_zero_weight_not_one(self, thin_grid_assembly):
+        asm = thin_grid_assembly
+        tower = next(iter(asm.towers.values()))
+        base = tower.faces[0]
+        x = tower.fiber.indices[-1]
+        weights = base.weights.copy()
+        weights[asm.config.f.images[x]] = 0.75
+        forged = dataclasses.replace(
+            tower, faces=(dataclasses.replace(base, weights=weights),) + tower.faces[1:])
+        with pytest.raises(InvariantViolation, match="level-0 weight") as excinfo:
+            tower_values(asm.config, forged)
+        images = asm.config.f.images
+        assert excinfo.value.witness == next(p for p in tower.fiber if images[p] == images[x])
+
+    def test_support_not_a_simplex(self, thin_grid_assembly):
+        asm = thin_grid_assembly
+        # a tower whose level-0 projection puts some point on an edge
+        tower = next(t for t in asm.towers.values()
+                     if (projection_rows(t.faces[0].cover, t.fiber.indices) != 0).sum(axis=1).max() > 1)
+        base = tower.faces[0]
+        bare = SimplicialComplex.from_maximal(base.nerve.vertices, [])
+        forged = dataclasses.replace(
+            tower, faces=(dataclasses.replace(base, nerve=bare),) + tower.faces[1:])
+        with pytest.raises(InvariantViolation, match="is not a simplex") as excinfo:
+            tower_values(asm.config, forged)
+        assert len(excinfo.value.witness) == 2
 
 
 # ---------------------------------------------------------------------------

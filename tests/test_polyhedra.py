@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from coarsedim.covers import make_cover
@@ -238,6 +239,24 @@ class TestMappingCylinder:
         lo = cyl.point(z, 0.7 - 1e-9)
         hi = cyl.point(z, 0.7 + 1e-9)
         assert embedded_distance(lo, hi) < 1e-7
+
+    def test_weights_short_of_t_have_no_cell(self):
+        # the weights sum to 1 within EmbeddedPoint.of's 1e-7 but stay
+        # below t = 1, so no prism cell holds the point
+        src = SimplicialComplex.from_maximal([("s", 0), ("s", 1)], [(("s", 0), ("s", 1))])
+        dst = SimplicialComplex.from_maximal([("t", 0)], [(("t", 0),)])
+        cyl = mapping_cylinder(SimplicialMap(src, dst, {v: ("t", 0) for v in src.vertices}))
+        z = EmbeddedPoint.of(src, {("s", 0): 0.5, ("s", 1): 0.5 - 5e-8})
+        want = (src.vertices, (0.5, 0.5 - 5e-8), 1.0)
+        with pytest.raises(InvariantViolation, match="no cylinder cell") as excinfo:
+            cyl.point(z, 1.0)
+        assert excinfo.value.witness == want
+        block = np.array([[0.25, 0.75], [0.5, 0.5 - 5e-8]])
+        with pytest.raises(InvariantViolation, match="no cylinder cell") as excinfo:
+            cyl.rows(block, [1.0, 1.0])
+        assert excinfo.value.witness == want
+        # at t = the weights' sum the point reaches the cylinder top
+        assert cyl.point(z, 1.0 - 5e-8).support() == (("t", 0),)
 
 
 class TestUniformization:
