@@ -622,12 +622,18 @@ def face_agreement_check(asm: Assembly, flag_a: tuple, flag_b: tuple, tol: float
 
 
 def all_face_agreements(asm: Assembly, tol: float = 1e-9) -> list[dict]:
+    """``face_agreement_check`` of every pair of towers that share a face,
+    with its ``pair``, in ``combinations(sorted(asm.towers), 2)`` order."""
+    by_face: dict[tuple, list[tuple]] = {}
+    for flag in sorted(asm.towers):
+        for face in flag:
+            by_face.setdefault(face, []).append(flag)
+    pairs = set(itertools.chain.from_iterable(itertools.combinations(f, 2) for f in by_face.values()))
     out = []
-    for pair in itertools.combinations(sorted(asm.towers), 2):
+    for pair in sorted(pairs):
         rep = face_agreement_check(asm, *pair, tol)
-        if rep["adjacent"]:
-            rep["pair"] = pair
-            out.append(rep)
+        rep["pair"] = pair
+        out.append(rep)
     return out
 
 

@@ -17,10 +17,11 @@ else a 1e-9 tolerance applies.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -160,15 +161,20 @@ class FiniteMetricSpace:
 
     @cached_property
     def graph_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(u, v, w)`` arrays of ``meta["edges"]`` without self-loops, for
-        a graph metric that keeps its edges; None for any other space."""
+        """``(start, v, w)``, the edges of ``meta["edges"]`` without
+        self-loops indexed by their first end: the edges (p, v, w) are
+        rows ``start[p]:start[p + 1]`` of ``v`` and ``w``, in their given
+        order.  None for a space that is not a graph metric keeping its
+        edges."""
         edges = self.meta.get("edges")
         if self.provenance != "graph-shortest-path" or edges is None:
             return None
         arr = np.array(edges, dtype=float).reshape(-1, 3)
         u, v = arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp)
-        keep = u != v
-        return u[keep], v[keep], arr[keep, 2]
+        keep = np.flatnonzero(u != v)
+        keep = keep[np.argsort(u[keep], kind="stable")]
+        start = np.concatenate([[0], np.cumsum(np.bincount(u[keep], minlength=self.n))])
+        return start, v[keep], arr[keep, 2]
 
 
 def _triangle_violation_exhaustive(m: np.ndarray, tol: float):
@@ -267,12 +273,14 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     """Shortest-path metric of a connected, positively weighted graph.
 
     ``edges`` is a list of ``(i, j)`` or ``(i, j, w)`` entries; missing
-    weights default to 1.  Parallel edges keep their lightest weight.  The
-    matrix is exactly symmetric: d(s, t) is the smaller of the two
-    directions' sums.  Disconnected graphs are rejected, and so is an n*n
-    matrix over ``MATRIX_CAP`` before it is allocated.  scipy is imported
-    on the first call with n > 1, so processes that build no graph never
-    load it.
+    weights default to 1.  The metric is that of the simple graph:
+    self-loops are dropped and parallel edges keep their lightest weight.
+    When every edge then has one length, the matrix comes from exact hop
+    counts (``_hop_metric``); otherwise from scipy's Dijkstra
+    (``_dijkstra_metric``), so scipy is loaded only by a graph with two
+    distinct weights.  Either way the matrix is exactly symmetric.
+    Disconnected graphs are rejected, and so is an n*n matrix over
+    ``MATRIX_CAP`` before it is allocated.
     """
     if n <= 0:
         raise InputError("graph needs at least one vertex")
@@ -289,33 +297,110 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
             raise InputError(f"edge {e} out of range")
         if w <= 0:
             raise InputError(f"edge {e} has nonpositive weight")
-        w = float(w)
-        given.append((int(i), int(j), w))
-        pair = (min(i, j), max(i, j))
-        lightest[pair] = min(w, lightest.get(pair, w))
+        i, j, w = int(i), int(j), float(w)
+        given.append((i, j, w))
+        if i != j:
+            pair = (min(i, j), max(i, j))
+            lightest[pair] = min(w, lightest.get(pair, w))
+    weights = set(lightest.values())
+    unit = min(weights, default=1.0)
     if n == 1:
         m = np.zeros((1, 1))
+    elif len(weights) <= 1 and unit < math.inf:
+        m = _hop_metric(n, lightest, unit)
     else:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import dijkstra
-
-        rows = [i for i, _ in lightest]
-        cols = [j for _, j in lightest]
-        graph = coo_matrix((list(lightest.values()), (rows, cols)), shape=(n, n))
-        m = dijkstra(graph, directed=False)
-        if np.isinf(m).any():
-            i, j = map(int, np.argwhere(np.isinf(m))[0])
-            raise InputError(f"graph is disconnected: no path between {i} and {j}")
-        # each source sums its own paths, so d(s, t) and d(t, s) can differ
-        # in the last ulp; keep the smaller, a row block at a time
-        step = max(1, SUP_RATIO_BLOCK // n)
-        for lo in range(0, n, step):
-            block = np.minimum(m[lo:lo + step], m[:, lo:lo + step].T)
-            m[lo:lo + step] = block
-            m[:, lo:lo + step] = block.T
+        m = _dijkstra_metric(n, lightest)
     space = FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path")
     space.meta["edges"] = given
     return space
+
+
+def _hop_metric(n: int, pairs: Iterable[tuple[int, int]], w: float) -> np.ndarray:
+    """Shortest-path matrix of the connected simple graph on the vertex
+    ``pairs`` over n > 1 vertices, every edge of length w, computed in
+    numpy from exact hop counts h.
+
+    H starts at +inf with a 0 diagonal.  Passes over the vertices in the
+    order of a BFS from vertex 0, alternately backward and forward, set
+    H[s] = min(H[s], 1 + min over neighbours u of H[u]), gathering
+    neighbour rows in blocks of at most ``SUP_RATIO_BLOCK`` entries, until
+    a pass changes nothing.  Then H = h:
+
+    - H >= h throughout: 1 + h(u, t) >= h(s, t) on every edge (s, u).
+    - A pass that changes nothing leaves H[s, t] <= 1 + H[u, t] on every
+      edge.  By induction on h(s, t): s = t has H = 0; otherwise some
+      neighbour u has h(u, t) = h(s, t) - 1 = H[u, t], so
+      H[s, t] <= h(s, t).
+    - The entries are integers (or +inf) that only decrease, and every
+      pass but the last decreases one, so the loop terminates.
+
+    Dijkstra sums any path of k edges as L[k], where L[0] = 0 and
+    L[k] = fl(L[k-1] + w); L is nondecreasing, so its distance is L[h]
+    bit for bit, and exactly symmetric because h is.  H is mapped to L[H]
+    in row blocks; the map is skipped when w = 1, where L[k] = k.
+
+    The BFS rejects a disconnected graph, naming 0 and the smallest vertex
+    it does not reach: the first infinite entry of the matrix in row-major
+    order.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * n
+    seen[0] = True
+    order = [0]
+    for s in order:
+        for t in adj[s]:
+            if not seen[t]:
+                seen[t] = True
+                order.append(t)
+    if len(order) < n:
+        raise InputError(f"graph is disconnected: no path between 0 and {seen.index(False)}")
+    h = np.full((n, n), np.inf)
+    np.fill_diagonal(h, 0.0)
+    step = max(1, SUP_RATIO_BLOCK // n)
+    rows = [(h[s], np.array(adj[s], dtype=np.intp)) for s in order]
+    changed = True
+    while changed:
+        changed = False
+        rows.reverse()
+        for row, nbrs in rows:
+            near = h[nbrs[:step]].min(axis=0)
+            for lo in range(step, len(nbrs), step):
+                np.minimum(near, h[nbrs[lo:lo + step]].min(axis=0), out=near)
+            near += 1.0
+            if changed or (near < row).any():
+                np.minimum(row, near, out=row)
+                changed = True
+    if w != 1.0:
+        lengths = np.fromiter(accumulate(repeat(w, int(h.max())), initial=0.0), dtype=float)
+        for lo in range(0, n, step):
+            h[lo:lo + step] = lengths[h[lo:lo + step].astype(np.intp)]
+    return h
+
+
+def _dijkstra_metric(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarray:
+    """Shortest-path matrix of the simple graph whose pairs carry the
+    ``lightest`` weights, by scipy's Dijkstra, imported here."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    rows = [i for i, _ in lightest]
+    cols = [j for _, j in lightest]
+    graph = coo_matrix((list(lightest.values()), (rows, cols)), shape=(n, n))
+    m = dijkstra(graph, directed=False)
+    if np.isinf(m).any():
+        i, j = map(int, np.argwhere(np.isinf(m))[0])
+        raise InputError(f"graph is disconnected: no path between {i} and {j}")
+    # each source sums its own paths, so d(s, t) and d(t, s) can differ
+    # in the last ulp; keep the smaller, a row block at a time
+    step = max(1, SUP_RATIO_BLOCK // n)
+    for lo in range(0, n, step):
+        block = np.minimum(m[lo:lo + step], m[:, lo:lo + step].T)
+        m[lo:lo + step] = block
+        m[:, lo:lo + step] = block.T
+    return m
 
 
 def path_space(n: int) -> FiniteMetricSpace:
@@ -515,12 +600,8 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
     idx = np.asarray(idx, dtype=np.intp)
     n_idx = len(idx)
     m = space.matrix
-    local = np.full(space.n, -1, dtype=np.intp)
-    local[idx] = np.arange(n_idx)
-    if not np.array_equal(local[idx], np.arange(n_idx)) or (m[idx, idx] != 0).any():
-        return None
-    inside = _inside_edges(m, edges, local)
-    if inside is None:
+    inside = _inside_edges(m, edges, idx)
+    if inside is None or (m[idx, idx] != 0).any():
         return None
     a, b, w = inside
     pred, pred_w = _predecessor_table(a, b, w, n_idx)
@@ -538,17 +619,29 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _inside_edges(m: np.ndarray, edges, local: np.ndarray):
-    """The edges (u, v, w) with both ends in the set (``local[p] >= 0``),
-    as local ``(a, b, w)`` arrays; None unless each has 0 < d(u, v) <= w
-    and 0 < d(v, u) <= w."""
-    u, v, w = edges
-    inside = (local[u] >= 0) & (local[v] >= 0)
-    u, v, w = u[inside], v[inside], w[inside]
+def _inside_edges(m: np.ndarray, edges, idx: np.ndarray):
+    """The edges (u, v, w) with both ends in the point list ``idx``, as
+    local ``(a, b, w)`` arrays, read from the rows of ``idx``'s points in
+    the edge index ``graph_edges``; None if ``idx`` repeats a point or an
+    edge misses 0 < d(u, v) <= w or 0 < d(v, u) <= w."""
+    start, end, weight = edges
+    order = np.argsort(idx, kind="stable")
+    srt = idx[order]
+    if (srt[1:] == srt[:-1]).any():
+        return None
+    first = start[idx]
+    count = start[idx + 1] - first
+    a = np.repeat(np.arange(len(idx)), count)
+    at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(a))
+    ends = end[at]
+    rank = np.minimum(np.searchsorted(srt, ends), len(idx) - 1)
+    inside = srt[rank] == ends
+    a, b, at = a[inside], order[rank[inside]], at[inside]
+    u, v, w = idx[a], idx[b], weight[at]
     duv, dvu = m[u, v], m[v, u]
     if not ((duv > 0) & (dvu > 0) & (duv <= w) & (dvu <= w)).all():
         return None
-    return local[u], local[v], w
+    return a, b, w
 
 
 def _predecessor_table(a: np.ndarray, b: np.ndarray, w: np.ndarray, n: int):

@@ -420,14 +420,20 @@ def fresh_python(code, *argv):
 
 
 class TestColdStart:
-    """scipy is loaded by the first graph metric, not by importing the CLI."""
+    """scipy is loaded by the first graph metric with two distinct edge
+    weights, not by importing the CLI or by an equal-weight graph."""
 
     @pytest.mark.parametrize("argv, loaded", [
         (["group", "ball", "--builtin", "heisenberg", "--R", "2", "--no-cache"], "False"),
-        (["space", "build", "grid", "3", "3"], "True"),
+        (["space", "build", "grid", "3", "3"], "False"),
     ], ids=["group ball", "space build"])
     def test_scipy_loaded_only_for_graph_metrics(self, argv, loaded):
         assert fresh_python(SCIPY_PROBE, *argv) == loaded
+
+    def test_scipy_loaded_for_two_distinct_weights(self, tmp_path):
+        path = tmp_path / "weighted.json"
+        path.write_text(json.dumps({"kind": "graph", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.5]]}))
+        assert fresh_python(SCIPY_PROBE, "space", "check", "--file", str(path)) == "True"
 
     def test_no_module_imports_scipy(self):
         assert fresh_python(IMPORT_ALL) == "False"

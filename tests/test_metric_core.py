@@ -1,4 +1,7 @@
+import heapq
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from coarsedim.metric_core import (
     ball,
     build_explicit,
     build_graph_metric,
+    cycle_space,
     diameter_of,
     grid_space,
     map_between_spaces,
@@ -42,6 +46,87 @@ def floyd_warshall(n, edges):
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[i][k] + d[k][j]
     return d
+
+
+def lightest_pairs(edges):
+    """The simple graph of ``(i, j, w)`` edges: no self-loops, the lightest
+    weight per pair."""
+    lightest = {}
+    for i, j, w in edges:
+        if i != j:
+            pair = (min(i, j), max(i, j))
+            lightest[pair] = min(w, lightest.get(pair, w))
+    return lightest
+
+
+def heap_dijkstra(n, edges):
+    """Independent Dijkstra from every source over the simple graph, each
+    distance summed d(u) + w in path order, then the smaller of the two
+    directions, as build_graph_metric keeps it."""
+    adj = [[] for _ in range(n)]
+    for (i, j), w in lightest_pairs(edges).items():
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    d = np.full((n, n), math.inf)
+    for s in range(n):
+        dist = [math.inf] * n
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue
+            for v, w in adj[u]:
+                if du + w < dist[v]:
+                    dist[v] = du + w
+                    heapq.heappush(heap, (dist[v], v))
+        d[s] = dist
+    return np.minimum(d, d.T)
+
+
+def scipy_metric(n, edges):
+    """scipy's Dijkstra on the simple graph, the smaller of the two
+    directions kept."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    lightest = lightest_pairs(edges)
+    rows, cols = zip(*lightest)
+    raw = dijkstra(coo_matrix((list(lightest.values()), (rows, cols)), shape=(n, n)), directed=False)
+    return np.minimum(raw, raw.T)
+
+
+def coset_tree():
+    """The coset tree of the benchmark's free product of two 4-point
+    paths at norm 10, whose edges have length 1/2."""
+    from coarsedim.group_spaces.free_products import PointedSpace, free_product_space, free_product_tree
+
+    path4 = PointedSpace(path_space(4), 0)
+    return free_product_tree(free_product_space(path4, path4, 10)).space
+
+
+def erdos_renyi():
+    """A connected G(400, 0.03) graph, every edge of length 0.1."""
+    rng = np.random.default_rng(5)
+    i, j = np.nonzero(np.triu(rng.random((400, 400)) < 0.03, 1))
+    return build_graph_metric(400, [(a, b, 0.1) for a, b in zip(i.tolist(), j.tolist())])
+
+
+@st.composite
+def equal_weight_multigraphs(draw):
+    """A connected multigraph whose lightest edge on every pair has one
+    length w, with heavier parallel edges (either orientation) and
+    self-loops of any weight."""
+    n = draw(st.integers(2, 12))
+    w = draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 1.0, 7.3]))
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v, w) for v in range(1, n)]
+    edges += [(i, j, w) for i, j in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))]
+    heavier = st.sampled_from([2 * w, w + 1, 50.0])
+    for i, j, _ in draw(st.lists(st.sampled_from(edges), max_size=n)):
+        edges.append((j, i, draw(heavier)) if draw(st.booleans()) else (i, j, draw(heavier)))
+    edges += [(v, v, draw(heavier | st.just(0.01))) for v in draw(st.lists(vertex, max_size=3))]
+    return n, draw(st.permutations(edges))
 
 
 def no_allocation(*args, **kwargs):
@@ -101,8 +186,12 @@ class TestGraphMetric:
         assert np.allclose(s.matrix, np.array(oracle))
 
     def test_disconnected_rejected(self):
-        with pytest.raises(InputError):
-            build_graph_metric(4, [(0, 1), (2, 3)])
+        # the message names 0 and the smallest vertex 0 does not reach,
+        # for equal weights (hop counts) and for two weights (scipy) alike
+        for n, edges, pair in [(4, [(0, 1), (2, 3)], "0 and 2"), (3, [], "0 and 1"),
+                               (4, [(0, 1, 1), (2, 3, 2)], "0 and 2")]:
+            with pytest.raises(InputError, match=f"^graph is disconnected: no path between {pair}$"):
+                build_graph_metric(n, edges)
 
     def test_matrix_cap_before_allocation(self, monkeypatch):
         import scipy.sparse.csgraph
@@ -110,6 +199,7 @@ class TestGraphMetric:
         monkeypatch.setattr(metric_core, "MATRIX_CAP", 8)
         with monkeypatch.context() as m:
             m.setattr(scipy.sparse.csgraph, "dijkstra", no_allocation)
+            m.setattr(metric_core, "_hop_metric", no_allocation)
             with pytest.raises(CapExceeded, match="graph has 3 vertices; its matrix exceeds cap 8"):
                 path_space(3)
         assert path_space(2).dist(0, 1) == 1.0  # 2 x 2 is within the cap
@@ -140,12 +230,7 @@ class TestGraphMetric:
         path = [(v, v + 1, 1.0) for v in range(n - 1)]  # keeps it connected
         multi = path + extra + [(j, i, w) for i, j, w in extra if rng.random() < 0.5]
         rng.shuffle(multi)
-        lightest = {}
-        for i, j, w in multi:
-            if i != j:
-                pair = (min(i, j), max(i, j))
-                lightest[pair] = min(w, lightest.get(pair, w))
-        simple = [(i, j, w) for (i, j), w in lightest.items()]
+        simple = [(i, j, w) for (i, j), w in lightest_pairs(multi).items()]
         m = build_graph_metric(n, multi).matrix
         assert np.array_equal(m, build_graph_metric(n, simple).matrix)
         assert np.array_equal(m, np.array(floyd_warshall(n, multi)))
@@ -175,6 +260,36 @@ class TestGraphMetric:
             asymmetric += not np.array_equal(raw, raw.T)
             assert np.array_equal(m, np.minimum(raw, raw.T))
         assert asymmetric  # the family does hit unequal sums
+
+    @settings(max_examples=100, deadline=None)
+    @given(equal_weight_multigraphs())
+    def test_equal_weights_match_heap_dijkstra(self, case):
+        n, edges = case
+        with mock.patch.object(metric_core, "_dijkstra_metric", no_allocation):
+            m = build_graph_metric(n, edges).matrix
+        assert np.array_equal(m, heap_dijkstra(n, edges))
+
+    @pytest.mark.parametrize("build", [
+        lambda: grid_space(31, 31), lambda: grid_space(4, 512), lambda: cycle_space(500), coset_tree, erdos_renyi,
+    ], ids=["grid31x31", "grid4x512", "cycle500", "coset-tree", "erdos-renyi"])
+    def test_equal_weights_match_scipy_exactly(self, build):
+        with mock.patch.object(metric_core, "_dijkstra_metric", no_allocation):
+            space = build()
+        assert np.array_equal(space.matrix, scipy_metric(space.n, space.meta["edges"]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: grid_space(4, 512), lambda: path_space(2600),
+        lambda: build_graph_metric(2001, [(0, leaf) for leaf in range(1, 2001)]),
+    ], ids=["grid4x512", "path2600", "star2000"])
+    def test_hop_counts_allocate_little_beyond_the_output(self, build):
+        tracemalloc.start()
+        try:
+            space = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * space.matrix.nbytes
+
 
 class TestBallsAndSets:
     def test_ball_radius_zero(self):
