@@ -29,6 +29,7 @@ from .metric_core import (
     TOL,
     FiniteMetricSpace,
     PointSet,
+    _whole,
     as_point_set,
     diameter_of,
     neighborhood,
@@ -692,15 +693,24 @@ def decomposition_to_json(decomp: ColoredDecomposition) -> dict:
     return doc
 
 
+def _json_points(values, space: FiniteMetricSpace) -> PointSet:
+    """A point list of a decomposition file: whole numbers in range(n)."""
+    pts = [_whole(p, "point") for p in values]
+    outside = [p for p in pts if not 0 <= p < space.n]
+    if outside:
+        raise InputError(f"point {outside[0]} is outside the space's {space.n} points")
+    return PointSet.of(pts)
+
+
 def decomposition_from_json(doc: dict, space) -> ColoredDecomposition:
     try:
-        fams = tuple(tuple(PointSet.of(s) for s in fam) for fam in doc["families"])
+        fams = tuple(tuple(_json_points(s, space) for s in fam) for fam in doc["families"])
         dec = ColoredDecomposition(
             space,
             fams,
             D=float(doc["D"]),
             B=float(doc["B"]),
-            carrier=PointSet.of(doc["carrier"]) if "carrier" in doc else None,
+            carrier=_json_points(doc["carrier"], space) if "carrier" in doc else None,
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"decomposition JSON missing field: {exc}") from exc

@@ -50,7 +50,6 @@ from .metric_core import (
     sup_ratio,
 )
 from .polyhedra import (
-    EmbeddedPoint,
     SimplicialComplex,
     SimplicialMap,
     check_rows,
@@ -60,7 +59,6 @@ from .polyhedra import (
     nerve,
     projection_rows,
     refinement_map,
-    row_point,
     used_columns,
 )
 
@@ -254,24 +252,9 @@ class Assembly:
     def face_covers(self) -> dict[tuple, Cover]:
         return {simplex: face.cover for simplex, face in self.faces.items()}
 
-    def tower_map(self, tower: Tower, x: int) -> EmbeddedPoint:
-        row = tower.fiber.rank([x], "the tower fiber")[0]
-        return row_point(tower.complex, self.values[tower.flag][row])
-
-    def phi(self, x: int) -> EmbeddedPoint:
-        return self.tower_map(self.towers[self.assignment[x]], x)
-
-
-def tower_t_coordinates(config: HurewiczConfig, tower: Tower, x: int) -> list[float]:
-    """Proximity weights of f(x) to the tower's nested base regions; the
-    level-0 weight is 1 on the tower's own fiber."""
-    if x not in tower.fiber:
-        raise InputError(f"point {x} is outside the tower fiber")
-    y = config.f.images[x]
-    ts = [float(face.weights[y]) for face in tower.faces]
-    if abs(ts[0] - 1.0) > T_EPS:
-        raise InvariantViolation(f"level-0 weight is {ts[0]} != 1 on the fiber")
-    return ts
+    def tower_map(self, tower: Tower, x: int) -> np.ndarray:
+        """The row of fiber point x in the tower's block, as a new 1-d row."""
+        return self.values[tower.flag][tower.fiber.rank([x], "the tower fiber")][0]
 
 
 def tower_values(config: HurewiczConfig, tower: Tower) -> np.ndarray:
@@ -281,8 +264,9 @@ def tower_values(config: HurewiczConfig, tower: Tower) -> np.ndarray:
     Level 0 is the fiber cover's canonical projection.  At level p, a row
     with t_p <= 1/2 goes through cylinder p's quotient at 2 t_p; a row with
     t_p > 1/2 blends its g_p-image, weighted 2 (1 - t_p), with face p's
-    projection, weighted 2 t_p - 1.  Every level's block is checked as
-    ``EmbeddedPoint.of`` checks a point."""
+    projection, weighted 2 t_p - 1.  The t_p are the proximity weights of
+    f(x) to the tower's nested base regions; t_0 must be 1 on the fiber.
+    Every level's block is checked by ``check_rows``."""
     pts = np.asarray(tower.fiber.indices, dtype=np.intp)
     base = tower.faces[0]
     phi = check_rows(base.nerve, projection_rows(base.cover, pts))
@@ -540,9 +524,9 @@ def _finish_report(asm: Assembly) -> None:
 def _phi_matrix(asm: Assembly) -> np.ndarray:
     """Coordinate matrix of Phi, read from the rows of the points assigned
     to each tower.  Its columns are the vertices Phi uses, in the order a
-    scan of the points in index order first meets them, which is
-    ``coordinate_matrix``'s order: a vertex is keyed by its first point and
-    its column in that point's tower."""
+    row-major scan of the points in index order first meets them, as
+    ``used_columns`` orders a block: a vertex is keyed by its first point
+    and its column in that point's tower."""
     assigned: dict[tuple, list[int]] = {}
     for x, flag in asm.assignment.items():
         assigned.setdefault(flag, []).append(x)

@@ -282,6 +282,7 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     Disconnected graphs are rejected, and so is an n*n matrix over
     ``MATRIX_CAP`` before it is allocated.
     """
+    n = _whole(n, "vertex count")
     if n <= 0:
         raise InputError("graph needs at least one vertex")
     if n * n > MATRIX_CAP:
@@ -293,11 +294,12 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
             i, j, w = e[0], e[1], 1.0
         else:
             i, j, w = e
+        i, j = _whole(i, f"edge {e}: vertex"), _whole(j, f"edge {e}: vertex")
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge {e} out of range")
         if w <= 0:
             raise InputError(f"edge {e} has nonpositive weight")
-        i, j, w = int(i), int(j), float(w)
+        w = float(w)
         given.append((i, j, w))
         if i != j:
             pair = (min(i, j), max(i, j))
@@ -313,6 +315,18 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     space = FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path")
     space.meta["edges"] = given
     return space
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int; ``InputError`` unless it is a whole number, so
+    a fractional index is rejected instead of truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value:
+        raise InputError(f"{what} {value!r} is not a whole number")
+    return out
 
 
 def _hop_metric(n: int, pairs: Iterable[tuple[int, int]], w: float) -> np.ndarray:
@@ -533,7 +547,7 @@ def map_between_spaces(
     assignment: Sequence[int],
     declared_lipschitz: float | None = None,
 ) -> MetricMap:
-    assignment = tuple(int(a) for a in assignment)
+    assignment = tuple(_whole(a, "image point") for a in assignment)
     for a in assignment:
         if not (0 <= a < codomain.n):
             raise InputError(f"image point {a} outside codomain")
@@ -548,30 +562,19 @@ def measured_lipschitz(m: MetricMap) -> float:
     """Largest ratio d(f(x), f(y)) / d(x, y) over all pairs of distinct
     points, exact.
 
-    For the reals this is ``sup_ratio``.  For a finite codomain, when
-    ``edge_certificate`` passes on the whole domain, the value is the
-    maximum of d_cod(f(u), f(v)) / d(u, v) over the domain's edges: the
-    certificate's chain argument (see ``sup_ratio``) goes through with the
-    codomain's symmetry and triangle inequality, which its axiom check
-    holds it to, in place of the Euclidean norm's.  Otherwise it takes one codomain row
-    gather per domain row over all pairs.  Either way temporaries stay
-    below ``SUP_RATIO_BLOCK`` entries per row or edge block.
+    For the reals this is ``sup_ratio``.  For a finite codomain it is the
+    same pair scan with codomain distances as numerators: when
+    ``edge_certificate`` passes on the whole domain, the maximum over the
+    domain's edges, since the certificate's chain argument (see
+    ``sup_ratio``) goes through with the codomain's symmetry and triangle
+    inequality, which its axiom check holds it to, in place of the
+    Euclidean norm's.
     """
     if m.codomain == "reals":
         return sup_ratio(m.domain, m.points(), m.images)
     img = np.asarray(m.images, dtype=np.intp)
-    cod, dom = m.codomain.matrix, m.domain.matrix
-    best = 0.0
-    edges = edge_certificate(m.domain, range(m.domain.n))
-    if edges is not None:
-        a, b = edges
-        for lo in range(0, len(a), SUP_RATIO_BLOCK):
-            ea, eb = a[lo:lo + SUP_RATIO_BLOCK], b[lo:lo + SUP_RATIO_BLOCK]
-            best = max(best, float((cod[img[ea], img[eb]] / dom[ea, eb]).max()))
-        return best
-    for i in range(len(img) - 1):
-        best = max(best, float((cod[img[i], img[i + 1:]] / dom[i, i + 1:]).max()))
-    return best
+    cod = m.codomain.matrix
+    return _pair_sup(m.domain, np.arange(m.domain.n), lambda a, b: cod[img[a], img[b]], 1)
 
 
 def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndarray] | None:
@@ -692,7 +695,18 @@ def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    step = max(1, SUP_RATIO_BLOCK // max(1, X.shape[1]))
+    return _pair_sup(space, idx, lambda a, b: _row_norms(X[b] - X[a]), X.shape[1])
+
+
+def _pair_sup(space: FiniteMetricSpace, idx: np.ndarray, numerator, width: int) -> float:
+    """Largest numerator(i, j) / d(idx[i], idx[j]) over local pairs i < j
+    with a positive distance: over the certified edges when
+    ``edge_certificate(space, idx)`` passes, else over all pairs, a row
+    block at a time.  ``numerator(a, b)`` takes local indices (index
+    arrays, or a row index and a slice) and returns one value per pair,
+    from a temporary of ``width`` entries per pair; blocks keep temporaries
+    below ``SUP_RATIO_BLOCK`` entries."""
+    step = max(1, SUP_RATIO_BLOCK // max(1, width))
     best = 0.0
     edges = edge_certificate(space, idx)
     if edges is not None:
@@ -700,15 +714,15 @@ def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
         for lo in range(0, len(a), step):
             ea, eb = a[lo:lo + step], b[lo:lo + step]
             dist = space.matrix[idx[ea], idx[eb]]
-            best = max(best, float((_row_norms(X[eb] - X[ea]) / dist).max()))
+            best = max(best, float((numerator(ea, eb) / dist).max()))
         return best
     for i in range(len(idx) - 1):
         for lo in range(i + 1, len(idx), step):
-            norms = _row_norms(X[lo:lo + step] - X[i])
-            dist = space.matrix[idx[i], idx[lo:lo + step]]
+            block = slice(lo, lo + step)
+            dist = space.matrix[idx[i], idx[block]]
             pos = dist > 0
             if pos.any():
-                best = max(best, float((norms[pos] / dist[pos]).max()))
+                best = max(best, float((numerator(i, block)[pos] / dist[pos]).max()))
     return best
 
 

@@ -1,19 +1,18 @@
 """Uniform polyhedra: nerves, canonical projections, simplicial maps and
 mapping cylinders.
 
-Complexes are realized with one orthonormal basis vector per vertex, so a
-point is a sparse vertex-to-weight map with weights summing to 1, and the
-polyhedron metric is plain Euclidean distance on those coordinate vectors.
+Complexes are realized with one orthonormal basis vector per vertex, and
+the polyhedron metric is plain Euclidean distance on those coordinate
+vectors.  Points of one complex form a coordinate block: one row per
+point, one column per vertex in the complex's vertex order, each row's
+weights nonnegative, summing to 1 and supported on a simplex, as
+``check_rows`` checks.  Projections, simplicial maps and cylinder
+quotients act on whole blocks.
+
 Mapping cylinders are triangulated on the disjoint union of source and
 target vertices; the quotient map q from (source point, t) onto the
 cylinder is computed explicitly from the ordered prism decomposition, and
 its Lipschitz constant is measured, not assumed.
-
-Many points of one complex form a coordinate block: one row per point,
-one column per vertex in the complex's vertex order.  Projections,
-simplicial maps and cylinder quotients act on whole blocks; the per-point
-calls are one-row blocks, and ``check_rows`` checks a block as
-``EmbeddedPoint.of`` checks a point.
 """
 
 from __future__ import annotations
@@ -100,69 +99,11 @@ class SimplicialComplex:
         return sorted(out, key=lambda s: (len(s), s))
 
 
-@dataclass(frozen=True)
-class EmbeddedPoint:
-    """Sparse barycentric point of a complex: vertex id -> weight, weights
-    positive and summing to 1, support a simplex of the complex."""
-
-    complex: SimplicialComplex
-    coords: tuple[tuple[Hashable, float], ...]
-
-    @staticmethod
-    def of(complex: SimplicialComplex, coords: dict) -> "EmbeddedPoint":
-        """The point with these weights, checked by ``check_rows``."""
-        row = np.zeros((1, len(complex.vertices)))
-        for v, w in coords.items():
-            row[0, complex.positions[v]] = w
-        return row_point(complex, check_rows(complex, row)[0])
-
-    def as_dict(self) -> dict:
-        return dict(self.coords)
-
-    def support(self) -> tuple:
-        return tuple(v for v, _ in self.coords)
-
-
-def embedded_distance(p: EmbeddedPoint, q: EmbeddedPoint) -> float:
-    """Euclidean distance of sparse coordinate vectors (vertex ids are the
-    orthonormal basis, so this also works across glued complexes)."""
-    a, b = p.as_dict(), q.as_dict()
-    total = 0.0
-    for v in set(a) | set(b):
-        diff = a.get(v, 0.0) - b.get(v, 0.0)
-        total += diff * diff
-    return math.sqrt(total)
-
-
-def coordinate_matrix(points: Sequence[EmbeddedPoint]) -> np.ndarray:
-    """Dense coordinates of the points: one row per point, one column per
-    vertex of the union of their supports (first-seen order)."""
-    columns: dict = {}
-    for p in points:
-        for v, _ in p.coords:
-            columns.setdefault(v, len(columns))
-    out = np.zeros((len(points), len(columns)))
-    for i, p in enumerate(points):
-        for v, w in p.coords:
-            out[i, columns[v]] = w
-    return out
-
-
-def block_of(complex: SimplicialComplex, points: Sequence[EmbeddedPoint]) -> np.ndarray:
-    """Coordinate block of points of ``complex``."""
-    pos = complex.positions
-    out = np.zeros((len(points), len(complex.vertices)))
-    for i, p in enumerate(points):
-        for v, w in p.coords:
-            out[i, pos[v]] = w
-    return out
-
-
 def check_rows(complex: SimplicialComplex, block: np.ndarray) -> np.ndarray:
     """Zero the weights at most ``COORD_EPS`` of a coordinate block, in
-    place, and check each row as ``EmbeddedPoint.of`` checks a point: the
-    weights sum to 1 within 1e-7, none is negative, and the support is a
-    simplex (each distinct support pattern is looked up once)."""
+    place, and check that each row is a point of the complex: the weights
+    sum to 1 within 1e-7, none is negative, and the support is a simplex
+    (each distinct support pattern is looked up once)."""
     block[np.abs(block) <= COORD_EPS] = 0.0
     totals = block.sum(axis=1)
     off = ~(np.abs(totals - 1.0) <= 1e-7)
@@ -177,28 +118,14 @@ def check_rows(complex: SimplicialComplex, block: np.ndarray) -> np.ndarray:
     return block
 
 
-def row_point(complex: SimplicialComplex, row: np.ndarray) -> EmbeddedPoint:
-    """The point of one row of a checked coordinate block."""
-    nz = np.flatnonzero(row)
-    return EmbeddedPoint(complex, tuple(zip([complex.vertices[c] for c in nz], row[nz].tolist())))
-
-
 def used_columns(block: np.ndarray) -> np.ndarray:
     """The block's columns with a nonzero entry, in the order a row-major
-    scan first meets them: ``block[:, used_columns(block)]`` is the
-    ``coordinate_matrix`` of the block's rows."""
+    scan first meets them.  ``sup_ratio`` sums each row norm of
+    ``block[:, used_columns(block)]`` in this order, so every measured
+    constant depends on it bit for bit."""
     nz = block != 0
     used = np.flatnonzero(nz.any(axis=0))
     return used[np.lexsort((used, nz[:, used].argmax(axis=0)))]
-
-
-def vertex_point(complex: SimplicialComplex, v) -> EmbeddedPoint:
-    return EmbeddedPoint.of(complex, {v: 1.0})
-
-
-def barycenter_point(complex: SimplicialComplex, simplex: Iterable) -> EmbeddedPoint:
-    ids = complex.sort_ids(simplex)
-    return EmbeddedPoint.of(complex, {v: 1.0 / len(ids) for v in ids})
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +157,6 @@ def projection_rows(cover: Cover, points) -> np.ndarray:
         x = np.asarray(points)[lost][0]
         raise InputError(f"point {x} lies in no cover set; family is not a cover at {x}")
     return out
-
-
-def canonical_projection(cover: Cover, x: int, complex: SimplicialComplex | None = None) -> EmbeddedPoint:
-    """Partition-of-unity projection of a carrier point into the nerve:
-    one row of ``cover.projections`` (the weight of a set is its
-    normalized depth d(x, carrier minus set))."""
-    if complex is None:
-        complex = nerve(cover)
-    return row_point(complex, check_rows(complex, projection_rows(cover, [x]))[0])
 
 
 def projection_lipschitz_check(cover: Cover) -> dict:
@@ -300,15 +218,6 @@ class SimplicialMap:
         """The map on a block of source rows, checked in the target."""
         return check_rows(self.target, self.push(block))
 
-    def compose(self, later: "SimplicialMap") -> "SimplicialMap":
-        if later.source is not self.target:
-            raise InputError("composition mismatch")
-        return SimplicialMap(
-            self.source,
-            later.target,
-            {v: later.assignment[self.assignment[v]] for v in self.source.vertices},
-        )
-
 
 def refinement_map(
     fine: Cover,
@@ -358,8 +267,8 @@ class MappingCylinder:
 
     Vertices are the disjoint union of source and target vertices; each
     source simplex [v0..vp] contributes the cells [v0..vi, g(vi)..g(vp)].
-    ``point(w, t)`` is the quotient map: t=0 is the isometric source copy,
-    t=1 lands on the g-image in the target copy.
+    ``rows(block, t)`` is the quotient map: t=0 is the isometric source
+    copy, t=1 lands on the g-image in the target copy.
     """
 
     map: SimplicialMap
@@ -406,8 +315,9 @@ class MappingCylinder:
         top[at] = t[:, 0] - np.take_along_axis(suffix, i + 1, axis=1)[:, 0]
         return check_rows(self.complex, np.hstack([bottom, self.map.push(top)]))
 
-    def point(self, w: EmbeddedPoint, t: float) -> EmbeddedPoint:
-        return row_point(self.complex, self.rows(block_of(self.source, [w]), [t])[0])
+    def point(self, w: np.ndarray, t: float) -> np.ndarray:
+        """The quotient map at one source row: a one-row ``rows``."""
+        return self.rows(w[None, :], [t])[0]
 
 
 def mapping_cylinder(g: SimplicialMap) -> MappingCylinder:
@@ -429,29 +339,26 @@ def _simplex_complex(dim: int, tag: str) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(ids, [ids])
 
 
-def _sample_points(complex: SimplicialComplex) -> list[EmbeddedPoint]:
-    pts = [vertex_point(complex, v) for v in complex.vertices]
-    for s in sorted(complex.simplices, key=lambda s: (len(s), s)):
-        if len(s) >= 2:
-            pts.append(barycenter_point(complex, s))
-    return pts
-
-
 def measure_cylinder_constant(cyl: MappingCylinder, t_steps: int = 16) -> float:
     """Measured Lipschitz constant of the quotient map q on the product
-    source x [0, 1] with metric sqrt(d^2 + dt^2), sampled on vertices,
-    barycenters, and a uniform t grid (pairs closer than ``COORD_EPS``
-    are skipped)."""
-    samples = _sample_points(cyl.source)
-    ts = [i / t_steps for i in range(t_steps + 1)]
-    states = [(z, t) for z in samples for t in ts]
-    rows = np.hstack(
-        [coordinate_matrix([z for z, _ in states]), np.tile(ts, len(samples))[:, None]]
-    )
+    source x [0, 1] with metric sqrt(d^2 + dt^2), sampled on a uniform t
+    grid at the vertices, then at the barycenters of the simplices of two
+    or more vertices in ``(len, simplex)`` order (pairs closer than
+    ``COORD_EPS`` are skipped)."""
+    src = cyl.source
+    cells = [s for s in sorted(src.simplices, key=lambda s: (len(s), s)) if len(s) >= 2]
+    samples = np.zeros((len(src.vertices) + len(cells), len(src.vertices)))
+    samples[: len(src.vertices)] = np.eye(len(src.vertices))
+    for row, s in enumerate(cells, start=len(src.vertices)):
+        samples[row, [src.positions[v] for v in s]] = 1.0 / len(s)
+    check_rows(src, samples)
+    ts = np.tile([i / t_steps for i in range(t_steps + 1)], len(samples))
+    block = np.repeat(samples, t_steps + 1, axis=0)
+    rows = np.hstack([block, ts[:, None]])
     dist = np.array([np.sqrt(np.einsum("ij,ij->i", rows - row, rows - row)) for row in rows])
     dist[dist <= COORD_EPS] = 0.0
     grid = FiniteMetricSpace(dist)
-    images = cyl.rows(block_of(cyl.source, [z for z, _ in states]), [t for _, t in states])
+    images = cyl.rows(block, ts)
     return sup_ratio(grid, grid.points(), images[:, used_columns(images)])
 
 

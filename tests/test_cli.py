@@ -55,6 +55,17 @@ class TestSpace:
         code, out, _ = run(capsys, "space", "check", "--file", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "graph", "n": 3, "edges": [[0, 1.5], [1, 2]]},
+        {"kind": "graph", "n": 3.5, "edges": [[0, 1], [1, 2]]},
+    ], ids=["fractional-vertex", "fractional-n"])
+    def test_check_non_integral_graph_exit_2(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "space", "check", "--file", str(bad))
+        assert code == 2
+        assert out.startswith("FAIL:") and "is not a whole number" in out
+
     def test_info_prints_diameter(self, tmp_path, capsys):
         f = write_space(tmp_path, "p.json", path_space(10))
         code, out, _ = run(capsys, "space", "info", "--file", f)
@@ -103,6 +114,19 @@ class TestCover:
         assert code == 2
         assert out == ""
         assert "nonempty" in err
+
+    @pytest.mark.parametrize("families, message", [
+        ([[[0, 1, 2], [6, 7, 8.5]]], "point 8.5 is not a whole number"),
+        ([[[0, 1, 2], [6, 7, 99]]], "point 99 is outside"),
+    ], ids=["fractional", "outside"])
+    def test_verify_bad_point_exit_2(self, tmp_path, capsys, families, message):
+        space = write_space(tmp_path, "g.json", grid_space(3, 3))
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps({"D": 1, "B": 5, "families": families}))
+        code, out, err = run(capsys, "cover", "verify", space, "--decomposition", str(dec))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_profile_csv(self, tmp_path, capsys):
         space = write_space(tmp_path, "p64.json", path_space(64))
@@ -180,6 +204,17 @@ class TestHurewicz:
         report = json.loads(out)
         assert report["sub_required_scale"]
         assert "measured_lipschitz" in report
+
+
+    def test_fractional_image_exit_2(self, tmp_path, capsys):
+        space = write_space(tmp_path, "p.json", path_space(3))
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"codomain": space, "assignment": [0, 1.5, 2]}))
+        code, out, err = run(capsys, "hurewicz", "run", "--space", space, "--map", str(map_path),
+                             "--n", "1", "--k", "1", "--r", "2")
+        assert code == 2
+        assert out == ""
+        assert "image point 1.5 is not a whole number" in err
 
 
 class TestGroup:

@@ -359,6 +359,17 @@ class TestProfile:
 
 
 class TestJson:
+    @pytest.mark.parametrize("doc, message", [
+        ({"families": [[[0, 1], [8.5]]]}, "point 8.5 is not a whole number"),
+        ({"families": [[[0, 1], [99]]]}, "point 99 is outside the space's 9 points"),
+        ({"families": [[[0, 1], [-1]]]}, "point -1 is outside"),
+        ({"families": [[[0, 1]]], "carrier": [0, 1.5]}, "point 1.5 is not a whole number"),
+        ({"families": [[[0, 1]]], "carrier": [0, 1, 9]}, "point 9 is outside"),
+    ], ids=["fractional", "too-large", "negative", "fractional-carrier", "carrier-outside"])
+    def test_decomposition_points_must_be_space_points(self, doc, message):
+        with pytest.raises(InputError, match=message):
+            decomposition_from_json({"D": 1, "B": 5, **doc}, grid_space(3, 3))
+
     def test_decomposition_round_trip(self):
         s = path_space(10)
         dec = colored_decomposition(s, D=2, B=2, mode="exact")

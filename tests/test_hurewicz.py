@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coarsedim.errors import InputError, InvariantViolation, StageFailure
@@ -17,7 +18,6 @@ from coarsedim.hurewicz import (
     proximity_weights,
     recursion_closed_form_bound,
     required_scale,
-    tower_t_coordinates,
 )
 from coarsedim.metric_core import (
     build_graph_metric,
@@ -26,6 +26,7 @@ from coarsedim.metric_core import (
     measured_lipschitz,
     path_space,
 )
+from coarsedim.polyhedra import check_rows, projection_rows
 
 
 def constant_map(domain, codomain, point):
@@ -37,6 +38,29 @@ def column_projection(rows, cols):
     grid = grid_space(rows, cols)
     path = path_space(cols)
     return map_between_spaces(grid, path, [p % cols for p in range(grid.n)], 1.0)
+
+
+def t_coordinates(config, tower, x):
+    """Proximity weights of f(x) to the tower's nested base regions."""
+    y = config.f.images[x]
+    return [float(face.weights[y]) for face in tower.faces]
+
+
+def as_dict(complex, row):
+    """A row's nonzero weights by vertex."""
+    nz = np.flatnonzero(row)
+    return dict(zip([complex.vertices[c] for c in nz], row[nz].tolist()))
+
+
+def projection(face, x):
+    """A fiber point's canonical projection into the face's nerve."""
+    return as_dict(face.nerve, check_rows(face.nerve, projection_rows(face.cover, [x]))[0])
+
+
+def phi(asm, x):
+    """Phi at x, by vertex: x's row in its assigned tower's block."""
+    tower = asm.towers[asm.assignment[x]]
+    return as_dict(tower.complex, asm.tower_map(tower, x))
 
 
 class TestScaleArithmetic:
@@ -64,8 +88,6 @@ class TestScaleArithmetic:
         assert lams[1] == pytest.approx(0.693333333333)
 
     def test_recursion_below_closed_form(self):
-        import numpy as np
-
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(0, 3))
@@ -197,22 +219,19 @@ class TestStressAssembly:
 
     def test_phi_total(self, asm):
         for x in range(asm.config.f.domain.n):
-            point = asm.phi(x)
-            assert abs(sum(point.as_dict().values()) - 1.0) < 1e-9
+            assert abs(sum(phi(asm, x).values()) - 1.0) < 1e-9
 
     def test_support_sets_contain_point(self, asm):
         # every vertex of the image carrier is a cover set containing x
         for x in range(0, asm.config.f.domain.n, 7):
-            flag = asm.assignment[x]
-            tower = asm.towers[flag]
-            for (face, j), _ in asm.phi(x).coords:
+            for face, j in phi(asm, x):
                 assert x in asm.face_covers[face].sets[j]
 
     def test_t_coordinates_cases(self, asm):
         tower = next(t for t in asm.towers.values() if t.depth == 1)
         cfg = asm.config
         for x in tower.fiber:
-            ts = tower_t_coordinates(cfg, tower, x)
+            ts = t_coordinates(cfg, tower, x)
             assert ts[0] == 1.0
             y = cfg.f.images[x]
             d = min(cfg.f.codomain.dist(y, w) for w in tower.faces[1].region)
@@ -224,35 +243,31 @@ class TestStressAssembly:
     def test_tower_value_at_zero_weight_is_base_projection(self, asm):
         # t_1 = 0 keeps the literal base-copy coordinates of the level-0
         # projection (the cylinder bottom embeds isometrically)
-        from coarsedim.polyhedra import canonical_projection
-
         cfg = asm.config
         hits = 0
         for tower in asm.towers.values():
             if tower.depth != 1:
                 continue
             for x in tower.fiber:
-                ts = tower_t_coordinates(cfg, tower, x)
+                ts = t_coordinates(cfg, tower, x)
                 if ts[1] == 0.0:
-                    base = canonical_projection(tower.faces[0].cover, x, tower.faces[0].nerve)
-                    assert asm.tower_map(tower, x).as_dict() == base.as_dict()
+                    value = as_dict(tower.complex, asm.tower_map(tower, x))
+                    assert value == projection(tower.faces[0], x)
                     hits += 1
         assert hits > 0
 
     def test_tower_value_at_full_weight_is_top_projection(self, asm):
         # t_1 = 1 wipes the history: the value is the level-1 projection
-        from coarsedim.polyhedra import canonical_projection
-
         cfg = asm.config
         hits = 0
         for tower in asm.towers.values():
             if tower.depth != 1:
                 continue
             for x in tower.fiber:
-                ts = tower_t_coordinates(cfg, tower, x)
+                ts = t_coordinates(cfg, tower, x)
                 if ts[1] == 1.0:
-                    top = canonical_projection(tower.faces[1].cover, x, tower.faces[1].nerve)
-                    assert asm.tower_map(tower, x).as_dict() == pytest.approx(top.as_dict())
+                    value = as_dict(tower.complex, asm.tower_map(tower, x))
+                    assert value == pytest.approx(projection(tower.faces[1], x))
                     hits += 1
         assert hits > 0
 
@@ -339,8 +354,8 @@ class TestFaceRecords:
     def test_agreement_points_match_the_per_point_rule(self, stress_assembly, depth2_assembly):
         # reference: the per-point eligibility loop the weight masks replace
         def eligible(cfg, ta, tb, x):
-            tsa = tower_t_coordinates(cfg, ta, x)
-            tsb = tower_t_coordinates(cfg, tb, x)
+            tsa = t_coordinates(cfg, ta, x)
+            tsb = t_coordinates(cfg, tb, x)
             prefix = 0
             while prefix < min(len(ta.flag), len(tb.flag)) and ta.flag[prefix] == tb.flag[prefix]:
                 prefix += 1

@@ -42,7 +42,6 @@ from coarsedim.hurewicz import (
     all_face_agreements,
     build_assembly,
     make_config,
-    tower_t_coordinates,
     tower_values,
 )
 from coarsedim.metric_core import (
@@ -64,14 +63,12 @@ from coarsedim.metric_core import (
 )
 from coarsedim.polyhedra import (
     COORD_EPS,
-    EmbeddedPoint,
     SimplicialComplex,
-    canonical_projection,
-    coordinate_matrix,
-    embedded_distance,
+    check_rows,
     nerve,
     projection_lipschitz_check,
     projection_rows,
+    used_columns,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -139,7 +136,9 @@ def reference_projection(cover, x):
 
 
 def reference_point(complex, coords):
-    """The per-point EmbeddedPoint.of that the block check replaced."""
+    """The per-point check that ``check_rows`` replaced: the point with
+    weights ``{vertex: weight}`` as ``(vertex, weight)`` pairs in vertex
+    order."""
     clean = {v: float(w) for v, w in coords.items() if abs(w) > COORD_EPS}
     total = sum(clean.values())
     if abs(total - 1.0) > 1e-7:
@@ -149,7 +148,54 @@ def reference_point(complex, coords):
     support = complex.sort_ids(clean)
     if support not in complex.simplices:
         raise InvariantViolation(f"support {support} is not a simplex")
-    return EmbeddedPoint(complex, tuple((v, clean[v]) for v in support))
+    return tuple((v, clean[v]) for v in support)
+
+
+def row_coords(complex, row):
+    """The ``(vertex, weight)`` pairs of a block row's nonzero weights."""
+    nz = np.flatnonzero(row)
+    return tuple(zip([complex.vertices[c] for c in nz], row[nz].tolist()))
+
+
+def checked(complex, coords):
+    """The point ``{vertex: weight}`` through ``check_rows``, as pairs."""
+    block = np.zeros((1, len(complex.vertices)))
+    for v, w in coords.items():
+        block[0, complex.positions[v]] = w
+    return row_coords(complex, check_rows(complex, block)[0])
+
+
+def projection_point(cover, x, complex=None):
+    """One carrier point's row of the projection block, as pairs."""
+    complex = nerve(cover) if complex is None else complex
+    return row_coords(complex, check_rows(complex, projection_rows(cover, [x]))[0])
+
+
+def point_distance(p, q):
+    """Euclidean distance of two points given as pairs (vertex ids are an
+    orthonormal basis, so this also works across glued complexes)."""
+    a, b = dict(p), dict(q)
+    return math.sqrt(sum((a.get(v, 0.0) - b.get(v, 0.0)) ** 2 for v in set(a) | set(b)))
+
+
+def coordinate_matrix(points):
+    """Dense coordinates of points given as pairs: one column per vertex
+    of the union of their supports, in first-seen order."""
+    columns: dict = {}
+    for p in points:
+        for v, _ in p:
+            columns.setdefault(v, len(columns))
+    out = np.zeros((len(points), len(columns)))
+    for i, p in enumerate(points):
+        for v, w in p:
+            out[i, columns[v]] = w
+    return out
+
+
+def t_coordinates(config, tower, x):
+    """Proximity weights of f(x) to the tower's nested base regions."""
+    y = config.f.images[x]
+    return [float(face.weights[y]) for face in tower.faces]
 
 
 def reference_canonical_projection(cover, x, complex):
@@ -190,7 +236,7 @@ class TestDepthTable:
     @given(covers())
     def test_projection_matches_formula(self, cover):
         for x in cover.universe():
-            got = canonical_projection(cover, x).as_dict()
+            got = dict(projection_point(cover, x))
             assert got == reference_projection(cover, x)
 
     def test_whole_carrier_member_is_infinitely_deep(self):
@@ -198,7 +244,7 @@ class TestDepthTable:
         assert cover.depths[:, 0].tolist() == [math.inf] * 3
         assert cover.depths[:, 1].tolist() == [0.0, 1.0, 2.0]
         assert lebesgue_number(cover) == math.inf
-        assert canonical_projection(cover, 2).as_dict() == {0: 0.5, 2: 0.5}
+        assert dict(projection_point(cover, 2)) == {0: 0.5, 2: 0.5}
 
     def test_table_is_cached(self):
         cover = make_cover(path_space(4), [[0, 1, 2], [1, 2, 3]])
@@ -214,8 +260,8 @@ class TestDepthTable:
 
     def test_projection_outside_carrier_rejected(self):
         cover = make_cover(path_space(6), [[1, 2], [2, 3]], carrier=[1, 2, 3])
-        with pytest.raises(InputError):
-            canonical_projection(cover, 5)
+        with pytest.raises(InputError, match="outside the cover's carrier"):
+            projection_rows(cover, [5])
 
     @SETTINGS
     @given(st.one_of(covers(), covers(whole=True)))
@@ -226,9 +272,9 @@ class TestDepthTable:
         assert not table.flags.writeable
         for row, x in enumerate(cover.universe()):
             want = reference_canonical_projection(cover, x, complex)
-            assert canonical_projection(cover, x, complex).coords == want.coords
+            assert projection_point(cover, x, complex) == want
             dense = [0.0] * len(cover.sets)
-            for v, w in want.coords:
+            for v, w in want:
                 dense[v] = w
             assert table[row].tolist() == dense
             assert abs(table[row].sum() - 1.0) <= 1e-7 and (table[row] >= 0).all()
@@ -245,7 +291,7 @@ class TestDepthTable:
         with pytest.raises(InputError, match="lies in no cover set"):
             projection_rows(cover, [0, 2])
         with pytest.raises(InputError, match="lies in no cover set"):
-            canonical_projection(cover, 2, SimplicialComplex.from_maximal((0, 1), [(0, 1)]))
+            projection_rows(cover, [2])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +311,7 @@ def embedded_families(draw):
         raw = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
         if sum(raw) < 1e-3:
             raw[0] = 1.0
-        images.append(EmbeddedPoint.of(simplex, {v: w / sum(raw) for v, w in enumerate(raw)}))
+        images.append(checked(simplex, {v: w / sum(raw) for v, w in enumerate(raw)}))
     return space, pts, images
 
 
@@ -275,7 +321,7 @@ def pairwise_sup(space, pts, images):
         for j in range(i + 1, len(pts)):
             d = space.dist(pts[i], pts[j])
             if d > 0:
-                best = max(best, embedded_distance(images[i], images[j]) / d)
+                best = max(best, point_distance(images[i], images[j]) / d)
     return best
 
 
@@ -305,10 +351,15 @@ class TestSupRatio:
         assert sup_ratio(space, [0, 1], [0.0, 5e-324]) == 5e-324
         assert sup_ratio(space, [0, 2], [-1e300, 1e300]) == 1e300
 
-    def test_coordinate_matrix_columns(self):
-        simplex = SimplicialComplex.from_maximal("abc", ["abc"])
-        pts = [EmbeddedPoint.of(simplex, {"b": 1.0}), EmbeddedPoint.of(simplex, {"a": 0.5, "c": 0.5})]
-        assert coordinate_matrix(pts).tolist() == [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]
+    def test_used_columns_order(self):
+        # the order a row-major scan first meets the columns, which is the
+        # per-point coordinate matrix's first-seen order
+        block = np.array([[0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]])
+        assert used_columns(block).tolist() == [1, 0, 3]
+        simplex = SimplicialComplex.from_maximal("abcd", ["abcd"])
+        pts = [row_coords(simplex, row) for row in block]
+        assert block[:, used_columns(block)].tolist() == coordinate_matrix(pts).tolist()
+        assert coordinate_matrix(pts).tolist() == [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
 
     @SETTINGS
     @given(weighted_graphs(min_n=2), st.data())
@@ -510,8 +561,11 @@ def test_assembly_constants_take_the_edge_path(thin_grid_assembly):
     asm = thin_grid_assembly
     space = asm.config.f.domain
     towers = [t for _, t in sorted(asm.towers.items())]
-    cases = [(t.fiber.indices, [asm.tower_map(t, x) for x in t.fiber]) for t in towers]
-    cases.append((range(space.n), [asm.phi(x) for x in range(space.n)]))
+    def image(tower, x):
+        return row_coords(tower.complex, asm.tower_map(tower, x))
+
+    cases = [(t.fiber.indices, [image(t, x) for x in t.fiber]) for t in towers]
+    cases.append((range(space.n), [image(asm.towers[asm.assignment[x]], x) for x in range(space.n)]))
     want = []
     for pts, images in cases:
         assert edge_certificate(space, pts) is not None
@@ -528,7 +582,7 @@ def test_assembly_constants_take_the_edge_path(thin_grid_assembly):
 def reference_cylinder_point(cyl, w, t):
     """The per-point cylinder quotient the block version replaced."""
     t = min(1.0, max(0.0, t))
-    weights = w.as_dict()
+    weights = dict(w)
     supp = cyl.source.sort_ids(weights)
     a = [weights[v] for v in supp]
     p = len(a)
@@ -552,7 +606,7 @@ def reference_cylinder_point(cyl, w, t):
 
 def reference_apply(g, point):
     acc: dict = {}
-    for v, w in point.coords:
+    for v, w in point:
         img = g.assignment[v]
         acc[img] = acc.get(img, 0.0) + w
     return reference_point(g.target, acc)
@@ -560,7 +614,8 @@ def reference_apply(g, point):
 
 def reference_tower_value(config, tower, x):
     """The per-point tower evaluation the coordinate blocks replaced."""
-    ts = tower_t_coordinates(config, tower, x)
+    ts = t_coordinates(config, tower, x)
+    assert ts[0] == 1.0
     phi = reference_canonical_projection(tower.faces[0].cover, x, tower.faces[0].nerve)
     for p, face in enumerate(tower.faces[1:], start=1):
         tp = ts[p]
@@ -570,9 +625,9 @@ def reference_tower_value(config, tower, x):
             pushed = reference_apply(tower.g_maps[p], phi)
             proj = reference_canonical_projection(face.cover, x, face.nerve)
             coords: dict = {}
-            for v, w in pushed.coords:
+            for v, w in pushed:
                 coords[v] = coords.get(v, 0.0) + 2.0 * (1.0 - tp) * w
-            for v, w in proj.coords:
+            for v, w in proj:
                 coords[v] = coords.get(v, 0.0) + (2.0 * tp - 1.0) * w
             phi = reference_point(tower.complexes[p], coords)
     return phi
@@ -600,7 +655,7 @@ def reference_face_agreement(asm, flag_a, flag_b, values, tol=1e-9):
     worst = 0.0
     witness = None
     for x in both[eligible].tolist():
-        dev = embedded_distance(values[flag_a][x], values[flag_b][x])
+        dev = point_distance(values[flag_a][x], values[flag_b][x])
         if dev > worst:
             worst = dev
             witness = x
@@ -649,8 +704,9 @@ class TestTowerBlocks:
         for name, asm in block_cases.items():
             for flag, tower in asm.towers.items():
                 for x in tower.fiber:
-                    assert asm.tower_map(tower, x).coords == reference_values[name][flag][x].coords
-                    for p, t in enumerate(tower_t_coordinates(asm.config, tower, x)[1:], start=1):
+                    got = row_coords(tower.complex, asm.tower_map(tower, x))
+                    assert got == reference_values[name][flag][x]
+                    for p, t in enumerate(t_coordinates(asm.config, tower, x)[1:], start=1):
                         regimes.add((p, t <= 0.5, 0 < t < 1))
         assert {(1, True, True), (1, False, True), (2, True, True), (2, False, False)} <= regimes
 
@@ -667,7 +723,7 @@ class TestTowerBlocks:
             assert asm.report["measured_lipschitz"] == sup_ratio(space, range(space.n), coordinate_matrix(images))
             stars: dict = {}
             for x, image in enumerate(images):
-                supp = image.support()
+                supp = [v for v, _ in image]
                 for size in range(1, len(supp) + 1):
                     for sub in itertools.combinations(supp, size):
                         stars.setdefault(sub, []).append(x)
@@ -699,13 +755,13 @@ def test_point_check_matches_per_point_check(weights, bare):
         want = reference_point(complex, coords)
     except (InputError, InvariantViolation) as exc:
         with pytest.raises(type(exc), match=str(exc).split(" ")[0]):
-            EmbeddedPoint.of(complex, coords)
+            checked(complex, coords)
     else:
-        assert EmbeddedPoint.of(complex, coords).coords == want.coords
+        assert checked(complex, coords) == want
 
 
 class TestTowerBlockChecks:
-    """The checks EmbeddedPoint.of made per point, on the block path."""
+    """The per-point checks of the reference evaluation, on the block path."""
 
     def test_point_outside_the_carrier(self, thin_grid_assembly):
         asm = thin_grid_assembly
@@ -1061,7 +1117,7 @@ class TestExactScan:
 
 def reference_projection_constant(cover):
     carrier = cover.universe().indices
-    return pairwise_sup(cover.space, carrier, [canonical_projection(cover, x) for x in carrier])
+    return pairwise_sup(cover.space, carrier, [projection_point(cover, x) for x in carrier])
 
 
 def strips(space):

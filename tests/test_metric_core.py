@@ -204,6 +204,22 @@ class TestGraphMetric:
                 path_space(3)
         assert path_space(2).dist(0, 1) == 1.0  # 2 x 2 is within the cap
 
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0, 1.5), (1, 2)]),
+        (3, [(0, 1), (2.5, 1, 1.0)]),
+        (3.5, [(0, 1), (1, 2)]),
+        ("3", [(0, 1), (1, 2)]),
+    ], ids=["fractional-vertex", "fractional-weighted-vertex", "fractional-n", "string-n"])
+    def test_non_integral_index_rejected(self, n, edges):
+        # a fractional index is rejected, not truncated to another graph
+        with pytest.raises(InputError, match="is not a whole number"):
+            build_graph_metric(n, edges)
+
+    def test_whole_float_indices_accepted(self):
+        s = build_graph_metric(3.0, [(0.0, 1.0), (1, 2)])
+        assert np.array_equal(s.matrix, path_space(3).matrix)
+        assert space_to_json(s)["edges"] == [[0, 1, 1.0], [1, 2, 1.0]]
+
     def test_round_trip_json(self):
         s = grid_space(3, 4)
         doc = space_to_json(s)
@@ -383,6 +399,13 @@ class TestLipschitz:
         assert measured_lipschitz(good) <= good.declared_lipschitz
         bad = map_between_spaces(s, s, [0, 4, 0, 4, 0], declared_lipschitz=1.0)
         assert measured_lipschitz(bad) == 4.0 > bad.declared_lipschitz
+
+    @pytest.mark.parametrize("images", [[0, 1.5, 2], [0, "1", 2], [0, 1, 3]],
+                             ids=["fractional", "string", "outside"])
+    def test_image_must_be_a_codomain_point(self, images):
+        s = path_space(3)
+        with pytest.raises(InputError, match="image point"):
+            map_between_spaces(s, s, images)
 
     def test_codomain_must_carry_a_metric(self):
         s = path_space(3)

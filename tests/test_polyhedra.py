@@ -7,24 +7,44 @@ from coarsedim.covers import make_cover
 from coarsedim.errors import InputError, InvariantViolation
 from coarsedim.metric_core import build_explicit, grid_space, path_space
 from coarsedim.polyhedra import (
-    EmbeddedPoint,
     SimplicialComplex,
     SimplicialMap,
-    _sample_points,
-    barycenter_point,
-    canonical_projection,
-    embedded_distance,
+    check_rows,
     glue,
     mapping_cylinder,
     measure_cylinder_constant,
     measure_uniformization_constant,
     nerve,
     projection_lipschitz_check,
+    projection_rows,
     refinement_map,
-    vertex_point,
 )
 
 TRIANGLE = SimplicialComplex.from_maximal(["a", "b", "c"], [("a", "b", "c")])
+
+
+def point(complex, coords):
+    """The checked row of the point with weights ``{vertex: weight}``."""
+    block = np.zeros((1, len(complex.vertices)))
+    for v, w in coords.items():
+        block[0, complex.positions[v]] = w
+    return check_rows(complex, block)[0]
+
+
+def barycenter(complex, simplex):
+    return point(complex, {v: 1.0 / len(simplex) for v in simplex})
+
+
+def as_dict(complex, row):
+    """A row's nonzero weights by vertex."""
+    nz = np.flatnonzero(row)
+    return dict(zip([complex.vertices[c] for c in nz], row[nz].tolist()))
+
+
+def projection(cover, x):
+    """The canonical projection of one carrier point, by vertex index."""
+    row = check_rows(nerve(cover), projection_rows(cover, [x]))[0]
+    return as_dict(nerve(cover), row)
 
 
 def unit_triangle_space():
@@ -40,21 +60,22 @@ class TestComplex:
         assert TRIANGLE.dimension == 2
         assert TRIANGLE.maximal_simplices() == [("a", "b", "c")]
 
-    def test_embedded_point_support_check(self):
+    def test_support_check(self):
         square = SimplicialComplex.from_maximal("abcd", [("a", "b"), ("c", "d")])
-        with pytest.raises(InvariantViolation):
-            EmbeddedPoint.of(square, {"a": 0.5, "c": 0.5})
+        with pytest.raises(InvariantViolation, match="is not a simplex") as excinfo:
+            check_rows(square, np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]]))
+        assert excinfo.value.witness == ("a", "c")
 
     def test_distance_between_vertices(self):
-        p = vertex_point(TRIANGLE, "a")
-        q = vertex_point(TRIANGLE, "b")
-        assert embedded_distance(p, p) == 0.0
-        assert embedded_distance(p, q) == pytest.approx(math.sqrt(2))
+        p = point(TRIANGLE, {"a": 1.0})
+        q = point(TRIANGLE, {"b": 1.0})
+        assert np.linalg.norm(p - p) == 0.0
+        assert np.linalg.norm(p - q) == pytest.approx(math.sqrt(2))
 
     def test_vertex_to_opposite_edge_midpoint(self):
-        p = vertex_point(TRIANGLE, "a")
-        mid = barycenter_point(TRIANGLE, ("b", "c"))
-        assert embedded_distance(p, mid) == pytest.approx(math.sqrt(1.5))
+        p = point(TRIANGLE, {"a": 1.0})
+        mid = barycenter(TRIANGLE, ("b", "c"))
+        assert np.linalg.norm(p - mid) == pytest.approx(math.sqrt(1.5))
 
 
 class TestNerve:
@@ -80,35 +101,31 @@ class TestCanonicalProjection:
     def test_point_in_one_set_goes_to_vertex(self):
         s = path_space(4)
         cover = make_cover(s, [[0, 1], [2, 3]])
-        p = canonical_projection(cover, 0)
-        assert p.as_dict() == {0: 1.0}
+        assert projection(cover, 0) == {0: 1.0}
 
     def test_midpoint_of_overlap(self):
         s = path_space(3)
         cover = make_cover(s, [[0, 1], [1, 2]])
-        p = canonical_projection(cover, 1)
-        assert p.as_dict() == pytest.approx({0: 0.5, 1: 0.5})
+        assert projection(cover, 1) == pytest.approx({0: 0.5, 1: 0.5})
 
     def test_endpoint_goes_to_vertex(self):
         s = path_space(3)
         cover = make_cover(s, [[0, 1], [1, 2]])
-        p = canonical_projection(cover, 0)
-        assert p.as_dict() == pytest.approx({0: 1.0})
+        assert projection(cover, 0) == pytest.approx({0: 1.0})
 
     def test_coordinates_sum_to_one_and_support_contains_point(self):
         s = grid_space(4, 4)
         cover = make_cover(s, [range(0, 8), range(4, 12), range(8, 16), [0, 15]])
         for x in range(s.n):
-            p = canonical_projection(cover, x)
-            assert sum(p.as_dict().values()) == pytest.approx(1.0)
-            for v, w in p.coords:
+            p = projection(cover, x)
+            assert sum(p.values()) == pytest.approx(1.0)
+            for v in p:
                 assert x in cover.sets[v]
 
     def test_whole_space_set_dominates(self):
         s = path_space(4)
         cover = make_cover(s, [range(4), [0, 1]])
-        p = canonical_projection(cover, 0)
-        assert p.as_dict() == {0: 1.0}
+        assert projection(cover, 0) == {0: 1.0}
 
 
 class TestProjectionBound:
@@ -188,8 +205,8 @@ class TestMappingCylinder:
         dst = SimplicialComplex.from_maximal([("t", 0)], [(("t", 0),)])
         cyl = mapping_cylinder(SimplicialMap(src, dst, {("s", 0): ("t", 0)}))
         assert cyl.complex.dimension == 1
-        p = cyl.point(vertex_point(src, ("s", 0)), 0.25)
-        assert p.as_dict() == pytest.approx({("s", 0): 0.75, ("t", 0): 0.25})
+        p = cyl.point(point(src, {("s", 0): 1.0}), 0.25)
+        assert as_dict(cyl.complex, p) == pytest.approx({("s", 0): 0.75, ("t", 0): 0.25})
 
     def test_edge_to_vertex_is_triangle(self):
         src = SimplicialComplex.from_maximal([("s", 0), ("s", 1)], [(("s", 0), ("s", 1))])
@@ -211,42 +228,45 @@ class TestMappingCylinder:
         dst = SimplicialComplex.from_maximal([("t", 0)], [(("t", 0),)])
         cyl = mapping_cylinder(SimplicialMap(src, dst, {v: ("t", 0) for v in src.vertices}))
         pts = [
-            vertex_point(src, ("s", 0)),
-            barycenter_point(src, (("s", 0), ("s", 1))),
-            barycenter_point(src, src.vertices),
+            point(src, {("s", 0): 1.0}),
+            barycenter(src, (("s", 0), ("s", 1))),
+            barycenter(src, src.vertices),
         ]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                assert embedded_distance(
-                    cyl.point(pts[i], 0.0), cyl.point(pts[j], 0.0)
-                ) == pytest.approx(embedded_distance(pts[i], pts[j]))
+                assert np.linalg.norm(
+                    cyl.point(pts[i], 0.0) - cyl.point(pts[j], 0.0)
+                ) == pytest.approx(np.linalg.norm(pts[i] - pts[j]))
             # t=0 keeps the exact source coordinates
-            assert cyl.point(pts[i], 0.0).as_dict() == pts[i].as_dict()
+            assert as_dict(cyl.complex, cyl.point(pts[i], 0.0)) == as_dict(src, pts[i])
+        # the block quotient is the one-row quotient row by row
+        block = np.array(pts)
+        assert cyl.rows(block, [0.0, 0.5, 1.0]).tolist() == \
+            [cyl.point(w, t).tolist() for w, t in zip(pts, [0.0, 0.5, 1.0])]
 
     def test_top_collapses_via_map(self):
         src = SimplicialComplex.from_maximal([("s", 0), ("s", 1)], [(("s", 0), ("s", 1))])
         dst = SimplicialComplex.from_maximal([("t", 0)], [(("t", 0),)])
         cyl = mapping_cylinder(SimplicialMap(src, dst, {("s", 0): ("t", 0), ("s", 1): ("t", 0)}))
-        mid = barycenter_point(src, src.vertices)
-        assert cyl.point(mid, 1.0).as_dict() == {("t", 0): 1.0}
+        mid = barycenter(src, src.vertices)
+        assert as_dict(cyl.complex, cyl.point(mid, 1.0)) == {("t", 0): 1.0}
 
     def test_quotient_continuity_across_prism_cells(self):
         src = SimplicialComplex.from_maximal([("s", 0), ("s", 1)], [(("s", 0), ("s", 1))])
         dst = SimplicialComplex.from_maximal([("t", 0), ("t", 1)], [(("t", 0), ("t", 1))])
         cyl = mapping_cylinder(SimplicialMap(src, dst, {("s", 0): ("t", 0), ("s", 1): ("t", 1)}))
-        z = EmbeddedPoint.of(src, {("s", 0): 0.3, ("s", 1): 0.7})
+        z = point(src, {("s", 0): 0.3, ("s", 1): 0.7})
         # boundary between prism cells sits at t = 0.7 for this point
-        lo = cyl.point(z, 0.7 - 1e-9)
-        hi = cyl.point(z, 0.7 + 1e-9)
-        assert embedded_distance(lo, hi) < 1e-7
+        lo, hi = cyl.rows(np.array([z, z]), [0.7 - 1e-9, 0.7 + 1e-9])
+        assert np.linalg.norm(lo - hi) < 1e-7
 
     def test_weights_short_of_t_have_no_cell(self):
-        # the weights sum to 1 within EmbeddedPoint.of's 1e-7 but stay
-        # below t = 1, so no prism cell holds the point
+        # the weights sum to 1 within check_rows' 1e-7 but stay below
+        # t = 1, so no prism cell holds the point
         src = SimplicialComplex.from_maximal([("s", 0), ("s", 1)], [(("s", 0), ("s", 1))])
         dst = SimplicialComplex.from_maximal([("t", 0)], [(("t", 0),)])
         cyl = mapping_cylinder(SimplicialMap(src, dst, {v: ("t", 0) for v in src.vertices}))
-        z = EmbeddedPoint.of(src, {("s", 0): 0.5, ("s", 1): 0.5 - 5e-8})
+        z = point(src, {("s", 0): 0.5, ("s", 1): 0.5 - 5e-8})
         want = (src.vertices, (0.5, 0.5 - 5e-8), 1.0)
         with pytest.raises(InvariantViolation, match="no cylinder cell") as excinfo:
             cyl.point(z, 1.0)
@@ -256,13 +276,18 @@ class TestMappingCylinder:
             cyl.rows(block, [1.0, 1.0])
         assert excinfo.value.witness == want
         # at t = the weights' sum the point reaches the cylinder top
-        assert cyl.point(z, 1.0 - 5e-8).support() == (("t", 0),)
+        assert list(as_dict(cyl.complex, cyl.point(z, 1.0 - 5e-8))) == [("t", 0)]
 
 
 class TestUniformization:
     def test_vertex_cylinder_constant(self):
         c = measure_uniformization_constant(0)
         assert c == pytest.approx(math.sqrt(2))
+
+    def test_constants_are_pinned(self):
+        # the c-table every assembly report carries, bit for bit
+        assert [measure_uniformization_constant(d) for d in range(4)] == [
+            1.4142135623730951, 1.4142135623730951, 1.5533522542573694, 1.6601864068449173]
 
     def test_dimension_one_recorded(self):
         c = measure_uniformization_constant(1)
@@ -271,16 +296,20 @@ class TestUniformization:
 
     @pytest.mark.parametrize("dim", [0, 1, 2, 3])
     def test_cylinder_constant_matches_pairwise_loop(self, dim):
-        # the pairwise loop the sup_ratio kernel replaced, kept as reference
+        # the pairwise loop the sup_ratio kernel replaced, kept as reference:
+        # vertices, then barycenters of the larger simplices
         def loop_constant(cyl, t_steps=16):
             ts = [i / t_steps for i in range(t_steps + 1)]
-            states = [(z, t, cyl.point(z, t)) for z in _sample_points(cyl.source) for t in ts]
+            cells = sorted(cyl.source.simplices, key=lambda s: (len(s), s))
+            samples = [barycenter(cyl.source, s) for s in cells if len(s) == 1]
+            samples += [barycenter(cyl.source, s) for s in cells if len(s) >= 2]
+            states = [(z, t, cyl.point(z, t)) for z in samples for t in ts]
             best = 0.0
             for i, (z1, t1, q1) in enumerate(states):
                 for z2, t2, q2 in states[i + 1:]:
-                    denom = math.hypot(embedded_distance(z1, z2), t1 - t2)
+                    denom = math.hypot(np.linalg.norm(z1 - z2), t1 - t2)
                     if denom > 1e-12:
-                        best = max(best, embedded_distance(q1, q2) / denom)
+                        best = max(best, np.linalg.norm(q1 - q2) / denom)
             return best
 
         src = SimplicialComplex.from_maximal([("s", i) for i in range(dim + 1)],
