@@ -239,27 +239,19 @@ def cmd_hurewicz(args) -> int:
     with open(args.map) as f:
         map_doc = json.load(f)
     codomain_doc = map_doc["codomain"]
-    codomain = (
-        load_space(codomain_doc) if isinstance(codomain_doc, str) else space_from_json(codomain_doc)
-    )
+    if isinstance(codomain_doc, str):  # a path relative to the map file
+        codomain = load_space(os.path.join(os.path.dirname(args.map), codomain_doc))
+    else:
+        codomain = space_from_json(codomain_doc)
     f_map = map_between_spaces(
         space, codomain, map_doc["assignment"], map_doc.get("lipschitz")
     )
     r = None if args.r in (None, "auto") else float(args.r)
-    sub_required = False
-    try:
-        cfg = make_config(
-            f_map, args.epsilon, args.n, args.k, r=r,
-            mesh_multiplier=args.mesh_multiplier, seed=args.seed,
-        )
-    except InputError:
-        if r is None:
-            raise
-        sub_required = True
-        cfg = make_config(
-            f_map, args.epsilon, args.n, args.k, r=r, allow_sub_required=True,
-            mesh_multiplier=args.mesh_multiplier, seed=args.seed,
-        )
+    cfg = make_config(
+        f_map, args.epsilon, args.n, args.k, r=r, allow_sub_required=r is not None,
+        mesh_multiplier=args.mesh_multiplier, seed=args.seed,
+    )
+    if not cfg.meets_required_scale:
         print(
             f"warning: scale {r} is below the required scale; "
             "the epsilon claim will not be certified",
@@ -281,7 +273,7 @@ def cmd_hurewicz(args) -> int:
         rule="dimension-lowering assembly",
         seed=args.seed,
     )
-    report["sub_required_scale"] = sub_required
+    report["sub_required_scale"] = not cfg.meets_required_scale
     _emit(_report_text(report), args.out)
     return 0
 

@@ -51,13 +51,12 @@ class Cover:
     ``carrier`` defaults to the whole space; a cover of a subspace keeps
     ambient indices and distances but treats the carrier as its universe
     (complements, Lebesgue numbers and projections are carrier-relative).
-    A family that fails to cover is only accepted with ``partial=True``.
+    A family that fails to cover its carrier is an ``InputError``.
     """
 
     space: FiniteMetricSpace
     sets: tuple[PointSet, ...]
     carrier: PointSet | None = None
-    partial: bool = False
 
     def __post_init__(self):
         if not self.sets:
@@ -68,7 +67,7 @@ class Cover:
         covered = frozenset().union(*(s.as_set() for s in self.sets))
         if not covered <= uni.as_set():
             raise InputError("cover sets leave the carrier")
-        if not self.partial and covered != uni.as_set():
+        if covered != uni.as_set():
             missing = sorted(uni.as_set() - covered)[:5]
             raise InputError(f"family does not cover the carrier (missing {missing})")
 
@@ -96,13 +95,12 @@ class Cover:
         the row's depth total, summed left to right as Python's ``sum``
         adds.  Where sets equal to the whole carrier contain a point, the
         weight concentrates evenly on them (the limit of the formula as the
-        depth grows).  Weights at most ``COORD_EPS`` are 0; a point in no
-        set (a partial cover) has all depths 0, so its row is 0/0 = NaN."""
+        depth grows).  Weights at most ``COORD_EPS`` are 0."""
         depths = self.depths
         total = np.zeros(len(depths))
         for col in depths.T:
             total += col
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore"):  # inf / inf on rows replaced below
             out = depths / total[:, None]
         infinite = np.isinf(depths)
         deep = infinite.any(axis=1)
@@ -119,12 +117,11 @@ class Cover:
         return out
 
 
-def make_cover(space, sets: Iterable, carrier=None, partial=False) -> Cover:
+def make_cover(space, sets: Iterable, carrier=None) -> Cover:
     return Cover(
         space,
         tuple(as_point_set(s) for s in sets),
         as_point_set(carrier) if carrier is not None else None,
-        partial,
     )
 
 

@@ -9,8 +9,7 @@ adds the norms of what is left.  The associated coset tree and its
 assumed.
 
 Letters must sit at depth >= 1 from the basepoint, which is what makes
-the tree projection 1-Lipschitz; factors violating this are rejected, or
-rescaled on request (recording the induced constant).
+the tree projection 1-Lipschitz; factors violating this are rejected.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class PointedSpace:
         }
 
 
-def _scaled(space: FiniteMetricSpace, factor: float) -> FiniteMetricSpace:
-    return FiniteMetricSpace(space.matrix * factor, space.labels, space.provenance)
-
-
 @dataclass(frozen=True, eq=False)
 class FreeProductSpace:
     """Truncated free product: all alternating words of norm <= max_norm,
@@ -69,12 +64,10 @@ class FreeProductSpace:
     factors: tuple[PointedSpace, PointedSpace]
     max_norm: float
     index: dict = field(compare=False)
-    rescale_constant: float = 1.0
 
 
-def word_norm(fps_or_factors, w: Word) -> float:
-    factors = fps_or_factors.factors if isinstance(fps_or_factors, FreeProductSpace) else fps_or_factors
-    by_tag = {"x": factors[0], "y": factors[1]}
+def word_norm(fps: FreeProductSpace, w: Word) -> float:
+    by_tag = {"x": fps.factors[0], "y": fps.factors[1]}
     total = 0.0
     for tag, p in w:
         ps = by_tag[tag]
@@ -82,7 +75,7 @@ def word_norm(fps_or_factors, w: Word) -> float:
     return total
 
 
-def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norm) -> np.ndarray:
+def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norms: dict) -> np.ndarray:
     """Tail-norm recursion on the word trie: pairs whose next letters
     differ are exactly tail-norm apart; equal next letters recurse with the
     letter stripped.  One dense write per trie node keeps this near-linear
@@ -104,7 +97,7 @@ def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norm)
             if len(members) < 2:
                 continue
             sub = [indices[p] for p in members]
-            rem = remaining[members] - letter_norm(letter)
+            rem = remaining[members] - letter_norms[letter]
             fill(sub, depth + 1, rem)
 
     fill(list(range(n)), 0, np.asarray(norms, float))
@@ -112,46 +105,32 @@ def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norm)
     return out
 
 
-def free_product_space(
-    x: PointedSpace,
-    y: PointedSpace,
-    max_norm: float,
-    cap: int = WORD_CAP,
-    rescale: bool = False,
-) -> FreeProductSpace:
-    factors = (x, y)
-    min_norm = min(
-        min(x.letter_norms().values(), default=math.inf),
-        min(y.letter_norms().values(), default=math.inf),
-    )
-    rescale_constant = 1.0
-    if min_norm < 1.0:
-        if not rescale:
-            raise InputError(
-                f"letter norms must be >= 1 (found {min_norm}); pass rescale=True "
-                "to scale both factors up"
-            )
-        scale = 1.0 / min_norm
-        factors = (
-            PointedSpace(_scaled(x.space, scale), x.basepoint),
-            PointedSpace(_scaled(y.space, scale), y.basepoint),
-        )
-        rescale_constant = max(1.0, scale)
-
+def free_product_space(x: PointedSpace, y: PointedSpace, max_norm: float) -> FreeProductSpace:
+    """All alternating words of norm <= max_norm, popped from a heap in
+    (norm, length, word) order: every letter adds a norm >= 1, so no word
+    is pushed below one already popped."""
     letters = {
-        "x": sorted(factors[0].letter_norms().items()),
-        "y": sorted(factors[1].letter_norms().items()),
+        "x": sorted(x.letter_norms().items()),
+        "y": sorted(y.letter_norms().items()),
     }
+    min_norm = min((ln for items in letters.values() for _, ln in items), default=math.inf)
+    if min_norm < 1.0:
+        raise InputError(
+            f"letter norms must be >= 1 (found {min_norm}); scale the factor's "
+            "metric up so that every letter sits at depth >= 1"
+        )
 
     import heapq
 
     words: list[Word] = []
+    norms: list[float] = []
     frontier: list[tuple[float, int, Word]] = [(0.0, 0, ())]
     while frontier:
         norm, _, w = heapq.heappop(frontier)
         words.append(w)
-        if len(words) > cap:
-            raise CapExceeded(f"free product truncation exceeds cap {cap}")
+        norms.append(norm)
+        if len(words) > WORD_CAP:
+            raise CapExceeded(f"free product truncation exceeds cap {WORD_CAP}")
         last = w[-1][0] if w else None
         for tag in ("x", "y"):
             if tag == last:
@@ -160,23 +139,17 @@ def free_product_space(
                 if norm + ln <= max_norm + 1e-12:
                     new = w + ((tag, p),)
                     heapq.heappush(frontier, (norm + ln, len(new), new))
-    words.sort(key=lambda w: (word_norm(factors, w), len(w), w))
-    norms = tuple(word_norm(factors, w) for w in words)
 
-    def letter_norm(letter: Letter) -> float:
-        ps = factors[0] if letter[0] == "x" else factors[1]
-        return float(ps.space.matrix[letter[1], ps.basepoint])
-
-    matrix = _distance_matrix(words, norms, letter_norm)
+    letter_norms = {(tag, p): ln for tag, items in letters.items() for p, ln in items}
+    matrix = _distance_matrix(words, norms, letter_norms)
     space = FiniteMetricSpace(matrix, tuple(_word_label(w) for w in words), "free-product")
     return FreeProductSpace(
         space,
         tuple(words),
-        norms,
-        factors,
+        tuple(norms),
+        (x, y),
         max_norm,
         {w: i for i, w in enumerate(words)},
-        rescale_constant,
     )
 
 

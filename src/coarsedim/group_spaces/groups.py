@@ -60,7 +60,7 @@ def validate_group_model(group: GroupModel, radius: int = 2) -> dict:
     return {"ok": True, "ball_checked": radius}
 
 
-def _bfs(group: GroupModel, radius: int, cap: int = BALL_CAP) -> tuple:
+def _bfs(group: GroupModel, radius: int) -> tuple:
     """BFS of the radius ball keeping, in discovery order, each element, its
     word length, the index and generator it was reached from, and
     ``table[i, g]``, the index of ``elements[i] * g`` if i is shorter than radius."""
@@ -78,16 +78,16 @@ def _bfs(group: GroupModel, radius: int, cap: int = BALL_CAP) -> tuple:
                 length.append(length[i] + 1)
                 parent.append(i)
                 letter.append(gi)
-                if len(elements) > cap:
-                    raise CapExceeded(f"ball of {group.name} exceeds cap {cap}")
+                if len(elements) > BALL_CAP:
+                    raise CapExceeded(f"ball of {group.name} exceeds cap {BALL_CAP}")
             table.append(index[new])
     rows = sum(n < radius for n in length)
     return elements, length, parent, letter, np.array(table, dtype=np.intp).reshape(rows, len(gens))
 
 
-def enumerate_ball(group: GroupModel, radius: int, cap: int = BALL_CAP) -> dict:
+def enumerate_ball(group: GroupModel, radius: int) -> dict:
     """BFS enumeration of the radius ball: element -> word length."""
-    return dict(zip(*_bfs(group, radius, cap)[:2]))
+    return dict(zip(*_bfs(group, radius)[:2]))
 
 
 def _inverses(bfs: tuple, targets: Sequence[int]) -> list[int]:
@@ -119,7 +119,7 @@ class CayleyBall:
     index: dict = field(compare=False)
 
 
-def cayley_ball(group: GroupModel, radius: int, cap: int = BALL_CAP) -> CayleyBall:
+def cayley_ball(group: GroupModel, radius: int) -> CayleyBall:
     """Enumerate B_radius with the exact word metric d(x, y) = |x^-1 y|, read
     from the product table of the B_2radius enumeration.  Row c of the walk
     holds x^-1 y for the c-th y and every x: the row of y's parent times y's
@@ -127,7 +127,7 @@ def cayley_ball(group: GroupModel, radius: int, cap: int = BALL_CAP) -> CayleyBa
     asymmetric matrix means the oracle breaks the group law."""
     if radius < 0:
         raise InputError("radius must be nonnegative")
-    bfs = elements, length, parent, letter, table = _bfs(group, 2 * radius, cap)
+    bfs = elements, length, parent, letter, table = _bfs(group, 2 * radius)
     canon = sorted((i for i, n in enumerate(length) if n <= radius), key=lambda i: (length[i], repr(elements[i])))
     n = len(canon)
     if n * n > MATRIX_CAP:

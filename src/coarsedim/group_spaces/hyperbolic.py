@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CapExceeded, InputError
-from ..metric_core import MATRIX_CAP, FiniteMetricSpace, MetricMap, map_to_reals
+from ..metric_core import MATRIX_CAP, SUP_RATIO_BLOCK, FiniteMetricSpace, MetricMap, map_to_reals
 
 HEIGHT_TOL = 1e-12
 
@@ -43,15 +43,11 @@ def geometric_radii(t0: float = 1.0, ratio: float = math.e, levels: int = 5) -> 
     return [t0 * ratio**i for i in range(levels)]
 
 
-def ball_distance(base: FiniteMetricSpace, p: BallSpacePoint, q: BallSpacePoint) -> float:
-    d = base.dist(p.center, q.center)
-    return 2.0 * math.log((d + max(p.radius, q.radius)) / math.sqrt(p.radius * q.radius))
-
-
 def hyperbolization(base: FiniteMetricSpace, radii) -> BallSpace:
     """Space of balls over the base with the logarithmic metric; the
     resulting distance table passes the full axiom check (triangle
-    inequality asserted numerically at 1e-9)."""
+    inequality asserted numerically at 1e-9).  It is filled in row blocks
+    of at most ``SUP_RATIO_BLOCK`` entries."""
     radii = sorted(set(float(t) for t in radii))
     if not radii:
         raise InputError("need at least one radius")
@@ -63,10 +59,15 @@ def hyperbolization(base: FiniteMetricSpace, radii) -> BallSpace:
     points = tuple(
         BallSpacePoint(x, t) for t in radii for x in range(base.n)
     )
+    centers = np.tile(np.arange(base.n), len(radii))
+    radius = np.repeat(radii, base.n)
     matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i, j] = matrix[j, i] = ball_distance(base, points[i], points[j])
+    step = max(1, SUP_RATIO_BLOCK // max(1, n))
+    for i in range(0, n, step):
+        t = radius[i : i + step, None]
+        d = base.matrix[centers[i : i + step, None], centers]
+        matrix[i : i + step] = 2.0 * np.log((d + np.maximum(t, radius)) / np.sqrt(t * radius))
+    np.fill_diagonal(matrix, 0.0)
     space = FiniteMetricSpace(
         matrix,
         tuple(f"B_{p.radius:g}({p.center})" for p in points),

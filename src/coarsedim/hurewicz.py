@@ -207,13 +207,12 @@ class Face:
 
 @dataclass(frozen=True, eq=False)
 class Tower:
-    """One maximal flag of base faces with its iterated mapping cylinders."""
+    """One maximal flag of base faces with its iterated mapping cylinders,
+    ``cylinders[p]`` the one of g_p (``cylinders[0]`` is None)."""
 
     flag: tuple[tuple[int, ...], ...]
     faces: tuple[Face, ...]
-    g_maps: tuple
     cylinders: tuple
-    complexes: tuple[SimplicialComplex, ...]
     lambdas: tuple[float, ...]
 
     @property
@@ -222,7 +221,7 @@ class Tower:
 
     @property
     def complex(self) -> SimplicialComplex:
-        return self.complexes[-1]
+        return self.cylinders[-1].complex if self.depth else self.faces[0].nerve
 
     @property
     def fiber(self) -> PointSet:
@@ -277,18 +276,17 @@ def tower_values(config: HurewiczConfig, tower: Tower) -> np.ndarray:
         raise InvariantViolation(
             f"level-0 weight is {ts[0][off][0]} != 1 on the fiber", witness=int(pts[off][0])
         )
-    for p, face in enumerate(tower.faces[1:], start=1):
-        tp = ts[p]
+    for face, cyl, tp in zip(tower.faces[1:], tower.cylinders[1:], ts[1:]):
         low = tp <= 0.5
         high = ~low
-        nxt = np.zeros((len(pts), len(tower.complexes[p].vertices)))
-        nxt[low] = tower.cylinders[p].rows(phi[low], 2.0 * tp[low])
+        nxt = np.zeros((len(pts), len(cyl.complex.vertices)))
+        nxt[low] = cyl.rows(phi[low], 2.0 * tp[low])
         if high.any():
-            pushed = tower.g_maps[p].apply_rows(phi[high])
+            pushed = cyl.map.apply_rows(phi[high])
             proj = check_rows(face.nerve, projection_rows(face.cover, pts[high]))
             th = tp[high][:, None]
             nxt[high, phi.shape[1]:] = 2.0 * (1.0 - th) * pushed + (2.0 * th - 1.0) * proj
-            nxt[high] = check_rows(tower.complexes[p], nxt[high])
+            nxt[high] = check_rows(cyl.complex, nxt[high])
         phi = nxt
     return phi
 
@@ -441,27 +439,24 @@ def build_assembly(
 
 
 def _build_tower(config, flag, faces, step_maps) -> Tower:
-    """Iterated cylinders of g_p: complexes[p-1] -> nerve p, where g_p is
-    step[p-1 -> p] composed with (g_{p-1} on the older vertices, the
-    identity on nerve p-1)."""
+    """Iterated cylinders of g_p from cylinder p-1 (nerve 0 at p = 1) to
+    nerve p, where g_p is step[p-1 -> p] composed with (g_(p-1) on the
+    older vertices, the identity on nerve p-1)."""
     records = tuple(faces[simplex] for simplex in flag)
-    complexes = [records[0].nerve]
-    g_maps: list = [None]
+    source = records[0].nerve
     cylinders: list = [None]
     carry: dict = {}
     for p in range(1, len(flag)):
         step = step_maps[(flag[p - 1], flag[p])].assignment
         carry = {**{v: step[w] for v, w in carry.items()}, **step}
-        g = SimplicialMap(complexes[p - 1], records[p].nerve, carry)
-        cyl = mapping_cylinder(g)
-        g_maps.append(g)
+        cyl = mapping_cylinder(SimplicialMap(source, records[p].nerve, carry))
         cylinders.append(cyl)
-        complexes.append(cyl.complex)
+        source = cyl.complex
 
     lambdas = lipschitz_recursion(
         config.n, config.lam, config.r, config.c_table, [face.lebesgue for face in records]
     )
-    return Tower(flag, records, tuple(g_maps), tuple(cylinders), tuple(complexes), tuple(lambdas))
+    return Tower(flag, records, tuple(cylinders), tuple(lambdas))
 
 
 def _assign_flag(maximal, row: np.ndarray) -> tuple:

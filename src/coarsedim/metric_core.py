@@ -31,8 +31,9 @@ from .errors import CapExceeded, InputError, MetricAxiomError
 TOL = 1e-9
 
 # Exhaustive triangle checks run below this size; above it a seeded sample
-# is used (the seed is part of the report).
+# of TRIPLE_SAMPLES triples is used (the seed is part of the report).
 EXHAUSTIVE_TRIPLE_LIMIT = 300
+TRIPLE_SAMPLES = 200_000
 
 # Largest temporary of sup_ratio, distance_to_set and the symmetrization of
 # shortest-path matrices, in matrix entries.
@@ -61,7 +62,7 @@ class PointSet:
 
     @staticmethod
     def of(points: Iterable[int]) -> "PointSet":
-        return PointSet(tuple(sorted(set(int(p) for p in points))))
+        return PointSet(tuple(sorted(set(_whole(p, "point") for p in points))))
 
     @staticmethod
     def universe(n: int) -> "PointSet":
@@ -188,10 +189,10 @@ def _triangle_violation_exhaustive(m: np.ndarray, tol: float):
     return None
 
 
-def _triangle_violation_sampled(m: np.ndarray, tol: float, seed: int, samples: int):
+def _triangle_violation_sampled(m: np.ndarray, tol: float, seed: int):
     n = m.shape[0]
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(samples, 3))
+    idx = rng.integers(0, n, size=(TRIPLE_SAMPLES, 3))
     lhs = m[idx[:, 0], idx[:, 1]]
     rhs = m[idx[:, 0], idx[:, 2]] + m[idx[:, 2], idx[:, 1]]
     bad = lhs > rhs + tol
@@ -207,7 +208,6 @@ def verify_metric_axioms(
     *,
     triple_mode: str = "auto",
     seed: int = 0,
-    samples: int = 200_000,
     tol: float = TOL,
 ) -> dict:
     """Check symmetry, positivity and the triangle inequality.
@@ -244,8 +244,8 @@ def verify_metric_axioms(
         w = _triangle_violation_exhaustive(m, tol)
     elif triple_mode in ("auto", "sampled"):
         report["triple_mode"] = "sampled"
-        report["triples_sampled"] = samples
-        w = _triangle_violation_sampled(m, tol, seed, samples)
+        report["triples_sampled"] = TRIPLE_SAMPLES
+        w = _triangle_violation_sampled(m, tol, seed)
     else:
         raise InputError(f"unknown triple_mode {triple_mode!r}")
     if w is not None:

@@ -151,12 +151,7 @@ def nerve(cover: Cover, vertex_ids: Sequence | None = None) -> SimplicialComplex
 def projection_rows(cover: Cover, points) -> np.ndarray:
     """Rows of ``cover.projections`` at the given carrier points, as a new
     coordinate block over the nerve's vertices."""
-    out = cover.projections[cover.universe().rank(points, "the cover's carrier")]
-    lost = np.isnan(out[:, 0])
-    if lost.any():
-        x = np.asarray(points)[lost][0]
-        raise InputError(f"point {x} lies in no cover set; family is not a cover at {x}")
-    return out
+    return cover.projections[cover.universe().rank(points, "the cover's carrier")]
 
 
 def projection_lipschitz_check(cover: Cover) -> dict:
@@ -339,12 +334,15 @@ def _simplex_complex(dim: int, tag: str) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(ids, [ids])
 
 
-def measure_cylinder_constant(cyl: MappingCylinder, t_steps: int = 16) -> float:
+T_STEPS = 16  # steps of the t grid on which cylinder constants are measured
+
+
+def measure_cylinder_constant(cyl: MappingCylinder) -> float:
     """Measured Lipschitz constant of the quotient map q on the product
     source x [0, 1] with metric sqrt(d^2 + dt^2), sampled on a uniform t
-    grid at the vertices, then at the barycenters of the simplices of two
-    or more vertices in ``(len, simplex)`` order (pairs closer than
-    ``COORD_EPS`` are skipped)."""
+    grid of ``T_STEPS`` steps at the vertices, then at the barycenters of
+    the simplices of two or more vertices in ``(len, simplex)`` order
+    (pairs closer than ``COORD_EPS`` are skipped)."""
     src = cyl.source
     cells = [s for s in sorted(src.simplices, key=lambda s: (len(s), s)) if len(s) >= 2]
     samples = np.zeros((len(src.vertices) + len(cells), len(src.vertices)))
@@ -352,8 +350,8 @@ def measure_cylinder_constant(cyl: MappingCylinder, t_steps: int = 16) -> float:
     for row, s in enumerate(cells, start=len(src.vertices)):
         samples[row, [src.positions[v] for v in s]] = 1.0 / len(s)
     check_rows(src, samples)
-    ts = np.tile([i / t_steps for i in range(t_steps + 1)], len(samples))
-    block = np.repeat(samples, t_steps + 1, axis=0)
+    ts = np.tile([i / T_STEPS for i in range(T_STEPS + 1)], len(samples))
+    block = np.repeat(samples, T_STEPS + 1, axis=0)
     rows = np.hstack([block, ts[:, None]])
     dist = np.array([np.sqrt(np.einsum("ij,ij->i", rows - row, rows - row)) for row in rows])
     dist[dist <= COORD_EPS] = 0.0
@@ -362,28 +360,21 @@ def measure_cylinder_constant(cyl: MappingCylinder, t_steps: int = 16) -> float:
     return sup_ratio(grid, grid.points(), images[:, used_columns(images)])
 
 
-def measure_uniformization_constant(dim: int, sample_maps: Sequence[SimplicialMap] | None = None) -> float:
+def measure_uniformization_constant(dim: int) -> float:
     """Estimate the uniformization constant for cylinders over complexes of
     the given dimension: the max measured quotient-map constant over a
     deterministic family of collapse and identity maps (always >= 1, since
     q restricted to t=0 is an isometry)."""
-    if sample_maps is None:
-        sample_maps = []
-        src = _simplex_complex(dim, "s")
-        point = _simplex_complex(0, "t")
-        sample_maps.append(
-            SimplicialMap(src, point, {v: ("t", 0) for v in src.vertices})
-        )
-        dst_same = _simplex_complex(dim, "t")
-        sample_maps.append(
-            SimplicialMap(src, dst_same, {("s", i): ("t", i) for i in range(dim + 1)})
-        )
-        if dim >= 1:
-            dst_low = _simplex_complex(dim - 1, "t")
-            collapse = {("s", i): ("t", min(i, dim - 1)) for i in range(dim + 1)}
-            sample_maps.append(SimplicialMap(src, dst_low, collapse))
+    src = _simplex_complex(dim, "s")
+    family = [
+        SimplicialMap(src, _simplex_complex(0, "t"), {v: ("t", 0) for v in src.vertices}),
+        SimplicialMap(src, _simplex_complex(dim, "t"), {("s", i): ("t", i) for i in range(dim + 1)}),
+    ]
+    if dim >= 1:
+        collapse = {("s", i): ("t", min(i, dim - 1)) for i in range(dim + 1)}
+        family.append(SimplicialMap(src, _simplex_complex(dim - 1, "t"), collapse))
     best = 1.0
-    for g in sample_maps:
+    for g in family:
         best = max(best, measure_cylinder_constant(mapping_cylinder(g)))
     if best < 1.0:
         raise InvariantViolation(f"uniformization constant {best} measured below 1")

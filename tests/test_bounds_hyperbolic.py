@@ -15,6 +15,7 @@ from coarsedim.group_spaces.hyperbolic import (
 )
 from coarsedim.metric_core import (
     FiniteMetricSpace,
+    build_graph_metric,
     measured_lipschitz,
     path_space,
     verify_metric_axioms,
@@ -76,7 +77,29 @@ class TestBoundCalculator:
         assert asdim_upper_bound(NormalSeries.of(["Z", "finite:2"]))["bound"] == 1
 
 
+def reference_ball_distance(base, p, q):
+    """The per-pair formula the row-block table replaced."""
+    d = base.dist(p.center, q.center)
+    return 2.0 * math.log((d + max(p.radius, q.radius)) / math.sqrt(p.radius * q.radius))
+
+
 class TestHyperbolization:
+    @pytest.mark.parametrize("block", [hyperbolic.SUP_RATIO_BLOCK, 120, 7])
+    @pytest.mark.parametrize("case", ["path", "weighted"])
+    def test_matrix_matches_scalar_reference(self, monkeypatch, block, case):
+        if case == "path":
+            base, radii = path_space(10), geometric_radii(levels=5)
+        else:
+            edges = [(0, 1, 0.25), (1, 2, 3.5), (2, 3, 1.75), (3, 0, 2.0), (1, 3, 0.5)]
+            base, radii = build_graph_metric(4, edges), geometric_radii(0.3, 1.7, 7)
+        monkeypatch.setattr(hyperbolic, "SUP_RATIO_BLOCK", block)
+        h = hyperbolization(base, radii)
+        want = np.array([[0.0 if p == q else reference_ball_distance(base, p, q) for q in h.points]
+                         for p in h.points])
+        # numpy's log may differ from math.log in the last bit on some
+        # platforms; everything else in the formula is correctly rounded
+        np.testing.assert_array_max_ulp(h.space.matrix, want, maxulp=2)
+
     def test_same_point_zero(self):
         h = hyperbolization(path_space(3), [1.0, math.e])
         i = h.index[BallSpacePoint(0, 1.0)]

@@ -206,6 +206,19 @@ class TestHurewicz:
         assert "measured_lipschitz" in report
 
 
+    def test_codomain_path_is_relative_to_the_map_file(self, tmp_path, capsys, monkeypatch):
+        grid = grid_space(4, 8)
+        space = write_space(tmp_path, "grid.json", grid)
+        (tmp_path / "maps").mkdir()
+        write_space(tmp_path / "maps", "path8.json", path_space(8))
+        map_doc = {"codomain": "path8.json", "assignment": [p % 8 for p in range(grid.n)], "lipschitz": 1}
+        (tmp_path / "maps" / "proj.json").write_text(json.dumps(map_doc))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "hurewicz", "run", "--space", space, "--map", "maps/proj.json",
+                           "--n", "1", "--k", "1", "--r", "2")
+        assert code == 0
+        assert json.loads(out)["parameters"]["map"] == "maps/proj.json"
+
     def test_fractional_image_exit_2(self, tmp_path, capsys):
         space = write_space(tmp_path, "p.json", path_space(3))
         map_path = tmp_path / "map.json"

@@ -39,8 +39,11 @@ class TestBasics:
         s = path_space(4)
         with pytest.raises(InputError):
             make_cover(s, [[0, 1]])
-        fam = make_cover(s, [[0, 1]], partial=True)
-        assert fam.partial
+
+    def test_fractional_point_rejected(self):
+        # a fractional point is an error, not truncated to the set (0, 1)
+        with pytest.raises(InputError, match="point 1.5 is not a whole number"):
+            make_cover(path_space(4), [[0, 1.5], [2, 3]])
 
     def test_multiplicity(self):
         s = path_space(4)

@@ -90,8 +90,6 @@ class TestWordSpace:
         half = build_explicit([[0, 0.5], [0.5, 0]])
         with pytest.raises(InputError):
             free_product_space(PointedSpace(half, 0), pointed_path(2), max_norm=2)
-        fps = free_product_space(PointedSpace(half, 0), pointed_path(2), max_norm=2, rescale=True)
-        assert fps.rescale_constant == 2.0
 
 
 class TestTree:

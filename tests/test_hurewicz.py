@@ -317,8 +317,8 @@ class TestDepthTwoAssembly:
         # g_2 is defined on both lower nerves and sends a nerve-0 vertex
         # where g_1 and then the last step send it
         for tower in depth2_assembly.towers.values():
-            g1, g2 = tower.g_maps[1], tower.g_maps[2]
-            assert set(g2.assignment) == set(tower.complexes[1].vertices)
+            g1, g2 = tower.cylinders[1].map, tower.cylinders[2].map
+            assert set(g2.assignment) == set(tower.cylinders[1].complex.vertices)
             for v in tower.faces[0].nerve.vertices:
                 assert g2.assignment[v] == g2.assignment[g1.assignment[v]]
 

@@ -284,15 +284,6 @@ class TestDepthTable:
                            carrier=[0, 1, 2, 3])
         assert cover.projections.tolist() == [[1 / 3, 0.0, 1 / 3, 1 / 3]] * 4
 
-    def test_point_in_no_set_has_no_projection(self):
-        cover = make_cover(path_space(4), [[0, 1], [1]], carrier=[0, 1, 2], partial=True)
-        assert np.isnan(cover.projections[2]).all()
-        assert cover.projections[0].tolist() == [1.0, 0.0]
-        with pytest.raises(InputError, match="lies in no cover set"):
-            projection_rows(cover, [0, 2])
-        with pytest.raises(InputError, match="lies in no cover set"):
-            projection_rows(cover, [2])
-
 
 # ---------------------------------------------------------------------------
 # sup_ratio
@@ -622,14 +613,14 @@ def reference_tower_value(config, tower, x):
         if tp <= 0.5:
             phi = reference_cylinder_point(tower.cylinders[p], phi, 2.0 * tp)
         else:
-            pushed = reference_apply(tower.g_maps[p], phi)
+            pushed = reference_apply(tower.cylinders[p].map, phi)
             proj = reference_canonical_projection(face.cover, x, face.nerve)
             coords: dict = {}
             for v, w in pushed:
                 coords[v] = coords.get(v, 0.0) + 2.0 * (1.0 - tp) * w
             for v, w in proj:
                 coords[v] = coords.get(v, 0.0) + (2.0 * tp - 1.0) * w
-            phi = reference_point(tower.complexes[p], coords)
+            phi = reference_point(tower.cylinders[p].complex, coords)
     return phi
 
 
