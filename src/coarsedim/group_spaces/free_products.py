@@ -241,18 +241,16 @@ def word_stratification(fps: FreeProductSpace) -> dict:
         if w:
             entry["P" + w[-1][0].upper()].append(w)
     max_k = max(strata)
+    none = {"PX": [], "PY": []}
     for k in range(1, max_k):
-        upper = strata.get(k + 1, {"PX": [], "PY": []})
-        for w in upper["PX"]:
-            if w[:-1] not in set(strata[k]["PY"]):
-                raise InvariantViolation(
-                    f"stratification inclusion fails at k={k}", witness=w
-                )
-        for w in upper["PY"]:
-            if w[:-1] not in set(strata[k]["PX"]):
-                raise InvariantViolation(
-                    f"stratification inclusion fails at k={k}", witness=w
-                )
+        upper, lower = strata.get(k + 1, none), strata.get(k, none)
+        for side, other in (("PX", "PY"), ("PY", "PX")):
+            prefixes = set(lower[other])
+            for w in upper[side]:
+                if w[:-1] not in prefixes:
+                    raise InvariantViolation(
+                        f"stratification inclusion fails at k={k}", witness=w
+                    )
     return strata
 
 

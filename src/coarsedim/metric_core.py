@@ -35,8 +35,8 @@ TOL = 1e-9
 EXHAUSTIVE_TRIPLE_LIMIT = 300
 TRIPLE_SAMPLES = 200_000
 
-# Largest temporary of sup_ratio, distance_to_set and the symmetrization of
-# shortest-path matrices, in matrix entries.
+# Largest temporary of sup_ratio, distance_to_set, the axiom checks and the
+# symmetrization of distance matrices, in matrix entries.
 SUP_RATIO_BLOCK = 1 << 14
 
 # Largest n*n distance matrix a construction may allocate, in entries (512 MiB).
@@ -178,7 +178,41 @@ class FiniteMetricSpace:
         return start, v[keep], arr[keep, 2]
 
 
+def _row_blocks(n: int):
+    """``(lo, hi)`` bounds of the row blocks of an n-column matrix, each
+    at most ``SUP_RATIO_BLOCK`` entries (at least one row)."""
+    step = max(1, SUP_RATIO_BLOCK // max(1, n))
+    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
+
+def _first_max(n: int, values) -> tuple[float, int, int]:
+    """``(v, i, j)``: the largest entry v of the n x n array whose row
+    block lo:hi is ``values(lo, hi)``, at its first position (i, j) in
+    row-major order, as ``np.argmax`` gives it on the whole array; a
+    later block replaces it only with a strictly larger entry.
+    ``(-inf, 0, 0)`` when n = 0."""
+    best = (-math.inf, 0, 0)
+    for lo, hi in _row_blocks(n):
+        block = values(lo, hi)
+        k = int(np.argmax(block))
+        if block.flat[k] > best[0]:
+            best = (float(block.flat[k]), lo + k // n, k % n)
+    return best
+
+
+def _negated_off_diagonal(m: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of -(m + I): the positivity test's matrix, negated so
+    that ``_first_max`` finds its first minimum (negation is exact)."""
+    block = -m[lo:hi]
+    block[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
+    return block
+
+
 def _triangle_violation_exhaustive(m: np.ndarray, tol: float):
+    """First (i, j, k), k outermost, with d(i, j) > d(i, k) + d(k, j) + tol.
+    Unlike the other checks this one builds n x n temporaries for each k;
+    it runs only up to 300 points (600 from ``hyperbolization``), or when
+    a caller asks for it."""
     n = m.shape[0]
     for k in range(n):
         via = m[:, k][:, None] + m[k, :][None, :]
@@ -190,16 +224,21 @@ def _triangle_violation_exhaustive(m: np.ndarray, tol: float):
 
 
 def _triangle_violation_sampled(m: np.ndarray, tol: float, seed: int):
+    """First bad triple among ``TRIPLE_SAMPLES`` drawn from one seeded
+    generator, drawn and checked in chunks of at most
+    ``SUP_RATIO_BLOCK // 3`` triples; successive draws continue the
+    generator's stream, so the triples are those of one draw of all."""
     n = m.shape[0]
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(TRIPLE_SAMPLES, 3))
-    lhs = m[idx[:, 0], idx[:, 1]]
-    rhs = m[idx[:, 0], idx[:, 2]] + m[idx[:, 2], idx[:, 1]]
-    bad = lhs > rhs + tol
-    if bad.any():
-        w = int(np.argmax(bad))
-        i, j, k = map(int, idx[w])
-        return (i, j, k, float(m[i, j]), float(m[i, k] + m[k, j]))
+    chunk = SUP_RATIO_BLOCK // 3
+    for lo in range(0, TRIPLE_SAMPLES, chunk):
+        idx = rng.integers(0, n, size=(min(chunk, TRIPLE_SAMPLES - lo), 3))
+        lhs = m[idx[:, 0], idx[:, 1]]
+        rhs = m[idx[:, 0], idx[:, 2]] + m[idx[:, 2], idx[:, 1]]
+        bad = lhs > rhs + tol
+        if bad.any():
+            i, j, k = map(int, idx[int(np.argmax(bad))])
+            return (i, j, k, float(m[i, j]), float(m[i, k] + m[k, j]))
     return None
 
 
@@ -210,12 +249,17 @@ def verify_metric_axioms(
     seed: int = 0,
     tol: float = TOL,
 ) -> dict:
-    """Check symmetry, positivity and the triangle inequality.
+    """Check finiteness, symmetry, positivity and the triangle inequality.
 
-    Symmetry and positivity checks are always exhaustive.  The triangle
-    check is exhaustive for spaces up to 300 points; above that,
-    ``triple_mode="auto"`` samples triples with the given seed (recorded in
-    the report).  Pass ``triple_mode="exhaustive"`` to force the full scan.
+    Finiteness, the zero diagonal, symmetry and positivity are checked
+    exhaustively, in that order, reading the matrix in row blocks of at
+    most ``SUP_RATIO_BLOCK`` entries, so no n x n temporary is built.  A
+    NaN or infinite entry fails as ``"finite"`` at its first position in
+    row-major order; each other witness is the first worst entry in
+    row-major order.  The triangle check is exhaustive for spaces up to
+    300 points; above that, ``triple_mode="auto"`` samples triples with
+    the given seed (recorded in the report), a chunk at a time.  Pass
+    ``triple_mode="exhaustive"`` to force the full scan.
     """
     m = space_or_matrix.matrix if isinstance(space_or_matrix, FiniteMetricSpace) else np.asarray(space_or_matrix, float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -223,19 +267,21 @@ def verify_metric_axioms(
     n = m.shape[0]
     report: dict[str, Any] = {"n": n, "ok": True, "witness": None, "seed": seed}
 
+    bad, i, j = _first_max(n, lambda lo, hi: ~np.isfinite(m[lo:hi]))
+    if bad > 0:
+        report.update(ok=False, axiom="finite", witness=(i, j, float(m[i, j])))
+        return report
     diag = np.abs(np.diag(m))
     if n and diag.max() > tol:
         i = int(np.argmax(diag))
         report.update(ok=False, axiom="zero-diagonal", witness=(i, i, float(m[i, i])))
         return report
-    asym = np.abs(m - m.T)
-    if n and asym.max() > tol:
-        i, j = map(int, np.unravel_index(np.argmax(asym), asym.shape))
+    asym, i, j = _first_max(n, lambda lo, hi: np.abs(m[lo:hi] - m[:, lo:hi].T))
+    if asym > tol:
         report.update(ok=False, axiom="symmetry", witness=(i, j, float(m[i, j]), float(m[j, i])))
         return report
-    off = m + np.eye(n)  # mask the diagonal before positivity test
-    if n and off.min() <= 0:
-        i, j = map(int, np.unravel_index(np.argmin(off), off.shape))
+    least, i, j = _first_max(n, lambda lo, hi: _negated_off_diagonal(m, lo, hi))
+    if -least <= 0:
         report.update(ok=False, axiom="positivity", witness=(i, j, float(m[i, j])))
         return report
 
@@ -258,15 +304,28 @@ def build_explicit(matrix, labels=None, *, provenance: str = "explicit-matrix") 
     axioms first (exhaustively up to 300 points, sampled above).  The
     axioms accept an asymmetry within tolerance; the kept matrix is exactly
     symmetric, d(s, t) being the smaller of the two given entries, so no
-    set-geometry result depends on which side it reads."""
-    m = np.asarray(matrix, dtype=float)
+    set-geometry result depends on which side it reads.  The matrix is
+    copied once and symmetrized in place; a caller's array is not
+    modified."""
+    m = np.array(matrix, dtype=float)
     report = verify_metric_axioms(m)
     if not report["ok"]:
         raise MetricAxiomError(
             f"matrix violates {report['axiom']} axiom at {report['witness']}",
             witness=report["witness"],
         )
-    return FiniteMetricSpace(np.minimum(m, m.T), tuple(labels) if labels else None, provenance)
+    _keep_smaller_side(m)
+    return FiniteMetricSpace(m, tuple(labels) if labels else None, provenance)
+
+
+def _keep_smaller_side(m: np.ndarray) -> None:
+    """Make the square matrix m exactly symmetric in place, each pair
+    keeping the smaller of d(s, t) and d(t, s): ``np.minimum(m, m.T)``
+    bit for bit, a row block at a time."""
+    for lo, hi in _row_blocks(m.shape[0]):
+        block = np.minimum(m[lo:hi], m[:, lo:hi].T)
+        m[lo:hi] = block
+        m[:, lo:hi] = block.T
 
 
 def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMetricSpace:
@@ -408,12 +467,8 @@ def _dijkstra_metric(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarr
         i, j = map(int, np.argwhere(np.isinf(m))[0])
         raise InputError(f"graph is disconnected: no path between {i} and {j}")
     # each source sums its own paths, so d(s, t) and d(t, s) can differ
-    # in the last ulp; keep the smaller, a row block at a time
-    step = max(1, SUP_RATIO_BLOCK // n)
-    for lo in range(0, n, step):
-        block = np.minimum(m[lo:lo + step], m[:, lo:lo + step].T)
-        m[lo:lo + step] = block
-        m[:, lo:lo + step] = block.T
+    # in the last ulp; keep the smaller
+    _keep_smaller_side(m)
     return m
 
 

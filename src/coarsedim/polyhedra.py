@@ -364,7 +364,8 @@ def measure_uniformization_constant(dim: int) -> float:
     """Estimate the uniformization constant for cylinders over complexes of
     the given dimension: the max measured quotient-map constant over a
     deterministic family of collapse and identity maps (always >= 1, since
-    q restricted to t=0 is an isometry)."""
+    q restricted to t=0 is an isometry).  A NaN measurement, or a maximum
+    below 1, raises ``InvariantViolation``."""
     src = _simplex_complex(dim, "s")
     family = [
         SimplicialMap(src, _simplex_complex(0, "t"), {v: ("t", 0) for v in src.vertices}),
@@ -373,9 +374,10 @@ def measure_uniformization_constant(dim: int) -> float:
     if dim >= 1:
         collapse = {("s", i): ("t", min(i, dim - 1)) for i in range(dim + 1)}
         family.append(SimplicialMap(src, _simplex_complex(dim - 1, "t"), collapse))
-    best = 1.0
-    for g in family:
-        best = max(best, measure_cylinder_constant(mapping_cylinder(g)))
+    measured = [measure_cylinder_constant(mapping_cylinder(g)) for g in family]
+    if any(math.isnan(c) for c in measured):
+        raise InvariantViolation(f"uniformization constants {measured} include NaN")
+    best = max(measured)
     if best < 1.0:
         raise InvariantViolation(f"uniformization constant {best} measured below 1")
     return best

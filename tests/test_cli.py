@@ -66,6 +66,14 @@ class TestSpace:
         assert code == 2
         assert out.startswith("FAIL:") and "is not a whole number" in out
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_check_non_finite_matrix_exit_2(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "matrix", "n": 2, "matrix": [[0, %s], [%s, 0]]}' % (value, value))
+        code, out, _ = run(capsys, "space", "check", "--file", str(bad))
+        assert code == 2
+        assert out.startswith("FAIL:") and "violates finite axiom" in out
+
     def test_info_prints_diameter(self, tmp_path, capsys):
         f = write_space(tmp_path, "p.json", path_space(10))
         code, out, _ = run(capsys, "space", "info", "--file", f)

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from coarsedim.errors import CapExceeded, InputError
+from coarsedim.errors import CapExceeded, InputError, InvariantViolation
 from coarsedim.group_spaces import free_products
 from coarsedim.group_spaces.free_products import (
     PointedSpace,
@@ -171,3 +173,63 @@ class TestTreeTargetReport:
         proj = tree_projection(fps)
         with pytest.raises(InputError):
             tree_target_report(proj, grid_space(2, 2), r_list=[1], R_list=[1])
+
+
+def stratification_one_set_per_word(fps):
+    """word_stratification as it was, building the prefix set of stratum k
+    anew for every word of stratum k + 1: the reference for the strata and
+    the witness."""
+    strata = {}
+    for w in fps.words:
+        k = len(w)
+        entry = strata.setdefault(k, {"P": [], "PX": [], "PY": []})
+        entry["P"].append(w)
+        if w:
+            entry["P" + w[-1][0].upper()].append(w)
+    max_k = max(strata)
+    for k in range(1, max_k):
+        upper = strata.get(k + 1, {"PX": [], "PY": []})
+        for w in upper["PX"]:
+            if w[:-1] not in set(strata[k]["PY"]):
+                raise InvariantViolation(f"stratification inclusion fails at k={k}", witness=w)
+        for w in upper["PY"]:
+            if w[:-1] not in set(strata[k]["PX"]):
+                raise InvariantViolation(f"stratification inclusion fails at k={k}", witness=w)
+    return strata
+
+
+def path_product_words(max_norm):
+    """The words of the free product of two 4-point paths based at 0 with
+    norm <= max_norm, in breadth-first order: letter (tag, p) has norm p."""
+    words = [()]
+    for w in words:
+        norm = sum(p for _, p in w)
+        for tag in "xy":
+            if not w or w[-1][0] != tag:
+                words += [w + ((tag, p),) for p in (1, 2, 3) if norm + p <= max_norm]
+    return words
+
+
+class TestStratificationSets:
+    def test_word_list_is_the_truncation(self, fps):
+        assert sorted(path_product_words(6)) == sorted(fps.words)
+
+    @pytest.mark.parametrize("max_norm, count", [(10, 1199), (12, 4061)])
+    def test_matches_one_set_per_word(self, max_norm, count):
+        words = path_product_words(max_norm)
+        assert len(words) == count
+        truncation = SimpleNamespace(words=words)
+        assert word_stratification(truncation) == stratification_one_set_per_word(truncation)
+        prefixes = {w[:-1] for w in words}
+        for k in (1, 2, 4, 6):
+            # drop the first X-ending or the last Y-ending word of length k
+            # that is a prefix, or every 7th word from the k-th on
+            first_x = next(w for w in words if len(w) == k and w[-1][0] == "x" and w in prefixes)
+            last_y = [w for w in words if len(w) == k and w[-1][0] == "y" and w in prefixes][-1]
+            for dropped in ({first_x}, {last_y}, set(words[k::7])):
+                broken = SimpleNamespace(words=[w for w in words if w not in dropped])
+                with pytest.raises(InvariantViolation) as got:
+                    word_stratification(broken)
+                with pytest.raises(InvariantViolation) as want:
+                    stratification_one_set_per_word(broken)
+                assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)

@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -411,3 +412,188 @@ class TestLipschitz:
         s = path_space(3)
         with pytest.raises(InputError):
             MetricMap(s, (0, 1, 2), "complex")
+
+
+# ---------------------------------------------------------------------------
+# axiom checks in row blocks against the whole-matrix reference
+
+
+def whole_matrix_axioms(m, triple_mode="auto", seed=0, tol=metric_core.TOL):
+    """The axiom checks as whole-matrix passes, each n x n temporary built
+    at once and the sampled triples drawn in one call, with a finiteness
+    check in front: the reports verify_metric_axioms must reproduce,
+    witness included."""
+    m = np.asarray(m, float)
+    n = m.shape[0]
+    report = {"n": n, "ok": True, "witness": None, "seed": seed}
+    bad = ~np.isfinite(m)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        report.update(ok=False, axiom="finite", witness=(i, j, float(m[i, j])))
+        return report
+    diag = np.abs(np.diag(m))
+    if n and diag.max() > tol:
+        i = int(np.argmax(diag))
+        report.update(ok=False, axiom="zero-diagonal", witness=(i, i, float(m[i, i])))
+        return report
+    asym = np.abs(m - m.T)
+    if n and asym.max() > tol:
+        i, j = map(int, np.unravel_index(np.argmax(asym), asym.shape))
+        report.update(ok=False, axiom="symmetry", witness=(i, j, float(m[i, j]), float(m[j, i])))
+        return report
+    off = m + np.eye(n)
+    if n and off.min() <= 0:
+        i, j = map(int, np.unravel_index(np.argmin(off), off.shape))
+        report.update(ok=False, axiom="positivity", witness=(i, j, float(m[i, j])))
+        return report
+    w = None
+    if triple_mode == "exhaustive" or (triple_mode == "auto" and n <= 300):
+        report["triple_mode"] = "exhaustive"
+        for k in range(n):
+            bad = m > m[:, k][:, None] + m[k, :][None, :] + tol
+            if bad.any():
+                i, j = map(int, np.argwhere(bad)[0])
+                w = (i, j, k, float(m[i, j]), float(m[i, k] + m[k, j]))
+                break
+    else:
+        report["triple_mode"] = "sampled"
+        report["triples_sampled"] = 200_000
+        idx = np.random.default_rng(seed).integers(0, n, size=(200_000, 3))
+        bad = m[idx[:, 0], idx[:, 1]] > m[idx[:, 0], idx[:, 2]] + m[idx[:, 2], idx[:, 1]] + tol
+        if bad.any():
+            i, j, k = map(int, idx[int(np.argmax(bad))])
+            w = (i, j, k, float(m[i, j]), float(m[i, k] + m[k, j]))
+    if w is not None:
+        report.update(ok=False, axiom="triangle", witness=w)
+    return report
+
+
+PLANTS = ("none", "finite", "diagonal", "symmetry", "positivity", "triangle")
+
+
+def planted(kind, n, seed):
+    """An n-point metric |x_i - x_j| + 1 off the diagonal (every triangle
+    has slack >= 1) with one violation of the given kind planted; "none"
+    plants an asymmetry within tolerance.  Kinds other than "none",
+    "finite" and "diagonal" need n >= 2."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 20, size=n).astype(float)
+    m = np.abs(x[:, None] - x[None, :]) + (1.0 - np.eye(n))
+    i = int(rng.integers(0, n))
+    j = (i + 1 + int(rng.integers(0, n - 1))) % n if n > 1 else i
+
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    if kind == "none" and n > 1:
+        m[i, j] += 4e-10
+    elif kind == "finite":
+        m[i, j] = pick([math.nan, math.inf, -math.inf])
+        if rng.integers(2):
+            m[j, i] = m[i, j]
+    elif kind == "diagonal":
+        m[i, i] = pick([2e-9, -2e-9, 0.5, -2.0])
+    elif kind == "symmetry":
+        m[i, j] += pick([2e-9, -2e-9, 0.25, -3.0])
+    elif kind == "positivity":
+        m[i, j] = m[j, i] = pick([0.0, -0.0, -1e-12, -1.0])
+    elif kind == "triangle":
+        m[i, j] = m[j, i] = 100.0
+    return m
+
+
+@st.composite
+def planted_cases(draw, max_n=24):
+    kind = draw(st.sampled_from(PLANTS))
+    least = 1 if kind in ("none", "finite", "diagonal") else 2
+    return kind, draw(st.integers(least, max_n)), draw(st.integers(0, 2**32 - 1))
+
+
+def same_report(m, triple_mode="auto", seed=0):
+    # json, so that NaN witnesses compare equal
+    got = verify_metric_axioms(m, triple_mode=triple_mode, seed=seed)
+    want = whole_matrix_axioms(m, triple_mode=triple_mode, seed=seed)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    return got
+
+
+class TestAxiomsInRowBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(planted_cases(), st.sampled_from(["auto", "sampled"]), st.integers(0, 3))
+    def test_reports_match_whole_matrix_checks(self, case, triple_mode, seed):
+        same_report(planted(*case), triple_mode, seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted_cases())
+    def test_many_blocks_match_whole_matrix_checks(self, case):
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", 64):
+            same_report(planted(*case))
+
+    @pytest.mark.parametrize("kind", ["none", "triangle"])
+    def test_many_sample_chunks_match_one_draw(self, kind):
+        m = planted(kind, 30, 5)
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", 64):
+            rep = same_report(m, "sampled", 3)
+        assert rep["ok"] == (kind == "none")
+
+    @pytest.mark.parametrize("kind, n", [(k, 1) for k in ("none", "finite", "diagonal")]
+                             + [(k, 2) for k in PLANTS])
+    def test_one_and_two_points(self, kind, n):
+        for seed in range(4):
+            same_report(planted(kind, n, seed))
+
+    def test_empty_matrix(self):
+        assert same_report(np.zeros((0, 0)))["ok"]
+
+    # 16384 // 200 = 81 and 16384 // 301 = 54 rows per block: the last
+    # block is partial; 301 points also take the sampled triangle check
+    @pytest.mark.parametrize("kind", PLANTS)
+    @pytest.mark.parametrize("n", [200, 301])
+    def test_partial_last_block(self, kind, n):
+        for seed in range(2):
+            rep = same_report(planted(kind, n, seed), seed=seed)
+            if kind == "none":
+                assert rep["ok"] and rep["triple_mode"] == ("exhaustive" if n <= 300 else "sampled")
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("n", [7, 129, 593, 961, 1199, 1200])
+    def test_chunked_draws_equal_one_draw(self, n, seed):
+        total, chunk = metric_core.TRIPLE_SAMPLES, metric_core.SUP_RATIO_BLOCK // 3
+        rng = np.random.default_rng(seed)
+        chunks = [rng.integers(0, n, size=(min(chunk, total - lo), 3)) for lo in range(0, total, chunk)]
+        one = np.random.default_rng(seed).integers(0, n, size=(total, 3))
+        assert np.array_equal(np.concatenate(chunks), one)
+
+    def test_check_allocates_no_square_temporary(self):
+        space = grid_space(35, 35)
+        tracemalloc.start()
+        try:
+            rep = verify_metric_axioms(space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep["ok"] and rep["triple_mode"] == "sampled"
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_distance_rejected(self, value):
+        rep = verify_metric_axioms([[0, value], [value, 0]])
+        assert not rep["ok"] and rep["axiom"] == "finite"
+        with pytest.raises(MetricAxiomError) as err:
+            build_explicit([[0, value], [value, 0]])
+        assert err.value.witness[:2] == (0, 1)
+
+
+class TestBuildExplicitInPlace:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.booleans())
+    def test_min_with_transpose_bit_for_bit(self, n, seed, many_blocks):
+        m = planted("none", n, seed)
+        m += np.random.default_rng(seed).uniform(-2e-10, 2e-10, size=(n, n))
+        given_m = m.copy()
+        block = 64 if many_blocks else metric_core.SUP_RATIO_BLOCK
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+            space = build_explicit(m)
+        assert space.matrix.tobytes() == np.minimum(given_m, given_m.T).tobytes()
+        assert m.tobytes() == given_m.tobytes() and m.flags.writeable
+        assert space.matrix is not m

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coarsedim import polyhedra
 from coarsedim.covers import make_cover
 from coarsedim.errors import InputError, InvariantViolation
 from coarsedim.metric_core import build_explicit, grid_space, path_space
@@ -340,3 +341,14 @@ class TestGlue:
         g = glue([t1, t2])
         assert len(g.vertices) == 4
         assert len([s for s in g.simplices if len(s) == 3]) == 2
+
+
+class TestUniformizationGuards:
+    @pytest.mark.parametrize("measured", [
+        [1.5, math.nan, 1.2], [math.nan, 1.0], [0.5, 0.75, 0.9],
+    ], ids=["nan-after-max", "nan-first", "below-one"])
+    def test_broken_measurement_raises(self, monkeypatch, measured):
+        values = iter(measured)
+        monkeypatch.setattr(polyhedra, "measure_cylinder_constant", lambda cyl: next(values))
+        with pytest.raises(InvariantViolation):
+            measure_uniformization_constant(len(measured) - 2)
