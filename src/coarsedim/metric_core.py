@@ -1,8 +1,8 @@
 """Finite metric spaces and measured Lipschitz constants.
 
 Everything downstream runs on a :class:`FiniteMetricSpace`: an immutable
-point set with an explicit distance matrix that is checked against the
-metric axioms at construction time.  Balls, neighborhoods and set-to-set
+point set with an explicit, finite distance matrix, checked against the
+metric axioms by the constructors that say so.  Balls, neighborhoods and set-to-set
 distances are computed exactly.  Lipschitz constants of maps are *measured*
 rather than trusted, which is the verification instrument used by every
 other module: over the edges of a graph metric when a Bellman certificate
@@ -16,12 +16,13 @@ else a 1e-9 tolerance applies.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -125,9 +126,12 @@ PROVENANCES = (
 class FiniteMetricSpace:
     """Immutable finite metric space, compared by identity.
 
-    The distance matrix is validated on construction (see
-    :func:`verify_metric_axioms`); the array is frozen so instances can be
-    shared freely across threads.
+    Construction rejects a non-square matrix, and a NaN or infinite entry
+    with its first (i, j, value) in row-major order, read in row blocks.
+    The metric axioms are checked by the constructors that say so, such as
+    ``build_explicit``.  A float array is taken over and frozen, not
+    copied (a copy would double a Cayley ball's peak memory), so
+    instances can be shared freely across threads.
     """
 
     matrix: np.ndarray
@@ -141,6 +145,11 @@ class FiniteMetricSpace:
         object.__setattr__(self, "matrix", m)
         if self.provenance not in PROVENANCES:
             raise InputError(f"unknown provenance {self.provenance!r}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InputError("distance matrix must be square")
+        bad, i, j = _first_max(m.shape[0], lambda lo, hi: ~np.isfinite(m[lo:hi]))
+        if bad > 0:
+            raise InputError(f"distance matrix has a non-finite entry at {(i, j, float(m[i, j]))}")
         if self.labels is not None and len(self.labels) != m.shape[0]:
             raise InputError("label count does not match point count")
 
@@ -329,16 +338,14 @@ def _keep_smaller_side(m: np.ndarray) -> None:
 
 
 def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMetricSpace:
-    """Shortest-path metric of a connected, positively weighted graph.
+    """Shortest-path metric of a connected graph with finite positive real
+    edge weights, computed by ``_shortest_paths``.
 
     ``edges`` is a list of ``(i, j)`` or ``(i, j, w)`` entries; missing
     weights default to 1.  The metric is that of the simple graph:
     self-loops are dropped and parallel edges keep their lightest weight.
-    When every edge then has one length, the matrix comes from exact hop
-    counts (``_hop_metric``); otherwise from scipy's Dijkstra
-    (``_dijkstra_metric``), so scipy is loaded only by a graph with two
-    distinct weights.  Either way the matrix is exactly symmetric.
-    Disconnected graphs are rejected, and so is an n*n matrix over
+    The matrix is exactly symmetric.  A bad weight (naming its edge) and a
+    disconnected graph are rejected, and so is an n*n matrix over
     ``MATRIX_CAP`` before it is allocated.
     """
     n = _whole(n, "vertex count")
@@ -356,21 +363,14 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
         i, j = _whole(i, f"edge {e}: vertex"), _whole(j, f"edge {e}: vertex")
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge {e} out of range")
-        if w <= 0:
-            raise InputError(f"edge {e} has nonpositive weight")
+        if not isinstance(w, (int, float, np.integer, np.floating)) or not 0 < w < math.inf:
+            raise InputError(f"edge {e} needs a finite positive real weight")
         w = float(w)
         given.append((i, j, w))
         if i != j:
             pair = (min(i, j), max(i, j))
             lightest[pair] = min(w, lightest.get(pair, w))
-    weights = set(lightest.values())
-    unit = min(weights, default=1.0)
-    if n == 1:
-        m = np.zeros((1, 1))
-    elif len(weights) <= 1 and unit < math.inf:
-        m = _hop_metric(n, lightest, unit)
-    else:
-        m = _dijkstra_metric(n, lightest)
+    m = np.zeros((1, 1)) if n == 1 else _shortest_paths(n, lightest)
     space = FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path")
     space.meta["edges"] = given
     return space
@@ -388,88 +388,87 @@ def _whole(value, what: str) -> int:
     return out
 
 
-def _hop_metric(n: int, pairs: Iterable[tuple[int, int]], w: float) -> np.ndarray:
-    """Shortest-path matrix of the connected simple graph on the vertex
-    ``pairs`` over n > 1 vertices, every edge of length w, computed in
-    numpy from exact hop counts h.
+def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarray:
+    """Dijkstra's shortest-path matrix, bit for bit, of the connected simple
+    graph on n > 1 vertices whose pairs carry the ``lightest`` weights.
 
-    H starts at +inf with a 0 diagonal.  Passes over the vertices in the
-    order of a BFS from vertex 0, alternately backward and forward, set
-    H[s] = min(H[s], 1 + min over neighbours u of H[u]), gathering
-    neighbour rows in blocks of at most ``SUP_RATIO_BLOCK`` entries, until
-    a pass changes nothing.  Then H = h:
+    M starts at +inf with a 0 diagonal.  Passes over the vertices in Prim
+    order from vertex 0 (lightest leaving edge first, ties by discovery;
+    BFS order when all edges have one length), alternately backward and
+    forward, set M[v] = min(M[v], min over each weight w among v's edges
+    of (min of the neighbour rows at w) + w), gathering rows in blocks of
+    at most ``SUP_RATIO_BLOCK`` entries, until a pass changes nothing.
 
-    - H >= h throughout: 1 + h(u, t) >= h(s, t) on every edge (s, u).
-    - A pass that changes nothing leaves H[s, t] <= 1 + H[u, t] on every
-      edge.  By induction on h(s, t): s = t has H = 0; otherwise some
-      neighbour u has h(u, t) = h(s, t) - 1 = H[u, t], so
-      H[s, t] <= h(s, t).
-    - The entries are integers (or +inf) that only decrease, and every
-      pass but the last decreases one, so the loop terminates.
+    Let D[v] be Dijkstra's distance from t, summed fl(D[u] + w) outward.
+    fl(x + w) is nondecreasing in x and at least x, so a group's minimum
+    may be taken before adding w, and D[v] <= fl(D[u] + w) on every edge,
+    with equality at v's parent in Dijkstra's tree.  Hence M[:, t] >= D
+    throughout, and after pass k, M[v, t] <= fl(M[parent, t] + w) <= D[v]
+    for every v within k tree edges of t: the loop ends with M equal to
+    Dijkstra's matrix transposed.  With one weight w, D = L[h] for the hop
+    count h and L[k] = fl(L[k-1] + w), exactly symmetric; with more,
+    d(s, t) and d(t, s) can differ in the last ulp, and the smaller is kept.
 
-    Dijkstra sums any path of k edges as L[k], where L[0] = 0 and
-    L[k] = fl(L[k-1] + w); L is nondecreasing, so its distance is L[h]
-    bit for bit, and exactly symmetric because h is.  H is mapped to L[H]
-    in row blocks; the map is skipped when w = 1, where L[k] = k.
-
-    The BFS rejects a disconnected graph, naming 0 and the smallest vertex
-    it does not reach: the first infinite entry of the matrix in row-major
-    order.
+    When fl(x + w) > x for every distance x reached and weight w, D is
+    also the only solution of X[t] = 0, X[v] = min over edges of
+    fl(X[u] + w): a minimizing neighbour has a smaller X, so these chains
+    end at t and X >= D, and X <= D along the tree.  Otherwise sums drop
+    whole edges (fl(1e17 + 1) = 1e17), and the graph is rejected.  As
+    fl(x + w) > x needs w > spacing(x) / 2 (or a tie rounding up to even)
+    and spacing grows with x, the check is 2 w_min > spacing(top) for the
+    largest distance top; ``top + w_min > top`` would pass a tie that
+    rounds up at top alone.  A disconnected graph is rejected, naming 0
+    and the smallest vertex Prim order misses: M's first infinite entry.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    seen[0] = True
-    order = [0]
-    for s in order:
-        for t in adj[s]:
-            if not seen[t]:
-                seen[t] = True
-                order.append(t)
+    adj: list[dict[float, list[int]]] = [{} for _ in range(n)]
+    for (i, j), w in lightest.items():
+        adj[i].setdefault(w, []).append(j)
+        adj[j].setdefault(w, []).append(i)
+    order, done, heap, pushed = [], [False] * n, [(0.0, 0, 0)], 0
+    while heap:
+        s = heapq.heappop(heap)[2]
+        if not done[s]:
+            done[s] = True
+            order.append(s)
+            for w, nbrs in adj[s].items():
+                for t in nbrs:
+                    if not done[t]:
+                        pushed += 1
+                        heapq.heappush(heap, (w, pushed, t))
     if len(order) < n:
-        raise InputError(f"graph is disconnected: no path between 0 and {seen.index(False)}")
-    h = np.full((n, n), np.inf)
-    np.fill_diagonal(h, 0.0)
+        raise InputError(f"graph is disconnected: no path between 0 and {done.index(False)}")
+    m = np.full((n, n), np.inf)
+    np.fill_diagonal(m, 0.0)
+    rows = [(m[s], [(w, np.array(nbrs, dtype=np.intp)) for w, nbrs in adj[s].items()]) for s in order]
     step = max(1, SUP_RATIO_BLOCK // n)
-    rows = [(h[s], np.array(adj[s], dtype=np.intp)) for s in order]
     changed = True
     while changed:
         changed = False
         rows.reverse()
-        for row, nbrs in rows:
-            near = h[nbrs[:step]].min(axis=0)
-            for lo in range(step, len(nbrs), step):
-                np.minimum(near, h[nbrs[lo:lo + step]].min(axis=0), out=near)
-            near += 1.0
+        for row, groups in rows:
+            near = None
+            for w, nbrs in groups:
+                best = _min_of_rows(m, nbrs, step)
+                best += w
+                near = best if near is None else np.minimum(near, best, out=near)
             if changed or (near < row).any():
                 np.minimum(row, near, out=row)
                 changed = True
-    if w != 1.0:
-        lengths = np.fromiter(accumulate(repeat(w, int(h.max())), initial=0.0), dtype=float)
-        for lo in range(0, n, step):
-            h[lo:lo + step] = lengths[h[lo:lo + step].astype(np.intp)]
-    return h
-
-
-def _dijkstra_metric(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarray:
-    """Shortest-path matrix of the simple graph whose pairs carry the
-    ``lightest`` weights, by scipy's Dijkstra, imported here."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    rows = [i for i, _ in lightest]
-    cols = [j for _, j in lightest]
-    graph = coo_matrix((list(lightest.values()), (rows, cols)), shape=(n, n))
-    m = dijkstra(graph, directed=False)
-    if np.isinf(m).any():
-        i, j = map(int, np.argwhere(np.isinf(m))[0])
-        raise InputError(f"graph is disconnected: no path between {i} and {j}")
-    # each source sums its own paths, so d(s, t) and d(t, s) can differ
-    # in the last ulp; keep the smaller
-    _keep_smaller_side(m)
+    top, w_min = float(m.max()), min(lightest.values())
+    if not 2 * w_min > np.spacing(top):
+        raise InputError(f"edge weight {w_min} vanishes in path sums up to {top}")
+    if len(set(lightest.values())) > 1:
+        _keep_smaller_side(m)
     return m
+
+
+def _min_of_rows(m: np.ndarray, idx: np.ndarray, step: int) -> np.ndarray:
+    """The minimum of m's rows ``idx`` (nonempty), gathered ``step`` rows at
+    a time."""
+    out = m[idx[:step]].min(axis=0)
+    for lo in range(step, len(idx), step):
+        np.minimum(out, m[idx[lo:lo + step]].min(axis=0), out=out)
+    return out
 
 
 def path_space(n: int) -> FiniteMetricSpace:
@@ -515,12 +514,7 @@ def distance_to_set(space: FiniteMetricSpace, a) -> np.ndarray:
     idx = np.asarray(as_point_set(a).indices, dtype=np.intp)
     if not idx.size:
         raise InputError("distance to a set needs a nonempty set")
-    m = space.matrix
-    step = max(1, SUP_RATIO_BLOCK // max(1, space.n))
-    out = m[idx[:step]].min(axis=0)
-    for lo in range(step, len(idx), step):
-        np.minimum(out, m[idx[lo:lo + step]].min(axis=0), out=out)
-    return out
+    return _min_of_rows(space.matrix, idx, max(1, SUP_RATIO_BLOCK // max(1, space.n)))
 
 
 def set_distances(space: FiniteMetricSpace, family_a: Sequence, family_b: Sequence) -> np.ndarray:

@@ -74,6 +74,19 @@ class TestSpace:
         assert code == 2
         assert out.startswith("FAIL:") and "violates finite axiom" in out
 
+    @pytest.mark.parametrize("edges, message", [
+        ('[[0, 1, 1.0], [1, 2, "2"]]', "needs a finite positive real weight"),
+        ("[[0, 1, 1.0], [1, 2, NaN]]", "needs a finite positive real weight"),
+        ("[[0, 1, 1.0], [1, 2, Infinity]]", "needs a finite positive real weight"),
+        ("[[0, 1, 1e17], [1, 2, 1]]", "vanishes in path sums"),
+    ], ids=["string", "nan", "infinity", "vanishing"])
+    def test_check_bad_weight_exit_2(self, tmp_path, capsys, edges, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "graph", "n": 3, "edges": %s}' % edges)
+        code, out, _ = run(capsys, "space", "check", "--file", str(bad))
+        assert code == 2
+        assert out.startswith("FAIL:") and message in out
+
     def test_info_prints_diameter(self, tmp_path, capsys):
         f = write_space(tmp_path, "p.json", path_space(10))
         code, out, _ = run(capsys, "space", "info", "--file", f)
@@ -466,18 +479,41 @@ print("scipy" in sys.modules)
 """
 
 
-def fresh_python(code, *argv):
+SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+import coarsedim
+from coarsedim.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+def fresh_python(code, *argv, cwd=None):
     """Standard output of ``code`` run in a new interpreter on this source tree."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+                          timeout=120, env={**os.environ, "PYTHONPATH": src}, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
 class TestColdStart:
-    """scipy is loaded by the first graph metric with two distinct edge
-    weights, not by importing the CLI or by an equal-weight graph."""
+    """No command loads scipy: graph metrics of any weights are computed
+    in numpy."""
 
     @pytest.mark.parametrize("argv, loaded", [
         (["group", "ball", "--builtin", "heisenberg", "--R", "2", "--no-cache"], "False"),
@@ -486,10 +522,39 @@ class TestColdStart:
     def test_scipy_loaded_only_for_graph_metrics(self, argv, loaded):
         assert fresh_python(SCIPY_PROBE, *argv) == loaded
 
-    def test_scipy_loaded_for_two_distinct_weights(self, tmp_path):
+    def test_scipy_not_loaded_for_two_distinct_weights(self, tmp_path):
         path = tmp_path / "weighted.json"
         path.write_text(json.dumps({"kind": "graph", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.5]]}))
-        assert fresh_python(SCIPY_PROBE, "space", "check", "--file", str(path)) == "True"
+        assert fresh_python(SCIPY_PROBE, "space", "check", "--file", str(path)) == "False"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # every command of the installed-package CI step, with scipy made
+        # unimportable, exits as it does with scipy installed
+        (tmp_path / "nan.json").write_text('{"kind": "matrix", "n": 2, "matrix": [[0, NaN], [NaN, 0]]}')
+        (tmp_path / "weighted.json").write_text(
+            json.dumps({"kind": "graph", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.5]]}))
+        (tmp_path / "maps").mkdir()
+        proj = json.dumps({"codomain": "path8.json", "assignment": list(range(8)) * 4, "lipschitz": 1})
+        (tmp_path / "proj.json").write_text(proj)
+        (tmp_path / "maps" / "proj.json").write_text(proj)
+        hurewicz = ["hurewicz", "run", "--space", "grid4x8.json", "--n", "1", "--k", "1", "--r", "2", "--map"]
+        commands = [
+            (["--version"], 0),
+            (["group", "ball", "--builtin", "heisenberg", "--R", "2", "--no-cache"], 0),
+            (["verify"], 0),
+            (["space", "check", "--file", "nan.json"], 2),
+            (["space", "build", "grid", "6", "6", "-o", "g.json"], 0),
+            (["cover", "solve", "g.json", "--mode", "exact", "-o", "d.json"], 0),
+            (["cover", "verify", "g.json", "--decomposition", "d.json"], 0),
+            (["space", "build", "grid", "4", "8", "-o", "grid4x8.json"], 0),
+            (["space", "build", "path", "8", "-o", "path8.json"], 0),
+            (hurewicz + ["proj.json"], 0),
+            (["space", "build", "path", "8", "-o", "maps/path8.json"], 0),
+            (hurewicz + ["maps/proj.json"], 0),
+            (["space", "check", "--file", "weighted.json"], 0),
+        ]
+        codes = fresh_python(SCIPY_BLOCKED, json.dumps([argv for argv, _ in commands]), cwd=tmp_path)
+        assert json.loads(codes) == [code for _, code in commands]
 
     def test_no_module_imports_scipy(self):
         assert fresh_python(IMPORT_ALL) == "False"

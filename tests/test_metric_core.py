@@ -113,6 +113,34 @@ def erdos_renyi():
     return build_graph_metric(400, [(a, b, 0.1) for a, b in zip(i.tolist(), j.tolist())])
 
 
+def star_and_path(n, seed=3):
+    """A star of weight 100 from vertex 0 plus a path of weight 1/2
+    through its leaves in random order: BFS order needs hundreds of passes
+    on it, Prim order a few."""
+    leaves = np.random.default_rng(seed).permutation(np.arange(1, n)).tolist()
+    return build_graph_metric(n, [(0, v, 100.0) for v in range(1, n)]
+                              + [(a, b, 0.5) for a, b in zip(leaves, leaves[1:])])
+
+
+def random_weight_grid(rows, cols, seed=4):
+    """A grid graph whose edges have random weights in [0.25, 4]."""
+    grid = grid_space(rows, cols).meta["edges"]
+    weights = 0.25 + 3.75 * np.random.default_rng(seed).random(len(grid))
+    return build_graph_metric(rows * cols, [(i, j, w) for (i, j, _), w in zip(grid, weights.tolist())])
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """A connected multigraph with weights from a fixed fractional set or
+    drawn as floats, with parallel edges and self-loops."""
+    n = draw(st.integers(2, 14))
+    weight = st.sampled_from([0.1, 0.25, 1 / 3, 0.7, 1.0, 2.2, 7.3]) | st.floats(0.05, 20)
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, n)]
+    edges += [(i, j, draw(weight)) for i, j in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))]
+    return n, draw(st.permutations(edges))
+
+
 @st.composite
 def equal_weight_multigraphs(draw):
     """A connected multigraph whose lightest edge on every pair has one
@@ -188,22 +216,32 @@ class TestGraphMetric:
 
     def test_disconnected_rejected(self):
         # the message names 0 and the smallest vertex 0 does not reach,
-        # for equal weights (hop counts) and for two weights (scipy) alike
+        # for equal weights and for two weights alike
         for n, edges, pair in [(4, [(0, 1), (2, 3)], "0 and 2"), (3, [], "0 and 1"),
                                (4, [(0, 1, 1), (2, 3, 2)], "0 and 2")]:
             with pytest.raises(InputError, match=f"^graph is disconnected: no path between {pair}$"):
                 build_graph_metric(n, edges)
 
     def test_matrix_cap_before_allocation(self, monkeypatch):
-        import scipy.sparse.csgraph
-
         monkeypatch.setattr(metric_core, "MATRIX_CAP", 8)
         with monkeypatch.context() as m:
-            m.setattr(scipy.sparse.csgraph, "dijkstra", no_allocation)
-            m.setattr(metric_core, "_hop_metric", no_allocation)
+            m.setattr(metric_core, "_shortest_paths", no_allocation)
             with pytest.raises(CapExceeded, match="graph has 3 vertices; its matrix exceeds cap 8"):
                 path_space(3)
         assert path_space(2).dist(0, 1) == 1.0  # 2 x 2 is within the cap
+
+    @pytest.mark.parametrize("weight", ["2", None, math.nan, math.inf, -math.inf, 0, -1.0])
+    def test_bad_weight_rejected(self, weight):
+        # a weight that is not a finite positive real is an input error
+        # naming its edge
+        with pytest.raises(InputError, match=r"^edge \(1, 2, .*\) needs a finite positive real weight$"):
+            build_graph_metric(3, [(0, 1, 1.0), (1, 2, weight)])
+
+    def test_weights_too_far_apart_rejected(self):
+        # fl(1e17 + 1) = 1e17: the weight-1 edge vanishes from path sums
+        with pytest.raises(InputError, match="edge weight 1.0 vanishes in path sums up to 1e"):
+            build_graph_metric(3, [(0, 1, 1e17), (1, 2, 1.0)])
+        assert build_graph_metric(3, [(0, 1, 1e15), (1, 2, 1.0)]).dist(0, 2) == 1e15 + 1
 
     @pytest.mark.parametrize("n, edges", [
         (3, [(0, 1.5), (1, 2)]),
@@ -282,16 +320,26 @@ class TestGraphMetric:
     @given(equal_weight_multigraphs())
     def test_equal_weights_match_heap_dijkstra(self, case):
         n, edges = case
-        with mock.patch.object(metric_core, "_dijkstra_metric", no_allocation):
-            m = build_graph_metric(n, edges).matrix
+        m = build_graph_metric(n, edges).matrix
         assert np.array_equal(m, heap_dijkstra(n, edges))
 
     @pytest.mark.parametrize("build", [
         lambda: grid_space(31, 31), lambda: grid_space(4, 512), lambda: cycle_space(500), coset_tree, erdos_renyi,
     ], ids=["grid31x31", "grid4x512", "cycle500", "coset-tree", "erdos-renyi"])
     def test_equal_weights_match_scipy_exactly(self, build):
-        with mock.patch.object(metric_core, "_dijkstra_metric", no_allocation):
-            space = build()
+        space = build()
+        assert np.array_equal(space.matrix, scipy_metric(space.n, space.meta["edges"]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_multigraphs())
+    def test_weighted_multigraphs_match_scipy_exactly(self, case):
+        n, edges = case
+        assert np.array_equal(build_graph_metric(n, edges).matrix, scipy_metric(n, edges))
+
+    @pytest.mark.parametrize("build", [lambda: star_and_path(1000), lambda: random_weight_grid(31, 31)],
+                             ids=["star-and-path1000", "random-weight-grid31x31"])
+    def test_weighted_graphs_match_scipy_exactly(self, build):
+        space = build()
         assert np.array_equal(space.matrix, scipy_metric(space.n, space.meta["edges"]))
 
     @pytest.mark.parametrize("build", [
@@ -574,6 +622,20 @@ class TestAxiomsInRowBlocks:
             tracemalloc.stop()
         assert rep["ok"] and rep["triple_mode"] == "sampled"
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_direct_construction_rejects_non_finite(self, value):
+        # the first bad entry in row-major order, found across row blocks
+        m = grid_space(5, 5).matrix.copy()
+        m[3, 7] = m[7, 3] = m[9, 2] = value
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", 64):
+            with pytest.raises(InputError, match=rf"^distance matrix has a non-finite entry at \(3, 7, {value}\)$"):
+                metric_core.FiniteMetricSpace(m)
+
+    def test_direct_construction_takes_over_a_float_array(self):
+        a = grid_space(3, 3).matrix.copy()
+        space = metric_core.FiniteMetricSpace(a)
+        assert space.matrix is a and not a.flags.writeable
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_distance_rejected(self, value):
