@@ -29,10 +29,10 @@ from .metric_core import (
     TOL,
     FiniteMetricSpace,
     PointSet,
-    _whole,
+    _points_in,
     as_point_set,
     diameter_of,
-    neighborhood,
+    distance_to_set,
     set_distances,
 )
 
@@ -63,16 +63,25 @@ class Cover:
             raise InputError("cover needs at least one set")
         if any(not s.indices for s in self.sets):
             raise InputError("cover sets must be nonempty")
-        uni = self.universe()
-        covered = frozenset().union(*(s.as_set() for s in self.sets))
-        if not covered <= uni.as_set():
-            raise InputError("cover sets leave the carrier")
-        if covered != uni.as_set():
-            missing = sorted(uni.as_set() - covered)[:5]
+        uncovered = ~self.member.any(axis=0)
+        if uncovered.any():
+            missing = np.asarray(self.universe().indices)[uncovered][:5].tolist()
             raise InputError(f"family does not cover the carrier (missing {missing})")
 
     def universe(self) -> PointSet:
         return self.carrier if self.carrier is not None else PointSet.universe(self.space.n)
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        """|sets| x |carrier| table of which set holds which carrier point,
+        columns in carrier order; a set point outside the carrier is an
+        ``InputError``."""
+        uni = self.universe()
+        out = np.zeros((len(self.sets), len(uni)), dtype=bool)
+        for j, s in enumerate(self.sets):
+            out[j, uni.rank(s.indices, "the cover's carrier")] = True
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def depths(self) -> np.ndarray:
@@ -81,8 +90,8 @@ class Cover:
         lies in U exactly when its depth is positive."""
         car = np.array(self.universe().indices)
         out = np.full((len(car), len(self.sets)), math.inf)
-        for j, s in enumerate(self.sets):
-            comp = car[~np.isin(car, s.indices)]
+        for j, inside in enumerate(self.member):
+            comp = car[~inside]
             if comp.size:
                 out[:, j] = self.space.matrix[np.ix_(car, comp)].min(axis=1)
         out.setflags(write=False)
@@ -127,7 +136,7 @@ def make_cover(space, sets: Iterable, carrier=None) -> Cover:
 
 def multiplicity(cover: Cover) -> int:
     """Largest number of cover sets through a single point."""
-    return int((cover.depths > 0).sum(axis=1).max())
+    return int(cover.member.sum(axis=0).max())
 
 
 def mesh(cover: Cover) -> float:
@@ -273,12 +282,12 @@ def disjoint_to_cover(decomp: ColoredDecomposition) -> Cover:
     Lebesgue number greater than D/2, and mesh at most B + D.
     """
     half = decomp.D / 2.0
-    uni = decomp.universe()
-    sets = []
-    for fam in decomp.families:
-        for s in fam:
-            sets.append(neighborhood(decomp.space, s, half, within=uni))
-    cover = Cover(decomp.space, tuple(sets), decomp.carrier)
+    car = np.asarray(decomp.universe().indices, dtype=np.intp)
+    sets = tuple(
+        PointSet(tuple(car[distance_to_set(decomp.space, s)[car] <= half + TOL].tolist()))
+        for s in decomp.all_sets()
+    )
+    cover = Cover(decomp.space, sets, decomp.carrier)
     mult = multiplicity(cover)
     if mult > decomp.colors:
         raise InvariantViolation(
@@ -690,24 +699,15 @@ def decomposition_to_json(decomp: ColoredDecomposition) -> dict:
     return doc
 
 
-def _json_points(values, space: FiniteMetricSpace) -> PointSet:
-    """A point list of a decomposition file: whole numbers in range(n)."""
-    pts = [_whole(p, "point") for p in values]
-    outside = [p for p in pts if not 0 <= p < space.n]
-    if outside:
-        raise InputError(f"point {outside[0]} is outside the space's {space.n} points")
-    return PointSet.of(pts)
-
-
 def decomposition_from_json(doc: dict, space) -> ColoredDecomposition:
     try:
-        fams = tuple(tuple(_json_points(s, space) for s in fam) for fam in doc["families"])
+        fams = tuple(tuple(PointSet.of(_points_in(space, s, "point")) for s in fam) for fam in doc["families"])
         dec = ColoredDecomposition(
             space,
             fams,
             D=float(doc["D"]),
             B=float(doc["B"]),
-            carrier=_json_points(doc["carrier"], space) if "carrier" in doc else None,
+            carrier=PointSet.of(_points_in(space, doc["carrier"], "point")) if "carrier" in doc else None,
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"decomposition JSON missing field: {exc}") from exc

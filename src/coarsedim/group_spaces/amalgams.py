@@ -240,7 +240,7 @@ def _rep_element(model: AmalgamModel, factor: str, rep) -> NormalForm:
     return model.normalize([(factor, rep)])
 
 
-def amalgam_projection(model: AmalgamModel, radius: int = 4, max_norm: float | None = None) -> dict:
+def amalgam_projection(model: AmalgamModel, radius: int = 4) -> dict:
     """Project a word-metric ball of the amalgam onto the free product of
     its coset spaces and measure the claimed 1-Lipschitz constant on all
     generator pairs (x, xs) inside the ball.
@@ -279,7 +279,7 @@ def amalgam_projection(model: AmalgamModel, radius: int = 4, max_norm: float | N
 
     (space_a, reps_a) = coset_space("A")
     (space_b, reps_b) = coset_space("B")
-    fps = free_product_space(space_a, space_b, max_norm if max_norm is not None else float(radius))
+    fps = free_product_space(space_a, space_b, float(radius))
 
     def project(form: NormalForm) -> Word:
         word = []

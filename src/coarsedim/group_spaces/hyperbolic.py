@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CapExceeded, InputError
-from ..metric_core import MATRIX_CAP, SUP_RATIO_BLOCK, FiniteMetricSpace, MetricMap, map_to_reals
+from ..metric_core import MATRIX_CAP, SUP_RATIO_BLOCK, FiniteMetricSpace, MetricMap, _first_max, map_to_reals
 
 HEIGHT_TOL = 1e-12
 
@@ -83,14 +83,15 @@ def hyperbolization(base: FiniteMetricSpace, radii) -> BallSpace:
 
 def height_projection(hspace: BallSpace) -> MetricMap:
     """(x, t) -> ln t into the real line; |ln t - ln s| <= ball distance
-    holds exactly since max(t,s)^2 >= t s, checked to 1e-12 on all pairs."""
+    holds exactly since max(t,s)^2 >= t s, checked to 1e-12 on all pairs,
+    a row block at a time; the witness is the first pair i < j."""
     values = [math.log(p.radius) for p in hspace.points]
     m = map_to_reals(hspace.space, values, declared_lipschitz=1.0)
-    gap = np.abs(np.subtract.outer(values, values))
-    bad = np.argwhere(np.triu(gap > hspace.space.matrix + HEIGHT_TOL, 1))
-    if len(bad):
-        i, j = map(int, bad[0])  # first pair i < j in row-major order
+    v, d, upper = np.array(values), hspace.space.matrix, np.arange(len(values))
+    bad, i, j = _first_max(len(v), lambda lo, hi: (np.abs(v[lo:hi, None] - v) > d[lo:hi] + HEIGHT_TOL)
+                           & (upper > upper[lo:hi, None]))
+    if bad > 0:
         raise InputError(
-            f"height projection expands pair {(i, j)}: {gap[i, j]} > {hspace.space.dist(i, j)}"
+            f"height projection expands pair {(i, j)}: {abs(v[i] - v[j])} > {hspace.space.dist(i, j)}"
         )
     return m

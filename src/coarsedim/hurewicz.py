@@ -39,6 +39,7 @@ from .covers import (
 )
 from .errors import InputError, InvariantViolation, StageFailure
 from .metric_core import (
+    TOL,
     FiniteMetricSpace,
     MetricMap,
     PointSet,
@@ -295,20 +296,17 @@ def tower_values(config: HurewiczConfig, tower: Tower) -> np.ndarray:
 # assembly pipeline
 
 
-def _masked(mask: np.ndarray) -> PointSet:
-    return PointSet(tuple(np.flatnonzero(mask).tolist()))
-
-
-def _build_face(config, simplex, member, images, floor, stage_log) -> Face:
+def _build_face(config, simplex, enlarged, images, floor, stage_log) -> Face:
     """Face record of a base simplex.  Its fiber cover is a colored
     decomposition of the preimage at separation 2*max(r, floor), pooled
-    into one cover (Lebesgue > max(r, floor)).  ``member[v]`` is the mask
-    of enlarged base set v over the base points."""
-    rows = member[list(simplex)]
-    region = _masked(rows.all(axis=0))
+    into one cover (Lebesgue > max(r, floor)).  Regions and fibers are
+    read from ``enlarged.member``, the enlarged base cover's table;
+    ``images`` are f's images ranked into its carrier."""
+    rows = enlarged.member[list(simplex)]
+    region = PointSet(tuple(itertools.compress(enlarged.universe(), rows.all(axis=0))))
     if not region.indices:
         raise InvariantViolation(f"face {simplex} has empty intersection region")
-    carrier = _masked(rows.any(axis=0)[images])
+    carrier = PointSet(tuple(np.flatnonzero(rows.any(axis=0)[images]).tolist()))
     if not carrier.indices:
         raise StageFailure("fiber-carrier", f"face {simplex} has empty fiber")
     d_sep = 2.0 * max(config.r, floor)
@@ -355,11 +353,12 @@ def build_assembly(
             details={"colors": base_decomposition.colors},
         )
     base_sets = list(base_decomposition.all_sets())
-    enlarged_sets = [neighborhood(space_y, s, lam_r) for s in base_sets]
-    member = np.zeros((len(enlarged_sets), space_y.n), dtype=bool)
-    for v, s in enumerate(enlarged_sets):
-        member[v, list(s.indices)] = True
-    enlarged_cover = Cover(space_y, tuple(enlarged_sets), _masked(member.any(axis=0)))
+    # the carrier is the union of the enlarged sets: d(y, union) = min d(y, B)
+    enlarged_cover = Cover(
+        space_y,
+        tuple(neighborhood(space_y, s, lam_r) for s in base_sets),
+        neighborhood(space_y, base_decomposition.universe(), lam_r),
+    )
     mult = multiplicity(enlarged_cover)
     if mult > config.k + 1:
         raise StageFailure(
@@ -371,7 +370,7 @@ def build_assembly(
     base_nerve = nerve(enlarged_cover)
 
     # stage 2: one face record per base simplex, laddered by dimension
-    images = np.asarray(f.images, dtype=np.intp)
+    images = enlarged_cover.universe().rank(f.images, "the enlarged base cover's carrier")
     faces: dict[tuple, Face] = {}
     for simplex in sorted(base_nerve.simplices, key=lambda s: (len(s), s)):
         floor = max(
@@ -379,7 +378,7 @@ def build_assembly(
              for sub in itertools.combinations(simplex, size)),
             default=0.0,
         )
-        faces[simplex] = _build_face(config, simplex, member, images, floor, stage_log)
+        faces[simplex] = _build_face(config, simplex, enlarged_cover, images, floor, stage_log)
 
     # stage 3: refinement maps along facet inclusions (the nerve is
     # face-closed, so every facet has a record)
@@ -547,7 +546,7 @@ def _phi_matrix(asm: Assembly) -> np.ndarray:
 # face agreement
 
 
-def face_agreement_check(asm: Assembly, flag_a: tuple, flag_b: tuple, tol: float = 1e-9) -> dict:
+def face_agreement_check(asm: Assembly, flag_a: tuple, flag_b: tuple) -> dict:
     """Compare two towers on the points whose tower coordinates live on
     their shared faces.
 
@@ -555,7 +554,7 @@ def face_agreement_check(asm: Assembly, flag_a: tuple, flag_b: tuple, tol: float
     prefix of the two flags, or (ii) sit at weight 1 on a shared face with
     nothing above it; in both regimes the construction evaluates to the
     same polyhedron point in both towers, and this is checked literally,
-    coordinate by coordinate.
+    coordinate by coordinate; a deviation over ``TOL`` fails.
     """
     ta, tb = asm.towers[flag_a], asm.towers[flag_b]
     if not set(flag_a) & set(flag_b):
@@ -593,14 +592,14 @@ def face_agreement_check(asm: Assembly, flag_a: tuple, flag_b: tuple, tol: float
             worst, witness = float(dev[at]), int(xs[at])
     return {
         "adjacent": True,
-        "ok": worst <= tol,
+        "ok": worst <= TOL,
         "points_checked": int(eligible.sum()),
         "max_deviation": worst,
-        "witness": witness if worst > tol else None,
+        "witness": witness if worst > TOL else None,
     }
 
 
-def all_face_agreements(asm: Assembly, tol: float = 1e-9) -> list[dict]:
+def all_face_agreements(asm: Assembly) -> list[dict]:
     """``face_agreement_check`` of every pair of towers that share a face,
     with its ``pair``, in ``combinations(sorted(asm.towers), 2)`` order."""
     by_face: dict[tuple, list[tuple]] = {}
@@ -610,7 +609,7 @@ def all_face_agreements(asm: Assembly, tol: float = 1e-9) -> list[dict]:
     pairs = set(itertools.chain.from_iterable(itertools.combinations(f, 2) for f in by_face.values()))
     out = []
     for pair in sorted(pairs):
-        rep = face_agreement_check(asm, *pair, tol)
+        rep = face_agreement_check(asm, *pair)
         rep["pair"] = pair
         out.append(rep)
     return out

@@ -85,7 +85,7 @@ class PointSet:
         own = np.asarray(self.indices, dtype=np.intp)
         pts = np.asarray(points, dtype=np.intp)
         rows = np.minimum(np.searchsorted(own, pts), len(own) - 1)
-        outside = own[rows] != pts
+        outside = own[rows] != pts if own.size else np.ones(pts.shape, dtype=bool)
         if outside.any():
             raise InputError(f"point {pts[outside][0]} is outside {where}")
         return rows
@@ -256,9 +256,9 @@ def verify_metric_axioms(
     *,
     triple_mode: str = "auto",
     seed: int = 0,
-    tol: float = TOL,
 ) -> dict:
-    """Check finiteness, symmetry, positivity and the triangle inequality.
+    """Check finiteness, symmetry, positivity and the triangle inequality;
+    the diagonal, symmetry and triangle tests allow an error of ``TOL``.
 
     Finiteness, the zero diagonal, symmetry and positivity are checked
     exhaustively, in that order, reading the matrix in row blocks of at
@@ -281,12 +281,12 @@ def verify_metric_axioms(
         report.update(ok=False, axiom="finite", witness=(i, j, float(m[i, j])))
         return report
     diag = np.abs(np.diag(m))
-    if n and diag.max() > tol:
+    if n and diag.max() > TOL:
         i = int(np.argmax(diag))
         report.update(ok=False, axiom="zero-diagonal", witness=(i, i, float(m[i, i])))
         return report
     asym, i, j = _first_max(n, lambda lo, hi: np.abs(m[lo:hi] - m[:, lo:hi].T))
-    if asym > tol:
+    if asym > TOL:
         report.update(ok=False, axiom="symmetry", witness=(i, j, float(m[i, j]), float(m[j, i])))
         return report
     least, i, j = _first_max(n, lambda lo, hi: _negated_off_diagonal(m, lo, hi))
@@ -296,11 +296,11 @@ def verify_metric_axioms(
 
     if triple_mode == "exhaustive" or (triple_mode == "auto" and n <= EXHAUSTIVE_TRIPLE_LIMIT):
         report["triple_mode"] = "exhaustive"
-        w = _triangle_violation_exhaustive(m, tol)
+        w = _triangle_violation_exhaustive(m, TOL)
     elif triple_mode in ("auto", "sampled"):
         report["triple_mode"] = "sampled"
         report["triples_sampled"] = TRIPLE_SAMPLES
-        w = _triangle_violation_sampled(m, tol, seed)
+        w = _triangle_violation_sampled(m, TOL, seed)
     else:
         raise InputError(f"unknown triple_mode {triple_mode!r}")
     if w is not None:
@@ -341,12 +341,12 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     """Shortest-path metric of a connected graph with finite positive real
     edge weights, computed by ``_shortest_paths``.
 
-    ``edges`` is a list of ``(i, j)`` or ``(i, j, w)`` entries; missing
-    weights default to 1.  The metric is that of the simple graph:
-    self-loops are dropped and parallel edges keep their lightest weight.
-    The matrix is exactly symmetric.  A bad weight (naming its edge) and a
-    disconnected graph are rejected, and so is an n*n matrix over
-    ``MATRIX_CAP`` before it is allocated.
+    ``edges`` is a list of ``(i, j)`` or ``(i, j, w)`` lists or tuples; a
+    weight is a real number other than a bool, 1 when missing.  The metric
+    is that of the simple graph: self-loops are dropped and parallel edges
+    keep their lightest weight; the matrix is exactly symmetric.  A bad
+    entry (naming its edge), a disconnected graph and an n*n matrix over
+    ``MATRIX_CAP`` are rejected, the last before it is allocated.
     """
     n = _whole(n, "vertex count")
     if n <= 0:
@@ -355,15 +355,15 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
         raise CapExceeded(f"graph has {n} vertices; its matrix exceeds cap {MATRIX_CAP}")
     given = []
     lightest: dict[tuple[int, int], float] = {}
-    for e in edges:
-        if len(e) == 2:
-            i, j, w = e[0], e[1], 1.0
-        else:
-            i, j, w = e
+    for entry in edges:
+        if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
+            raise InputError(f"edge {entry!r} is not a list of 2 or 3 items (i, j and an optional weight)")
+        e = tuple(entry)
+        i, j, w = e if len(e) == 3 else (*e, 1.0)
         i, j = _whole(i, f"edge {e}: vertex"), _whole(j, f"edge {e}: vertex")
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge {e} out of range")
-        if not isinstance(w, (int, float, np.integer, np.floating)) or not 0 < w < math.inf:
+        if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)) or not 0 < w < math.inf:
             raise InputError(f"edge {e} needs a finite positive real weight")
         w = float(w)
         given.append((i, j, w))
@@ -386,6 +386,16 @@ def _whole(value, what: str) -> int:
     if out is None or out != value:
         raise InputError(f"{what} {value!r} is not a whole number")
     return out
+
+
+def _points_in(space: FiniteMetricSpace, values, what: str) -> list[int]:
+    """``values`` as points of ``space``: whole numbers in range(n), else an
+    ``InputError`` naming the first that is not."""
+    pts = [_whole(p, what) for p in values]
+    outside = [p for p in pts if not 0 <= p < space.n]
+    if outside:
+        raise InputError(f"{what} {outside[0]} is outside the space's {space.n} points")
+    return pts
 
 
 def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarray:
@@ -500,7 +510,9 @@ def grid_space(rows: int, cols: int) -> FiniteMetricSpace:
 
 
 def ball(space: FiniteMetricSpace, center: int, radius: float) -> PointSet:
-    """Closed ball: all points at distance <= radius from the center."""
+    """Closed ball: all points at distance <= radius from the center, a
+    point of the space."""
+    center = _points_in(space, [center], "center")[0]
     if radius < 0:
         raise InputError("radius must be nonnegative")
     hits = np.nonzero(space.matrix[center] <= radius + TOL)[0]
@@ -541,19 +553,15 @@ def set_distance(space: FiniteMetricSpace, a, b) -> float:
     return float(set_distances(space, [a], [b])[0, 0])
 
 
-def neighborhood(space: FiniteMetricSpace, a, r: float, within=None) -> PointSet:
-    """Closed r-neighborhood of a set, optionally restricted to a carrier
-    subset (used when a cover lives on a subspace)."""
+def neighborhood(space: FiniteMetricSpace, a, r: float) -> PointSet:
+    """Closed r-neighborhood of a set."""
     if r < 0:
         raise InputError("radius must be nonnegative")
     a = as_point_set(a)
     if not a.indices:
         return a
     hits = np.flatnonzero(distance_to_set(space, a) <= r + TOL)
-    out = PointSet(tuple(hits.tolist()))
-    if within is not None:
-        out = out.intersection(as_point_set(within))
-    return out
+    return PointSet(tuple(hits.tolist()))
 
 
 def diameter_of(space: FiniteMetricSpace, a) -> float:
@@ -596,10 +604,7 @@ def map_between_spaces(
     assignment: Sequence[int],
     declared_lipschitz: float | None = None,
 ) -> MetricMap:
-    assignment = tuple(_whole(a, "image point") for a in assignment)
-    for a in assignment:
-        if not (0 <= a < codomain.n):
-            raise InputError(f"image point {a} outside codomain")
+    assignment = tuple(_points_in(codomain, assignment, "image point"))
     return MetricMap(domain, assignment, codomain, declared_lipschitz)
 
 
@@ -806,7 +811,7 @@ def space_from_json(doc: dict) -> FiniteMetricSpace:
             raise InputError("matrix size does not match n")
         return build_explicit(m, labels)
     if kind == "graph":
-        return build_graph_metric(n, [tuple(e) for e in doc["edges"]], labels)
+        return build_graph_metric(n, doc["edges"], labels)
     raise InputError(f"unknown space kind {kind!r}")
 
 

@@ -138,13 +138,8 @@ def nerve(cover: Cover, vertex_ids: Sequence | None = None) -> SimplicialComplex
     ids = tuple(vertex_ids) if vertex_ids is not None else tuple(range(len(cover.sets)))
     if len(ids) != len(cover.sets):
         raise InputError("need one vertex id per cover set")
-    member_of: dict[int, list[int]] = {}
-    for si, s in enumerate(cover.sets):
-        for p in s:
-            member_of.setdefault(p, []).append(si)
-    patterns = {tuple(sorted(member_of[p])) for p in cover.universe()}
-    cells = [tuple(ids[i] for i in pat) for pat in patterns]
-    cells += [(v,) for v in ids]
+    # every set holds a carrier point, so the closure has every vertex
+    cells = [tuple(itertools.compress(ids, pat)) for pat in np.unique(cover.member, axis=1).T]
     return SimplicialComplex(ids, _closure(cells))
 
 
@@ -224,6 +219,9 @@ def refinement_map(
 
     Requires Lebesgue(coarse) > mesh(fine), which guarantees a containing
     set exists; prefers the identical set when present, then lowest index.
+    Containment is read from ``coarse.member``, scattered over the whole
+    space so that a fine point outside the coarse carrier lies in no coarse
+    set.
     """
     if fine_nerve is None:
         fine_nerve = nerve(fine)
@@ -233,18 +231,15 @@ def refinement_map(
     b = mesh(fine)
     if not leb > b:
         raise InputError(f"need Lebesgue(coarse) > mesh(fine); got {leb} <= {b}")
+    inside = np.zeros((len(coarse.sets), coarse.space.n), dtype=bool)
+    inside[:, coarse.universe().indices] = coarse.member
+    sizes = inside.sum(axis=1)
     assignment = {}
     for fi, fset in enumerate(fine.sets):
-        fpts = fset.as_set()
-        target = None
-        for ci, cset in enumerate(coarse.sets):
-            if fpts <= cset.as_set():
-                if cset.as_set() == fpts:
-                    target = ci
-                    break
-                if target is None:
-                    target = ci
-        if target is None:
+        # 2 for an equal coarse set, 1 for a larger one containing it
+        fit = inside[:, fset.indices].all(axis=1) * (1 + (sizes == len(fset)))
+        target = int(fit.argmax())
+        if not fit[target]:
             raise InvariantViolation(
                 f"fine set {fi} is contained in no coarse set", witness=fi
             )

@@ -180,7 +180,7 @@ def test_criterion_04_face_agreement(grid16_runs):
     _, runs = grid16_runs
     pair_count = 0
     for asm in runs.values():
-        for rep in all_face_agreements(asm, tol=FLOAT_TOL):
+        for rep in all_face_agreements(asm):
             assert rep["ok"], rep
             pair_count += 1
 
@@ -189,7 +189,7 @@ def test_criterion_04_face_agreement(grid16_runs):
     f = map_between_spaces(grid, path, [p % 64 for p in range(grid.n)], 1.0)
     cfg = make_config(f, 1.0, 1, 1, r=2.0, allow_sub_required=True)
     stress = build_assembly(cfg)
-    stress_reports = all_face_agreements(stress, tol=FLOAT_TOL)
+    stress_reports = all_face_agreements(stress)
     assert stress_reports
     checked = 0
     for rep in stress_reports:
@@ -320,7 +320,7 @@ def test_criterion_10_hyperbolization():
     projection's 1-Lipschitz property, both at 1e-9."""
     h = hyperbolization(path_space(10), geometric_radii(levels=5))
     assert h.space.n == 50
-    report = verify_metric_axioms(h.space, triple_mode="exhaustive", tol=FLOAT_TOL)
+    report = verify_metric_axioms(h.space, triple_mode="exhaustive")
     assert report["ok"], report
     proj = height_projection(h)  # raises beyond 1e-12 internally
     assert measured_lipschitz(proj) <= 1.0 + FLOAT_TOL

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from coarsedim import metric_core
 from coarsedim.errors import CapExceeded, InputError
 from coarsedim.group_spaces import hyperbolic
 from coarsedim.group_spaces.bounds import NormalSeries, asdim_upper_bound, hirsch_length
@@ -159,3 +161,31 @@ class TestHeightProjection:
         # pair i < j whose radii differ
         with pytest.raises(InputError, match=r"pair \(0, 3\)"):
             height_projection(shrunk)
+
+    def test_witness_is_the_first_pair_across_row_blocks(self, monkeypatch):
+        # blocks of 2 rows of 24 points, with only the pairs among points
+        # 5.. shrunk: the witness lies past the first blocks and is still
+        # the first expanded pair i < j of the whole-matrix scan
+        h = hyperbolization(path_space(8), [1.0, math.e, math.e**2])
+        d = h.space.matrix.copy()
+        d[5:, 5:] *= 0.5
+        v = np.array([math.log(p.radius) for p in h.points])
+        gap = np.abs(np.subtract.outer(v, v))
+        i, j = map(int, np.argwhere(np.triu(gap > d + hyperbolic.HEIGHT_TOL, 1))[0])
+        want = f"height projection expands pair {(i, j)}: {gap[i, j]} > {d[i, j]}"
+        assert (i, j) == (5, 12)
+        monkeypatch.setattr(metric_core, "SUP_RATIO_BLOCK", 2 * h.space.n)
+        shrunk = BallSpace(FiniteMetricSpace(d), h.points, h.base, h.index)
+        with pytest.raises(InputError) as excinfo:
+            height_projection(shrunk)
+        assert str(excinfo.value) == want
+
+    def test_check_temporaries_stay_small(self):
+        h = hyperbolization(path_space(400), geometric_radii(levels=5))
+        tracemalloc.start()
+        try:
+            height_projection(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.space.n == 2000 and peak < 1 << 20

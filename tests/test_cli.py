@@ -87,6 +87,18 @@ class TestSpace:
         assert code == 2
         assert out.startswith("FAIL:") and message in out
 
+    @pytest.mark.parametrize("edges, message", [
+        ("[5, [1, 2]]", "edge 5 is not a list of 2 or 3 items"),
+        ("[[0, 1, 1, 7], [1, 2]]", "edge [0, 1, 1, 7] is not a list of 2 or 3 items"),
+        ("[[0, 1, true], [1, 2]]", "edge (0, 1, True) needs a finite positive real weight"),
+    ], ids=["not-a-list", "four-items", "bool-weight"])
+    def test_check_malformed_edge_exit_2(self, tmp_path, capsys, edges, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "graph", "n": 3, "edges": %s}' % edges)
+        code, out, _ = run(capsys, "space", "check", "--file", str(bad))
+        assert code == 2
+        assert out.startswith("FAIL:") and message in out
+
     def test_info_prints_diameter(self, tmp_path, capsys):
         f = write_space(tmp_path, "p.json", path_space(10))
         code, out, _ = run(capsys, "space", "info", "--file", f)

@@ -37,8 +37,13 @@ from coarsedim.metric_core import (
 class TestBasics:
     def test_cover_must_cover(self):
         s = path_space(4)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^family does not cover the carrier \(missing \[2, 3\]\)$"):
             make_cover(s, [[0, 1]])
+
+    @pytest.mark.parametrize("carrier", [[0, 1, 2], []], ids=["proper", "empty"])
+    def test_set_outside_carrier_rejected(self, carrier):
+        with pytest.raises(InputError, match="is outside the cover's carrier"):
+            make_cover(path_space(4), [[0, 1], [2, 3]], carrier=carrier)
 
     def test_fractional_point_rejected(self):
         # a fractional point is an error, not truncated to the set (0, 1)

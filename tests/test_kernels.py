@@ -1,4 +1,5 @@
-"""Property tests of the cover depth and projection tables, the sup-ratio
+"""Property tests of the cover membership, depth and projection tables
+(with the nerves and refinement maps read from them), the sup-ratio
 kernel and its edge certificate, the distance-to-set kernel, the exact
 carving scan, the measured Lipschitz constants and the tower coordinate
 blocks against the per-point, per-pair and full-scan versions they
@@ -28,6 +29,7 @@ from coarsedim.covers import (
     carve_clusters,
     chromatic_number,
     colored_decomposition,
+    disjoint_to_cover,
     greedy_coloring,
     is_d_disjoint,
     lebesgue_number,
@@ -56,6 +58,7 @@ from coarsedim.metric_core import (
     map_between_spaces,
     map_to_reals,
     measured_lipschitz,
+    neighborhood,
     path_space,
     set_distance,
     set_distances,
@@ -68,6 +71,7 @@ from coarsedim.polyhedra import (
     nerve,
     projection_lipschitz_check,
     projection_rows,
+    refinement_map,
     used_columns,
 )
 
@@ -283,6 +287,92 @@ class TestDepthTable:
         cover = make_cover(path_space(5), [[0, 1, 2, 3], [2, 3], [0, 1, 2, 3], [0, 1, 2, 3]],
                            carrier=[0, 1, 2, 3])
         assert cover.projections.tolist() == [[1 / 3, 0.0, 1 / 3, 1 / 3]] * 4
+
+
+# ---------------------------------------------------------------------------
+# the membership table against the per-point loops it replaced
+
+
+def reference_nerve_cells(cover):
+    """Set patterns of the carrier points, from a dict of member lists."""
+    member_of: dict[int, list[int]] = {}
+    for si, s in enumerate(cover.sets):
+        for p in s:
+            member_of.setdefault(p, []).append(si)
+    return {tuple(sorted(member_of[p])) for p in cover.universe()}
+
+
+def reference_refinement(fine, coarse):
+    """Fine set index -> the first coarse set equal to it, else the first
+    containing it, by frozenset subset tests; None when none contains it."""
+    out = {}
+    for fi, fset in enumerate(fine.sets):
+        fpts = fset.as_set()
+        target = None
+        for ci, cset in enumerate(coarse.sets):
+            if fpts <= cset.as_set():
+                if cset.as_set() == fpts:
+                    target = ci
+                    break
+                if target is None:
+                    target = ci
+        out[fi] = target
+    return out
+
+
+@st.composite
+def nested_covers(draw):
+    """A coarse cover and a fine cover of part of its carrier, each fine
+    set a coarse set or a subset of one."""
+    coarse = draw(covers())
+    fine_sets = []
+    for _ in range(draw(st.integers(1, 5))):
+        host = sorted(draw(st.sampled_from(coarse.sets)))
+        whole = draw(st.booleans())
+        fine_sets.append(set(host) if whole else draw(st.sets(st.sampled_from(host), min_size=1)))
+    carrier = sorted(set().union(*fine_sets))
+    return coarse, make_cover(coarse.space, fine_sets, carrier=carrier)
+
+
+class TestMembershipTable:
+    @SETTINGS
+    @given(st.one_of(covers(), covers(whole=True)))
+    def test_member_matches_points_and_depths(self, cover):
+        table = cover.member
+        assert table.shape == (len(cover.sets), len(cover.universe()))
+        assert not table.flags.writeable and cover.member is table
+        for j, s in enumerate(cover.sets):
+            assert table[j].tolist() == [x in s.as_set() for x in cover.universe()]
+        assert np.array_equal(table, cover.depths.T > 0)
+
+    @SETTINGS
+    @given(st.one_of(covers(), covers(whole=True)))
+    def test_nerve_matches_member_lists(self, cover):
+        want = SimplicialComplex.from_maximal(range(len(cover.sets)), reference_nerve_cells(cover))
+        assert nerve(cover) == want
+
+    @SETTINGS
+    @given(nested_covers())
+    def test_refinement_matches_subset_loop(self, pair):
+        coarse, fine = pair
+        assume(lebesgue_number(coarse) > mesh(fine))
+        assert refinement_map(fine, coarse).assignment == reference_refinement(fine, coarse)
+
+    def test_fine_set_outside_coarse_carrier(self):
+        s = path_space(6)
+        coarse = make_cover(s, [[0, 1, 2], [1, 2, 3]], carrier=[0, 1, 2, 3])
+        fine = make_cover(s, [[0], [4]], carrier=[0, 4])
+        assert reference_refinement(fine, coarse) == {0: 0, 1: None}
+        with pytest.raises(InvariantViolation, match="fine set 1 is contained in no coarse set"):
+            refinement_map(fine, coarse)
+
+    @SETTINGS
+    @given(weighted_graphs(), st.data(), st.floats(0.0, 6.0))
+    def test_enlarged_sets_are_carrier_neighborhoods(self, space, data, D):
+        carrier = data.draw(st.sets(st.sampled_from(range(space.n)), min_size=1))
+        dec = colored_decomposition(space, D, 2.0 * D, mode="greedy", carrier=carrier)
+        want = [neighborhood(space, s, D / 2.0).intersection(dec.universe()) for s in dec.all_sets()]
+        assert list(disjoint_to_cover(dec).sets) == want
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,17 @@ class TestGraphMetric:
         with pytest.raises(InputError, match=r"^edge \(1, 2, .*\) needs a finite positive real weight$"):
             build_graph_metric(3, [(0, 1, 1.0), (1, 2, weight)])
 
+    @pytest.mark.parametrize("edges, message", [
+        ([5, (1, 2)], r"^edge 5 is not a list of 2 or 3 items"),
+        ([(0, 1, 1, 7), (1, 2)], r"^edge \(0, 1, 1, 7\) is not a list of 2 or 3 items"),
+        ([(0,), (1, 2)], r"^edge \(0,\) is not a list of 2 or 3 items"),
+        ([(0, 1, True), (1, 2)], r"^edge \(0, 1, True\) needs a finite positive real weight$"),
+        ([[0, 1, np.bool_(True)], [1, 2]], r"^edge \(0, 1, .*True_?\) needs a finite positive real weight$"),
+    ], ids=["not-a-list", "four-items", "one-item", "bool-weight", "numpy-bool-weight"])
+    def test_malformed_edge_rejected(self, edges, message):
+        with pytest.raises(InputError, match=message):
+            build_graph_metric(3, edges)
+
     def test_weights_too_far_apart_rejected(self):
         # fl(1e17 + 1) = 1e17: the weight-1 edge vanishes from path sums
         with pytest.raises(InputError, match="edge weight 1.0 vanishes in path sums up to 1e"):
@@ -364,6 +375,15 @@ class TestBallsAndSets:
     def test_ball_on_path(self):
         s = path_space(10)
         assert ball(s, 3, 2).indices == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("center, message", [
+        (-1, "center -1 is outside the space's 5 points"),
+        (5, "center 5 is outside the space's 5 points"),
+        (2.5, "center 2.5 is not a whole number"),
+    ])
+    def test_ball_center_must_be_a_point(self, center, message):
+        with pytest.raises(InputError, match=message):
+            ball(path_space(5), center, 1)
 
     def test_ball_whole_space(self):
         s = path_space(10)
