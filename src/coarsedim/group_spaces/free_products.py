@@ -79,15 +79,19 @@ def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norms
     """Tail-norm recursion on the word trie: pairs whose next letters
     differ are exactly tail-norm apart; equal next letters recurse with the
     letter stripped.  One dense write per trie node keeps this near-linear
-    in matrix size."""
+    in matrix size; the root's block is the whole matrix, written by one
+    broadcast add instead of a scatter."""
     n = len(words)
     if n * n > MATRIX_CAP:
         raise CapExceeded(f"free product truncation has {n} words; its matrix exceeds cap {MATRIX_CAP}")
     out = np.zeros((n, n))
 
     def fill(indices: list[int], depth: int, remaining: np.ndarray):
-        idx = np.array(indices)
-        out[np.ix_(idx, idx)] = remaining[:, None] + remaining[None, :]
+        if depth == 0:
+            np.add(remaining[:, None], remaining[None, :], out=out)
+        else:
+            idx = np.array(indices)
+            out[np.ix_(idx, idx)] = remaining[:, None] + remaining[None, :]
         groups: dict[Letter, list[int]] = {}
         for pos, wi in enumerate(indices):
             w = words[wi]

@@ -10,6 +10,7 @@ length, then repr), so the metric does not depend on generator order.
 
 from __future__ import annotations
 
+import operator
 import os
 import select
 import shlex
@@ -31,12 +32,16 @@ ORACLE_CLOSE_WAIT_S = 2.0  # between end of input and kill
 
 @dataclass(frozen=True)
 class GroupModel:
-    """Group given by oracles; elements must be hashable."""
+    """Group given by oracles; elements must be hashable.  ``multiply_many``,
+    when set, answers a list of (a, b) pairs with the list of products
+    a * b, as ``multiply`` would one at a time; ball enumeration sends it
+    one list per BFS level."""
 
     name: str
     identity: Any
     generators: tuple[tuple[str, Any], ...]
     multiply: Callable[[Any, Any], Any]
+    multiply_many: Callable[[list], list] | None = None
 
     def generator_elements(self) -> list:
         return [g for _, g in self.generators]
@@ -63,26 +68,40 @@ def validate_group_model(group: GroupModel, radius: int = 2) -> dict:
 def _bfs(group: GroupModel, radius: int) -> tuple:
     """BFS of the radius ball keeping, in discovery order, each element, its
     word length, the index and generator it was reached from, and
-    ``table[i, g]``, the index of ``elements[i] * g`` if i is shorter than radius."""
+    ``table[i, g]``, the index of ``elements[i] * g`` if i is shorter than radius.
+
+    A level's products are computed in one list, in row-major (element,
+    generator) order, and deduplicated in that order (``setdefault`` hashes
+    a new element once), so discovery order is that of one product at a
+    time.  An element is first reached at its first occurrence in the flat
+    table, which gives its parent and letter; the identity keeps 0 and -1."""
     gens = group.generator_elements()
-    elements, length, parent, letter = [group.identity], [0], [0], [-1]
-    index, table = {group.identity: 0}, []
-    for i, elem in enumerate(elements):  # the list grows while it is read
-        if length[i] == radius:
-            break
-        for gi, g in enumerate(gens):
-            new = group.multiply(elem, g)
-            if new not in index:
-                index[new] = len(elements)
-                elements.append(new)
-                length.append(length[i] + 1)
-                parent.append(i)
-                letter.append(gi)
-                if len(elements) > BALL_CAP:
+    mul = group.multiply
+    elements, index = [group.identity], {group.identity: 0}
+    seen, bounds, table = index.setdefault, [0, 1], []
+    while len(bounds) <= radius + 1 and bounds[-2] < bounds[-1]:
+        level = elements[bounds[-2]:bounds[-1]]
+        if group.multiply_many is None:
+            products = [mul(elem, g) for elem in level for g in gens]
+        else:
+            products = group.multiply_many([(elem, g) for elem in level for g in gens])
+        count = len(elements)
+        for new in products:
+            i = seen(new, count)
+            if i == count:
+                if count == BALL_CAP:
                     raise CapExceeded(f"ball of {group.name} exceeds cap {BALL_CAP}")
-            table.append(index[new])
-    rows = sum(n < radius for n in length)
-    return elements, length, parent, letter, np.array(table, dtype=np.intp).reshape(rows, len(gens))
+                elements.append(new)
+                count += 1
+            table.append(i)
+        bounds.append(count)
+    length = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    flat = np.array(table, dtype=np.intp)
+    parent, letter = np.zeros(len(elements), dtype=np.intp), np.full(len(elements), -1, dtype=np.intp)
+    reached, first = np.unique(flat, return_index=True)
+    later = reached > 0
+    parent[reached[later]], letter[reached[later]] = np.divmod(first[later], len(gens))
+    return elements, length.tolist(), parent.tolist(), letter.tolist(), flat.reshape(bounds[-2], len(gens))
 
 
 def enumerate_ball(group: GroupModel, radius: int) -> dict:
@@ -186,6 +205,8 @@ def free_group(rank: int) -> GroupModel:
     ints (sign = inverse)."""
 
     def mul(a, b):
+        if len(b) == 1:  # a generator: cancel or append its one letter
+            return a[:-1] if a and a[-1] == -b[0] else a + b
         a = list(a)
         for x in b:
             if a and a[-1] == -x:
@@ -203,7 +224,7 @@ def free_group(rank: int) -> GroupModel:
 
 def free_abelian_group(rank: int) -> GroupModel:
     def mul(a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     zero = tuple([0] * rank)
     gens = []
@@ -319,12 +340,14 @@ class ExternalGroupOracle:
     """Group multiplication served by an external process over a line
     protocol: send "MUL a b", read back the product token.
 
-    Each call waits at most ``ORACLE_TIMEOUT_S`` for the answer line
-    (``CapExceeded``); a closed stream or a dead process is an
-    ``InputError``.  ``close()`` ends the input first, so the oracle can
-    finish cleanly, and kills it only if it has not exited
-    ``ORACLE_CLOSE_WAIT_S`` later.  The caller owns the process and must
-    close it."""
+    Requests are pipelined: ``multiply_many`` writes its requests while it
+    reads the answers, polling both pipes, so neither side can block on a
+    full pipe whatever the token lengths.  Each answer is awaited at most
+    ``ORACLE_TIMEOUT_S`` after the previous one (``CapExceeded``); a
+    closed stream or a dead process is an ``InputError``.  ``close()``
+    ends the input first, so the oracle can finish cleanly, and kills it
+    only if it has not exited ``ORACLE_CLOSE_WAIT_S`` later.  The caller
+    owns the process and must close it."""
 
     def __init__(self, command: Sequence[str]):
         self.command = shlex.join(command)
@@ -332,30 +355,55 @@ class ExternalGroupOracle:
             list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
         )
         self._out = self.proc.stdout.fileno()
-        self._poll = select.poll()
-        self._poll.register(self._out, select.POLLIN)
         self._buffer = b""
 
     def multiply(self, a: str, b: str) -> str:
-        request = f"MUL {a} {b}"
+        return self.multiply_many([(a, b)])[0]
+
+    def multiply_many(self, pairs: Sequence[tuple[str, str]]) -> list[str]:
+        """The products of ``pairs``, one "MUL a b" line each, in order."""
+        pending = memoryview("".join(f"MUL {a} {b}\n" for a, b in pairs).encode())
+        *lines, self._buffer = self._buffer.split(b"\n")
         try:
-            self.proc.stdin.write(f"{request}\n".encode())
-        except (BrokenPipeError, ValueError) as exc:
+            into = self.proc.stdin.fileno()
+        except ValueError as exc:
             raise InputError(f"group oracle {self.command!r} is gone: {exc}") from exc
-        deadline = time.monotonic() + ORACLE_TIMEOUT_S
-        while b"\n" not in self._buffer:
-            wait_ms = max(0.0, deadline - time.monotonic()) * 1000.0
-            if not self._poll.poll(wait_ms):
-                raise CapExceeded(
-                    f"group oracle {self.command!r} gave no answer to {request!r} "
-                    f"within {ORACLE_TIMEOUT_S:g} s"
-                )
-            chunk = os.read(self._out, 65536)
-            if not chunk:
-                raise InputError(f"group oracle {self.command!r} closed the stream")
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return line.decode().strip()
+        poll = select.poll()
+        poll.register(self._out, select.POLLIN)
+        poll.register(into, select.POLLOUT)
+        os.set_blocking(into, False)
+        try:
+            deadline = time.monotonic() + ORACLE_TIMEOUT_S
+            while pending or len(lines) < len(pairs):
+                events = poll.poll(max(0.0, deadline - time.monotonic()) * 1000.0)
+                if not events:
+                    waiting = "MUL {} {}".format(*pairs[min(len(lines), len(pairs) - 1)])
+                    raise CapExceeded(
+                        f"group oracle {self.command!r} gave no answer to {waiting!r} "
+                        f"within {ORACLE_TIMEOUT_S:g} s"
+                    )
+                for fd, _ in events:
+                    if fd == into:
+                        try:
+                            pending = pending[os.write(into, pending):]
+                        except BlockingIOError:
+                            continue
+                        except BrokenPipeError as exc:
+                            raise InputError(f"group oracle {self.command!r} is gone: {exc}") from exc
+                        if not pending:
+                            poll.unregister(into)
+                        continue
+                    chunk = os.read(self._out, 65536)
+                    if not chunk:
+                        raise InputError(f"group oracle {self.command!r} closed the stream")
+                    *new, self._buffer = (self._buffer + chunk).split(b"\n")
+                    if new:
+                        lines += new
+                        deadline = time.monotonic() + ORACLE_TIMEOUT_S
+        finally:
+            os.set_blocking(into, True)
+        self._buffer = b"\n".join(lines[len(pairs):] + [self._buffer])
+        return [line.decode().strip() for line in lines[:len(pairs)]]
 
     def close(self) -> None:
         if self.proc.stdin.closed:
@@ -403,5 +451,5 @@ def group_from_json(doc: dict, stack: ExitStack | None = None) -> GroupModel:
             raise TypeError("a custom group needs an ExitStack to own its oracle process")
         oracle = ExternalGroupOracle(command)
         stack.callback(oracle.close)
-        return GroupModel("custom", identity, gens, oracle.multiply)
+        return GroupModel("custom", identity, gens, oracle.multiply, oracle.multiply_many)
     raise InputError("group JSON needs 'builtin' or 'custom'")

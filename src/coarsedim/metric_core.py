@@ -186,6 +186,13 @@ class FiniteMetricSpace:
         start = np.concatenate([[0], np.cumsum(np.bincount(u[keep], minlength=self.n))])
         return start, v[keep], arr[keep, 2]
 
+    @cached_property
+    def triangle_witness(self) -> tuple | None:
+        """The exhaustive triangle check's first violation, as
+        ``_triangle_violation_exhaustive`` finds it, or None; computed once,
+        the matrix being frozen."""
+        return _triangle_violation_exhaustive(self.matrix, TOL)
+
 
 def _row_blocks(n: int):
     """``(lo, hi)`` bounds of the row blocks of an n-column matrix, each
@@ -219,16 +226,30 @@ def _negated_off_diagonal(m: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def _triangle_violation_exhaustive(m: np.ndarray, tol: float):
     """First (i, j, k), k outermost, with d(i, j) > d(i, k) + d(k, j) + tol.
-    Unlike the other checks this one builds n x n temporaries for each k;
-    it runs only up to 300 points (600 from ``hyperbolization``), or when
-    a caller asks for it."""
+
+    A first pass builds P = min over k of fl(m[:, k] + m[k, :]), two passes
+    per k into preallocated n x n buffers, and tests m > fl(P + tol).
+    fl(x + tol) is nondecreasing in x, so min over k of fl(s_k + tol) =
+    fl(min over k of s_k + tol) = fl(P + tol), and m[i, j] exceeds some
+    fl(s_k + tol) exactly when it exceeds their minimum: the test passes
+    exactly when no k has a violation.  Only when it fails does the
+    k-outermost scan run, to find the first witness.  Both passes use the
+    two n x n buffers; the check runs only up to 300 points (600 from
+    ``hyperbolization``), or when a caller asks for it."""
     n = m.shape[0]
+    shortest, via = np.full((n, n), np.inf), np.empty((n, n))
     for k in range(n):
-        via = m[:, k][:, None] + m[k, :][None, :]
-        bad = m > via + tol
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            return (i, j, k, float(m[i, j]), float(m[i, k] + m[k, j]))
+        np.add(m[:, k, None], m[k], out=via)
+        np.minimum(shortest, via, out=shortest)
+    shortest += tol
+    if (m > shortest).any():
+        for k in range(n):
+            np.add(m[:, k, None], m[k], out=via)
+            via += tol
+            bad = m > via
+            if bad.any():
+                i, j = map(int, np.argwhere(bad)[0])
+                return (i, j, k, float(m[i, j]), float(m[i, k] + m[k, j]))
     return None
 
 
@@ -236,15 +257,24 @@ def _triangle_violation_sampled(m: np.ndarray, tol: float, seed: int):
     """First bad triple among ``TRIPLE_SAMPLES`` drawn from one seeded
     generator, drawn and checked in chunks of at most
     ``SUP_RATIO_BLOCK // 3`` triples; successive draws continue the
-    generator's stream, so the triples are those of one draw of all."""
+    generator's stream, so the triples are those of one draw of all.  A
+    C-contiguous matrix is read by flat gathers at i * n + j, which read
+    the same entries as m[i, j] (every such offset is in range, so the
+    gathers skip the bounds check); any other keeps the 2-D gather, as
+    ``ravel`` would copy it."""
     n = m.shape[0]
     rng = np.random.default_rng(seed)
     chunk = SUP_RATIO_BLOCK // 3
+    flat = m.ravel() if m.flags.c_contiguous else None
     for lo in range(0, TRIPLE_SAMPLES, chunk):
         idx = rng.integers(0, n, size=(min(chunk, TRIPLE_SAMPLES - lo), 3))
-        lhs = m[idx[:, 0], idx[:, 1]]
-        rhs = m[idx[:, 0], idx[:, 2]] + m[idx[:, 2], idx[:, 1]]
-        bad = lhs > rhs + tol
+        i, j, k = idx.T
+        if flat is None:
+            ij, ik, kj = m[i, j], m[i, k], m[k, j]
+        else:
+            ri, rk = i * n, k * n
+            ij, ik, kj = (flat.take(at, mode="clip") for at in (ri + j, ri + k, rk + j))
+        bad = ij > ik + kj + tol
         if bad.any():
             i, j, k = map(int, idx[int(np.argmax(bad))])
             return (i, j, k, float(m[i, j]), float(m[i, k] + m[k, j]))
@@ -268,9 +298,12 @@ def verify_metric_axioms(
     row-major order.  The triangle check is exhaustive for spaces up to
     300 points; above that, ``triple_mode="auto"`` samples triples with
     the given seed (recorded in the report), a chunk at a time.  Pass
-    ``triple_mode="exhaustive"`` to force the full scan.
+    ``triple_mode="exhaustive"`` to force the full scan.  A
+    ``FiniteMetricSpace`` reads the exhaustive verdict from its cache
+    (``triangle_witness``); an array is checked afresh.
     """
-    m = space_or_matrix.matrix if isinstance(space_or_matrix, FiniteMetricSpace) else np.asarray(space_or_matrix, float)
+    space = space_or_matrix if isinstance(space_or_matrix, FiniteMetricSpace) else None
+    m = space.matrix if space is not None else np.asarray(space_or_matrix, float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("distance matrix must be square")
     n = m.shape[0]
@@ -296,7 +329,7 @@ def verify_metric_axioms(
 
     if triple_mode == "exhaustive" or (triple_mode == "auto" and n <= EXHAUSTIVE_TRIPLE_LIMIT):
         report["triple_mode"] = "exhaustive"
-        w = _triangle_violation_exhaustive(m, TOL)
+        w = space.triangle_witness if space is not None else _triangle_violation_exhaustive(m, TOL)
     elif triple_mode in ("auto", "sampled"):
         report["triple_mode"] = "sampled"
         report["triples_sampled"] = TRIPLE_SAMPLES
@@ -378,7 +411,10 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
 
 def _whole(value, what: str) -> int:
     """``value`` as an int; ``InputError`` unless it is a whole number, so
-    a fractional index is rejected instead of truncated."""
+    a fractional index is rejected instead of truncated.  A bool (Python's
+    or numpy's) is rejected too, though it compares equal to 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InputError(f"{what} {value!r} is a bool, not a whole number")
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -429,6 +465,15 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
     largest distance top; ``top + w_min > top`` would pass a tie that
     rounds up at top alone.  A disconnected graph is rejected, naming 0
     and the smallest vertex Prim order misses: M's first infinite entry.
+
+    A connected graph with n - 1 edges is a tree, and its loop stops after
+    one backward and one forward pass.  Prim order lists every vertex after
+    its tree parent p, and D[v] = fl(D[u] + w) along the one path from t.
+    The backward pass reaches v after all its children, so by induction
+    M[v, t] = D[v] for every t in v's subtree: the path leaves v through a
+    child c, whose row is final there.  The forward pass reaches v after
+    p, whose row is then final everywhere (the root's subtree is the whole
+    tree), so M[v, t] = fl(M[p, t] + w) = D[v] for the other t as well.
     """
     adj: list[dict[float, list[int]]] = [{} for _ in range(n)]
     for (i, j), w in lightest.items():
@@ -451,9 +496,11 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
     np.fill_diagonal(m, 0.0)
     rows = [(m[s], [(w, np.array(nbrs, dtype=np.intp)) for w, nbrs in adj[s].items()]) for s in order]
     step = max(1, SUP_RATIO_BLOCK // n)
+    passes = 2 if len(lightest) == n - 1 else math.inf
     changed = True
-    while changed:
+    while changed and passes:
         changed = False
+        passes -= 1
         rows.reverse()
         for row, groups in rows:
             near = None
@@ -474,7 +521,9 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
 
 def _min_of_rows(m: np.ndarray, idx: np.ndarray, step: int) -> np.ndarray:
     """The minimum of m's rows ``idx`` (nonempty), gathered ``step`` rows at
-    a time."""
+    a time; a copy of the row when there is one."""
+    if len(idx) == 1:
+        return m[idx[0]].copy()
     out = m[idx[:step]].min(axis=0)
     for lo in range(step, len(idx), step):
         np.minimum(out, m[idx[lo:lo + step]].min(axis=0), out=out)
@@ -805,14 +854,17 @@ def space_from_json(doc: dict) -> FiniteMetricSpace:
     except (KeyError, TypeError) as exc:
         raise InputError(f"space JSON missing field: {exc}") from exc
     labels = doc.get("labels")
-    if kind == "matrix":
-        m = doc["matrix"]
-        if len(m) != n:
-            raise InputError("matrix size does not match n")
-        return build_explicit(m, labels)
+    if kind not in ("matrix", "graph"):
+        raise InputError(f"unknown space kind {kind!r}")
+    key = "matrix" if kind == "matrix" else "edges"
+    if not isinstance(doc.get(key), list):
+        raise InputError(f"{kind} space JSON needs a list {key!r}, not {doc.get(key)!r}")
     if kind == "graph":
         return build_graph_metric(n, doc["edges"], labels)
-    raise InputError(f"unknown space kind {kind!r}")
+    m = doc["matrix"]
+    if len(m) != n:
+        raise InputError("matrix size does not match n")
+    return build_explicit(m, labels)
 
 
 def load_space(path) -> FiniteMetricSpace:

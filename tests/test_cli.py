@@ -99,6 +99,18 @@ class TestSpace:
         assert code == 2
         assert out.startswith("FAIL:") and message in out
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"kind": "graph", "n": 3, "edges": 5}', "needs a list 'edges', not 5"),
+        ('{"kind": "matrix", "n": 2, "matrix": 5}', "needs a list 'matrix', not 5"),
+        ('{"kind": "graph", "n": 2, "edges": [[false, true]]}', "vertex False is a bool"),
+    ], ids=["int-edges", "int-matrix", "bool-vertices"])
+    def test_check_malformed_file_exit_2(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        code, out, _ = run(capsys, "space", "check", "--file", str(bad))
+        assert code == 2
+        assert out.startswith("FAIL:") and message in out
+
     def test_info_prints_diameter(self, tmp_path, capsys):
         f = write_space(tmp_path, "p.json", path_space(10))
         code, out, _ = run(capsys, "space", "info", "--file", f)

@@ -50,6 +50,12 @@ class TestBasics:
         with pytest.raises(InputError, match="point 1.5 is not a whole number"):
             make_cover(path_space(4), [[0, 1.5], [2, 3]])
 
+    def test_bool_point_rejected(self):
+        # True == 1, but a bool is not a point; numpy integers are
+        with pytest.raises(InputError, match="point True is a bool"):
+            make_cover(path_space(4), [[0, True], [2, 3]])
+        assert PointSet.of([np.int64(1), np.int32(0)]).indices == (0, 1)
+
     def test_multiplicity(self):
         s = path_space(4)
         assert multiplicity(make_cover(s, [[0, 1], [2, 3]])) == 1

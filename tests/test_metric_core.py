@@ -265,6 +265,30 @@ class TestGraphMetric:
         with pytest.raises(InputError, match="is not a whole number"):
             build_graph_metric(n, edges)
 
+    @pytest.mark.parametrize("n, edges, message", [
+        (2, [(False, True)], "edge \\(False, True\\): vertex False is a bool"),
+        (3, [(0, 1), (np.True_, 2)], "vertex np.True_ is a bool"),
+        (True, [], "vertex count True is a bool"),
+    ], ids=["json-bools", "numpy-bool", "bool-n"])
+    def test_bool_index_rejected(self, n, edges, message):
+        # True == 1, but a bool is not a vertex index
+        with pytest.raises(InputError, match=message):
+            build_graph_metric(n, edges)
+
+    def test_numpy_integer_indices_accepted(self):
+        s = build_graph_metric(np.int64(3), [(np.int32(0), np.int64(1)), (np.uint8(1), 2)])
+        assert np.array_equal(s.matrix, path_space(3).matrix)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "graph", "n": 3, "edges": 5}, "graph space JSON needs a list 'edges', not 5"),
+        ({"kind": "graph", "n": 3}, "graph space JSON needs a list 'edges', not None"),
+        ({"kind": "matrix", "n": 2, "matrix": 5}, "matrix space JSON needs a list 'matrix', not 5"),
+        ({"kind": "matrix", "n": 2, "matrix": "ab"}, "needs a list 'matrix', not 'ab'"),
+    ], ids=["int-edges", "no-edges", "int-matrix", "string-matrix"])
+    def test_json_shape_errors_are_input_errors(self, doc, message):
+        with pytest.raises(InputError, match=message):
+            space_from_json(doc)
+
     def test_whole_float_indices_accepted(self):
         s = build_graph_metric(3.0, [(0.0, 1.0), (1, 2)])
         assert np.array_equal(s.matrix, path_space(3).matrix)
@@ -380,6 +404,7 @@ class TestBallsAndSets:
         (-1, "center -1 is outside the space's 5 points"),
         (5, "center 5 is outside the space's 5 points"),
         (2.5, "center 2.5 is not a whole number"),
+        (True, "center True is a bool"),
     ])
     def test_ball_center_must_be_a_point(self, center, message):
         with pytest.raises(InputError, match=message):
@@ -469,8 +494,8 @@ class TestLipschitz:
         bad = map_between_spaces(s, s, [0, 4, 0, 4, 0], declared_lipschitz=1.0)
         assert measured_lipschitz(bad) == 4.0 > bad.declared_lipschitz
 
-    @pytest.mark.parametrize("images", [[0, 1.5, 2], [0, "1", 2], [0, 1, 3]],
-                             ids=["fractional", "string", "outside"])
+    @pytest.mark.parametrize("images", [[0, 1.5, 2], [0, "1", 2], [0, 1, 3], [0, True, 2]],
+                             ids=["fractional", "string", "outside", "bool"])
     def test_image_must_be_a_codomain_point(self, images):
         s = path_space(3)
         with pytest.raises(InputError, match="image point"):
