@@ -435,8 +435,7 @@ def run_verify(inject_fault: bool = False) -> list[dict]:
 
     def coloring():
         space = path_space(16)
-        clusters = carve_clusters(space, 4)
-        adj = _conflict_graph(space, clusters, 2)
+        adj = _conflict_graph(space.matrix <= 2, carve_clusters(space.matrix, 4))
         chi, _ = chromatic_number(adj)
         assert chi == brute_force_chromatic(adj)
         greedy = colored_decomposition(space, 2, 4, mode="greedy")

@@ -12,6 +12,9 @@ carving at mesh B, then colored either greedily (descending size,
 first-fit) or exactly (branch-and-bound chromatic number of the cluster
 conflict graph, capped at 12 clusters).  Exact color counts are minimal
 *for the carved clustering*; reports label which mode produced a value.
+A decomposition of a carrier C holds a |C| x |C| float copy of C's
+submatrix when C is a strict subset of the space, and one |C| x |C| bool
+table of D-close pairs; both stay below ``MATRIX_CAP`` as the space does.
 """
 
 from __future__ import annotations
@@ -306,33 +309,31 @@ def disjoint_to_cover(decomp: ColoredDecomposition) -> Cover:
 # carving and coloring
 
 
-def carve_clusters(space, B: float, carrier=None, first_seed: int | None = None) -> list[PointSet]:
-    """Deterministic ball carving: repeatedly take the unassigned point of
-    smallest index and claim every unassigned point within B/2 of it, read
-    from the seed's matrix row against a mask of unassigned points.
-    ``first_seed`` overrides only the first pick (used by the exact solver
-    to scan alternative carvings)."""
-    unassigned = np.zeros(space.n, dtype=bool)
-    unassigned[list(as_point_set(carrier)) if carrier is not None else slice(None)] = True
-    seed = None
-    if first_seed is not None and 0 <= first_seed < space.n and unassigned[first_seed]:
-        seed = first_seed
-    clusters = []
-    while unassigned.any():
+def carve_clusters(sub: np.ndarray, B: float, first_seed: int | None = None) -> np.ndarray:
+    """Deterministic ball carving of a carrier given by its distance
+    submatrix ``sub`` (local indices): repeatedly take the unassigned point
+    of smallest index and claim every unassigned point within B/2 of it,
+    read from the seed's row.  Returns each point's cluster label, clusters
+    numbered in carving order.  ``first_seed`` overrides only the first
+    pick (used by the exact solver to scan alternative carvings)."""
+    labels = np.full(len(sub), -1, dtype=np.intp)
+    seed, label = first_seed, 0
+    while (free := labels < 0).any():
         if seed is None:
-            seed = int(np.argmax(unassigned))
-        members = np.flatnonzero(unassigned & (space.matrix[seed] <= B / 2.0 + TOL))
-        clusters.append(PointSet(tuple(members.tolist())))
-        unassigned[members] = False
-        seed = None
-    return clusters
+            seed = int(np.argmax(free))
+        labels[free & (sub[seed] <= B / 2.0 + TOL)] = label
+        seed, label = None, label + 1
+    return labels
 
 
-def _conflict_graph(space, clusters: Sequence[PointSet], D: float) -> list[set[int]]:
-    """Clusters i < j conflict when d(clusters[i], clusters[j]) <= D, read
-    from one set-distance table with a row per cluster but the last."""
-    near = np.zeros((len(clusters), len(clusters)), dtype=bool)
-    near[:-1] = set_distances(space, clusters[:-1], clusters) <= D
+def _conflict_graph(close: np.ndarray, labels: np.ndarray) -> list[set[int]]:
+    """Clusters i < j conflict when ``close[p, q]`` (d(p, q) <= D) holds
+    for some p of cluster i and q of cluster j, read from the rows of the
+    lower cluster."""
+    k = int(labels.max(initial=-1)) + 1
+    near = np.zeros((k, k), dtype=bool)
+    for i in range(k - 1):
+        near[i, labels[close[labels == i].any(axis=0)]] = True
     near = np.triu(near, 1)
     near |= near.T
     return [set(np.flatnonzero(row).tolist()) for row in near]
@@ -426,23 +427,22 @@ def brute_force_chromatic(adj: list[set[int]]) -> int:
     return k
 
 
-def _color_floor(space, D: float, B: float, carrier: PointSet) -> int:
+def _color_floor(sub: np.ndarray, close: np.ndarray, B: float) -> int:
     """Lower bound on the chromatic number of every carving's conflict
-    graph, from the carrier's submatrix: 0 for an empty carrier; 1 when
-    some seed's row is within B/2 of the whole carrier (read as
+    graph, from the carrier table: 0 for an empty carrier; 1 when some
+    seed's row is within B/2 of the whole carrier (read as
     ``carve_clusters`` reads it, so that carving is one cluster) or when
     the carrier is not D-connected; 2 otherwise.  In the last case every
     carving has two clusters, and some edge of the D-graph joins two of
-    them.  An edge needs both directions within D, with no tolerance, so
-    the two clusters conflict whichever side ``_conflict_graph`` reads."""
-    idx = np.asarray(carrier.indices, dtype=np.intp)
-    if not idx.size:
+    them.  An edge needs both directions within D, ``close & close.T``
+    with no tolerance, so the two clusters conflict whichever side
+    ``_conflict_graph`` reads."""
+    if not len(sub):
         return 0
-    sub = space.matrix if idx.size == space.n else space.matrix[np.ix_(idx, idx)]
-    if (sub <= B / 2.0 + TOL).all(axis=1).any():
+    if (sub.max(axis=1) <= B / 2.0 + TOL).any():
         return 1
-    near = (sub <= D) & (sub.T <= D)
-    reached = np.zeros(len(idx), dtype=bool)
+    near = close & close.T
+    reached = np.zeros(len(sub), dtype=bool)
     reached[0] = True
     frontier = reached.copy()
     while frontier.any():
@@ -474,45 +474,55 @@ def colored_decomposition(
     may overestimate the true optimum at (D, B).  ``info`` records the
     carvings made, the distinct clusterings colored and the floor (exact
     mode only).
+
+    The call holds one carrier table: the carrier's |C| x |C| distance
+    submatrix ``sub`` (a float copy only when C is a strict subset of the
+    space) and its |C| x |C| bool table ``close = sub <= D``, both below
+    ``MATRIX_CAP``.  Carvings are label arrays over C, deduplicated by
+    each point's smallest cluster-mate; only the returned one becomes
+    point sets.
     """
     if D < 0 or B < 0:
         raise InputError("D and B must be nonnegative")
     t0 = time.perf_counter()
-    base_clusters = carve_clusters(space, B, carrier)
+    uni = as_point_set(carrier) if carrier is not None else PointSet.universe(space.n)
+    idx = np.asarray(uni.indices, dtype=np.intp)
+    sub = space.matrix if idx.size == space.n else space.matrix[np.ix_(idx, idx)]
+    close = sub <= D
+    labels = carve_clusters(sub, B)
+    sizes = np.bincount(labels)
     if mode == "auto":
-        mode = "exact" if len(base_clusters) <= EXACT_CLUSTER_CAP else "greedy"
+        mode = "exact" if len(sizes) <= EXACT_CLUSTER_CAP else "greedy"
     if mode == "greedy":
-        adj = _conflict_graph(space, base_clusters, D)
-        colors = greedy_coloring(adj, [len(c) for c in base_clusters])
-        chosen, coloring = base_clusters, colors
+        coloring = greedy_coloring(_conflict_graph(close, labels), sizes.tolist())
         scan = {"carvings": 1, "distinct": 1, "color_floor": None}
     elif mode == "exact":
-        if len(base_clusters) > EXACT_CLUSTER_CAP:
+        if len(sizes) > EXACT_CLUSTER_CAP:
             raise CapExceeded(
-                f"exact mode capped at {EXACT_CLUSTER_CAP} clusters, carving produced {len(base_clusters)}"
+                f"exact mode capped at {EXACT_CLUSTER_CAP} clusters, carving produced {len(sizes)}"
             )
         best = None
-        uni = as_point_set(carrier) if carrier is not None else PointSet.universe(space.n)
-        floor = _color_floor(space, D, B, uni)
-        colored: set[frozenset] = set()
-        for carvings, seed in enumerate([None, *uni.indices[1:]], start=1):
-            clusters = base_clusters if seed is None else carve_clusters(space, B, carrier, seed)
-            key = frozenset(c.indices for c in clusters)
-            if len(clusters) > EXACT_CLUSTER_CAP or key in colored:
+        floor = _color_floor(sub, close, B)
+        colored: set[bytes] = set()
+        for carvings, seed in enumerate([None, *range(1, idx.size)], start=1):
+            carving = labels if seed is None else carve_clusters(sub, B, seed)
+            first = np.unique(carving, return_index=True)[1]
+            key = first[carving].tobytes()
+            if first.size > EXACT_CLUSTER_CAP or key in colored:
                 continue
             colored.add(key)
-            adj = _conflict_graph(space, clusters, D)
-            chi, witness = chromatic_number(adj)
+            chi, witness = chromatic_number(_conflict_graph(close, carving))
             if best is None or chi < best[0]:
-                best = (chi, clusters, witness)
+                best = (chi, carving, witness)
             if best[0] <= floor:
                 break
         assert best is not None
-        _, chosen, coloring = best
+        _, labels, coloring = best
         scan = {"carvings": carvings, "distinct": len(colored), "color_floor": floor}
     else:
         raise InputError(f"unknown mode {mode!r}")
 
+    chosen = [PointSet(tuple(idx[labels == i].tolist())) for i in range(len(coloring))]
     n_colors = max(coloring) + 1 if coloring else 1
     families: list[list[PointSet]] = [[] for _ in range(n_colors)]
     for cluster, color in zip(chosen, coloring):
@@ -522,7 +532,7 @@ def colored_decomposition(
         tuple(tuple(fam) for fam in families),
         D=D,
         B=B,
-        carrier=as_point_set(carrier) if carrier is not None else None,
+        carrier=uni if carrier is not None else None,
         info={
             "mode": mode,
             "clusters": len(chosen),

@@ -44,7 +44,6 @@ class AmalgamModel:
     name: str
     factors: dict  # {"A": FactorOps, "B": FactorOps}
     c_identity: Any
-    c_multiply: Callable[[Any, Any], Any]
     generator_letters: tuple[tuple[str, tuple[str, Any]], ...]  # (label, (factor, elem))
 
     def identity_form(self) -> NormalForm:
@@ -145,7 +144,6 @@ def plain_free_product_z2_z3() -> AmalgamModel:
         name="z2*z3",
         factors={"A": cyclic_ops("A", 2), "B": cyclic_ops("B", 3)},
         c_identity=0,
-        c_multiply=lambda a, b: 0,
         generator_letters=(
             ("a", ("A", 1)),
             ("b", ("B", 1)),
@@ -174,7 +172,6 @@ def z_amalgam_2z() -> AmalgamModel:
         name="z*_2z*z",
         factors={"A": z_ops("A"), "B": z_ops("B")},
         c_identity=0,
-        c_multiply=lambda a, b: a + b,
         generator_letters=(
             ("a", ("A", 1)),
             ("a~", ("A", -1)),
@@ -210,7 +207,6 @@ def z4_amalgam_z6() -> AmalgamModel:
         name="z4*_z2*z6",
         factors={"A": a_ops, "B": b_ops},
         c_identity=0,
-        c_multiply=lambda a, b: (a + b) % 2,
         generator_letters=(
             ("a", ("A", 1)),
             ("a~", ("A", 3)),

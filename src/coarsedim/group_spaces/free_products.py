@@ -66,15 +66,6 @@ class FreeProductSpace:
     index: dict = field(compare=False)
 
 
-def word_norm(fps: FreeProductSpace, w: Word) -> float:
-    by_tag = {"x": fps.factors[0], "y": fps.factors[1]}
-    total = 0.0
-    for tag, p in w:
-        ps = by_tag[tag]
-        total += float(ps.space.matrix[p, ps.basepoint])
-    return total
-
-
 def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norms: dict) -> np.ndarray:
     """Tail-norm recursion on the word trie: pairs whose next letters
     differ are exactly tail-norm apart; equal next letters recurse with the

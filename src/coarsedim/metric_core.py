@@ -166,9 +166,6 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.matrix.max()) if self.n else 0.0
 
-    def label(self, p: int) -> str:
-        return self.labels[p] if self.labels else str(p)
-
     @cached_property
     def graph_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """``(start, v, w)``, the edges of ``meta["edges"]`` without
@@ -864,6 +861,12 @@ def space_from_json(doc: dict) -> FiniteMetricSpace:
     m = doc["matrix"]
     if len(m) != n:
         raise InputError("matrix size does not match n")
+    for i, row in enumerate(m):
+        if not isinstance(row, list) or len(row) != n:
+            raise InputError(f"matrix row {i} is not a list of {n} distances")
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise InputError(f"matrix row {i} has a non-numeric entry {x!r}")
     return build_explicit(m, labels)
 
 

@@ -260,10 +260,9 @@ def test_criterion_06_coloring_oracle_equivalence():
     checked = 0
     for name, space in instances:
         for d_sep, b_mesh in params:
-            clusters = carve_clusters(space, b_mesh)
-            if len(clusters) > 12:
+            adj = _conflict_graph(space.matrix <= d_sep, carve_clusters(space.matrix, b_mesh))
+            if len(adj) > 12:
                 continue
-            adj = _conflict_graph(space, clusters, d_sep)
             chi, witness = chromatic_number(adj)
             assert chi == brute_force_chromatic(adj), (name, d_sep, b_mesh)
             greedy = colored_decomposition(space, d_sep, b_mesh, mode="greedy")

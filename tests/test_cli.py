@@ -103,7 +103,12 @@ class TestSpace:
         ('{"kind": "graph", "n": 3, "edges": 5}', "needs a list 'edges', not 5"),
         ('{"kind": "matrix", "n": 2, "matrix": 5}', "needs a list 'matrix', not 5"),
         ('{"kind": "graph", "n": 2, "edges": [[false, true]]}', "vertex False is a bool"),
-    ], ids=["int-edges", "int-matrix", "bool-vertices"])
+        ('{"kind": "matrix", "n": 2, "matrix": [[0, 1], [1]]}', "matrix row 1 is not a list of 2 distances"),
+        ('{"kind": "matrix", "n": 2, "matrix": [[0, "a"], [1, 0]]}', "matrix row 0 has a non-numeric entry 'a'"),
+        ('{"kind": "matrix", "n": 2, "matrix": [[0, true], [true, 0]]}', "matrix row 0 has a non-numeric entry True"),
+        ('{"kind": "matrix", "n": 2, "matrix": [5, [1, 0]]}', "matrix row 0 is not a list of 2 distances"),
+    ], ids=["int-edges", "int-matrix", "bool-vertices", "ragged-matrix", "string-entry", "bool-entry",
+            "int-row"])
     def test_check_malformed_file_exit_2(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.json"
         bad.write_text(doc)

@@ -239,18 +239,16 @@ class TestColoring:
         dec = colored_decomposition(s, D=2, B=2, mode="exact")
         assert dec.colors == 2
         # brute-force oracle agrees 1 color is impossible for this carving
-        clusters = carve_clusters(s, 2)
         from coarsedim.covers import _conflict_graph
 
-        assert brute_force_chromatic(_conflict_graph(s, clusters, 2)) == 2
+        assert brute_force_chromatic(_conflict_graph(s.matrix <= 2, carve_clusters(s.matrix, 2))) == 2
 
     def test_grid5_exact_three_colors(self):
         s = grid_space(5, 5)
         dec = colored_decomposition(s, D=2, B=4, mode="exact")
         from coarsedim.covers import _conflict_graph
 
-        clusters = carve_clusters(s, 4)
-        oracle = brute_force_chromatic(_conflict_graph(s, clusters, 2))
+        oracle = brute_force_chromatic(_conflict_graph(s.matrix <= 2, carve_clusters(s.matrix, 4)))
         assert dec.colors <= oracle
         assert dec.colors == 3
 
@@ -275,8 +273,7 @@ class TestColoring:
             (cycle_space(10), 2, 3),
             (grid_space(3, 5), 2, 4),
         ]:
-            clusters = carve_clusters(space, b)
-            adj = _conflict_graph(space, clusters, d)
+            adj = _conflict_graph(space.matrix <= d, carve_clusters(space.matrix, b))
             chi, witness = chromatic_number(adj)
             assert chi == brute_force_chromatic(adj)
             assert max(witness) + 1 == chi

@@ -11,7 +11,6 @@ from coarsedim.group_spaces.free_products import (
     free_product_tree,
     tree_projection,
     tree_target_report,
-    word_norm,
     word_stratification,
 )
 from coarsedim.metric_core import (
@@ -25,6 +24,12 @@ from coarsedim.metric_core import (
 
 def no_allocation(*args, **kwargs):
     raise AssertionError("an n x n matrix was allocated")
+
+
+def word_norm(fps, w):
+    """Sum of the letters' distances to their factor's basepoint."""
+    by_tag = {"x": fps.factors[0], "y": fps.factors[1]}
+    return sum(float(by_tag[tag].space.matrix[p, by_tag[tag].basepoint]) for tag, p in w)
 
 
 def direct_word_distance(fps, u, v):

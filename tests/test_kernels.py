@@ -907,6 +907,17 @@ def reference_carving(space, B, carrier=None, first_seed=None):
     return clusters
 
 
+def carrier_table(space, carrier=None):
+    """A carrier's sorted ambient indices and its distance submatrix."""
+    idx = np.array(sorted(carrier) if carrier is not None else range(space.n), dtype=np.intp)
+    return idx, space.matrix[np.ix_(idx, idx)]
+
+
+def clusters_of(idx, labels):
+    """A label array's clusters as ambient point sets, in label order."""
+    return [PointSet.of(idx[labels == i].tolist()) for i in range(labels.max(initial=-1) + 1)]
+
+
 def reference_conflict_graph(space, clusters, D):
     adj = [set() for _ in clusters]
     for i in range(len(clusters)):
@@ -1017,13 +1028,14 @@ class TestSetGeometry:
     @given(weighted_graphs(), st.data(), st.floats(0.0, 8.0))
     def test_carving_and_conflict_graph_match_references(self, space, data, B):
         carrier = data.draw(st.none() | st.sets(st.integers(0, space.n - 1)))
-        points = range(space.n) if carrier is None else sorted(carrier)
-        for seed in [None, *points]:
-            got = carve_clusters(space, B, carrier, seed)
-            assert got == reference_carving(space, B, carrier, seed)
-        clusters = carve_clusters(space, B, carrier)
+        idx, sub = carrier_table(space, carrier)
+        for seed in [None, *range(idx.size)]:
+            got = clusters_of(idx, carve_clusters(sub, B, seed))
+            assert got == reference_carving(space, B, carrier, None if seed is None else int(idx[seed]))
+        labels = carve_clusters(sub, B)
         D = data.draw(st.floats(0.0, 8.0))
-        assert _conflict_graph(space, clusters, D) == reference_conflict_graph(space, clusters, D)
+        want = reference_conflict_graph(space, clusters_of(idx, labels), D)
+        assert _conflict_graph(sub <= D, labels) == want
 
     @SETTINGS
     @given(weighted_graphs(), st.data(), st.floats(0.0, 6.0))
@@ -1081,10 +1093,10 @@ def reference_exact_scan(space, D, B, carrier=None):
     uni = PointSet.of(carrier) if carrier is not None else PointSet.universe(space.n)
     best = None
     for seed in [None, *uni.indices[1:]]:
-        clusters = carve_clusters(space, B, carrier, seed)
+        clusters = reference_carving(space, B, carrier, seed)
         if len(clusters) > EXACT_CLUSTER_CAP:
             continue
-        chi, witness = chromatic_number(_conflict_graph(space, clusters, D))
+        chi, witness = chromatic_number(reference_conflict_graph(space, clusters, D))
         if best is None or chi < best[0]:
             best = (chi, clusters, witness)
     _, clusters, witness = best
@@ -1144,11 +1156,11 @@ class TestExactScan:
     @given(scan_instances())
     def test_floor_is_below_every_carving(self, instance):
         space, carrier, D, B = instance
-        uni = PointSet.universe(space.n) if carrier is None else PointSet.of(carrier)
-        floor = _color_floor(space, D, B, uni)
+        idx, sub = carrier_table(space, carrier)
+        floor = _color_floor(sub, sub <= D, B)
         assert floor == colored_decomposition(space, D, B, "exact", carrier=carrier).info["color_floor"]
-        assert floor <= min_carved_chromatic(space, D, B, list(uni))
-        assert (floor == 0) == (not uni.indices)
+        assert floor <= min_carved_chromatic(space, D, B, idx.tolist())
+        assert (floor == 0) == (not idx.size)
 
     @pytest.mark.parametrize(
         "edges, D, B",
@@ -1163,18 +1175,17 @@ class TestExactScan:
         space = build_graph_metric(4, edges)
         got = colored_decomposition(space, D, B, "exact")
         assert got.families == reference_exact_scan(space, D, B)
-        assert chromatic_number(_conflict_graph(space, carve_clusters(space, B), D))[0] == 2
+        assert chromatic_number(_conflict_graph(space.matrix <= D, carve_clusters(space.matrix, B)))[0] == 2
         assert got.colors == 1
         assert got.info["carvings"] > 1
 
     def test_split_carrier_floor_cases(self):
         # two far-apart halves of a path: each carving needs two clusters,
         # but no D-edge joins them
-        space = path_space(10)
-        carrier = PointSet.of([0, 1, 2, 7, 8, 9])
-        assert _color_floor(space, 3.0, 2.0, carrier) == 1
-        assert _color_floor(space, 5.0, 2.0, carrier) == 2
-        assert _color_floor(space, 5.0, 18.0, carrier) == 1
+        _, sub = carrier_table(path_space(10), [0, 1, 2, 7, 8, 9])
+        assert _color_floor(sub, sub <= 3.0, 2.0) == 1
+        assert _color_floor(sub, sub <= 5.0, 2.0) == 2
+        assert _color_floor(sub, sub <= 5.0, 18.0) == 1
 
     @SETTINGS
     @given(weighted_graphs(min_n=2), st.data())
@@ -1182,14 +1193,46 @@ class TestExactScan:
         # D at least every edge weight: the whole space is D-connected
         D = max(w for _, _, w in space.meta["edges"]) + data.draw(st.floats(0.0, 2.0))
         B = data.draw(st.floats(0.0, 2.0 * space.diameter()))
-        first = carve_clusters(space, B)
-        assume(_color_floor(space, D, B, PointSet.universe(space.n)) == 2)
-        assume(chromatic_number(_conflict_graph(space, first, D))[0] == 2)
+        m = space.matrix
+        assume(_color_floor(m, m <= D, B) == 2)
+        assume(chromatic_number(_conflict_graph(m <= D, carve_clusters(m, B)))[0] == 2)
         with mock.patch.object(covers_module, "carve_clusters", wraps=carve_clusters) as spy:
             got = colored_decomposition(space, D, B, "exact")
         assert spy.call_count == 1
         assert (got.info["carvings"], got.info["distinct"], got.info["color_floor"]) == (1, 1, 2)
         assert got.families == reference_exact_scan(space, D, B)
+
+    @SETTINGS
+    @given(weighted_graphs(min_n=2), st.data(), st.floats(0.0, 8.0))
+    def test_asymmetry_within_tolerance(self, space, data, B):
+        # one pair's two sides differ by less than TOL and D lies between
+        # them: conflicts read d(p, q) with p in the lower cluster, and the
+        # floor, which needs both sides, stays below every carving
+        p, q = data.draw(st.lists(st.integers(0, space.n - 1), min_size=2, max_size=2, unique=True))
+        m = space.matrix.copy()
+        m[p, q] += 2.0 ** -34
+        D = float(m[q, p]) + 2.0 ** -35
+        assert m[q, p] < D < m[p, q] < m[q, p] + TOL
+        asym = FiniteMetricSpace(m)
+        carrier = sorted(data.draw(st.sets(st.integers(0, space.n - 1))) | {p, q})
+        idx, sub = carrier_table(asym, carrier)
+        for seed in [None, *carrier]:
+            clusters = reference_carving(asym, B, carrier, seed)
+            labels = carve_clusters(sub, B, None if seed is None else carrier.index(seed))
+            assert clusters_of(idx, labels) == clusters
+            assert _conflict_graph(sub <= D, labels) == reference_conflict_graph(asym, clusters, D)
+        assert _color_floor(sub, sub <= D, B) <= min_carved_chromatic(asym, D, B, carrier)
+
+    @pytest.mark.parametrize("close_side, adj", [((0, 1), [{1}, {0}]), ((1, 0), [set(), set()])])
+    def test_asymmetric_pair_conflicts_from_the_lower_cluster(self, close_side, adj):
+        m = np.array([[0.0, 1.0 + 2.0 ** -34], [1.0 + 2.0 ** -34, 0.0]])
+        m[close_side] = 1.0
+        sub = FiniteMetricSpace(m).matrix
+        D = 1.0 + 2.0 ** -35
+        labels = carve_clusters(sub, 0.0)
+        assert labels.tolist() == [0, 1]
+        assert _conflict_graph(sub <= D, labels) == adj
+        assert _color_floor(sub, sub <= D, 0.0) == 1
 
 
 # ---------------------------------------------------------------------------
