@@ -32,7 +32,9 @@ from .metric_core import (
     TOL,
     FiniteMetricSpace,
     PointSet,
+    _first_max,
     _points_in,
+    _row_blocks,
     as_point_set,
     diameter_of,
     distance_to_set,
@@ -88,15 +90,15 @@ class Cover:
 
     @cached_property
     def depths(self) -> np.ndarray:
-        """|carrier| x |sets| table of d(x, carrier minus U), rows in
-        carrier order; +inf where U is the whole carrier.  A carrier point
-        lies in U exactly when its depth is positive."""
+        """|carrier| x |sets| table of d(x, carrier minus U), rows in carrier
+        order, read in ``_row_blocks``; +inf where U is the whole carrier.
+        A carrier point lies in U exactly when its depth is positive."""
         car = np.array(self.universe().indices)
         out = np.full((len(car), len(self.sets)), math.inf)
         for j, inside in enumerate(self.member):
             comp = car[~inside]
-            if comp.size:
-                out[:, j] = self.space.matrix[np.ix_(car, comp)].min(axis=1)
+            for rows in _row_blocks(len(car) if comp.size else 0, len(comp)):
+                out[rows, j] = self.space.matrix[np.ix_(car[rows], comp)].min(axis=1)
         out.setflags(write=False)
         return out
 
@@ -475,7 +477,8 @@ def colored_decomposition(
     carvings made, the distinct clusterings colored and the floor (exact
     mode only).
 
-    The call holds one carrier table: the carrier's |C| x |C| distance
+    The call holds one carrier table whole, not in row blocks, since every
+    carving and the floor reread it: the carrier's |C| x |C| distance
     submatrix ``sub`` (a float copy only when C is a strict subset of the
     space) and its |C| x |C| bool table ``close = sub <= D``, both below
     ``MATRIX_CAP``.  Carvings are label arrays over C, deduplicated by
@@ -551,19 +554,20 @@ def colored_decomposition(
 
 
 def verify_isometry(src: FiniteMetricSpace, dst: FiniteMetricSpace, assignment: Sequence[int]):
-    """Exact check that the assignment is a distance-preserving bijection."""
+    """Check that the assignment (points of ``dst``) is a bijection keeping
+    every distance within ``TOL``: one ``_first_max`` scan of
+    |d(a_i, a_j) - d(i, j)|, the witness its first worst pair."""
     if len(assignment) != src.n or src.n != dst.n:
         raise InputError("isometry must be a bijection between equal-size spaces")
-    if len(set(assignment)) != len(assignment):
+    a = _points_in(dst, assignment, "image point")
+    if len(set(a)) != len(a):
         raise InvariantViolation("assignment is not injective")
-    a = list(assignment)
-    img = dst.matrix[np.ix_(a, a)]
-    if not np.allclose(img, src.matrix, atol=TOL, rtol=0):
-        diff = np.abs(img - src.matrix)
-        i, j = map(int, np.unravel_index(np.argmax(diff), diff.shape))
+    a = np.asarray(a, dtype=np.intp)
+    worst, i, j = _first_max(src.n, lambda rows: np.abs(dst.matrix[np.ix_(a[rows], a)] - src.matrix[rows]))
+    if worst > TOL:
         raise InvariantViolation(
             "map is not an isometry",
-            witness=(i, j, float(src.matrix[i, j]), float(img[i, j])),
+            witness=(i, j, float(src.matrix[i, j]), float(dst.matrix[a[i], a[j]])),
         )
 
 

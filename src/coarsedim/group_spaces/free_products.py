@@ -69,9 +69,9 @@ class FreeProductSpace:
 def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norms: dict) -> np.ndarray:
     """Tail-norm recursion on the word trie: pairs whose next letters
     differ are exactly tail-norm apart; equal next letters recurse with the
-    letter stripped.  One dense write per trie node keeps this near-linear
-    in matrix size; the root's block is the whole matrix, written by one
-    broadcast add instead of a scatter."""
+    letter stripped.  One dense write per trie node, each no larger than
+    the n x n result, keeps this near-linear in matrix size; the root's
+    block is the whole matrix, written by one broadcast add, not a scatter."""
     n = len(words)
     if n * n > MATRIX_CAP:
         raise CapExceeded(f"free product truncation has {n} words; its matrix exceeds cap {MATRIX_CAP}")

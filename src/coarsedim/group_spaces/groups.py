@@ -143,7 +143,8 @@ def cayley_ball(group: GroupModel, radius: int) -> CayleyBall:
     from the product table of the B_2radius enumeration.  Row c of the walk
     holds x^-1 y for the c-th y and every x: the row of y's parent times y's
     last letter, all shorter than 2radius.  A nonzero diagonal or an
-    asymmetric matrix means the oracle breaks the group law."""
+    asymmetric matrix means the oracle breaks the group law.  The walk
+    table and that test are n x n, no larger than the matrix returned."""
     if radius < 0:
         raise InputError("radius must be nonnegative")
     bfs = elements, length, parent, letter, table = _bfs(group, 2 * radius)

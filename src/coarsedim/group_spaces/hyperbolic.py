@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CapExceeded, InputError
-from ..metric_core import MATRIX_CAP, SUP_RATIO_BLOCK, FiniteMetricSpace, MetricMap, _first_max, map_to_reals
+from ..metric_core import (MATRIX_CAP, FiniteMetricSpace, MetricMap, _first_max, _row_blocks, map_to_reals,
+                           verify_metric_axioms)
 
 HEIGHT_TOL = 1e-12
 
@@ -46,8 +47,8 @@ def geometric_radii(t0: float = 1.0, ratio: float = math.e, levels: int = 5) -> 
 def hyperbolization(base: FiniteMetricSpace, radii) -> BallSpace:
     """Space of balls over the base with the logarithmic metric; the
     resulting distance table passes the full axiom check (triangle
-    inequality asserted numerically at 1e-9).  It is filled in row blocks
-    of at most ``SUP_RATIO_BLOCK`` entries."""
+    inequality asserted numerically at 1e-9).  It is filled over
+    ``_row_blocks``; only the returned table itself is n x n."""
     radii = sorted(set(float(t) for t in radii))
     if not radii:
         raise InputError("need at least one radius")
@@ -62,19 +63,16 @@ def hyperbolization(base: FiniteMetricSpace, radii) -> BallSpace:
     centers = np.tile(np.arange(base.n), len(radii))
     radius = np.repeat(radii, base.n)
     matrix = np.zeros((n, n))
-    step = max(1, SUP_RATIO_BLOCK // max(1, n))
-    for i in range(0, n, step):
-        t = radius[i : i + step, None]
-        d = base.matrix[centers[i : i + step, None], centers]
-        matrix[i : i + step] = 2.0 * np.log((d + np.maximum(t, radius)) / np.sqrt(t * radius))
+    for rows in _row_blocks(n, n):
+        t = radius[rows, None]
+        d = base.matrix[centers[rows, None], centers]
+        matrix[rows] = 2.0 * np.log((d + np.maximum(t, radius)) / np.sqrt(t * radius))
     np.fill_diagonal(matrix, 0.0)
     space = FiniteMetricSpace(
         matrix,
         tuple(f"B_{p.radius:g}({p.center})" for p in points),
         "hyperbolization",
     )
-    from ..metric_core import verify_metric_axioms
-
     report = verify_metric_axioms(space, triple_mode="exhaustive" if n <= 600 else "auto")
     if not report["ok"]:
         raise InputError(f"ball-space metric failed {report['axiom']} at {report['witness']}")
@@ -88,8 +86,8 @@ def height_projection(hspace: BallSpace) -> MetricMap:
     values = [math.log(p.radius) for p in hspace.points]
     m = map_to_reals(hspace.space, values, declared_lipschitz=1.0)
     v, d, upper = np.array(values), hspace.space.matrix, np.arange(len(values))
-    bad, i, j = _first_max(len(v), lambda lo, hi: (np.abs(v[lo:hi, None] - v) > d[lo:hi] + HEIGHT_TOL)
-                           & (upper > upper[lo:hi, None]))
+    bad, i, j = _first_max(len(v), lambda rows: (np.abs(v[rows, None] - v) > d[rows] + HEIGHT_TOL)
+                           & (upper > upper[rows, None]))
     if bad > 0:
         raise InputError(
             f"height projection expands pair {(i, j)}: {abs(v[i] - v[j])} > {hspace.space.dist(i, j)}"

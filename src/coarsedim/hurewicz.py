@@ -43,6 +43,8 @@ from .metric_core import (
     FiniteMetricSpace,
     MetricMap,
     PointSet,
+    _first_max,
+    _points_in,
     diameter_of,
     distance_to_set,
     map_between_spaces,
@@ -643,29 +645,31 @@ def orbit_reduction(
     Cayley ball maps to the orbit of the base point, with the Lipschitz
     constant max over generators of d(s.x0, x0) (clamped to 1).
 
-    The action is verified isometric on every generator (over all point
-    pairs where the finite action is defined); a violating pair is the
-    witness.  Returns the config, the orbit map, and the requested
-    materialized fibers over balls around x0.
+    The action is verified isometric on every generator by a ``_first_max``
+    scan of the point pairs where the finite action is defined; its first
+    violating pair is the witness.  A base or moved point outside the space
+    is an ``InputError``.  Returns the config, the orbit map, and the
+    requested materialized fibers over balls around x0.
     """
     from .group_spaces.groups import cayley_ball
 
-    space = action.space
+    space, m, lam = action.space, action.space.matrix, 1.0
+    x0 = _points_in(space, [x0], "base point")[0]
     for label, g in action.group.generators:
         moved = {p: action.act(g, p) for p in range(space.n)}
-        defined = [p for p, q in moved.items() if q is not None]
-        if not defined:
+        defined = np.array([p for p, q in moved.items() if q is not None], dtype=np.intp)
+        if not defined.size:
             raise InputError(f"generator {label} acts nowhere on the finite space")
-        images = [moved[p] for p in defined]
-        bad = np.argwhere(
-            space.matrix[np.ix_(images, images)] != space.matrix[np.ix_(defined, defined)]
-        )
-        if len(bad):
-            a, b = bad[0]  # first pair in row-major order
+        images = np.array(_points_in(space, [moved[p] for p in defined.tolist()], "image point"), dtype=np.intp)
+        bad, a, b = _first_max(len(defined), lambda rows: m[np.ix_(images[rows], images)]
+                               != m[np.ix_(defined[rows], defined)])
+        if bad > 0:
             raise InvariantViolation(
                 f"generator {label} does not act isometrically",
-                witness=(label, defined[a], defined[b]),
+                witness=(label, int(defined[a]), int(defined[b])),
             )
+        if moved[x0] is not None:
+            lam = max(lam, space.dist(int(moved[x0]), x0))
     ball_data = cayley_ball(action.group, radius)
     images = []
     for elem in ball_data.elements:
@@ -675,16 +679,11 @@ def orbit_reduction(
                 f"orbit of {elem} leaves the finite space; shrink the ball radius"
             )
         images.append(img)
-    lam = 1.0
-    for label, g in action.group.generators:
-        moved = action.act(g, x0)
-        if moved is not None:
-            lam = max(lam, space.dist(moved, x0))
     orbit_map = map_between_spaces(ball_data.space, space, images, lam)
     config = make_config(orbit_map, epsilon, n, k, **config_kwargs)
     fibers = {}
     for R in R_list:
-        hits = [i for i, img in enumerate(images) if space.dist(img, x0) <= R]
+        hits = [i for i, img in enumerate(orbit_map.images) if space.dist(img, x0) <= R]
         fibers[R] = PointSet.of(hits)
     return {
         "config": config,

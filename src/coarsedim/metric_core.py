@@ -36,8 +36,8 @@ TOL = 1e-9
 EXHAUSTIVE_TRIPLE_LIMIT = 300
 TRIPLE_SAMPLES = 200_000
 
-# Largest temporary of sup_ratio, distance_to_set, the axiom checks and the
-# symmetrization of distance matrices, in matrix entries.
+# Largest temporary of every check and measurement, in matrix entries; read
+# only by _row_blocks.
 SUP_RATIO_BLOCK = 1 << 14
 
 # Largest n*n distance matrix a construction may allocate, in entries (512 MiB).
@@ -147,7 +147,7 @@ class FiniteMetricSpace:
             raise InputError(f"unknown provenance {self.provenance!r}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("distance matrix must be square")
-        bad, i, j = _first_max(m.shape[0], lambda lo, hi: ~np.isfinite(m[lo:hi]))
+        bad, i, j = _first_max(m.shape[0], lambda rows: ~np.isfinite(m[rows]))
         if bad > 0:
             raise InputError(f"distance matrix has a non-finite entry at {(i, j, float(m[i, j]))}")
         if self.labels is not None and len(self.labels) != m.shape[0]:
@@ -191,33 +191,34 @@ class FiniteMetricSpace:
         return _triangle_violation_exhaustive(self.matrix, TOL)
 
 
-def _row_blocks(n: int):
-    """``(lo, hi)`` bounds of the row blocks of an n-column matrix, each
-    at most ``SUP_RATIO_BLOCK`` entries (at least one row)."""
-    step = max(1, SUP_RATIO_BLOCK // max(1, n))
-    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+def _row_blocks(rows: int, width: int):
+    """Slices of the row blocks of a rows x width array, in order, each at
+    most ``SUP_RATIO_BLOCK`` entries (one row if a row is wider): the one
+    block rule of every matrix scan and every table filled by blocks."""
+    step = max(1, SUP_RATIO_BLOCK // max(1, width))
+    return (slice(lo, min(rows, lo + step)) for lo in range(0, rows, step))
 
 
 def _first_max(n: int, values) -> tuple[float, int, int]:
-    """``(v, i, j)``: the largest entry v of the n x n array whose row
-    block lo:hi is ``values(lo, hi)``, at its first position (i, j) in
-    row-major order, as ``np.argmax`` gives it on the whole array; a
-    later block replaces it only with a strictly larger entry.
-    ``(-inf, 0, 0)`` when n = 0."""
+    """``(v, i, j)``: the largest entry v of the n x n array whose rows
+    ``rows`` (a slice from ``_row_blocks``) are ``values(rows)``, at its
+    first position (i, j) in row-major order, as ``np.argmax`` gives it on
+    the whole array; a later block replaces it only with a strictly larger
+    entry.  ``(-inf, 0, 0)`` when n = 0."""
     best = (-math.inf, 0, 0)
-    for lo, hi in _row_blocks(n):
-        block = values(lo, hi)
+    for rows in _row_blocks(n, n):
+        block = values(rows)
         k = int(np.argmax(block))
         if block.flat[k] > best[0]:
-            best = (float(block.flat[k]), lo + k // n, k % n)
+            best = (float(block.flat[k]), rows.start + k // n, k % n)
     return best
 
 
-def _negated_off_diagonal(m: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of -(m + I): the positivity test's matrix, negated so
+def _negated_off_diagonal(m: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of -(m + I): the positivity test's matrix, negated so
     that ``_first_max`` finds its first minimum (negation is exact)."""
-    block = -m[lo:hi]
-    block[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
+    block = -m[rows]
+    block[np.arange(len(block)), np.arange(rows.start, rows.stop)] -= 1.0
     return block
 
 
@@ -230,9 +231,9 @@ def _triangle_violation_exhaustive(m: np.ndarray, tol: float):
     fl(min over k of s_k + tol) = fl(P + tol), and m[i, j] exceeds some
     fl(s_k + tol) exactly when it exceeds their minimum: the test passes
     exactly when no k has a violation.  Only when it fails does the
-    k-outermost scan run, to find the first witness.  Both passes use the
-    two n x n buffers; the check runs only up to 300 points (600 from
-    ``hyperbolization``), or when a caller asks for it."""
+    k-outermost scan run, to find the first witness.  Every k reads the
+    two whole n x n buffers, kept small as the check runs only up to 300
+    points (600 from ``hyperbolization``) or when a caller asks for it."""
     n = m.shape[0]
     shortest, via = np.full((n, n), np.inf), np.empty((n, n))
     for k in range(n):
@@ -252,8 +253,8 @@ def _triangle_violation_exhaustive(m: np.ndarray, tol: float):
 
 def _triangle_violation_sampled(m: np.ndarray, tol: float, seed: int):
     """First bad triple among ``TRIPLE_SAMPLES`` drawn from one seeded
-    generator, drawn and checked in chunks of at most
-    ``SUP_RATIO_BLOCK // 3`` triples; successive draws continue the
+    generator, drawn and checked in ``_row_blocks`` of triples (at most
+    ``SUP_RATIO_BLOCK // 3`` each); successive draws continue the
     generator's stream, so the triples are those of one draw of all.  A
     C-contiguous matrix is read by flat gathers at i * n + j, which read
     the same entries as m[i, j] (every such offset is in range, so the
@@ -261,10 +262,9 @@ def _triangle_violation_sampled(m: np.ndarray, tol: float, seed: int):
     ``ravel`` would copy it."""
     n = m.shape[0]
     rng = np.random.default_rng(seed)
-    chunk = SUP_RATIO_BLOCK // 3
     flat = m.ravel() if m.flags.c_contiguous else None
-    for lo in range(0, TRIPLE_SAMPLES, chunk):
-        idx = rng.integers(0, n, size=(min(chunk, TRIPLE_SAMPLES - lo), 3))
+    for chunk in _row_blocks(TRIPLE_SAMPLES, 3):
+        idx = rng.integers(0, n, size=(chunk.stop - chunk.start, 3))
         i, j, k = idx.T
         if flat is None:
             ij, ik, kj = m[i, j], m[i, k], m[k, j]
@@ -306,7 +306,7 @@ def verify_metric_axioms(
     n = m.shape[0]
     report: dict[str, Any] = {"n": n, "ok": True, "witness": None, "seed": seed}
 
-    bad, i, j = _first_max(n, lambda lo, hi: ~np.isfinite(m[lo:hi]))
+    bad, i, j = _first_max(n, lambda rows: ~np.isfinite(m[rows]))
     if bad > 0:
         report.update(ok=False, axiom="finite", witness=(i, j, float(m[i, j])))
         return report
@@ -315,11 +315,11 @@ def verify_metric_axioms(
         i = int(np.argmax(diag))
         report.update(ok=False, axiom="zero-diagonal", witness=(i, i, float(m[i, i])))
         return report
-    asym, i, j = _first_max(n, lambda lo, hi: np.abs(m[lo:hi] - m[:, lo:hi].T))
+    asym, i, j = _first_max(n, lambda rows: np.abs(m[rows] - m[:, rows].T))
     if asym > TOL:
         report.update(ok=False, axiom="symmetry", witness=(i, j, float(m[i, j]), float(m[j, i])))
         return report
-    least, i, j = _first_max(n, lambda lo, hi: _negated_off_diagonal(m, lo, hi))
+    least, i, j = _first_max(n, lambda rows: _negated_off_diagonal(m, rows))
     if -least <= 0:
         report.update(ok=False, axiom="positivity", witness=(i, j, float(m[i, j])))
         return report
@@ -361,10 +361,10 @@ def _keep_smaller_side(m: np.ndarray) -> None:
     """Make the square matrix m exactly symmetric in place, each pair
     keeping the smaller of d(s, t) and d(t, s): ``np.minimum(m, m.T)``
     bit for bit, a row block at a time."""
-    for lo, hi in _row_blocks(m.shape[0]):
-        block = np.minimum(m[lo:hi], m[:, lo:hi].T)
-        m[lo:hi] = block
-        m[:, lo:hi] = block.T
+    for rows in _row_blocks(*m.shape):
+        block = np.minimum(m[rows], m[:, rows].T)
+        m[rows] = block
+        m[:, rows] = block.T
 
 
 def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMetricSpace:
@@ -439,8 +439,9 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
     order from vertex 0 (lightest leaving edge first, ties by discovery;
     BFS order when all edges have one length), alternately backward and
     forward, set M[v] = min(M[v], min over each weight w among v's edges
-    of (min of the neighbour rows at w) + w), gathering rows in blocks of
-    at most ``SUP_RATIO_BLOCK`` entries, until a pass changes nothing.
+    of (min of the neighbour rows at w) + w), gathering rows in
+    ``_row_blocks``, until a pass changes nothing.  M, the result, is the
+    one n x n array built.
 
     Let D[v] be Dijkstra's distance from t, summed fl(D[u] + w) outward.
     fl(x + w) is nondecreasing in x and at least x, so a group's minimum
@@ -492,7 +493,6 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
     m = np.full((n, n), np.inf)
     np.fill_diagonal(m, 0.0)
     rows = [(m[s], [(w, np.array(nbrs, dtype=np.intp)) for w, nbrs in adj[s].items()]) for s in order]
-    step = max(1, SUP_RATIO_BLOCK // n)
     passes = 2 if len(lightest) == n - 1 else math.inf
     changed = True
     while changed and passes:
@@ -502,7 +502,7 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
         for row, groups in rows:
             near = None
             for w, nbrs in groups:
-                best = _min_of_rows(m, nbrs, step)
+                best = _min_of_rows(m, nbrs)
                 best += w
                 near = best if near is None else np.minimum(near, best, out=near)
             if changed or (near < row).any():
@@ -516,14 +516,15 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
     return m
 
 
-def _min_of_rows(m: np.ndarray, idx: np.ndarray, step: int) -> np.ndarray:
-    """The minimum of m's rows ``idx`` (nonempty), gathered ``step`` rows at
-    a time; a copy of the row when there is one."""
+def _min_of_rows(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The minimum of m's rows ``idx`` (nonempty), gathered in row blocks;
+    a copy of the row when there is one."""
     if len(idx) == 1:
         return m[idx[0]].copy()
-    out = m[idx[:step]].min(axis=0)
-    for lo in range(step, len(idx), step):
-        np.minimum(out, m[idx[lo:lo + step]].min(axis=0), out=out)
+    blocks = _row_blocks(len(idx), m.shape[1])
+    out = m[idx[next(blocks)]].min(axis=0)
+    for rows in blocks:
+        np.minimum(out, m[idx[rows]].min(axis=0), out=out)
     return out
 
 
@@ -572,7 +573,7 @@ def distance_to_set(space: FiniteMetricSpace, a) -> np.ndarray:
     idx = np.asarray(as_point_set(a).indices, dtype=np.intp)
     if not idx.size:
         raise InputError("distance to a set needs a nonempty set")
-    return _min_of_rows(space.matrix, idx, max(1, SUP_RATIO_BLOCK // max(1, space.n)))
+    return _min_of_rows(space.matrix, idx)
 
 
 def set_distances(space: FiniteMetricSpace, family_a: Sequence, family_b: Sequence) -> np.ndarray:
@@ -611,11 +612,11 @@ def neighborhood(space: FiniteMetricSpace, a, r: float) -> PointSet:
 
 
 def diameter_of(space: FiniteMetricSpace, a) -> float:
-    a = as_point_set(a)
-    if not a.indices:
+    """Largest distance within the set (0.0 if empty), by ``_first_max``."""
+    idx = np.asarray(as_point_set(a).indices, dtype=np.intp)
+    if not idx.size:
         return 0.0
-    sub = space.matrix[np.ix_(a.indices, a.indices)]
-    return float(sub.max())
+    return _first_max(len(idx), lambda rows: space.matrix[np.ix_(idx[rows], idx)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +692,9 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
         ``idx`` has d(s, u) + w <= d(s, v).
 
     The condition is scanned through a padded predecessor table (one row
-    per in-degree slot, weight +inf in unused slots) in blocks of source
-    rows of at most ``SUP_RATIO_BLOCK`` entries, each gathered from the
-    matrix as the scan reaches it; the |idx| x |idx| submatrix is never
-    built.  A fractional-weight graph can miss (c) by an ulp; it then
+    per in-degree slot, weight +inf in unused slots) in ``_row_blocks`` of
+    source rows, each gathered from the matrix as the scan reaches it; the
+    |idx| x |idx| submatrix is never built.  A fractional-weight graph can miss (c) by an ulp; it then
     gets None, and the callers fall back to their pair loop.
     """
     edges = space.graph_edges
@@ -708,11 +708,10 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
         return None
     a, b, w = inside
     pred, pred_w = _predecessor_table(a, b, w, n_idx)
-    step = max(1, SUP_RATIO_BLOCK // max(1, n_idx))
-    for lo in range(0, n_idx, step):
-        rows = m[np.ix_(idx[lo:lo + step], idx)]
+    for block in _row_blocks(n_idx, n_idx):
+        rows = m[np.ix_(idx[block], idx)]
         held = np.zeros(rows.shape, dtype=bool)
-        held[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = True
+        held[np.arange(len(rows)), np.arange(block.start, block.stop)] = True
         for k in range(len(pred)):
             via = rows[:, pred[k]]
             via += pred_w[k]
@@ -765,7 +764,11 @@ def _predecessor_table(a: np.ndarray, b: np.ndarray, w: np.ndarray, n: int):
 
 
 def _row_norms(diff: np.ndarray) -> np.ndarray:
-    return np.abs(diff[:, 0]) if diff.shape[1] == 1 else np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Norm of each pair's row difference (the last axis): |x| for one
+    column, else the square root of ``"ij,ij->i"`` over the pairs' rows."""
+    rows = diff.reshape(-1, diff.shape[-1])
+    norms = np.abs(rows[:, 0]) if rows.shape[1] == 1 else np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    return norms.reshape(diff.shape[:-1])
 
 
 def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
@@ -775,7 +778,6 @@ def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
     ``X`` holds one coordinate row per point (a 1-d array is one column).
     Norms come from exact row differences, not from a Gram matrix, whose
     distances lose about sqrt(eps); one column gives |X_i - X_j| exactly.
-    Temporaries stay below ``SUP_RATIO_BLOCK`` entries.
 
     When ``edge_certificate(space, pts)`` passes, the value is the maximum
     E over the certified edges alone.  Proof: take s != v in ``pts``.  By
@@ -799,30 +801,25 @@ def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
 
 
 def _pair_sup(space: FiniteMetricSpace, idx: np.ndarray, numerator, width: int) -> float:
-    """Largest numerator(i, j) / d(idx[i], idx[j]) over local pairs i < j
-    with a positive distance: over the certified edges when
-    ``edge_certificate(space, idx)`` passes, else over all pairs, a row
-    block at a time.  ``numerator(a, b)`` takes local indices (index
-    arrays, or a row index and a slice) and returns one value per pair,
-    from a temporary of ``width`` entries per pair; blocks keep temporaries
-    below ``SUP_RATIO_BLOCK`` entries."""
-    step = max(1, SUP_RATIO_BLOCK // max(1, width))
+    """Largest numerator(a, b) / d(idx[a], idx[b]) over local pairs a < b
+    with a positive distance, in one loop over chunks of pairs: slices of
+    the certified edges when ``edge_certificate(space, idx)`` passes, else
+    row blocks lo:hi of all pairs against the columns lo + 1: (pairs with
+    b <= a are masked out).  ``numerator(a, b)`` takes broadcastable local
+    indices (in a row block b is the slice lo + 1:, read as views) and
+    returns one value per pair, from a temporary of ``width`` entries per
+    pair; ``_row_blocks`` sizes the chunks."""
+    n, edges, local = len(idx), edge_certificate(space, idx), np.arange(len(idx))
+    if edges is None:
+        chunks = ((local[rows, None], slice(rows.start + 1, n)) for rows in _row_blocks(n - 1, (n - 1) * width))
+    else:
+        chunks = ((edges[0][rows], edges[1][rows]) for rows in _row_blocks(len(edges[0]), width))
     best = 0.0
-    edges = edge_certificate(space, idx)
-    if edges is not None:
-        a, b = edges
-        for lo in range(0, len(a), step):
-            ea, eb = a[lo:lo + step], b[lo:lo + step]
-            dist = space.matrix[idx[ea], idx[eb]]
-            best = max(best, float((numerator(ea, eb) / dist).max()))
-        return best
-    for i in range(len(idx) - 1):
-        for lo in range(i + 1, len(idx), step):
-            block = slice(lo, lo + step)
-            dist = space.matrix[idx[i], idx[block]]
-            pos = dist > 0
-            if pos.any():
-                best = max(best, float((numerator(i, block)[pos] / dist[pos]).max()))
+    for a, b in chunks:
+        dist = space.matrix[idx[a], idx[b]]
+        pos = (local[b] > a) & (dist > 0)
+        if pos.any():
+            best = max(best, float((numerator(a, b)[pos] / dist[pos]).max()))
     return best
 
 

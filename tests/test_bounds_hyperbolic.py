@@ -86,7 +86,7 @@ def reference_ball_distance(base, p, q):
 
 
 class TestHyperbolization:
-    @pytest.mark.parametrize("block", [hyperbolic.SUP_RATIO_BLOCK, 120, 7])
+    @pytest.mark.parametrize("block", [metric_core.SUP_RATIO_BLOCK, 120, 7])
     @pytest.mark.parametrize("case", ["path", "weighted"])
     def test_matrix_matches_scalar_reference(self, monkeypatch, block, case):
         if case == "path":
@@ -94,7 +94,7 @@ class TestHyperbolization:
         else:
             edges = [(0, 1, 0.25), (1, 2, 3.5), (2, 3, 1.75), (3, 0, 2.0), (1, 3, 0.5)]
             base, radii = build_graph_metric(4, edges), geometric_radii(0.3, 1.7, 7)
-        monkeypatch.setattr(hyperbolic, "SUP_RATIO_BLOCK", block)
+        monkeypatch.setattr(metric_core, "SUP_RATIO_BLOCK", block)
         h = hyperbolization(base, radii)
         want = np.array([[0.0 if p == q else reference_ball_distance(base, p, q) for q in h.points]
                          for p in h.points])

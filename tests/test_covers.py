@@ -313,6 +313,36 @@ class TestUniformAndUnion:
         with pytest.raises(InvariantViolation):
             verify_isometry(s, s, [0, 2, 1, 3])
 
+    @pytest.mark.parametrize("assignment, message", [
+        ([0, 1, 5], r"^image point 5 is outside the space's 3 points$"),
+        ([0, 1.5, 2], r"^image point 1\.5 is not a whole number$"),
+    ], ids=["out-of-range", "fractional"])
+    def test_bad_image_point_rejected(self, assignment, message):
+        s = path_space(3)
+        with pytest.raises(InputError, match=message):
+            verify_isometry(s, s, assignment)
+
+    def test_whole_float_images_accepted(self):
+        s = path_space(3)
+        verify_isometry(s, s, [2.0, 1.0, 0.0])
+        with pytest.raises(InvariantViolation) as excinfo:
+            verify_isometry(s, s, [0.0, 2.0, 1.0])
+        # pairs (0, 1) and (0, 2) are both off by 1: the first is the witness
+        assert excinfo.value.witness == (0, 1, 1.0, 2.0)
+
+    @pytest.mark.parametrize("block", [1, 24, 1 << 14])
+    def test_witness_is_the_first_worst_pair_across_row_blocks(self, monkeypatch, block):
+        from coarsedim import metric_core
+
+        s = path_space(12)
+        perm = np.random.default_rng(5).permutation(12)
+        diff = np.abs(s.matrix[np.ix_(perm, perm)] - s.matrix)
+        i, j = map(int, np.unravel_index(np.argmax(diff), diff.shape))
+        monkeypatch.setattr(metric_core, "SUP_RATIO_BLOCK", block)
+        with pytest.raises(InvariantViolation) as excinfo:
+            verify_isometry(s, s, perm.tolist())
+        assert excinfo.value.witness == (i, j, s.dist(i, j), s.dist(perm[i], perm[j]))
+
     def test_union_two_far_intervals(self):
         s = path_space(30)
         left, right = PointSet.of(range(0, 10)), PointSet.of(range(20, 30))

@@ -461,6 +461,35 @@ class TestOrbitReduction:
         fibers = out["fibers"]
         assert fibers == {}
 
+    @pytest.mark.parametrize("act, message", [
+        (lambda g, p: p + 0.5, r"^image point 0\.5 is not a whole number$"),
+        (lambda g, p: p + g, r"^image point 8 is outside the space's 8 points$"),
+    ], ids=["fractional", "out-of-range"])
+    def test_bad_moved_point_rejected(self, act, message):
+        from coarsedim.metric_core import cycle_space
+
+        action = IsometricAction(cyclic_group(8), cycle_space(8), act)
+        with pytest.raises(InputError, match=message):
+            orbit_reduction(action, 0, 2, epsilon=1.0, n=0, k=1, allow_sub_required=True, r=1.0)
+
+    def test_base_point_outside_the_space_rejected(self):
+        from coarsedim.metric_core import cycle_space
+
+        action = IsometricAction(cyclic_group(8), cycle_space(8), lambda g, p: (p + g) % 8)
+        with pytest.raises(InputError, match=r"^base point 8 is outside the space's 8 points$"):
+            orbit_reduction(action, 8, 2, epsilon=1.0, n=0, k=1, allow_sub_required=True, r=1.0)
+
+    def test_whole_float_moved_points_accepted(self):
+        from coarsedim.metric_core import cycle_space
+
+        space = cycle_space(8)
+        runs = [orbit_reduction(IsometricAction(cyclic_group(8), space, act), 0, 2, epsilon=1.0, n=0, k=1,
+                                allow_sub_required=True, r=1.0, R_list=[1])
+                for act in (lambda g, p: (p + g) % 8, lambda g, p: float((p + g) % 8))]
+        assert runs[0]["lam"] == runs[1]["lam"] == 1.0
+        assert runs[0]["orbit_map"].images == runs[1]["orbit_map"].images
+        assert runs[0]["fibers"] == runs[1]["fibers"]
+
     def test_non_isometric_action_witnessed(self):
         group = cyclic_group(3)
         space = path_space(5)

@@ -38,12 +38,17 @@ from coarsedim.covers import (
     multiplicity,
     saturated_union,
     union_cover,
+    verify_isometry,
 )
 from coarsedim.errors import InputError, InvariantViolation
+from coarsedim.group_spaces import groups as groups_module
+from coarsedim.group_spaces.groups import cyclic_group
 from coarsedim.hurewicz import (
+    IsometricAction,
     all_face_agreements,
     build_assembly,
     make_config,
+    orbit_reduction,
     tower_values,
 )
 from coarsedim.metric_core import (
@@ -52,6 +57,7 @@ from coarsedim.metric_core import (
     PointSet,
     build_graph_metric,
     cycle_space,
+    diameter_of,
     distance_to_set,
     edge_certificate,
     grid_space,
@@ -625,6 +631,97 @@ class TestEdgeCertificate:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert edge_certificate(space, range(space.n)) is not None
+
+
+# ---------------------------------------------------------------------------
+# one block rule for every matrix scan
+
+
+class TestOneBlockRule:
+    @SETTINGS
+    @given(weighted_graphs(min_n=2), weighted_graphs(), st.data(), st.sampled_from([1, 3, 64, metric_core.SUP_RATIO_BLOCK]))
+    def test_pair_loop_matches_reference_bit_for_bit(self, graph, target, data, block):
+        # a bare matrix keeps no edges, so every pair is scanned, in row
+        # blocks whose pairs carry the reference's arithmetic exactly
+        space = FiniteMetricSpace(graph.matrix)
+        pts = data.draw(st.lists(st.integers(0, space.n - 1), max_size=space.n + 2))
+        X = data.draw(coordinate_rows(len(pts)))
+        values = np.array(data.draw(st.lists(st.floats(-50, 50), min_size=space.n, max_size=space.n)))
+        images = data.draw(st.lists(st.integers(0, target.n - 1), min_size=space.n, max_size=space.n))
+        want_finite = max(
+            target.dist(images[i], images[j]) / space.dist(i, j)
+            for i in range(space.n)
+            for j in range(i + 1, space.n)
+        )
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+            assert sup_ratio(space, pts, X) == reference_sup_ratio(space, pts, X)
+            assert measured_lipschitz(map_to_reals(space, values)) == reference_sup_ratio(space, range(space.n), values)
+            assert measured_lipschitz(map_between_spaces(space, target, images)) == want_finite
+
+    def test_only_row_blocks_reads_the_block_size(self):
+        import ast
+        import importlib
+        import inspect
+        import pkgutil
+
+        import coarsedim
+
+        names = [info.name for info in pkgutil.walk_packages(coarsedim.__path__, "coarsedim.")]
+        assert [name for name in names if hasattr(importlib.import_module(name), "SUP_RATIO_BLOCK")] == [
+            "coarsedim.metric_core"
+        ]
+        readers = {
+            fn.name
+            for fn in ast.walk(ast.parse(inspect.getsource(metric_core)))
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "SUP_RATIO_BLOCK"
+        }
+        assert readers == {"_row_blocks"}
+
+
+class TestChecksTemporariesStaySmall:
+    """Checks on 2,000 points allocate below 1 MiB; an n x n float
+    temporary alone would take 30.5 MiB."""
+
+    @staticmethod
+    def assert_peak_stays_small(check):
+        tracemalloc.start()
+        try:
+            result = check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        return result
+
+    def test_diameter(self):
+        space = path_space(2000)
+        assert self.assert_peak_stays_small(lambda: diameter_of(space, range(2000))) == 1999.0
+
+    def test_lebesgue_number_of_two_sets(self):
+        # the worst point is 999 or 1000: 201 from the far end of one set
+        cover = make_cover(path_space(2000), [range(0, 1200), range(800, 2000)])
+        assert self.assert_peak_stays_small(lambda: lebesgue_number(cover)) == 201.0
+
+    def test_verify_isometry(self):
+        space = path_space(2000)
+        reflection = [space.n - 1 - p for p in range(space.n)]
+        assert self.assert_peak_stays_small(lambda: verify_isometry(space, space, reflection)) is None
+
+    def test_orbit_reduction_isometry_check(self):
+        # the Cayley ball after the check is stopped, so only the check runs
+        action = IsometricAction(cyclic_group(2000), cycle_space(2000), lambda g, p: (p + g) % 2000)
+
+        class Checked(Exception):
+            pass
+
+        def check():
+            with mock.patch.object(groups_module, "cayley_ball", side_effect=Checked):
+                with pytest.raises(Checked):
+                    orbit_reduction(action, 0, 1, epsilon=1.0, n=0, k=0)
+
+        self.assert_peak_stays_small(check)
 
 
 @pytest.fixture(scope="module")
