@@ -10,6 +10,7 @@ length, then repr), so the metric does not depend on generator order.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import select
@@ -23,7 +24,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..errors import CapExceeded, InputError, InvariantViolation
-from ..metric_core import MATRIX_CAP, FiniteMetricSpace
+from ..metric_core import MATRIX_CAP, FiniteMetricSpace, _row_blocks
 
 BALL_CAP = 200_000
 ORACLE_TIMEOUT_S = 10.0  # per oracle call
@@ -35,7 +36,9 @@ class GroupModel:
     """Group given by oracles; elements must be hashable.  ``multiply_many``,
     when set, answers a list of (a, b) pairs with the list of products
     a * b, as ``multiply`` would one at a time; ball enumeration sends it
-    one list per BFS level."""
+    one list per BFS level.  A builtin's ``multiply`` may carry a
+    ``keyed`` codec (``_Codec``) so that its balls are walked on int64
+    keys; replacing ``multiply`` drops it."""
 
     name: str
     identity: Any
@@ -65,20 +68,47 @@ def validate_group_model(group: GroupModel, radius: int = 2) -> dict:
     return {"ok": True, "ball_checked": radius}
 
 
-def _bfs(group: GroupModel, radius: int) -> tuple:
+def _bfs(group: GroupModel, radius: int, keep: int | None = None) -> tuple:
     """BFS of the radius ball keeping, in discovery order, each element, its
     word length, the index and generator it was reached from, and
     ``table[i, g]``, the index of ``elements[i] * g`` if i is shorter than radius.
+    Only the elements of length at most ``keep`` (all when None) are
+    returned; the other lists cover the whole ball.
 
     A level's products are computed in one list, in row-major (element,
-    generator) order, and deduplicated in that order (``setdefault`` hashes
-    a new element once), so discovery order is that of one product at a
-    time.  An element is first reached at its first occurrence in the flat
-    table, which gives its parent and letter; the identity keeps 0 and -1."""
+    generator) order, and deduplicated in that order, so discovery order
+    is that of one product at a time.  An element is first reached at its
+    first occurrence in the flat table, which each walk records and which
+    gives its parent and letter; the identity keeps 0 and -1.  A builtin
+    whose ``multiply`` carries a ``keyed`` codec is walked on int64 keys,
+    one array step per level (``_keyed_levels``); any other multiply, or a
+    codec that declines the generators, takes the tuple loop
+    (``_tuple_levels``).  Both give the same lists and table, bit for bit."""
+    codec = None
+    if group.multiply_many is None and hasattr(group.multiply, "keyed"):
+        codec = group.multiply.keyed(group.identity, group.generator_elements(), radius)
+    if codec is None:
+        elements, bounds, flat, first = _tuple_levels(group, radius)
+    else:
+        elements, bounds, flat, first = _keyed_levels(group, radius, codec)
+    k = len(group.generators)
+    length = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    parent, letter = np.zeros(len(length), dtype=np.intp), np.full(len(length), -1, dtype=np.intp)
+    parent[1:], letter[1:] = np.divmod(first, k)
+    kept = elements[:bounds[min(keep + 1, len(bounds) - 1)]] if keep is not None else elements
+    if codec is not None:
+        kept = codec.decode(kept)
+    return kept, length.tolist(), parent.tolist(), letter.tolist(), flat.reshape(bounds[-2], k)
+
+
+def _tuple_levels(group: GroupModel, radius: int) -> tuple[list, list[int], np.ndarray, np.ndarray]:
+    """The BFS on elements: ``setdefault`` hashes each product once and
+    appends it at its first occurrence.  Returns the elements, the level
+    bounds, the flat table and each later element's first position in it."""
     gens = group.generator_elements()
     mul = group.multiply
     elements, index = [group.identity], {group.identity: 0}
-    seen, bounds, table = index.setdefault, [0, 1], []
+    seen, bounds, table, first = index.setdefault, [0, 1], [], []
     while len(bounds) <= radius + 1 and bounds[-2] < bounds[-1]:
         level = elements[bounds[-2]:bounds[-1]]
         if group.multiply_many is None:
@@ -92,16 +122,58 @@ def _bfs(group: GroupModel, radius: int) -> tuple:
                 if count == BALL_CAP:
                     raise CapExceeded(f"ball of {group.name} exceeds cap {BALL_CAP}")
                 elements.append(new)
+                first.append(len(table))
                 count += 1
             table.append(i)
         bounds.append(count)
-    length = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    flat = np.array(table, dtype=np.intp)
-    parent, letter = np.zeros(len(elements), dtype=np.intp), np.full(len(elements), -1, dtype=np.intp)
-    reached, first = np.unique(flat, return_index=True)
-    later = reached > 0
-    parent[reached[later]], letter[reached[later]] = np.divmod(first[later], len(gens))
-    return elements, length.tolist(), parent.tolist(), letter.tolist(), flat.reshape(bounds[-2], len(gens))
+    return elements, bounds, np.array(table, dtype=np.intp), np.array(first, dtype=np.intp)
+
+
+def _keyed_levels(group: GroupModel, radius: int, codec: "_Codec") -> tuple:
+    """The BFS on int64 keys, one array step per level: the keys in
+    discovery order, and the same bounds, table and first positions as
+    ``_tuple_levels``.
+
+    A level's products form one (element, generator) row-major array.
+    ``np.unique`` sorts it and returns, for each distinct key, the index
+    of its first occurrence (it sorts stably to do so); keys found by
+    ``searchsorted`` among the sorted keys seen so far keep their index,
+    the others are numbered in the order of their first occurrences.  The
+    tuple loop meets a product as new exactly when no earlier product and
+    no earlier level has it, at that same first occurrence, so both number
+    every element alike.  The ball overflows ``BALL_CAP`` in a level
+    exactly when the tuple loop's count reaches the cap inside it, with
+    the same message."""
+    k = len(group.generators)
+    level = np.array([codec.start], dtype=np.int64)
+    levels, bounds, table, reached, done = [level], [0, 1], [], [], 0
+    seen, where = level, np.zeros(1, dtype=np.intp)  # sorted keys and their indices
+    while len(bounds) <= radius + 1 and bounds[-2] < bounds[-1]:
+        products = np.empty((len(level), k), dtype=np.int64)
+        for j in range(k):
+            products[:, j] = codec.step(level, j)
+        keys, first, inverse = np.unique(products.ravel(), return_index=True, return_inverse=True)
+        at = np.searchsorted(seen, keys)
+        old = at < len(seen)
+        old[old] = seen[at[old]] == keys[old]
+        new = ~old
+        fresh = np.flatnonzero(new)
+        fresh = fresh[np.argsort(first[fresh])]
+        count = bounds[-1]
+        if count + len(fresh) > BALL_CAP:
+            raise CapExceeded(f"ball of {group.name} exceeds cap {BALL_CAP}")
+        index = np.empty(len(keys), dtype=np.intp)
+        index[old] = where[at[old]]
+        index[fresh] = np.arange(count, count + len(fresh))
+        reached.append(first[fresh] + done)
+        done += len(inverse)
+        table.append(index[inverse])
+        level = keys[fresh]
+        levels.append(level)
+        seen, where = np.insert(seen, at[new], keys[new]), np.insert(where, at[new], index[new])
+        bounds.append(count + len(fresh))
+    flat, first = (np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp) for parts in (table, reached))
+    return np.concatenate(levels), bounds, flat, first
 
 
 def enumerate_ball(group: GroupModel, radius: int) -> dict:
@@ -111,19 +183,22 @@ def enumerate_ball(group: GroupModel, radius: int) -> dict:
 
 def _inverses(bfs: tuple, targets: Sequence[int]) -> list[int]:
     """Discovery index of y^-1 for each discovery index y in ``targets``, walked from
-    the identity along y's word backwards; the identity alone needs no inverse letter."""
+    the identity along y's word backwards, all targets one letter at a time; the
+    identity alone needs no inverse letter."""
     _, _, parent, letter, table = bfs
-    inverse = [np.flatnonzero(row == 0) for row in table[table[0]]] if any(targets) else []
-    if not all(len(h) for h in inverse):
-        raise InvariantViolation("generator set is not closed under inverses")
-    out = []
-    for y in targets:
-        i = 0
-        while y:
-            i = table[i, inverse[letter[y]][0]]
-            y = parent[y]
-        out.append(i)
-    return out
+    ys = np.array(targets, dtype=np.intp)
+    out = np.zeros(len(ys), dtype=np.intp)
+    live = np.flatnonzero(ys)
+    if len(live):
+        inverse = [np.flatnonzero(row == 0) for row in table[table[0]]]
+        if not all(len(h) for h in inverse):
+            raise InvariantViolation("generator set is not closed under inverses")
+        undo, parent, letter = np.array([h[0] for h in inverse]), np.array(parent), np.array(letter)
+    while len(live):
+        out[live] = table[out[live], undo[letter[ys[live]]]]
+        ys[live] = parent[ys[live]]
+        live = live[ys[live] != 0]
+    return out.tolist()
 
 
 @dataclass(frozen=True)
@@ -142,21 +217,29 @@ def cayley_ball(group: GroupModel, radius: int) -> CayleyBall:
     """Enumerate B_radius with the exact word metric d(x, y) = |x^-1 y|, read
     from the product table of the B_2radius enumeration.  Row c of the walk
     holds x^-1 y for the c-th y and every x: the row of y's parent times y's
-    last letter, all shorter than 2radius.  A nonzero diagonal or an
-    asymmetric matrix means the oracle breaks the group law.  The walk
-    table and that test are n x n, no larger than the matrix returned."""
+    last letter, all shorter than 2radius, so the rows of one word length
+    are filled together, in row blocks.  Only B_radius is decoded to
+    elements.  A nonzero diagonal or an asymmetric matrix means the oracle
+    breaks the group law.  The walk table and that test are n x n, no
+    larger than the matrix returned."""
     if radius < 0:
         raise InputError("radius must be nonnegative")
-    bfs = elements, length, parent, letter, table = _bfs(group, 2 * radius)
-    canon = sorted((i for i, n in enumerate(length) if n <= radius), key=lambda i: (length[i], repr(elements[i])))
+    bfs = elements, length, parent, letter, table = _bfs(group, 2 * radius, keep=radius)
+    canon = sorted(range(len(elements)), key=lambda i: (length[i], repr(elements[i])))
     n = len(canon)
     if n * n > MATRIX_CAP:
         raise CapExceeded(f"ball of {group.name} has {n} points; its matrix exceeds cap {MATRIX_CAP}")
-    row_of = {y: c for c, y in enumerate(canon)}
+    at = np.array(canon, dtype=np.intp)
+    row_of = np.empty(len(length), dtype=np.intp)
+    row_of[at] = np.arange(n)
+    up, last = row_of[np.array(parent)[at]], np.array(letter)[at]
     walks = np.empty((n, n), dtype=np.intp)
     walks[0] = _inverses(bfs, canon)
-    for c, y in enumerate(canon[1:], 1):
-        walks[c] = table[walks[row_of[parent[y]]], letter[y]]
+    levels = np.searchsorted(np.array(length)[at], np.arange(radius + 2))
+    for lo, hi in zip(levels[1:-1], levels[2:]):  # each length's rows, from their parents' rows
+        for rows in _row_blocks(hi - lo, n):
+            rows = slice(lo + rows.start, lo + rows.stop)
+            walks[rows] = table[walks[up[rows]], last[rows, None]]
     matrix = np.array(length, dtype=float)[walks]
     inner = [elements[i] for i in canon]
     broken = matrix != matrix.T
@@ -201,9 +284,133 @@ def left_invariance_check(group: GroupModel, radius: int) -> dict:
 # builtin families
 
 
+@dataclass(frozen=True)
+class _Codec:
+    """int64 keys of a builtin's elements in one BFS: ``start`` is the
+    identity's key, ``step(keys, j)`` the keys of the products by the j-th
+    generator, as the tuple ``multiply`` computes them, and ``decode`` the
+    list of tuples of an array of keys."""
+
+    start: int
+    step: Callable[[np.ndarray, int], np.ndarray]
+    decode: Callable[[np.ndarray], list]
+
+
+_KEY_LIMIT = 1 << 63  # every key, and every partial sum of a step, is below it
+
+
+def _int_tuples(elements, size: int | None = None) -> bool:
+    """Whether each element is a tuple of Python ints (of ``size`` items),
+    so that decoded keys repeat them exactly, type and repr included."""
+    return all(type(e) is tuple and (size is None or len(e) == size)
+               and all(type(x) is int for x in e) for e in elements)
+
+
+def _word_codec(rank: int):
+    """Keys of free-group words: letter x is digit x, letter -x digit
+    rank + x, and a word its digits read in base 2 rank + 1, last letter
+    lowest.  No digit is 0, so each word has one key, below base**length,
+    and the last letter is ``key % base``.  A generator applies its
+    letters in turn, as ``multiply`` does: drop the last digit when it is
+    the letter's inverse, else append the letter."""
+    base = 2 * rank + 1
+    letters = np.array([0, *range(1, rank + 1), *range(-1, -rank - 1, -1)], dtype=np.int64)
+
+    def digit(x: int) -> int:
+        return x if x > 0 else rank - x
+
+    def codec(identity, gens, radius):
+        if not _int_tuples([identity, *gens]) or not all(0 < abs(x) <= rank for w in (identity, *gens) for x in w):
+            return None
+        longest = len(identity) + radius * max(map(len, gens), default=0)
+        if base ** longest > _KEY_LIMIT:
+            return None
+        moves = [[(digit(-x), digit(x)) for x in g] for g in gens]
+
+        def step(keys, j):
+            for undo, do in moves[j]:
+                keys = np.where(keys % base == undo, keys // base, keys * base + do)
+            return keys
+
+        def decode(keys):
+            digits = []
+            while keys.any():
+                keys, low = np.divmod(keys, base)
+                digits.append(low)
+            words = letters[np.stack(digits[::-1], axis=1)] if digits else np.zeros((len(keys), 0), np.int64)
+            top = words.shape[1]
+            return [tuple(w[top - n:]) for w, n in zip(words.tolist(), np.count_nonzero(words, axis=1).tolist())]
+
+        start = 0
+        for x in identity:
+            start = start * base + digit(x)
+        return _Codec(start, step, decode)
+
+    return codec
+
+
+def _coordinate_codec(spans: list[int]) -> tuple | None:
+    """Keys of integer tuples with |x[i]| <= spans[i], as mixed-radix
+    numbers, first coordinate highest: ``(encode, decode, strides)``, or
+    None when a key could reach ``_KEY_LIMIT``."""
+    widths = [2 * s + 1 for s in spans]
+    if math.prod(widths) > _KEY_LIMIT:
+        return None
+    strides = [math.prod(widths[i + 1:]) for i in range(len(widths))]
+
+    def encode(e):
+        return sum((x + s) * t for x, s, t in zip(e, spans, strides))
+
+    def decode(keys):
+        columns = [((keys // t) % w - s).tolist() for t, w, s in zip(strides, widths, spans)]
+        return list(zip(*columns))
+
+    return encode, decode, strides
+
+
+def _abelian_codec(rank: int):
+    """Keys of Z^rank: a generator adds a constant to every key."""
+
+    def codec(identity, gens, radius):
+        if not _int_tuples([identity, *gens], rank):
+            return None
+        spans = [abs(identity[i]) + radius * max((abs(g[i]) for g in gens), default=0) for i in range(rank)]
+        coded = _coordinate_codec(spans)
+        if coded is None:
+            return None
+        encode, decode, strides = coded
+        shifts = [sum(x * t for x, t in zip(g, strides)) for g in gens]
+        return _Codec(encode(identity), lambda keys, j: keys + shifts[j], decode)
+
+    return codec
+
+
+def _heisenberg_codec(identity, gens, radius):
+    """Keys of (a, b, c): right multiplication by (a', b', c') adds the
+    constant key of (a', b', c') and a * b' to the c digit.  Over radius
+    steps |a| and |b| grow by at most the largest |a'| and |b'| each, and
+    |c| by the largest |c'| + A |b'|, A the bound on |a|."""
+    if not _int_tuples([identity, *gens], 3):
+        return None
+    most = [max((abs(g[i]) for g in gens), default=0) for i in range(3)]
+    a_span = abs(identity[0]) + radius * most[0]
+    spans = [a_span, abs(identity[1]) + radius * most[1], abs(identity[2]) + radius * (most[2] + a_span * most[1])]
+    coded = _coordinate_codec(spans)
+    if coded is None:
+        return None
+    encode, decode, (a_stride, b_stride, _) = coded
+    moves = [(a_stride * g[0] + b_stride * g[1] + g[2], g[1]) for g in gens]
+
+    def step(keys, j):
+        shift, b = moves[j]
+        return keys + (shift + (keys // a_stride - a_span) * b)
+
+    return _Codec(encode(identity), step, decode)
+
+
 def free_group(rank: int) -> GroupModel:
     """Free group on `rank` letters; elements are reduced tuples of nonzero
-    ints (sign = inverse)."""
+    ints (sign = inverse).  From rank 2 its balls are walked on keys."""
 
     def mul(a, b):
         if len(b) == 1:  # a generator: cancel or append its one letter
@@ -216,6 +423,8 @@ def free_group(rank: int) -> GroupModel:
                 a.append(x)
         return tuple(a)
 
+    if rank >= 2:
+        mul.keyed = _word_codec(rank)
     gens = []
     for i in range(1, rank + 1):
         gens.append((f"g{i}", (i,)))
@@ -224,9 +433,13 @@ def free_group(rank: int) -> GroupModel:
 
 
 def free_abelian_group(rank: int) -> GroupModel:
+    """Z^rank as tuples of ints; from rank 2 its balls are walked on keys."""
+
     def mul(a, b):
         return tuple(map(operator.add, a, b))
 
+    if rank >= 2:
+        mul.keyed = _abelian_codec(rank)
     zero = tuple([0] * rank)
     gens = []
     for i in range(rank):
@@ -250,11 +463,13 @@ def cyclic_group(m: int) -> GroupModel:
 
 def heisenberg_group() -> GroupModel:
     """Integer upper-triangular 3x3 matrices encoded as (a, b, c):
-    (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b')."""
+    (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b').  Its balls are walked on
+    keys."""
 
     def mul(p, q):
         return (p[0] + q[0], p[1] + q[1], p[2] + q[2] + p[0] * q[1])
 
+    mul.keyed = _heisenberg_codec
     gens = (
         ("x", (1, 0, 0)),
         ("x~", (-1, 0, 0)),

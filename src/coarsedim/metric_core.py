@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -290,11 +290,13 @@ def verify_metric_axioms(
     Finiteness, the zero diagonal, symmetry and positivity are checked
     exhaustively, in that order, reading the matrix in row blocks of at
     most ``SUP_RATIO_BLOCK`` entries, so no n x n temporary is built.  A
-    NaN or infinite entry fails as ``"finite"`` at its first position in
-    row-major order; each other witness is the first worst entry in
-    row-major order.  The triangle check is exhaustive for spaces up to
-    300 points; above that, ``triple_mode="auto"`` samples triples with
-    the given seed (recorded in the report), a chunk at a time.  Pass
+    NaN or infinite entry of an array fails as ``"finite"`` at its first
+    position in row-major order; a ``FiniteMetricSpace`` is not scanned
+    for one, as its constructor rejected them and its matrix is frozen.
+    Each other witness is the first worst entry in row-major order.  The
+    triangle check is exhaustive for spaces up to 300 points; above that,
+    ``triple_mode="auto"`` samples triples with the given seed (recorded
+    in the report), a chunk at a time.  Pass
     ``triple_mode="exhaustive"`` to force the full scan.  A
     ``FiniteMetricSpace`` reads the exhaustive verdict from its cache
     (``triangle_witness``); an array is checked afresh.
@@ -306,10 +308,11 @@ def verify_metric_axioms(
     n = m.shape[0]
     report: dict[str, Any] = {"n": n, "ok": True, "witness": None, "seed": seed}
 
-    bad, i, j = _first_max(n, lambda rows: ~np.isfinite(m[rows]))
-    if bad > 0:
-        report.update(ok=False, axiom="finite", witness=(i, j, float(m[i, j])))
-        return report
+    if space is None:  # a space's constructor has rejected every non-finite entry
+        bad, i, j = _first_max(n, lambda rows: ~np.isfinite(m[rows]))
+        if bad > 0:
+            report.update(ok=False, axiom="finite", witness=(i, j, float(m[i, j])))
+            return report
     diag = np.abs(np.diag(m))
     if n and diag.max() > TOL:
         i = int(np.argmax(diag))
@@ -390,7 +393,10 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
             raise InputError(f"edge {entry!r} is not a list of 2 or 3 items (i, j and an optional weight)")
         e = tuple(entry)
         i, j, w = e if len(e) == 3 else (*e, 1.0)
-        i, j = _whole(i, f"edge {e}: vertex"), _whole(j, f"edge {e}: vertex")
+        try:  # the edge is formatted only for a message
+            i, j = _whole(i, "vertex"), _whole(j, "vertex")
+        except InputError as exc:
+            raise InputError(f"edge {e}: {exc}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge {e} out of range")
         if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)) or not 0 < w < math.inf:
@@ -433,7 +439,9 @@ def _points_in(space: FiniteMetricSpace, values, what: str) -> list[int]:
 
 def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarray:
     """Dijkstra's shortest-path matrix, bit for bit, of the connected simple
-    graph on n > 1 vertices whose pairs carry the ``lightest`` weights.
+    graph on n > 1 vertices whose pairs carry the ``lightest`` weights.  A
+    graph with n - 1 edges of one weight is ``_tree_paths``'s; every other
+    one takes the relaxation below.
 
     M starts at +inf with a 0 diagonal.  Passes over the vertices in Prim
     order from vertex 0 (lightest leaving edge first, ties by discovery;
@@ -477,6 +485,10 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
     for (i, j), w in lightest.items():
         adj[i].setdefault(w, []).append(j)
         adj[j].setdefault(w, []).append(i)
+    weights = set(lightest.values())
+    if len(lightest) == n - 1 and len(weights) == 1:
+        (w,) = weights
+        return _tree_paths([next(iter(a.values()), []) for a in adj], w)
     order, done, heap, pushed = [], [False] * n, [(0.0, 0, 0)], 0
     while heap:
         s = heapq.heappop(heap)[2]
@@ -511,8 +523,78 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
     top, w_min = float(m.max()), min(lightest.values())
     if not 2 * w_min > np.spacing(top):
         raise InputError(f"edge weight {w_min} vanishes in path sums up to {top}")
-    if len(set(lightest.values())) > 1:
+    if len(weights) > 1:
         _keep_smaller_side(m)
+    return m
+
+
+def _search(nbrs: list[list[int]], root: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first order from ``root``, each vertex's parent in it (the
+    root its own, -1 for a vertex not reached) and its depth."""
+    order, parent, depth = [root], [-1] * len(nbrs), [0] * len(nbrs)
+    parent[root] = root
+    for v in order:
+        for u in nbrs[v]:
+            if parent[u] < 0:
+                parent[u], depth[u] = v, depth[v] + 1
+                order.append(u)
+    return order, parent, depth
+
+
+def _tree_paths(nbrs: list[list[int]], w: float) -> np.ndarray:
+    """``_shortest_paths`` of a graph with n - 1 edges of one weight w, one
+    array step per level of the tree: a disconnected graph and a vanishing
+    w raise the same errors, and a tree gets the same matrix, bit for bit.
+
+    Dijkstra's sum to a vertex h edges away is L[h], L[0] = 0 and L[k] =
+    fl(L[k-1] + w), and in a tree h(u, v) = dep(u) + dep(v) - 2 dep(lca)
+    for depths from any root.  The root is a center of the tree, the
+    middle of a longest path, so the levels are fewest; the longest path
+    has the largest sum, L[diameter].  The root's row is L[dep].  A vertex
+    u of the next level, with parent p, has lca(u, v) = lca(p, v) for
+    every v outside its subtree, so h(u, v) = h(p, v) + 1 and its row is
+    fl(p's row + w) there; on its subtree lca = u and h = dep(v) - dep(u).
+    A level's rows are copied from its parents' rows in row blocks, then
+    its subtrees, which are disjoint, are written in one scatter: in
+    depth-first preorder a subtree is a run starting at its root, and the
+    level lists its vertices in increasing preorder (children are visited
+    in breadth-first order), so the ancestor of each deeper vertex is
+    found by ``searchsorted``.  No array but M is n x n."""
+    n = len(nbrs)
+    order, parent, _ = _search(nbrs, 0)
+    if len(order) < n:
+        raise InputError(f"graph is disconnected: no path between 0 and {parent.index(-1)}")
+    far, parent, hops = _search(nbrs, order[-1])
+    center, diameter = far[-1], hops[far[-1]]
+    for _ in range(diameter // 2):
+        center = parent[center]
+    order, parent, hops = _search(nbrs, center)
+    height = hops[order[-1]]
+    sums = np.fromiter(accumulate(repeat(w, 2 * height), initial=0.0), float, 2 * height + 1)
+    top = float(sums[diameter])
+    if not 2 * w > np.spacing(top):
+        raise InputError(f"edge weight {w} vanishes in path sums up to {top}")
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    preorder, stack = [], [center]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        stack.extend(reversed(children[v]))
+    rank = np.empty(n, dtype=np.intp)
+    rank[preorder] = np.arange(n)
+    order, parent, depth = np.array(order), np.array(parent), np.array(hops)
+    levels = np.searchsorted(depth[order], np.arange(height + 2))
+    m = np.empty((n, n))
+    np.take(sums, depth, out=m[center])
+    for level, (lo, hi) in enumerate(zip(levels[1:-1], levels[2:]), 1):
+        tops = order[lo:hi]
+        for rows in _row_blocks(hi - lo, n):
+            m[tops[rows]] = m[parent[tops[rows]]] + w
+        below = order[lo:]
+        above = tops[np.searchsorted(rank[tops], rank[below], side="right") - 1]
+        m[above, below] = sums[depth[below] - level]
     return m
 
 

@@ -391,6 +391,73 @@ class TestGraphMetric:
         assert peak <= 1.1 * space.matrix.nbytes
 
 
+TREE_WEIGHTS = (1.0, 0.5, 0.1, 1 / 3)
+
+
+def random_tree(n, seed, shape="random", w=1.0):
+    """A tree on n vertices with one edge weight w, its labels shuffled
+    and its edges listed in random order and orientation: "random"
+    attaches each vertex to an earlier one, "path", "star" and "broom"
+    (a path with a star at its end) are the deep and wide extremes."""
+    rng = np.random.default_rng(seed)
+    if shape == "random":
+        parents = [int(rng.integers(0, v)) for v in range(1, n)]
+    elif shape == "path":
+        parents = list(range(n - 1))
+    elif shape == "star":
+        parents = [0] * (n - 1)
+    else:
+        parents = [max(0, v - 1) if v < n // 2 else n // 2 - 1 for v in range(1, n)]
+    label = rng.permutation(n).tolist()
+    edges = [(label[p], label[v], w) if rng.integers(2) else (label[v], label[p], w)
+             for v, p in enumerate(parents, 1)]
+    return [edges[i] for i in rng.permutation(len(edges))]
+
+
+class TestTreeKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.sampled_from(["random", "path", "star", "broom"]),
+           st.sampled_from(TREE_WEIGHTS))
+    def test_matches_heap_dijkstra(self, n, seed, shape, w):
+        edges = random_tree(n, seed, shape, w)
+        assert build_graph_metric(n, edges).matrix.tobytes() == heap_dijkstra(n, edges).tobytes()
+
+    @pytest.mark.parametrize("w", TREE_WEIGHTS)
+    @pytest.mark.parametrize("n, shape", [(2, "path"), (3, "star"), (200, "random"), (1200, "random"),
+                                          (1200, "path"), (1200, "star"), (1200, "broom")])
+    def test_matches_scipy(self, n, shape, w):
+        edges = random_tree(n, n + len(shape), shape, w)
+        assert build_graph_metric(n, edges).matrix.tobytes() == scipy_metric(n, edges).tobytes()
+
+    @pytest.mark.parametrize("edges, kernel", [
+        ([(0, 1, 0.5), (1, 2, 0.5), (3, 1, 0.5)], True),
+        ([(0, 1), (1, 2), (1, 2, 4.0), (2, 2, 9.0), (2, 3)], True),  # heavier parallel edge, self-loop
+        ([(0, 1, 0.5), (1, 2, 0.25), (3, 1, 0.5)], False),  # two weights
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], False),  # a cycle
+    ], ids=["tree", "tree-with-extra-edges", "two-weights", "cycle"])
+    def test_only_single_weight_trees_take_the_kernel(self, edges, kernel):
+        with mock.patch.object(metric_core, "_tree_paths", wraps=metric_core._tree_paths) as tree_paths:
+            got = build_graph_metric(4, edges).matrix
+        assert tree_paths.called == kernel
+        assert got.tobytes() == heap_dijkstra(4, [tuple(e) + (1.0,) * (3 - len(e)) for e in edges]).tobytes()
+
+    @pytest.mark.parametrize("n, edges, pair", [
+        (5, [(0, 1), (1, 2), (2, 0), (3, 4)], "0 and 3"),
+        (4, [(1, 2), (2, 3), (3, 1)], "0 and 1"),
+        (6, [(0, 5, 0.5), (5, 2, 0.5), (2, 0, 0.5), (1, 3, 0.5), (3, 4, 0.5)], "0 and 1"),
+    ])
+    def test_disconnected_message(self, n, edges, pair):
+        # n - 1 edges of one weight that are no tree: 0 and the smallest
+        # vertex it does not reach, as the relaxation names them
+        with pytest.raises(InputError, match=f"^graph is disconnected: no path between {pair}$"):
+            build_graph_metric(n, edges)
+
+    def test_vanishing_weight_message(self):
+        # fl(1e308 + 1e308) = inf: the same check and message as the relaxation's
+        with pytest.raises(InputError, match=r"^edge weight 1e\+308 vanishes in path sums up to inf$"):
+            build_graph_metric(3, [(0, 1, 1e308), (1, 2, 1e308)])
+
+
 class TestBallsAndSets:
     def test_ball_radius_zero(self):
         s = path_space(10)
@@ -681,6 +748,27 @@ class TestAxiomsInRowBlocks:
         a = grid_space(3, 3).matrix.copy()
         space = metric_core.FiniteMetricSpace(a)
         assert space.matrix is a and not a.flags.writeable
+
+    def test_a_space_is_not_scanned_again_for_finiteness(self):
+        # the constructor rejected every non-finite entry of the frozen matrix
+        space = grid_space(6, 6)
+        with mock.patch.object(np, "isfinite", wraps=np.isfinite) as scan:
+            rep = verify_metric_axioms(space)
+        assert scan.call_count == 0 and rep["ok"]
+        with mock.patch.object(np, "isfinite", wraps=np.isfinite) as scan:
+            assert verify_metric_axioms(np.array(space.matrix)) == rep
+        assert scan.call_count > 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_an_array_keeps_the_finite_witness(self, value):
+        m = grid_space(6, 6).matrix.copy()
+        m[4, 9] = m[9, 4] = m[20, 1] = value
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", 64):
+            rep = verify_metric_axioms(m)
+        assert (rep["ok"], rep["axiom"]) == (False, "finite")
+        i, j, got = rep["witness"]
+        assert (i, j) == (4, 9)
+        assert got == value or (math.isnan(value) and math.isnan(got))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_distance_rejected(self, value):

@@ -1,11 +1,14 @@
-"""Property tests of the level-batched Cayley BFS and its builtin products,
-the pipelined oracle, the sampled and exhaustive triangle checks and the
-two-pass tree metric, against the one-at-a-time versions they replace."""
+"""Property tests of the level-batched Cayley BFS, its keyed walk and its
+builtin products, the pipelined oracle, the sampled and exhaustive
+triangle checks and the two-pass tree metric, against the one-at-a-time
+versions they replace."""
 
+import dataclasses
 import heapq
 import sys
 import textwrap
 from contextlib import ExitStack, closing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +36,8 @@ from coarsedim.metric_core import (
     build_graph_metric,
     verify_metric_axioms,
 )
+
+from test_groups import reference_ball  # the direct ball: one BFS per point
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -133,6 +138,105 @@ class TestLevelBFS:
            st.lists(st.integers(-9, 9), min_size=3, max_size=3))
     def test_free_abelian_multiply(self, a, b):
         assert free_abelian_group(3).multiply(tuple(a), tuple(b)) == reference_abelian_multiply(a, b)
+
+
+# ---------------------------------------------------------------------------
+# keyed BFS of the growing builtins
+
+
+KEYED_MODELS = {
+    "free2": lambda: free_group(2),
+    "free3": lambda: free_group(3),
+    "zn2": lambda: free_abelian_group(2),
+    "zn3": lambda: free_abelian_group(3),
+    "heisenberg": heisenberg_group,
+}
+EXTRA_GENERATORS = {  # each with its inverse
+    "zn2": [("a", (2, 1)), ("a~", (-2, -1))],
+    "free2": [("ab", (1, 2)), ("ab~", (-2, -1))],
+    "heisenberg": [("z", (0, 0, 1)), ("z~", (0, 0, -1)), ("xy", (1, 1, 1)), ("xy~", (-1, -1, 0))],
+}
+
+
+@st.composite
+def keyed_groups(draw):
+    """A builtin that walks keys, its generators shuffled and, for some,
+    extended by a longer generator and its inverse."""
+    name = draw(st.sampled_from(sorted(KEYED_MODELS)))
+    group = KEYED_MODELS[name]()
+    gens = list(group.generators)
+    if name in EXTRA_GENERATORS and draw(st.booleans()):
+        gens += EXTRA_GENERATORS[name]
+    return dataclasses.replace(group, generators=tuple(draw(st.permutations(gens))))
+
+
+def walks_keys(group, radius):
+    """Whether ``_bfs`` takes the keyed walk for this group and radius."""
+    keyed = getattr(group.multiply, "keyed", None)
+    return keyed is not None and keyed(group.identity, group.generator_elements(), radius) is not None
+
+
+def python_ints(elements):
+    return all(type(x) is int for e in elements for x in e)
+
+
+class TestKeyedBFS:
+    @SETTINGS
+    @given(keyed_groups(), st.integers(0, 4))
+    def test_matches_one_product_at_a_time(self, group, radius):
+        assert walks_keys(group, radius)
+        got = _bfs(group, radius)
+        same_bfs(got, reference_bfs(group, radius))
+        assert python_ints(got[0])
+        for keep in range(radius + 2):
+            kept = _bfs(group, radius, keep=keep)[0]
+            assert kept == [e for e, n in zip(got[0], got[1]) if n <= keep] and python_ints(kept)
+
+    @SETTINGS
+    @given(keyed_groups(), st.integers(0, 2))
+    def test_ball_matches_the_reference_bit_for_bit(self, group, radius):
+        ball = cayley_ball(group, radius)
+        elements, labels, matrix = reference_ball(group, radius)
+        assert ball.elements == elements and python_ints(ball.elements)
+        assert ball.space.labels == labels
+        assert ball.space.matrix.dtype == matrix.dtype
+        assert ball.space.matrix.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("group", [
+        dataclasses.replace(free_group(2), generators=(("w", (1,) * 14), ("w~", (-1,) * 14),
+                                                       ("b", (2,)), ("b~", (-2,)))),
+        dataclasses.replace(free_abelian_group(3), generators=(("big", (2**61, 0, 1)), ("big~", (-2**61, 0, -1)))),
+        dataclasses.replace(heisenberg_group(), generators=(("x", (2**20, 0, 0)), ("x~", (-2**20, 0, 0)),
+                                                            ("y", (0, 2**20, 0)), ("y~", (0, -2**20, 0)))),
+    ], ids=["free2-long-word", "zn3-huge-step", "heisenberg-huge-steps"])
+    def test_keys_that_would_overflow_take_the_tuple_loop(self, group):
+        radius = 2
+        assert not walks_keys(group, 2 * radius) and walks_keys(group, 0)
+        with mock.patch.object(groups, "_keyed_levels", side_effect=AssertionError("keyed walk")):
+            same_bfs(_bfs(group, 2 * radius), reference_bfs(group, 2 * radius))
+            ball = cayley_ball(group, radius)
+        elements, labels, matrix = reference_ball(group, radius)
+        assert ball.elements == elements and ball.space.matrix.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("group", [
+        dataclasses.replace(free_abelian_group(2), identity=(0, 0, 0)),  # three coordinates
+        dataclasses.replace(free_group(2), generators=(("c", (3,)), ("c~", (-3,)))),  # a letter beyond the rank
+        dataclasses.replace(heisenberg_group(), identity=(0, 0, np.int64(0))),  # not a Python int
+    ], ids=["zn2-long-identity", "free2-foreign-letter", "heisenberg-numpy-int"])
+    def test_unusual_elements_take_the_tuple_loop(self, group):
+        assert not walks_keys(group, 3)
+        same_bfs(_bfs(group, 3), reference_bfs(group, 3))
+
+    def test_thin_builtins_keep_the_tuple_loop(self):
+        for group in (free_group(1), free_abelian_group(1), cyclic_group(5)):
+            assert not hasattr(group.multiply, "keyed")
+        assert all(walks_keys(make(), 3) for make in KEYED_MODELS.values())
+
+    def test_replaced_multiply_takes_the_tuple_loop(self):
+        group = free_group(2)
+        plain = dataclasses.replace(group, multiply=lambda a, b: group.multiply(a, b))
+        with mock.patch.object(groups, "_keyed_levels", side_effect=AssertionError("keyed walk")):
+            same_bfs(_bfs(plain, 3), reference_bfs(group, 3))
 
 
 # ---------------------------------------------------------------------------
