@@ -61,6 +61,8 @@ from .metric_core import (
     verify_metric_axioms,
 )
 
+SPACE_PARAMS = {"grid": ("rows", "cols"), "path": ("n",), "cycle": ("n",), "file": ("file",)}
+
 AMALGAM_MODELS = {
     "z2_z3": plain_free_product_z2_z3,
     "z_2z": z_amalgam_2z,
@@ -151,16 +153,19 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_space(args) -> int:
     if args.action == "build":
         kind = args.kind
+        names = SPACE_PARAMS.get(kind)
+        if names is None:
+            raise InputError(f"unknown space kind {kind!r}")
+        if len(args.params) < len(names):
+            raise InputError(f"space build {kind} needs {' '.join(names)}; {names[len(args.params)]} is missing")
         if kind == "grid":
             space = grid_space(int(args.params[0]), int(args.params[1]))
         elif kind == "path":
             space = path_space(int(args.params[0]))
         elif kind == "cycle":
             space = cycle_space(int(args.params[0]))
-        elif kind == "file":
-            space = load_space(args.params[0])
         else:
-            raise InputError(f"unknown space kind {kind!r}")
+            space = load_space(args.params[0])
         _emit(_report_text(space_to_json(space)), args.out)
         return 0
     if args.action == "check":
@@ -238,6 +243,10 @@ def cmd_hurewicz(args) -> int:
     space = load_space(args.space)
     with open(args.map) as f:
         map_doc = json.load(f)
+    if not isinstance(map_doc, dict):
+        raise InputError(f"map JSON must be an object, not {map_doc!r}")
+    if not isinstance(map_doc.get("assignment"), list):
+        raise InputError(f"map JSON needs a list 'assignment', not {map_doc.get('assignment')!r}")
     codomain_doc = map_doc["codomain"]
     if isinstance(codomain_doc, str):  # a path relative to the map file
         codomain = load_space(os.path.join(os.path.dirname(args.map), codomain_doc))

@@ -33,6 +33,7 @@ from .metric_core import (
     FiniteMetricSpace,
     PointSet,
     _first_max,
+    _point_set_in,
     _points_in,
     _row_blocks,
     as_point_set,
@@ -488,7 +489,7 @@ def colored_decomposition(
     if D < 0 or B < 0:
         raise InputError("D and B must be nonnegative")
     t0 = time.perf_counter()
-    uni = as_point_set(carrier) if carrier is not None else PointSet.universe(space.n)
+    uni = _point_set_in(space, carrier) if carrier is not None else PointSet.universe(space.n)
     idx = np.asarray(uni.indices, dtype=np.intp)
     sub = space.matrix if idx.size == space.n else space.matrix[np.ix_(idx, idx)]
     close = sub <= D
@@ -676,7 +677,6 @@ def scale_dimension_profile(
     space,
     d_list: Sequence[float],
     mesh_multiplier: float = 3.0,
-    carrier=None,
 ) -> list[dict]:
     """Minimal color counts found at each separation scale D with mesh
     policy B = multiplier * D.  Exact when the carving is small enough,
@@ -685,7 +685,7 @@ def scale_dimension_profile(
     for d in d_list:
         b = mesh_multiplier * d
         t0 = time.perf_counter()
-        dec = colored_decomposition(space, d, b, mode="auto", carrier=carrier)
+        dec = colored_decomposition(space, d, b, mode="auto")
         rows.append(
             {
                 "D": d,

@@ -9,7 +9,6 @@ from .groups import (  # noqa: F401
     QuotientPresentation,
     cayley_ball,
     cyclic_group,
-    direct_product,
     enumerate_ball,
     free_abelian_group,
     free_group,
@@ -17,8 +16,6 @@ from .groups import (  # noqa: F401
     heisenberg_center_quotient,
     heisenberg_group,
     kernel_neighborhood_check,
-    left_invariance_check,
-    validate_group_model,
 )
 from .free_products import (  # noqa: F401
     FreeProductSpace,
@@ -27,14 +24,12 @@ from .free_products import (  # noqa: F401
     free_product_space,
     free_product_tree,
     tree_projection,
-    tree_target_report,
     word_stratification,
 )
 from .amalgams import (  # noqa: F401
     AmalgamModel,
     amalgam_group_model,
     amalgam_projection,
-    normal_presentation,
     plain_free_product_z2_z3,
     z4_amalgam_z6,
     z_amalgam_2z,

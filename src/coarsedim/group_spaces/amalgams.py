@@ -81,43 +81,12 @@ class AmalgamModel:
     def multiply(self, a: NormalForm, b: NormalForm) -> NormalForm:
         return self.normalize(self.letters_of(a) + self.letters_of(b))
 
-    def reconstruct(self, form: NormalForm) -> NormalForm:
-        """Multiply the presentation back out (identity on normal forms)."""
-        return self.normalize(self.letters_of(form))
-
 
 def amalgam_group_model(model: AmalgamModel) -> GroupModel:
     gens = tuple(
         (label, model.normalize([letter])) for label, letter in model.generator_letters
     )
     return GroupModel(model.name, model.identity_form(), gens, model.multiply)
-
-
-def normal_presentation(model: AmalgamModel, element) -> NormalForm:
-    """Normal presentation (c, alternating transversal letters) of an
-    element given either as a normal form or a raw letter sequence.
-
-    Verified on the spot: re-normalizing is the identity (uniqueness via
-    idempotence) and the letters multiply back to the element.
-    """
-    if isinstance(element, tuple) and len(element) == 2 and isinstance(element[1], tuple):
-        form = model.reconstruct(element)  # raw normal form
-    else:
-        form = model.normalize(list(element))
-    again = model.reconstruct(form)
-    if again != form:
-        raise InvariantViolation(
-            "normal presentation is not idempotent", witness=(form, again)
-        )
-    for fname, rep in form[1]:
-        ops = model.factors[fname]
-        if ops.in_c(rep):
-            raise InvariantViolation("trivial coset letter in normal form", witness=form)
-        if ops.transversal(rep) != rep:
-            raise InvariantViolation(
-                "letter is not a transversal representative", witness=(fname, rep)
-            )
-    return form
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..covers import scale_dimension_profile
 from ..errors import CapExceeded, InputError, InvariantViolation
 from ..metric_core import (
     MATRIX_CAP,
     FiniteMetricSpace,
     MetricMap,
-    PointSet,
-    ball,
     build_graph_metric,
     map_between_spaces,
-    measured_lipschitz,
-    set_distance,
 )
 
 Letter = tuple[str, int]  # (factor tag "x"|"y", point index in that factor)
@@ -247,73 +242,3 @@ def word_stratification(fps: FreeProductSpace) -> dict:
                         f"stratification inclusion fails at k={k}", witness=w
                     )
     return strata
-
-
-# ---------------------------------------------------------------------------
-# empirical report for maps to trees
-
-
-def _is_tree(space: FiniteMetricSpace) -> bool:
-    edges = space.meta.get("edges")
-    if edges is None:
-        return False
-    n = space.n
-    return len({(min(i, j), max(i, j)) for i, j, _ in edges}) == n - 1
-
-
-def tree_target_report(
-    f: MetricMap,
-    tree_space: FiniteMetricSpace,
-    r_list: Sequence[float],
-    R_list: Sequence[float],
-    base_point: int = 0,
-    d_list: Sequence[float] = (1.0, 2.0),
-    seed: int = 0,
-) -> dict:
-    """Empirical hypothesis report for a map into a tree: measured
-    Lipschitz constant, separation growth of two far fiber bundles outside
-    growing balls, and per-fiber color profiles.  Nothing here is a
-    pass/fail judgment; limit statements are not decidable on truncations.
-    """
-    if not _is_tree(tree_space):
-        raise InputError("codomain is not a tree (need graph provenance with |E| = |V| - 1)")
-    rng = np.random.default_rng(seed)
-    report: dict = {"seed": seed, "measured_lipschitz": measured_lipschitz(f)}
-
-    # two disjoint bounded vertex sets, as far apart as the truncation allows
-    m = tree_space.matrix
-    v, w = np.unravel_index(np.argmax(m), m.shape)
-    W1 = ball(tree_space, int(v), 1.0)
-    W2 = ball(tree_space, int(w), 1.0)
-    fiber1 = PointSet.of(p for p in f.points() if f.images[p] in set(W1))
-    fiber2 = PointSet.of(p for p in f.points() if f.images[p] in set(W2))
-    rows = []
-    for r in r_list:
-        core = ball(f.domain, base_point, r)
-        a = fiber1.difference(core)
-        b = fiber2.difference(core)
-        sep = None if not a.indices or not b.indices else set_distance(f.domain, a, b)
-        rows.append({"r": r, "separation": sep, "left": len(a), "right": len(b)})
-    report["separation_growth"] = rows
-    report["fiber_sets_disjoint"] = not (set(W1) & set(W2))
-
-    profiles = []
-    centers = sorted(rng.choice(tree_space.n, size=min(3, tree_space.n), replace=False).tolist())
-    for R in R_list:
-        for center in centers:
-            tree_ball = set(ball(tree_space, center, R))
-            fiber = PointSet.of(p for p in f.points() if f.images[p] in tree_ball)
-            if not fiber.indices:
-                continue
-            rows = scale_dimension_profile(f.domain, d_list, carrier=fiber)
-            profiles.append(
-                {
-                    "R": R,
-                    "center": center,
-                    "fiber_size": len(fiber),
-                    "colors": [r["colors"] for r in rows],
-                    "modes": [r["mode"] for r in rows],
-                }
-            )
-    report["fiber_profiles"] = profiles
-    return report

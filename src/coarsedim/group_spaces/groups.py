@@ -50,24 +50,6 @@ class GroupModel:
         return [g for _, g in self.generators]
 
 
-def validate_group_model(group: GroupModel, radius: int = 2) -> dict:
-    """Exact identity laws and generator-inverse closure; associativity on
-    all triples of ball elements (desk-scale sample of the group law)."""
-    e = group.identity
-    for label, g in group.generators:
-        if group.multiply(e, g) != g or group.multiply(g, e) != g:
-            raise InvariantViolation(f"identity law fails on generator {label}")
-        if not any(group.multiply(g, h) == e for _, h in group.generators):
-            raise InvariantViolation(f"generator {label} has no inverse in the list")
-    elems = list(enumerate_ball(group, radius))
-    for a in elems[: min(len(elems), 12)]:
-        for b in elems[: min(len(elems), 12)]:
-            for c in elems[: min(len(elems), 12)]:
-                if group.multiply(group.multiply(a, b), c) != group.multiply(a, group.multiply(b, c)):
-                    raise InvariantViolation("associativity fails", witness=(a, b, c))
-    return {"ok": True, "ball_checked": radius}
-
-
 def _bfs(group: GroupModel, radius: int, keep: int | None = None) -> tuple:
     """BFS of the radius ball keeping, in discovery order, each element, its
     word length, the index and generator it was reached from, and
@@ -251,33 +233,6 @@ def cayley_ball(group: GroupModel, radius: int) -> CayleyBall:
             f"{matrix[r, c]:g} at x = {inner[r]!r}, y = {inner[c]!r}", witness=(inner[r], inner[c]))
     space = FiniteMetricSpace(matrix, tuple(repr(e) for e in inner), "word-metric-ball")
     return CayleyBall(group, radius, space, tuple(inner), {e: i for i, e in enumerate(inner)})
-
-
-def left_invariance_check(group: GroupModel, radius: int) -> dict:
-    """d(gx, gy) = d(x, y) for all g, x, y in B_radius, with all products
-    evaluated inside the safe double ball.  A witness means the multiply
-    oracle is broken."""
-    if radius < 1:
-        raise InputError("radius must be at least 1")
-    try:
-        big = cayley_ball(group, 2 * radius)
-    except InvariantViolation as exc:
-        return {"ok": False, "witness": exc.witness}
-    inner = [e for e in big.elements if big.space.matrix[big.index[group.identity], big.index[e]] <= radius]
-    for g in inner:
-        for x in inner:
-            gx = group.multiply(g, x)
-            if gx not in big.index:
-                continue
-            for y in inner:
-                gy = group.multiply(g, y)
-                if gy not in big.index:
-                    continue
-                lhs = big.space.dist(big.index[gx], big.index[gy])
-                rhs = big.space.dist(big.index[x], big.index[y])
-                if lhs != rhs:
-                    return {"ok": False, "witness": (g, x, y, lhs, rhs)}
-    return {"ok": True, "witness": None}
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +434,6 @@ def heisenberg_group() -> GroupModel:
     return GroupModel("heisenberg", (0, 0, 0), gens, mul)
 
 
-def direct_product(a: GroupModel, b: GroupModel) -> GroupModel:
-    def mul(p, q):
-        return (a.multiply(p[0], q[0]), b.multiply(p[1], q[1]))
-
-    gens = [(f"{la}|", (ga, b.identity)) for la, ga in a.generators]
-    gens += [(f"|{lb}", (a.identity, gb)) for lb, gb in b.generators]
-    return GroupModel(f"{a.name}x{b.name}", (a.identity, b.identity), tuple(gens), mul)
-
-
 # ---------------------------------------------------------------------------
 # quotients and the kernel-neighborhood identity
 
@@ -648,11 +594,15 @@ def group_from_json(doc: dict, stack: ExitStack | None = None) -> GroupModel:
 
     A custom group's oracle process is started only after the whole spec
     is validated, and is closed by ``stack``, which the caller owns."""
+    if not isinstance(doc, dict):
+        raise InputError(f"group JSON must be an object, not {doc!r}")
     if "builtin" in doc:
-        name = doc["builtin"]
-        if name not in _BUILTIN_FACTORIES:
+        name, params = doc["builtin"], doc.get("params", {})
+        if not isinstance(name, str) or name not in _BUILTIN_FACTORIES:
             raise InputError(f"unknown builtin group {name!r}")
-        return _BUILTIN_FACTORIES[name](doc.get("params", {}))
+        if not isinstance(params, dict):
+            raise InputError(f"group JSON 'params' must be an object, not {params!r}")
+        return _BUILTIN_FACTORIES[name](params)
     if "custom" in doc:
         spec = doc["custom"]
         try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,11 +43,8 @@ from .metric_core import (
     FiniteMetricSpace,
     MetricMap,
     PointSet,
-    _first_max,
-    _points_in,
     diameter_of,
     distance_to_set,
-    map_between_spaces,
     measured_lipschitz,
     neighborhood,
     sup_ratio,
@@ -615,80 +612,3 @@ def all_face_agreements(asm: Assembly) -> list[dict]:
         rep["pair"] = pair
         out.append(rep)
     return out
-
-
-# ---------------------------------------------------------------------------
-# group actions
-
-
-@dataclass(frozen=True)
-class IsometricAction:
-    """Group acting on a finite space; act(element, point) returns the
-    moved point or None where the finite surrogate runs off the edge."""
-
-    group: Any
-    space: FiniteMetricSpace
-    act: Callable[[Any, int], int | None]
-
-
-def orbit_reduction(
-    action: IsometricAction,
-    x0: int,
-    radius: int,
-    epsilon: float,
-    n: int,
-    k: int,
-    R_list: Sequence[float] = (),
-    **config_kwargs,
-) -> dict:
-    """Orbit map of a group action as a dimension-lowering input: the
-    Cayley ball maps to the orbit of the base point, with the Lipschitz
-    constant max over generators of d(s.x0, x0) (clamped to 1).
-
-    The action is verified isometric on every generator by a ``_first_max``
-    scan of the point pairs where the finite action is defined; its first
-    violating pair is the witness.  A base or moved point outside the space
-    is an ``InputError``.  Returns the config, the orbit map, and the
-    requested materialized fibers over balls around x0.
-    """
-    from .group_spaces.groups import cayley_ball
-
-    space, m, lam = action.space, action.space.matrix, 1.0
-    x0 = _points_in(space, [x0], "base point")[0]
-    for label, g in action.group.generators:
-        moved = {p: action.act(g, p) for p in range(space.n)}
-        defined = np.array([p for p, q in moved.items() if q is not None], dtype=np.intp)
-        if not defined.size:
-            raise InputError(f"generator {label} acts nowhere on the finite space")
-        images = np.array(_points_in(space, [moved[p] for p in defined.tolist()], "image point"), dtype=np.intp)
-        bad, a, b = _first_max(len(defined), lambda rows: m[np.ix_(images[rows], images)]
-                               != m[np.ix_(defined[rows], defined)])
-        if bad > 0:
-            raise InvariantViolation(
-                f"generator {label} does not act isometrically",
-                witness=(label, int(defined[a]), int(defined[b])),
-            )
-        if moved[x0] is not None:
-            lam = max(lam, space.dist(int(moved[x0]), x0))
-    ball_data = cayley_ball(action.group, radius)
-    images = []
-    for elem in ball_data.elements:
-        img = action.act(elem, x0)
-        if img is None:
-            raise InputError(
-                f"orbit of {elem} leaves the finite space; shrink the ball radius"
-            )
-        images.append(img)
-    orbit_map = map_between_spaces(ball_data.space, space, images, lam)
-    config = make_config(orbit_map, epsilon, n, k, **config_kwargs)
-    fibers = {}
-    for R in R_list:
-        hits = [i for i, img in enumerate(orbit_map.images) if space.dist(img, x0) <= R]
-        fibers[R] = PointSet.of(hits)
-    return {
-        "config": config,
-        "orbit_map": orbit_map,
-        "lam": lam,
-        "ball": ball_data,
-        "fibers": fibers,
-    }

@@ -2,7 +2,7 @@
 
 Everything downstream runs on a :class:`FiniteMetricSpace`: an immutable
 point set with an explicit, finite distance matrix, checked against the
-metric axioms by the constructors that say so.  Balls, neighborhoods and set-to-set
+metric axioms by the constructors that say so.  Neighborhoods and set-to-set
 distances are computed exactly.  Lipschitz constants of maps are *measured*
 rather than trusted, which is the verification instrument used by every
 other module: over the edges of a graph metric when a Bellman certificate
@@ -95,9 +95,6 @@ class PointSet:
 
     def union(self, other: "PointSet") -> "PointSet":
         return PointSet.of(self.as_set() | other.as_set())
-
-    def intersection(self, other: "PointSet") -> "PointSet":
-        return PointSet.of(self.as_set() & other.as_set())
 
     def difference(self, other: "PointSet") -> "PointSet":
         return PointSet.of(self.as_set() - other.as_set())
@@ -341,7 +338,7 @@ def verify_metric_axioms(
     return report
 
 
-def build_explicit(matrix, labels=None, *, provenance: str = "explicit-matrix") -> FiniteMetricSpace:
+def build_explicit(matrix, labels=None) -> FiniteMetricSpace:
     """Build a space from an explicit square distance matrix, verifying the
     axioms first (exhaustively up to 300 points, sampled above).  The
     axioms accept an asymmetry within tolerance; the kept matrix is exactly
@@ -357,7 +354,7 @@ def build_explicit(matrix, labels=None, *, provenance: str = "explicit-matrix") 
             witness=report["witness"],
         )
     _keep_smaller_side(m)
-    return FiniteMetricSpace(m, tuple(labels) if labels else None, provenance)
+    return FiniteMetricSpace(m, tuple(labels) if labels else None)
 
 
 def _keep_smaller_side(m: np.ndarray) -> None:
@@ -399,7 +396,7 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
             raise InputError(f"edge {e}: {exc}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge {e} out of range")
-        if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)) or not 0 < w < math.inf:
+        if not (_real(w) and 0 < w < math.inf):
             raise InputError(f"edge {e} needs a finite positive real weight")
         w = float(w)
         given.append((i, j, w))
@@ -410,6 +407,11 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     space = FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path")
     space.meta["edges"] = given
     return space
+
+
+def _real(x) -> bool:
+    """Whether x is a real number, Python's or numpy's, other than a bool."""
+    return not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
 
 
 def _whole(value, what: str) -> int:
@@ -638,21 +640,23 @@ def grid_space(rows: int, cols: int) -> FiniteMetricSpace:
 # balls, neighborhoods, set distances
 
 
-def ball(space: FiniteMetricSpace, center: int, radius: float) -> PointSet:
-    """Closed ball: all points at distance <= radius from the center, a
-    point of the space."""
-    center = _points_in(space, [center], "center")[0]
-    if radius < 0:
-        raise InputError("radius must be nonnegative")
-    hits = np.nonzero(space.matrix[center] <= radius + TOL)[0]
-    return PointSet(tuple(int(i) for i in hits))
+def _point_set_in(space: FiniteMetricSpace, a, what: str = "point") -> PointSet:
+    """``a`` as a ``PointSet`` of points of ``space``, else
+    ``_points_in``'s ``InputError`` naming the first point that is not.  A
+    ``PointSet`` is sorted and nonnegative, so only its last index is
+    compared."""
+    if not isinstance(a, PointSet):
+        return PointSet.of(_points_in(space, a, what))
+    if a.indices and a.indices[-1] >= space.n:
+        _points_in(space, a.indices, what)
+    return a
 
 
 def distance_to_set(space: FiniteMetricSpace, a) -> np.ndarray:
     """Vector of d(x, A) for every point x, exact: the minimum of A's
     matrix rows, gathered in blocks of at most ``SUP_RATIO_BLOCK``
     entries."""
-    idx = np.asarray(as_point_set(a).indices, dtype=np.intp)
+    idx = np.asarray(_point_set_in(space, a).indices, dtype=np.intp)
     if not idx.size:
         raise InputError("distance to a set needs a nonempty set")
     return _min_of_rows(space.matrix, idx)
@@ -664,8 +668,8 @@ def set_distances(space: FiniteMetricSpace, family_a: Sequence, family_b: Sequen
     the segments of family_b's concatenated indices.  Every member must be
     nonempty: ``reduceat`` would fill an empty segment with its
     neighbour's value."""
-    fam_a = [as_point_set(s) for s in family_a]
-    fam_b = [as_point_set(s).indices for s in family_b]
+    fam_a = [_point_set_in(space, s) for s in family_a]
+    fam_b = [_point_set_in(space, s).indices for s in family_b]
     if not all(fam_b) or not all(a.indices for a in fam_a):
         raise InputError("set distances need nonempty sets")
     out = np.empty((len(fam_a), len(fam_b)))
@@ -677,16 +681,12 @@ def set_distances(space: FiniteMetricSpace, family_a: Sequence, family_b: Sequen
     return out
 
 
-def set_distance(space: FiniteMetricSpace, a, b) -> float:
-    """Minimum distance over pairs; 0 when the sets intersect."""
-    return float(set_distances(space, [a], [b])[0, 0])
-
-
 def neighborhood(space: FiniteMetricSpace, a, r: float) -> PointSet:
-    """Closed r-neighborhood of a set."""
+    """Closed r-neighborhood of a set, the union of the closed r-balls
+    about its points (its centers)."""
     if r < 0:
         raise InputError("radius must be nonnegative")
-    a = as_point_set(a)
+    a = _point_set_in(space, a, "center")
     if not a.indices:
         return a
     hits = np.flatnonzero(distance_to_set(space, a) <= r + TOL)
@@ -695,7 +695,7 @@ def neighborhood(space: FiniteMetricSpace, a, r: float) -> PointSet:
 
 def diameter_of(space: FiniteMetricSpace, a) -> float:
     """Largest distance within the set (0.0 if empty), by ``_first_max``."""
-    idx = np.asarray(as_point_set(a).indices, dtype=np.intp)
+    idx = np.asarray(_point_set_in(space, a).indices, dtype=np.intp)
     if not idx.size:
         return 0.0
     return _first_max(len(idx), lambda rows: space.matrix[np.ix_(idx[rows], idx)])[0]
@@ -710,7 +710,8 @@ class MetricMap:
     """Total map from a finite metric space into a codomain whose metric
     the map does not restate: a :class:`FiniteMetricSpace` (``images[p]``
     is a point index of it) or ``"reals"`` (``images[p]`` is a float,
-    distances are absolute differences)."""
+    distances are absolute differences).  A declared Lipschitz constant,
+    when given, is a finite real >= 0 other than a bool."""
 
     domain: FiniteMetricSpace
     images: tuple
@@ -722,6 +723,9 @@ class MetricMap:
             raise InputError("assignment must be total on the domain")
         if not isinstance(self.codomain, FiniteMetricSpace) and self.codomain != "reals":
             raise InputError(f"codomain must be a finite metric space or 'reals', not {self.codomain!r}")
+        lam = self.declared_lipschitz
+        if lam is not None and not (_real(lam) and 0 <= lam < math.inf):
+            raise InputError(f"declared Lipschitz constant {lam!r} is not a finite real >= 0")
 
     def points(self) -> range:
         return range(self.domain.n)
@@ -944,7 +948,7 @@ def space_from_json(doc: dict) -> FiniteMetricSpace:
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"matrix row {i} is not a list of {n} distances")
         for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
+            if not _real(x):
                 raise InputError(f"matrix row {i} has a non-numeric entry {x!r}")
     return build_explicit(m, labels)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import subprocess
@@ -115,6 +116,15 @@ class TestSpace:
         code, out, _ = run(capsys, "space", "check", "--file", str(bad))
         assert code == 2
         assert out.startswith("FAIL:") and message in out
+
+    @pytest.mark.parametrize("params, message", [
+        ([], "space build grid needs rows cols; rows is missing"),
+        (["3"], "space build grid needs rows cols; cols is missing"),
+    ], ids=["no-sizes", "one-size"])
+    def test_build_grid_missing_size_exit_2(self, capsys, params, message):
+        code, out, err = run(capsys, "space", "build", "grid", *params)
+        assert code == 2
+        assert out == "" and message in err
 
     def test_info_prints_diameter(self, tmp_path, capsys):
         f = write_space(tmp_path, "p.json", path_space(10))
@@ -280,6 +290,26 @@ class TestHurewicz:
         assert "image point 1.5 is not a whole number" in err
 
 
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "map JSON must be an object, not [1, 2]"),
+        ({"codomain": "p.json", "assignment": 5}, "map JSON needs a list 'assignment', not 5"),
+        ({"codomain": "p.json", "assignment": [0, 1, 2], "lipschitz": True}, "constant True is not"),
+        ({"codomain": "p.json", "assignment": [0, 1, 2], "lipschitz": -5}, "constant -5 is not"),
+        ({"codomain": "p.json", "assignment": [0, 1, 2], "lipschitz": math.nan}, "constant nan is not"),
+        ({"codomain": "p.json", "assignment": [0, 1, 2], "lipschitz": math.inf}, "constant inf is not"),
+        ({"codomain": "p.json", "assignment": [0, 1, 2], "lipschitz": "x"}, "constant 'x' is not"),
+    ], ids=["list-map", "int-assignment", "bool-lipschitz", "negative-lipschitz", "nan-lipschitz",
+            "infinite-lipschitz", "string-lipschitz"])
+    def test_malformed_map_exit_2(self, tmp_path, capsys, doc, message):
+        space = write_space(tmp_path, "p.json", path_space(3))
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "hurewicz", "run", "--space", space, "--map", str(map_path),
+                             "--n", "1", "--k", "1", "--r", "2")
+        assert code == 2
+        assert out == "" and message in err
+
+
 class TestGroup:
     def test_ball_cached(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -348,6 +378,17 @@ class TestGroup:
         code, out, err = run(capsys, *argv, "--verify-cache")
         assert code == 1
         assert "cache mismatch" in err and out == ""
+
+    @pytest.mark.parametrize("group, message", [
+        ("5", "group JSON must be an object, not 5"),
+        ('{"builtin": "free", "params": 5}', "group JSON 'params' must be an object, not 5"),
+        ('{"builtin": [1]}', "unknown builtin group [1]"),
+    ], ids=["int-group", "int-params", "list-builtin"])
+    def test_malformed_group_exit_2(self, tmp_path, capsys, group, message):
+        code, out, err = run(capsys, "group", "ball", "--group", group, "--cache-dir", str(tmp_path / "cache"))
+        assert code == 2
+        assert out == "" and message in err
+        assert not (tmp_path / "cache").exists()
 
     def test_freeprod_matrix_cap_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(free_products, "MATRIX_CAP", 16)

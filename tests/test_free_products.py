@@ -10,12 +10,10 @@ from coarsedim.group_spaces.free_products import (
     free_product_space,
     free_product_tree,
     tree_projection,
-    tree_target_report,
     word_stratification,
 )
 from coarsedim.metric_core import (
     build_explicit,
-    map_between_spaces,
     measured_lipschitz,
     path_space,
     verify_metric_axioms,
@@ -150,34 +148,6 @@ class TestStratification:
         strata = word_stratification(fps)
         total = sum(len(v["P"]) for v in strata.values())
         assert total == len(fps.words)
-
-
-class TestTreeTargetReport:
-    def test_projection_report(self, fps):
-        tree = free_product_tree(fps)
-        proj = tree_projection(fps, tree)
-        rep = tree_target_report(proj, tree.space, r_list=[0, 2, 4], R_list=[1, 2], seed=1)
-        assert rep["measured_lipschitz"] <= 1.0
-        seps = [row["separation"] for row in rep["separation_growth"] if row["separation"] is not None]
-        assert seps == sorted(seps)  # separation grows with r
-        assert rep["fiber_profiles"]
-        for prof in rep["fiber_profiles"]:
-            # path factors: fibers split into at most n+1 = 2 colors
-            assert all(c <= 2 for c in prof["colors"])
-
-    def test_constant_map_fails_separation(self, fps):
-        tree = free_product_tree(fps)
-        const = map_between_spaces(fps.space, tree.space, [0] * fps.space.n)
-        rep = tree_target_report(const, tree.space, r_list=[0, 1], R_list=[1], seed=0)
-        for row in rep["separation_growth"]:
-            assert row["separation"] in (None, 0.0)
-
-    def test_non_tree_rejected(self, fps):
-        from coarsedim.metric_core import grid_space
-
-        proj = tree_projection(fps)
-        with pytest.raises(InputError):
-            tree_target_report(proj, grid_space(2, 2), r_list=[1], R_list=[1])
 
 
 def stratification_one_set_per_word(fps):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import sys
 import textwrap
@@ -20,7 +21,6 @@ from coarsedim.group_spaces.groups import (
     GroupModel,
     cayley_ball,
     cyclic_group,
-    direct_product,
     enumerate_ball,
     free_abelian_group,
     free_group,
@@ -28,9 +28,18 @@ from coarsedim.group_spaces.groups import (
     heisenberg_center_quotient,
     heisenberg_group,
     kernel_neighborhood_check,
-    left_invariance_check,
-    validate_group_model,
 )
+
+
+def direct_product(a, b):
+    """a x b on pairs, one generator per generator of a factor."""
+
+    def mul(p, q):
+        return (a.multiply(p[0], q[0]), b.multiply(p[1], q[1]))
+
+    gens = [(f"{la}|", (ga, b.identity)) for la, ga in a.generators]
+    gens += [(f"|{lb}", (a.identity, gb)) for lb, gb in b.generators]
+    return GroupModel(f"{a.name}x{b.name}", (a.identity, b.identity), tuple(gens), mul)
 
 
 MODELS = {
@@ -83,6 +92,30 @@ def reference_ball(group, radius):
     return tuple(inner), tuple(repr(e) for e in inner), matrix
 
 
+def assert_group_laws(group):
+    """Exact identity laws and inverse closure on every generator, and
+    associativity on all triples of the first 12 elements of B_2."""
+    e = group.identity
+    for label, g in group.generators:
+        assert group.multiply(e, g) == g == group.multiply(g, e), f"identity law fails on {label}"
+        assert any(group.multiply(g, h) == e for _, h in group.generators), f"{label} has no inverse"
+    sample = list(enumerate_ball(group, 2))[:12]
+    for a, b, c in itertools.product(sample, repeat=3):
+        assert group.multiply(group.multiply(a, b), c) == group.multiply(a, group.multiply(b, c)), (a, b, c)
+
+
+def assert_left_invariant(group, radius):
+    """d(gx, gy) = d(x, y) in cayley_ball's metric for all g, x, y in
+    B_radius whose products fall in B_2radius, read from its matrix."""
+    big = cayley_ball(group, 2 * radius)
+    inner = [e for e in big.elements if big.space.dist(big.index[group.identity], big.index[e]) <= radius]
+    for g in inner:
+        moved = {x: big.index.get(group.multiply(g, x)) for x in inner}
+        for x, y in itertools.product(inner, repeat=2):
+            if moved[x] is not None and moved[y] is not None:
+                assert big.space.dist(moved[x], moved[y]) == big.space.dist(big.index[x], big.index[y]), (g, x, y)
+
+
 def shuffled(group, seed):
     gens = list(group.generators)
     random.Random(seed).shuffle(gens)
@@ -104,7 +137,11 @@ def broken_z():
 class TestModels:
     def test_builtins_pass_validation(self):
         for g in (free_group(2), free_abelian_group(2), cyclic_group(5), heisenberg_group()):
-            assert validate_group_model(g)["ok"]
+            assert_group_laws(g)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_group_laws_on_every_model(self, name):
+        assert_group_laws(MODELS[name]())
 
     def test_heisenberg_inverse(self):
         h = heisenberg_group()
@@ -114,7 +151,7 @@ class TestModels:
 
     def test_direct_product(self):
         g = direct_product(cyclic_group(2), cyclic_group(3))
-        assert validate_group_model(g)["ok"]
+        assert_group_laws(g)
         assert len(enumerate_ball(g, 6)) == 6
 
 
@@ -147,19 +184,12 @@ class TestCayleyBall:
         assert (b1.space.matrix == b2.space.matrix).all()
 
     def test_left_invariance_holds(self):
-        assert left_invariance_check(free_abelian_group(2), 2)["ok"]
+        assert_left_invariant(free_abelian_group(2), 2)
 
     def test_left_invariance_catches_broken_oracle(self):
-        g = free_abelian_group(1)
-
-        def broken(a, b):
-            # deliberately wrong on one input pair
-            if a == (2,) and b == (1,):
-                return (0,)
-            return (a[0] + b[0],)
-
-        bad = GroupModel("broken", g.identity, g.generators, broken)
-        assert not left_invariance_check(bad, 2)["ok"]
+        # the ball of an oracle that breaks left invariance is never built
+        with pytest.raises(InvariantViolation, match="breaks the group law"):
+            assert_left_invariant(broken_z(), 2)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_matches_reference_bfs(self, name):
@@ -189,16 +219,13 @@ class TestCayleyBall:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_left_invariance_on_every_model(self, name):
-        rep = left_invariance_check(MODELS[name](), 2)
-        assert rep == {"ok": True, "witness": None}
+        assert_left_invariant(MODELS[name](), 2)
 
     def test_broken_oracle_raises_with_pair(self):
         with pytest.raises(InvariantViolation, match="breaks the group law") as exc:
             cayley_ball(broken_z(), 2)
         x, y = exc.value.witness
         assert x != y  # an asymmetric pair; the diagonal is intact here
-        rep = left_invariance_check(broken_z(), 2)
-        assert not rep["ok"] and len(rep["witness"]) == 2
 
     def test_not_closed_under_inverses_raises(self):
         g = free_abelian_group(1)

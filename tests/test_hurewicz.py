@@ -5,16 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coarsedim.errors import InputError, InvariantViolation, StageFailure
-from coarsedim.group_spaces.groups import cyclic_group, free_abelian_group
+from coarsedim.errors import InputError, StageFailure
 from coarsedim.hurewicz import (
-    IsometricAction,
     all_face_agreements,
     build_assembly,
     default_c_table,
     lipschitz_recursion,
     make_config,
-    orbit_reduction,
     proximity_weights,
     recursion_closed_form_bound,
     required_scale,
@@ -375,7 +372,7 @@ class TestFaceRecords:
         for asm in (stress_assembly, depth2_assembly, prefix_case):
             for rep in all_face_agreements(asm):
                 ta, tb = (asm.towers[flag] for flag in rep["pair"])
-                both = ta.fiber.intersection(tb.fiber)
+                both = set(ta.fiber) & set(tb.fiber)
                 want = sum(eligible(asm.config, ta, tb, x) for x in both)
                 assert rep["points_checked"] == want, rep["pair"]
 
@@ -425,79 +422,3 @@ class TestBinaryTreeDepthMap:
         asm = build_assembly(cfg, base_decomposition=dec)
         assert asm.K.dimension <= 1
         assert asm.report["cobound_ok"]
-
-
-class TestOrbitReduction:
-    def test_cyclic_rotation(self):
-        from coarsedim.metric_core import cycle_space
-
-        group = cyclic_group(8)
-        space = cycle_space(8)
-        action = IsometricAction(group, space, lambda g, p: (p + g) % 8)
-        out = orbit_reduction(action, 0, 2, epsilon=1.0, n=0, k=1, allow_sub_required=True, r=1.0)
-        assert out["lam"] == 1.0
-        # the orbit map is the identity on the ball's image
-        assert measured_lipschitz(out["orbit_map"]) <= 1.0
-
-    def test_trivial_action(self):
-        group = cyclic_group(4)
-        space = path_space(5)
-        action = IsometricAction(group, space, lambda g, p: p)
-        out = orbit_reduction(action, 2, 2, epsilon=1.0, n=0, k=0, allow_sub_required=True, r=1.0, R_list=[0])
-        assert out["lam"] == 1.0
-        assert len(out["fibers"][0]) == out["ball"].space.n  # constant orbit
-
-    def test_z2_first_coordinate(self):
-        group = free_abelian_group(2)
-        space = path_space(9)
-
-        def act(g, p):
-            q = p + g[0]
-            return q if 0 <= q < 9 else None
-
-        action = IsometricAction(group, space, act)
-        out = orbit_reduction(action, 4, 2, epsilon=1.0, n=1, k=1, allow_sub_required=True, r=1.0)
-        assert out["lam"] == 1.0
-        fibers = out["fibers"]
-        assert fibers == {}
-
-    @pytest.mark.parametrize("act, message", [
-        (lambda g, p: p + 0.5, r"^image point 0\.5 is not a whole number$"),
-        (lambda g, p: p + g, r"^image point 8 is outside the space's 8 points$"),
-    ], ids=["fractional", "out-of-range"])
-    def test_bad_moved_point_rejected(self, act, message):
-        from coarsedim.metric_core import cycle_space
-
-        action = IsometricAction(cyclic_group(8), cycle_space(8), act)
-        with pytest.raises(InputError, match=message):
-            orbit_reduction(action, 0, 2, epsilon=1.0, n=0, k=1, allow_sub_required=True, r=1.0)
-
-    def test_base_point_outside_the_space_rejected(self):
-        from coarsedim.metric_core import cycle_space
-
-        action = IsometricAction(cyclic_group(8), cycle_space(8), lambda g, p: (p + g) % 8)
-        with pytest.raises(InputError, match=r"^base point 8 is outside the space's 8 points$"):
-            orbit_reduction(action, 8, 2, epsilon=1.0, n=0, k=1, allow_sub_required=True, r=1.0)
-
-    def test_whole_float_moved_points_accepted(self):
-        from coarsedim.metric_core import cycle_space
-
-        space = cycle_space(8)
-        runs = [orbit_reduction(IsometricAction(cyclic_group(8), space, act), 0, 2, epsilon=1.0, n=0, k=1,
-                                allow_sub_required=True, r=1.0, R_list=[1])
-                for act in (lambda g, p: (p + g) % 8, lambda g, p: float((p + g) % 8))]
-        assert runs[0]["lam"] == runs[1]["lam"] == 1.0
-        assert runs[0]["orbit_map"].images == runs[1]["orbit_map"].images
-        assert runs[0]["fibers"] == runs[1]["fibers"]
-
-    def test_non_isometric_action_witnessed(self):
-        group = cyclic_group(3)
-        space = path_space(5)
-
-        def squash(g, p):
-            return 0 if g else p
-
-        action = IsometricAction(group, space, squash)
-        with pytest.raises(InvariantViolation) as excinfo:
-            orbit_reduction(action, 0, 1, epsilon=1.0, n=0, k=0, allow_sub_required=True, r=1.0)
-        assert excinfo.value.witness == ("t", 0, 1)  # first pair in row-major order

@@ -10,22 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsedim import metric_core
+from coarsedim.covers import colored_decomposition
 from coarsedim.errors import CapExceeded, InputError, MetricAxiomError
 from coarsedim.metric_core import (
     MetricMap,
     PointSet,
-    ball,
     build_explicit,
     build_graph_metric,
     cycle_space,
     diameter_of,
+    distance_to_set,
     grid_space,
     map_between_spaces,
     map_to_reals,
     measured_lipschitz,
     neighborhood,
     path_space,
-    set_distance,
+    set_distances,
     space_from_json,
     space_to_json,
     verify_metric_axioms,
@@ -459,13 +460,14 @@ class TestTreeKernel:
 
 
 class TestBallsAndSets:
+    # a closed ball is the neighborhood of a singleton
     def test_ball_radius_zero(self):
         s = path_space(10)
-        assert ball(s, 3, 0).indices == (3,)
+        assert neighborhood(s, [3], 0).indices == (3,)
 
     def test_ball_on_path(self):
         s = path_space(10)
-        assert ball(s, 3, 2).indices == (1, 2, 3, 4, 5)
+        assert neighborhood(s, [3], 2).indices == (1, 2, 3, 4, 5)
 
     @pytest.mark.parametrize("center, message", [
         (-1, "center -1 is outside the space's 5 points"),
@@ -475,28 +477,42 @@ class TestBallsAndSets:
     ])
     def test_ball_center_must_be_a_point(self, center, message):
         with pytest.raises(InputError, match=message):
-            ball(path_space(5), center, 1)
+            neighborhood(path_space(5), [center], 1)
 
     def test_ball_whole_space(self):
         s = path_space(10)
-        assert ball(s, 0, s.diameter()).indices == tuple(range(10))
+        assert neighborhood(s, [0], s.diameter()).indices == tuple(range(10))
+
+    @pytest.mark.parametrize("points", [[7], [1, 7, 9], PointSet.of([1, 7, 9])], ids=["one", "list", "point-set"])
+    @pytest.mark.parametrize("primitive, what", [
+        (lambda s, a: distance_to_set(s, a), "point"),
+        (lambda s, a: neighborhood(s, a, 1), "center"),
+        (lambda s, a: set_distances(s, [a], [[0]]), "point"),
+        (lambda s, a: set_distances(s, [[0]], [a]), "point"),
+        (lambda s, a: diameter_of(s, a), "point"),
+        (lambda s, a: colored_decomposition(s, 1, 3, carrier=a), "point"),
+    ], ids=["distance_to_set", "neighborhood", "set_distances-a", "set_distances-b", "diameter_of",
+            "colored_decomposition-carrier"])
+    def test_points_outside_the_space_rejected(self, primitive, what, points):
+        with pytest.raises(InputError, match=f"^{what} 7 is outside the space's 5 points$"):
+            primitive(path_space(5), points)
 
     def test_set_distance_overlap(self):
         s = path_space(6)
-        assert set_distance(s, [0, 1, 2], [2, 3]) == 0.0
+        assert set_distances(s, [[0, 1, 2]], [[2, 3]])[0, 0] == 0.0
 
     def test_set_distance_gap(self):
         s = path_space(10)
-        assert set_distance(s, [0, 1], [4, 5]) == 3.0
+        assert set_distances(s, [[0, 1]], [[4, 5]])[0, 0] == 3.0
 
     def test_set_distance_singletons(self):
         s = path_space(10)
-        assert set_distance(s, [2], [7]) == s.dist(2, 7)
+        assert set_distances(s, [[2]], [[7]])[0, 0] == s.dist(2, 7)
 
     def test_set_distance_empty_rejected(self):
         s = path_space(3)
         with pytest.raises(InputError):
-            set_distance(s, [], [0])
+            set_distances(s, [[]], [[0]])
 
     def test_neighborhood(self):
         s = path_space(10)
@@ -514,7 +530,7 @@ class TestBallsAndSets:
             assert set(prev).issubset(set(nb))
             comp = PointSet.universe(s.n).difference(nb)
             if len(comp):
-                assert set_distance(s, a, comp) > r
+                assert set_distances(s, [a], [comp])[0, 0] > r
             prev = nb
 
     def test_diameter_of(self):
@@ -560,6 +576,20 @@ class TestLipschitz:
         assert measured_lipschitz(good) <= good.declared_lipschitz
         bad = map_between_spaces(s, s, [0, 4, 0, 4, 0], declared_lipschitz=1.0)
         assert measured_lipschitz(bad) == 4.0 > bad.declared_lipschitz
+
+    @pytest.mark.parametrize("lam", [True, np.True_, -5, -0.5, math.nan, math.inf, "x", [1]],
+                             ids=["bool", "numpy-bool", "negative-int", "negative", "nan", "inf", "string", "list"])
+    def test_declared_lipschitz_must_be_a_finite_real_at_least_zero(self, lam):
+        s = path_space(3)
+        with pytest.raises(InputError, match="declared Lipschitz constant .* is not a finite real >= 0"):
+            map_between_spaces(s, s, range(3), lam)
+        with pytest.raises(InputError, match="declared Lipschitz constant"):
+            map_to_reals(s, [0.0, 1.0, 2.0], lam)
+
+    @pytest.mark.parametrize("lam", [None, 0, 0.0, 2, 1.5, np.float32(3.0), np.int64(4)])
+    def test_declared_lipschitz_accepted(self, lam):
+        s = path_space(3)
+        assert map_between_spaces(s, s, range(3), lam).declared_lipschitz is lam
 
     @pytest.mark.parametrize("images", [[0, 1.5, 2], [0, "1", 2], [0, 1, 3], [0, True, 2]],
                              ids=["fractional", "string", "outside", "bool"])
