@@ -135,6 +135,14 @@ def _stamp(doc: dict, args_echo: dict, rule: str | None = None, seed: int = 0) -
     return doc
 
 
+def _report(args, doc: dict, rule: str, *echo: str, seed: int = 0) -> int:
+    """Stamp ``doc`` with ``rule``, ``seed`` and the settings named in
+    ``echo``, write it to ``-o`` (else stdout), and return exit code 0."""
+    _stamp(doc, {name: getattr(args, name) for name in echo}, rule, seed)
+    _emit(_report_text(doc), args.out)
+    return 0
+
+
 def _report_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -150,96 +158,84 @@ def _emit(text: str, out_path: str | None) -> None:
 # space
 
 
-def cmd_space(args) -> int:
-    if args.action == "build":
-        kind = args.kind
-        names = SPACE_PARAMS.get(kind)
-        if names is None:
-            raise InputError(f"unknown space kind {kind!r}")
-        if len(args.params) < len(names):
-            raise InputError(f"space build {kind} needs {' '.join(names)}; {names[len(args.params)]} is missing")
-        if kind == "grid":
-            space = grid_space(int(args.params[0]), int(args.params[1]))
-        elif kind == "path":
-            space = path_space(int(args.params[0]))
-        elif kind == "cycle":
-            space = cycle_space(int(args.params[0]))
-        else:
-            space = load_space(args.params[0])
-        _emit(_report_text(space_to_json(space)), args.out)
-        return 0
-    if args.action == "check":
-        if not args.file:
-            raise InputError("space check needs --file")
-        with open(args.file) as f:
-            doc = json.load(f)
-        try:
-            space = space_from_json(doc)
-        except CoarsedimError as exc:
-            print(f"FAIL: {exc}")
-            return 2
-        report = verify_metric_axioms(space, seed=args.seed)
-        print(json.dumps(_stamp(report, {"file": args.file}), sort_keys=True, default=str))
-        return 0 if report["ok"] else 2
-    if args.action == "info":
-        if not args.file:
-            raise InputError("space info needs --file")
+def cmd_space_build(args) -> int:
+    names = SPACE_PARAMS[args.kind]
+    if len(args.params) < len(names):
+        raise InputError(f"space build {args.kind} needs {' '.join(names)}; {names[len(args.params)]} is missing")
+    if len(args.params) > len(names):
+        raise InputError(f"space build {args.kind} takes {' '.join(names)}; {args.params[len(names)]!r} is extra")
+    if args.kind == "file":
+        space = load_space(args.params[0])
+    else:
+        build = {"grid": grid_space, "path": path_space, "cycle": cycle_space}[args.kind]
+        space = build(*map(int, args.params))
+    _emit(_report_text(space_to_json(space)), args.out)
+    return 0
+
+
+def cmd_space_check(args) -> int:
+    try:
         space = load_space(args.file)
-        info = {
-            "n": space.n,
-            "diameter": space.diameter(),
-            "provenance": space.provenance,
-        }
-        print(json.dumps(_stamp(info, {"file": args.file}), sort_keys=True))
-        return 0
-    raise InputError(f"unknown space action {args.action!r}")
+    except CoarsedimError as exc:
+        print(f"FAIL: {exc}")
+        return 2
+    report = verify_metric_axioms(space, seed=args.seed)
+    print(json.dumps(_stamp(report, {"file": args.file}), sort_keys=True, default=str))
+    return 0 if report["ok"] else 2
+
+
+def cmd_space_info(args) -> int:
+    space = load_space(args.file)
+    info = {
+        "n": space.n,
+        "diameter": space.diameter(),
+        "provenance": space.provenance,
+    }
+    print(json.dumps(_stamp(info, {"file": args.file}), sort_keys=True))
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # cover
 
 
-def cmd_cover(args) -> int:
+def cmd_cover_solve(args) -> int:
+    dec = colored_decomposition(load_space(args.space), args.D, args.B, mode=args.mode)
+    doc = decomposition_to_json(dec)
+    doc["colors"] = dec.colors
+    doc["label"] = dec.info["label"]
+    return _report(args, doc, "scale-separated decomposition", "space", "D", "B", "mode")
+
+
+def cmd_cover_verify(args) -> int:
     space = load_space(args.space)
-    if args.action == "solve":
-        dec = colored_decomposition(space, args.D, args.B, mode=args.mode)
-        doc = decomposition_to_json(dec)
-        _stamp(doc, {"space": args.space, "D": args.D, "B": args.B, "mode": args.mode},
-               rule="scale-separated decomposition")
-        doc["colors"] = dec.colors
-        doc["label"] = dec.info["label"]
-        _emit(_report_text(doc), args.out)
-        return 0
-    if args.action == "verify":
-        if not args.decomposition:
-            raise InputError("cover verify needs --decomposition")
-        with open(args.decomposition) as f:
-            doc = json.load(f)
-        try:
-            dec = decomposition_from_json(doc, space)
-        except InvariantViolation as exc:
-            print(f"FAIL: {exc} witness={exc.witness}")
-            return 1
-        print(f"ok: {dec.colors} colors, D={dec.D}, B={dec.B}")
-        return 0
-    if args.action == "profile":
-        d_list = [float(d) for d in args.Dlist.split(",")]
-        rows = scale_dimension_profile(space, d_list, mesh_multiplier=args.mesh_multiplier)
-        lines = ["D,B,colors,mode,seconds"]
-        for row in rows:
-            lines.append(
-                f"{row['D']:g},{row['B']:g},{row['colors']},{row['mode']},{row['seconds']:.6f}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    raise InputError(f"unknown cover action {args.action!r}")
+    with open(args.decomposition) as f:
+        doc = json.load(f)
+    try:
+        dec = decomposition_from_json(doc, space)
+    except InvariantViolation as exc:
+        print(f"FAIL: {exc} witness={exc.witness}")
+        return 1
+    print(f"ok: {dec.colors} colors, D={dec.D}, B={dec.B}")
+    return 0
+
+
+def cmd_cover_profile(args) -> int:
+    space = load_space(args.space)
+    d_list = [float(d) for d in args.Dlist.split(",")]
+    rows = scale_dimension_profile(space, d_list, mesh_multiplier=args.mesh_multiplier)
+    lines = ["D,B,colors,mode,seconds"]
+    lines += [f"{row['D']:g},{row['B']:g},{row['colors']},{row['mode']},{row['seconds']:.6f}"
+              for row in rows]
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # hurewicz
 
 
-def cmd_hurewicz(args) -> int:
+def cmd_hurewicz_run(args) -> int:
     space = load_space(args.space)
     with open(args.map) as f:
         map_doc = json.load(f)
@@ -255,7 +251,7 @@ def cmd_hurewicz(args) -> int:
     f_map = map_between_spaces(
         space, codomain, map_doc["assignment"], map_doc.get("lipschitz")
     )
-    r = None if args.r in (None, "auto") else float(args.r)
+    r = None if args.r == "auto" else float(args.r)
     cfg = make_config(
         f_map, args.epsilon, args.n, args.k, r=r, allow_sub_required=r is not None,
         mesh_multiplier=args.mesh_multiplier, seed=args.seed,
@@ -269,22 +265,9 @@ def cmd_hurewicz(args) -> int:
     asm = build_assembly(cfg)
     report = dict(asm.report)
     report.pop("stage_log", None)
-    _stamp(
-        report,
-        {
-            "space": args.space,
-            "map": args.map,
-            "epsilon": args.epsilon,
-            "n": args.n,
-            "k": args.k,
-            "r": args.r,
-        },
-        rule="dimension-lowering assembly",
-        seed=args.seed,
-    )
     report["sub_required_scale"] = not cfg.meets_required_scale
-    _emit(_report_text(report), args.out)
-    return 0
+    return _report(args, report, "dimension-lowering assembly", "space", "map", "epsilon", "n", "k", "r",
+                   seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -317,92 +300,85 @@ def _leaf(token: str):
         return token
 
 
-def cmd_group(args) -> int:
+def cmd_group_ball(args) -> int:
     ws = Workspace(args.cache_dir)
-    if args.action == "ball":
-        group_doc = json.loads(args.group) if args.group else {"builtin": args.builtin or "heisenberg"}
-        params = {"group": group_doc, "R": args.R}
-        cached = None if args.no_cache else ws.get("cayley-ball", params)
-        if cached is not None and not args.verify_cache:
-            _emit(cached, args.out)
-            return 0
-        with ExitStack() as stack:  # closes a custom group's oracle on every path
-            ball = cayley_ball(group_from_json(group_doc, stack), args.R)
-        doc = space_to_json(ball.space)
-        doc["elements"] = [repr(e) for e in ball.elements]
-        text = _report_text(_stamp(doc, params, rule="word-metric ball"))
-        if args.verify_cache and cached is not None:
-            if cached != text:
-                print("cache mismatch against recomputation", file=sys.stderr)
-                return 1
-            print("cache verified: identical to recomputation")
-        if not args.no_cache:
-            ws.put("cayley-ball", params, text)
-        _emit(text, args.out)
+    group_doc = json.loads(args.group) if args.group is not None else {"builtin": args.builtin}
+    params = {"group": group_doc, "R": args.R}
+    cached = None if args.no_cache else ws.get("cayley-ball", params)
+    if cached is not None and not args.verify_cache:
+        _emit(cached, args.out)
         return 0
-    if args.action == "freeprod":
-        x = PointedSpace(path_space(args.factor_size), 0)
-        y = PointedSpace(path_space(args.factor_size), 0)
-        fps = free_product_space(x, y, args.max_norm)
-        doc = {
-            "max_norm": args.max_norm,
-            "count": len(fps.words),
-            "words": [[[t, p] for t, p in w] for w in fps.words],
-            "norms": list(fps.norms),
-        }
-        _stamp(doc, {"factor_size": args.factor_size, "max_norm": args.max_norm},
-               rule="free product of pointed spaces")
-        _emit(_report_text(doc), args.out)
-        return 0
-    if args.action == "tree":
-        x = PointedSpace(path_space(args.factor_size), 0)
-        y = PointedSpace(path_space(args.factor_size), 0)
-        fps = free_product_space(x, y, args.max_norm)
-        tree = free_product_tree(fps)
-        proj = tree_projection(fps, tree)
-        doc = {
-            "vertices": len(tree.vertices),
-            "edges": len(tree.edges),
-            "acyclic": len(tree.edges) == len(tree.vertices) - 1,
-            "projection_lipschitz": measured_lipschitz(proj),
-        }
-        _stamp(doc, {"factor_size": args.factor_size, "max_norm": args.max_norm},
-               rule="coset tree projection")
-        _emit(_report_text(doc), args.out)
-        return 0
-    if args.action == "amalgam":
-        if args.model not in AMALGAM_MODELS:
-            raise InputError(f"unknown amalgam model {args.model!r}")
-        rep = amalgam_projection(AMALGAM_MODELS[args.model](), radius=args.R)
-        doc = {k: v for k, v in rep.items() if k in (
-            "model", "radius", "ball_size", "pairs_checked",
-            "max_generator_ratio", "max_generator_ratio_plain_metric", "lipschitz_ok",
-        )}
-        _stamp(doc, {"model": args.model, "R": args.R}, rule="amalgam coset projection")
-        _emit(_report_text(doc), args.out)
-        return 0 if rep["lipschitz_ok"] else 1
-    if args.action == "hyperbolize":
-        if not args.space:
-            raise InputError("hyperbolize needs --space")
-        base = load_space(args.space)
-        ratio = math.e if args.ratio == "e" else float(args.ratio)
-        hspace = hyperbolization(base, geometric_radii(args.t0, ratio, args.levels))
-        proj = height_projection(hspace)
-        doc = space_to_json(hspace.space)
-        doc["height_lipschitz"] = measured_lipschitz(proj)
-        _stamp(doc, {"space": args.space, "levels": args.levels, "t0": args.t0, "ratio": args.ratio},
-               rule="logarithmic space of balls")
-        _emit(_report_text(doc), args.out)
-        return 0
-    if args.action == "bound":
-        if not args.expr:
-            raise InputError("bound needs --expr")
-        rep = asdim_upper_bound(_parse_bound_expr(args.expr))
-        print(f"bound <= {rep['bound']}")
-        for line in rep["derivation"]:
-            print(f"  {line}")
-        return 0
-    raise InputError(f"unknown group action {args.action!r}")
+    with ExitStack() as stack:  # closes a custom group's oracle on every path
+        ball = cayley_ball(group_from_json(group_doc, stack), args.R)
+    doc = space_to_json(ball.space)
+    doc["elements"] = [repr(e) for e in ball.elements]
+    text = _report_text(_stamp(doc, params, rule="word-metric ball"))
+    if args.verify_cache and cached is not None:
+        if cached != text:
+            print("cache mismatch against recomputation", file=sys.stderr)
+            return 1
+        print("cache verified: identical to recomputation")
+    if not args.no_cache:
+        ws.put("cayley-ball", params, text)
+    _emit(text, args.out)
+    return 0
+
+
+def _free_product(args):
+    x = PointedSpace(path_space(args.factor_size), 0)
+    return free_product_space(x, x, args.max_norm)
+
+
+def cmd_group_freeprod(args) -> int:
+    fps = _free_product(args)
+    doc = {
+        "max_norm": args.max_norm,
+        "count": len(fps.words),
+        "words": [[[t, p] for t, p in w] for w in fps.words],
+        "norms": list(fps.norms),
+    }
+    return _report(args, doc, "free product of pointed spaces", "factor_size", "max_norm")
+
+
+def cmd_group_tree(args) -> int:
+    fps = _free_product(args)
+    tree = free_product_tree(fps)
+    proj = tree_projection(fps, tree)
+    doc = {
+        "vertices": len(tree.vertices),
+        "edges": len(tree.edges),
+        "acyclic": len(tree.edges) == len(tree.vertices) - 1,
+        "projection_lipschitz": measured_lipschitz(proj),
+    }
+    return _report(args, doc, "coset tree projection", "factor_size", "max_norm")
+
+
+def cmd_group_amalgam(args) -> int:
+    rep = amalgam_projection(AMALGAM_MODELS[args.model](), radius=args.R)
+    doc = {k: v for k, v in rep.items() if k in (
+        "model", "radius", "ball_size", "pairs_checked",
+        "max_generator_ratio", "max_generator_ratio_plain_metric", "lipschitz_ok",
+    )}
+    _report(args, doc, "amalgam coset projection", "model", "R")
+    return 0 if rep["lipschitz_ok"] else 1
+
+
+def cmd_group_hyperbolize(args) -> int:
+    base = load_space(args.space)
+    ratio = math.e if args.ratio == "e" else float(args.ratio)
+    hspace = hyperbolization(base, geometric_radii(args.t0, ratio, args.levels))
+    proj = height_projection(hspace)
+    doc = space_to_json(hspace.space)
+    doc["height_lipschitz"] = measured_lipschitz(proj)
+    return _report(args, doc, "logarithmic space of balls", "space", "levels", "t0", "ratio")
+
+
+def cmd_group_bound(args) -> int:
+    rep = asdim_upper_bound(_parse_bound_expr(args.expr))
+    print(f"bound <= {rep['bound']}")
+    for line in rep["derivation"]:
+        print(f"  {line}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -503,75 +479,97 @@ def cmd_verify(args) -> int:
 # argument wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``InputError`` for a malformed command line (an unknown or abbreviated
+    flag, a bad value, a missing argument), so ``main`` reports it as an input error."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="coarsedim", description=__doc__)
+    """One parser per action, with only the settings its ``cmd_*`` function reads."""
+    p = _Parser(prog="coarsedim", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+    commands = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("space", help="build, check, or describe finite metric spaces")
-    sp.add_argument("action", choices=["build", "check", "info"])
-    sp.add_argument("kind", nargs="?", help="grid|path|cycle|file (for build)")
-    sp.add_argument("params", nargs="*", help="size parameters or input file")
-    sp.add_argument("--file", help="space JSON (for check/info)")
-    sp.add_argument("-o", "--out")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_space)
+    def actions(name, help):
+        return commands.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
-    cv = sub.add_parser("cover", help="solve, verify, or profile decompositions")
-    cv.add_argument("action", choices=["solve", "verify", "profile"])
-    cv.add_argument("space", help="space JSON file")
-    cv.add_argument("--D", type=float, default=2.0)
-    cv.add_argument("--B", type=float, default=6.0)
-    cv.add_argument("--mode", choices=["auto", "exact", "greedy"], default="auto")
-    cv.add_argument("--decomposition", help="decomposition JSON (for verify)")
-    cv.add_argument("--Dlist", default="2,4,8")
-    cv.add_argument("--mesh-multiplier", type=float, default=3.0)
-    cv.add_argument("-o", "--out")
-    cv.set_defaults(fn=cmd_cover)
+    def action(parent, name, fn, out=True, **kwargs):
+        ap = parent.add_parser(name, allow_abbrev=False, **kwargs)
+        ap.set_defaults(fn=fn)
+        if out:
+            ap.add_argument("-o", "--out")
+        return ap
 
-    hw = sub.add_parser("hurewicz", help="run the dimension-lowering assembly")
-    hw.add_argument("action", choices=["run"])
-    hw.add_argument("--space", required=True)
-    hw.add_argument("--map", required=True)
-    hw.add_argument("--epsilon", type=float, default=1.0)
-    hw.add_argument("--n", type=int, required=True)
-    hw.add_argument("--k", type=int, required=True)
-    hw.add_argument("--r", default="auto")
-    hw.add_argument("--mesh-multiplier", type=float, default=3.0)
-    hw.add_argument("--seed", type=int, default=0)
-    hw.add_argument("-o", "--out")
-    hw.set_defaults(fn=cmd_hurewicz)
+    space = actions("space", "build, check, or describe finite metric spaces")
+    a = action(space, "build", cmd_space_build)
+    a.add_argument("kind", choices=SPACE_PARAMS)
+    a.add_argument("params", nargs="*", help="size parameters or input file")
+    a = action(space, "check", cmd_space_check, out=False)
+    a.add_argument("--file", required=True, help="space JSON")
+    a.add_argument("--seed", type=int, default=0)
+    a = action(space, "info", cmd_space_info, out=False)
+    a.add_argument("--file", required=True, help="space JSON")
 
-    gp = sub.add_parser("group", help="group balls, free products, amalgams, bounds")
-    gp.add_argument("action", choices=["ball", "freeprod", "tree", "amalgam", "hyperbolize", "bound"])
-    gp.add_argument("--group", help="group JSON")
-    gp.add_argument("--builtin")
-    gp.add_argument("--R", type=int, default=3)
-    gp.add_argument("--factor-size", type=int, default=4)
-    gp.add_argument("--max-norm", type=float, default=6.0)
-    gp.add_argument("--model", default="z2_z3")
-    gp.add_argument("--space", help="base space JSON (for hyperbolize)")
-    gp.add_argument("--levels", type=int, default=5)
-    gp.add_argument("--t0", type=float, default=1.0)
-    gp.add_argument("--ratio", default="e")
-    gp.add_argument("--expr", help="bound expression (for bound)")
-    gp.add_argument("--cache-dir")
-    gp.add_argument("--no-cache", action="store_true")
-    gp.add_argument("--verify-cache", action="store_true")
-    gp.add_argument("-o", "--out")
-    gp.set_defaults(fn=cmd_group)
+    cover = actions("cover", "solve, verify, or profile decompositions")
+    a = action(cover, "solve", cmd_cover_solve)
+    a.add_argument("space", help="space JSON file")
+    a.add_argument("--D", type=float, default=2.0)
+    a.add_argument("--B", type=float, default=6.0)
+    a.add_argument("--mode", choices=["auto", "exact", "greedy"], default="auto")
+    a = action(cover, "verify", cmd_cover_verify, out=False)
+    a.add_argument("space", help="space JSON file")
+    a.add_argument("--decomposition", required=True, help="decomposition JSON")
+    a = action(cover, "profile", cmd_cover_profile)
+    a.add_argument("space", help="space JSON file")
+    a.add_argument("--Dlist", default="2,4,8")
+    a.add_argument("--mesh-multiplier", type=float, default=3.0)
 
-    vf = sub.add_parser("verify", help="run the cross-module invariant battery")
-    vf.add_argument("--json", action="store_true")
-    vf.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    vf.set_defaults(fn=cmd_verify)
+    a = action(actions("hurewicz", "run the dimension-lowering assembly"), "run", cmd_hurewicz_run)
+    a.add_argument("--space", required=True)
+    a.add_argument("--map", required=True)
+    a.add_argument("--epsilon", type=float, default=1.0)
+    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--k", type=int, required=True)
+    a.add_argument("--r", default="auto")
+    a.add_argument("--mesh-multiplier", type=float, default=3.0)
+    a.add_argument("--seed", type=int, default=0)
+
+    group = actions("group", "group balls, free products, amalgams, bounds")
+    a = action(group, "ball", cmd_group_ball)
+    which = a.add_mutually_exclusive_group()
+    which.add_argument("--group", help="group JSON")
+    which.add_argument("--builtin", default="heisenberg")
+    a.add_argument("--R", type=int, default=3)
+    a.add_argument("--cache-dir")
+    a.add_argument("--no-cache", action="store_true")
+    a.add_argument("--verify-cache", action="store_true")
+    for name, fn in (("freeprod", cmd_group_freeprod), ("tree", cmd_group_tree)):
+        a = action(group, name, fn)
+        a.add_argument("--factor-size", type=int, default=4)
+        a.add_argument("--max-norm", type=float, default=6.0)
+    a = action(group, "amalgam", cmd_group_amalgam)
+    a.add_argument("--model", choices=AMALGAM_MODELS, default="z2_z3")
+    a.add_argument("--R", type=int, default=3)
+    a = action(group, "hyperbolize", cmd_group_hyperbolize)
+    a.add_argument("--space", required=True, help="base space JSON")
+    a.add_argument("--levels", type=int, default=5)
+    a.add_argument("--t0", type=float, default=1.0)
+    a.add_argument("--ratio", default="e")
+    a = action(group, "bound", cmd_group_bound, out=False)
+    a.add_argument("--expr", required=True, help="bound expression")
+
+    a = action(commands, "verify", cmd_verify, out=False, help="run the cross-module invariant battery")
+    a.add_argument("--json", action="store_true")
+    a.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (StageFailure, InvariantViolation) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ from .metric_core import (
     FiniteMetricSpace,
     PointSet,
     _first_max,
+    _in_range,
     _point_set_in,
     _points_in,
     _row_blocks,
@@ -486,8 +487,8 @@ def colored_decomposition(
     each point's smallest cluster-mate; only the returned one becomes
     point sets.
     """
-    if D < 0 or B < 0:
-        raise InputError("D and B must be nonnegative")
+    _in_range(D, "D", 0)
+    _in_range(B, "B", 0, math.inf, "[]")  # B = inf carves one cluster
     t0 = time.perf_counter()
     uni = _point_set_in(space, carrier) if carrier is not None else PointSet.universe(space.n)
     idx = np.asarray(uni.indices, dtype=np.intp)

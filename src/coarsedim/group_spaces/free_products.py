@@ -25,6 +25,7 @@ from ..metric_core import (
     MATRIX_CAP,
     FiniteMetricSpace,
     MetricMap,
+    _in_range,
     build_graph_metric,
     map_between_spaces,
 )
@@ -99,6 +100,7 @@ def free_product_space(x: PointedSpace, y: PointedSpace, max_norm: float) -> Fre
     """All alternating words of norm <= max_norm, popped from a heap in
     (norm, length, word) order: every letter adds a norm >= 1, so no word
     is pushed below one already popped."""
+    _in_range(max_norm, "max_norm", 0)
     letters = {
         "x": sorted(x.letter_norms().items()),
         "y": sorted(y.letter_norms().items()),

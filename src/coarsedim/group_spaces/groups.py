@@ -24,7 +24,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..errors import CapExceeded, InputError, InvariantViolation
-from ..metric_core import MATRIX_CAP, FiniteMetricSpace, _row_blocks
+from ..metric_core import MATRIX_CAP, FiniteMetricSpace, _in_range, _row_blocks, _whole
 
 BALL_CAP = 200_000
 ORACLE_TIMEOUT_S = 10.0  # per oracle call
@@ -579,12 +579,14 @@ class ExternalGroupOracle:
         self.proc.stdout.close()
 
 
-_BUILTIN_FACTORIES: dict[str, Callable[..., GroupModel]] = {
-    "free": lambda params: free_group(int(params.get("rank", 2))),
-    "free-abelian": lambda params: free_abelian_group(int(params.get("rank", 2))),
-    "zn": lambda params: free_abelian_group(int(params.get("rank", 2))),
-    "cyclic": lambda params: cyclic_group(int(params.get("order", 2))),
-    "heisenberg": lambda params: heisenberg_group(),
+# each builtin group's factory, and the whole-number parameters it takes
+# with their defaults and least values
+_BUILTINS: dict[str, tuple[Callable[..., GroupModel], dict[str, tuple[int, int]]]] = {
+    "free": (free_group, {"rank": (2, 1)}),
+    "free-abelian": (free_abelian_group, {"rank": (2, 1)}),
+    "zn": (free_abelian_group, {"rank": (2, 1)}),
+    "cyclic": (cyclic_group, {"order": (2, 2)}),
+    "heisenberg": (heisenberg_group, {}),
 }
 
 
@@ -598,11 +600,16 @@ def group_from_json(doc: dict, stack: ExitStack | None = None) -> GroupModel:
         raise InputError(f"group JSON must be an object, not {doc!r}")
     if "builtin" in doc:
         name, params = doc["builtin"], doc.get("params", {})
-        if not isinstance(name, str) or name not in _BUILTIN_FACTORIES:
+        if not isinstance(name, str) or name not in _BUILTINS:
             raise InputError(f"unknown builtin group {name!r}")
         if not isinstance(params, dict):
             raise InputError(f"group JSON 'params' must be an object, not {params!r}")
-        return _BUILTIN_FACTORIES[name](params)
+        factory, takes = _BUILTINS[name]
+        unknown = sorted(set(params) - set(takes))
+        if unknown:
+            raise InputError(f"builtin group {name!r} takes no parameter {unknown[0]!r}")
+        return factory(*(_in_range(_whole(params.get(key, default), key), key, least)
+                         for key, (default, least) in takes.items()))
     if "custom" in doc:
         spec = doc["custom"]
         try:

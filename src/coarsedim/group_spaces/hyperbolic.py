@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CapExceeded, InputError
-from ..metric_core import (MATRIX_CAP, FiniteMetricSpace, MetricMap, _first_max, _row_blocks, map_to_reals,
-                           verify_metric_axioms)
+from ..metric_core import (MATRIX_CAP, FiniteMetricSpace, MetricMap, _first_max, _in_range, _row_blocks, _whole,
+                           map_to_reals, verify_metric_axioms)
 
 HEIGHT_TOL = 1e-12
 
@@ -39,8 +39,9 @@ class BallSpace:
 
 
 def geometric_radii(t0: float = 1.0, ratio: float = math.e, levels: int = 5) -> list[float]:
-    if t0 <= 0 or ratio <= 1:
-        raise InputError("need t0 > 0 and ratio > 1")
+    _in_range(t0, "t0", 0, math.inf, "()")
+    _in_range(ratio, "ratio", 1, math.inf, "()")
+    _in_range(_whole(levels, "levels"), "levels", 1)
     return [t0 * ratio**i for i in range(levels)]
 
 

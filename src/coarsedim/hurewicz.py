@@ -43,6 +43,8 @@ from .metric_core import (
     FiniteMetricSpace,
     MetricMap,
     PointSet,
+    _in_range,
+    _whole,
     diameter_of,
     distance_to_set,
     measured_lipschitz,
@@ -69,12 +71,17 @@ T_EPS = 1e-12
 # scale arithmetic
 
 
+def _check_scale_inputs(epsilon: float, n: int, k: int) -> None:
+    """``InputError`` unless epsilon is a finite real > 0 and n and k are
+    whole numbers >= 0."""
+    _in_range(epsilon, "epsilon", 0, math.inf, "()")
+    for value, what in ((n, "n"), (k, "k")):
+        _in_range(_whole(value, what), what, 0)
+
+
 def required_scale(epsilon: float, n: int, k: int, c_table: Sequence[float]) -> float:
     """Smallest working scale (2n+3)^2 * 6^k * c_n...c_{n+k-1} / epsilon."""
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    if n < 0 or k < 0:
-        raise InputError("n and k must be nonnegative")
+    _check_scale_inputs(epsilon, n, k)
     cs = list(c_table)[:k]
     if len(cs) < k:
         raise InputError(f"need {k} cylinder constants, got {len(cs)}")
@@ -166,6 +173,10 @@ def make_config(
 ) -> HurewiczConfig:
     if not isinstance(f.codomain, FiniteMetricSpace):
         raise InputError("the base map must land in a finite metric space")
+    _check_scale_inputs(epsilon, n, k)  # before default_c_table measures n .. n+k-1
+    if r is not None:
+        _in_range(r, "r", 0, math.inf, "()")
+    _in_range(mesh_multiplier, "mesh_multiplier", 0, math.inf, "()")
     lam = f.declared_lipschitz
     if lam is None:
         lam = measured_lipschitz(f)

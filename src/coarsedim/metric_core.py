@@ -378,11 +378,7 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     entry (naming its edge), a disconnected graph and an n*n matrix over
     ``MATRIX_CAP`` are rejected, the last before it is allocated.
     """
-    n = _whole(n, "vertex count")
-    if n <= 0:
-        raise InputError("graph needs at least one vertex")
-    if n * n > MATRIX_CAP:
-        raise CapExceeded(f"graph has {n} vertices; its matrix exceeds cap {MATRIX_CAP}")
+    n = _vertex_count(n)
     given = []
     lightest: dict[tuple[int, int], float] = {}
     for entry in edges:
@@ -427,6 +423,28 @@ def _whole(value, what: str) -> int:
     if out is None or out != value:
         raise InputError(f"{what} {value!r} is not a whole number")
     return out
+
+
+def _in_range(value, what: str, lo: float, hi: float = math.inf, ends: str = "[)"):
+    """``value`` itself if it is a real number (``_real``) in the interval
+    from ``lo`` to ``hi``, each end closed ("[", "]") or open ("(", ")") as
+    ``ends`` says; else an ``InputError`` naming ``what``.  NaN lies in no
+    interval, so it passes no check."""
+    if _real(value):
+        above = value >= lo if ends[0] == "[" else value > lo
+        below = value <= hi if ends[1] == "]" else value < hi
+        if above and below:
+            return value
+    raise InputError(f"{what} must be a real number in {ends[0]}{lo:g}, {hi:g}{ends[1]}, not {value!r}")
+
+
+def _vertex_count(n) -> int:
+    """``n`` as a whole number >= 1, else an ``InputError``; a
+    ``CapExceeded`` when an n x n matrix would exceed ``MATRIX_CAP``."""
+    n = _in_range(_whole(n, "vertex count"), "vertex count", 1)
+    if n * n > MATRIX_CAP:
+        raise CapExceeded(f"graph has {n} vertices; its matrix exceeds cap {MATRIX_CAP}")
+    return n
 
 
 def _points_in(space: FiniteMetricSpace, values, what: str) -> list[int]:
@@ -614,17 +632,28 @@ def _min_of_rows(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def path_space(n: int) -> FiniteMetricSpace:
     """Unit-weight path 0 - 1 - ... - n-1."""
-    return build_graph_metric(n, [(i, i + 1) for i in range(n - 1)])
+    n = _vertex_count(n)
+    return build_graph_metric(n, _grid_edges(1, n))
 
 
 def cycle_space(n: int) -> FiniteMetricSpace:
+    n = _vertex_count(n)
     if n < 3:
         raise InputError("cycle needs at least 3 vertices")
-    return build_graph_metric(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_graph_metric(n, _grid_edges(1, n) + [(n - 1, 0)])
 
 
 def grid_space(rows: int, cols: int) -> FiniteMetricSpace:
     """Unit-weight grid graph; point index is row*cols + col."""
+    rows = _in_range(_whole(rows, "rows"), "rows", 1)
+    cols = _in_range(_whole(cols, "cols"), "cols", 1)
+    return build_graph_metric(_vertex_count(rows * cols), _grid_edges(rows, cols))
+
+
+def _grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    """The unit edges of the rows x cols grid graph, point r*cols + c, in
+    row-major order of their first point.  Callers check the sizes and
+    ``MATRIX_CAP`` first: over the cap, this list alone can exhaust memory."""
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -633,7 +662,7 @@ def grid_space(rows: int, cols: int) -> FiniteMetricSpace:
                 edges.append((v, v + 1))
             if r + 1 < rows:
                 edges.append((v, v + cols))
-    return build_graph_metric(rows * cols, edges)
+    return edges
 
 
 # ---------------------------------------------------------------------------

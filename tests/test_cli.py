@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from coarsedim import __version__, metric_core
-from coarsedim.cli import Workspace, main
+from coarsedim.cli import Workspace, build_parser, main
 from coarsedim.group_spaces import free_products, groups, hyperbolic
 from coarsedim.metric_core import grid_space, path_space, space_to_json
 
@@ -628,6 +629,109 @@ class TestColdStart:
 
     def test_no_module_imports_scipy(self):
         assert fresh_python(IMPORT_ALL) == "False"
+
+
+def action_parsers():
+    """The argv prefix and the parser of every action ``build_parser`` makes."""
+    def subparsers(parser):
+        return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+    out = {}
+    for command, parser in subparsers(build_parser()).items():
+        actions = subparsers(parser)
+        out.update({(command, name): ap for name, ap in actions.items()} if actions else {(command,): parser})
+    return out
+
+
+def flags(parser):
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+HUREWICZ_RUN = ["hurewicz", "run", "--space", "grid4x8.json", "--map", "proj.json", "--n", "1", "--k", "1"]
+
+
+class TestCommandLine:
+    """Every command line argparse rejects, and every parameter out of its
+    range, exits 2 with one ``input error:`` line and nothing on stdout."""
+
+    # a command line each action accepts, before any setting with a default
+    ACCEPTED = {
+        ("space", "build"): ["grid", "2", "2"],
+        ("space", "check"): ["--file", "s.json"],
+        ("space", "info"): ["--file", "s.json"],
+        ("cover", "solve"): ["s.json"],
+        ("cover", "verify"): ["s.json", "--decomposition", "d.json"],
+        ("cover", "profile"): ["s.json"],
+        ("hurewicz", "run"): HUREWICZ_RUN[2:],
+        ("group", "ball"): [],
+        ("group", "freeprod"): [],
+        ("group", "tree"): [],
+        ("group", "amalgam"): [],
+        ("group", "hyperbolize"): ["--space", "s.json"],
+        ("group", "bound"): ["--expr", "polycyclic:Z"],
+        ("verify",): [],
+    }
+
+    def test_no_action_takes_another_actions_flags(self, capsys):
+        parsers = action_parsers()
+        assert set(parsers) == set(self.ACCEPTED)
+        every = set().union(*map(flags, parsers.values()))
+        for prefix, parser in parsers.items():
+            argv = [*prefix, *self.ACCEPTED[prefix]]
+            build_parser().parse_args(argv)
+            for flag in sorted(every - flags(parser)):
+                code, out, err = run(capsys, *argv, flag)
+                assert (code, out, err) == (2, "", f"input error: unrecognized arguments: {flag}\n"), argv
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cover", "solve", "s.json", "--D", "abc"], "argument --D: invalid float value: 'abc'"),
+        (["cover", "profile", "s.json", "--D", "1"], "unrecognized arguments: --D 1"),
+        (["space", "build", "torus", "3"], "argument kind: invalid choice: "),
+        (["group", "amalgam", "--model", "z9"], "argument --model: invalid choice: "),
+        (["group", "ball", "--builtin", "free", "--group", "{}"],
+         "argument --group: not allowed with argument --builtin"),
+        (["group", "bound"], "the following arguments are required: --expr"),
+        (["cover", "verify", "s.json"], "the following arguments are required: --decomposition"),
+        (["space"], "the following arguments are required: action"),
+        ([], "the following arguments are required: command"),
+    ], ids=["bad-float", "no-abbreviation", "bad-kind", "bad-model", "two-groups",
+            "no-expr", "no-decomposition", "no-action", "no-command"])
+    def test_rejected_command_line_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cover", "solve", "grid.json", "--D", "1", "--B", "nan"], "B must be a real number in [0, inf], not nan"),
+        (["cover", "profile", "grid.json", "--Dlist", "1,nan"], "D must be a real number in [0, inf), not nan"),
+        (HUREWICZ_RUN + ["--r", "nan"], "r must be a real number in (0, inf), not nan"),
+        (HUREWICZ_RUN + ["--r", "2", "--mesh-multiplier", "nan"], "mesh_multiplier must be a real number in (0, inf)"),
+        (HUREWICZ_RUN + ["--r", "inf"], "r must be a real number in (0, inf), not inf"),
+        (HUREWICZ_RUN + ["--r", "2", "--mesh-multiplier", "0"], "mesh_multiplier must be a real number in (0, inf)"),
+        (HUREWICZ_RUN + ["--r", "2", "--epsilon", "nan"], "epsilon must be a real number in (0, inf), not nan"),
+        (HUREWICZ_RUN + ["--r", "2", "--n", "-1"], "n must be a real number in [0, inf), not -1"),
+        (["cover", "solve", "grid.json", "--D", "nan"], "D must be a real number in [0, inf), not nan"),
+        (["cover", "solve", "grid.json", "--D", "inf"], "D must be a real number in [0, inf), not inf"),
+        (["group", "freeprod", "--max-norm", "nan"], "max_norm must be a real number in [0, inf), not nan"),
+        (["group", "freeprod", "--max-norm", "-1"], "max_norm must be a real number in [0, inf), not -1.0"),
+        (["group", "ball", "--group", '{"builtin": "cyclic", "params": {"m": 0}}', "--no-cache"],
+         "builtin group 'cyclic' takes no parameter 'm'"),
+    ], ids=["solve-nan-B", "profile-nan-D", "nan-r", "nan-mesh-multiplier", "infinite-r", "zero-mesh-multiplier",
+            "nan-epsilon", "negative-n", "solve-nan-D", "solve-infinite-D", "nan-max-norm", "negative-max-norm",
+            "unknown-builtin-param"])
+    def test_parameter_out_of_range_exit_2_at_once(self, tmp_path, capsys, monkeypatch, argv, message):
+        # unchecked, the first four parameters would reach a carving or assembly loop that never ends
+        monkeypatch.chdir(tmp_path)
+        write_space(tmp_path, "grid.json", grid_space(3, 4))
+        write_space(tmp_path, "grid4x8.json", grid_space(4, 8))
+        write_space(tmp_path, "path8.json", path_space(8))
+        (tmp_path / "proj.json").write_text(json.dumps({"codomain": "path8.json",
+                                                        "assignment": list(range(8)) * 4, "lipschitz": 1}))
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {message}") and err.count("\n") == 1
 
 
 class TestVerify:

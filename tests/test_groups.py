@@ -366,3 +366,30 @@ class TestExternalOracle:
         assert g.name == "heisenberg"
         with pytest.raises(InputError):
             group_from_json({"builtin": "nope"})
+
+    @pytest.mark.parametrize("doc, generators", [
+        ({"builtin": "free"}, 4),
+        ({"builtin": "free", "params": {"rank": 3.0}}, 6),
+        ({"builtin": "zn", "params": {"rank": 1}}, 2),
+        ({"builtin": "cyclic", "params": {"order": 5}}, 2),
+    ], ids=["free-default", "free-whole-float", "zn-rank-1", "cyclic-5"])
+    def test_builtin_params_read_as_whole_numbers(self, doc, generators):
+        assert len(group_from_json(doc).generators) == generators
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("free", {"rank": 2.5}, "rank 2.5 is not a whole number"),
+        ("free", {"rank": True}, "rank True is a bool, not a whole number"),
+        ("free-abelian", {"rank": -3}, "rank must be a real number in [1, inf), not -3"),
+        ("zn", {"rank": 0}, "rank must be a real number in [1, inf), not 0"),
+        ("cyclic", {"order": 1}, "order must be a real number in [2, inf), not 1"),
+        ("cyclic", {"order": "5"}, "order '5' is not a whole number"),
+        ("cyclic", {"m": 0}, "builtin group 'cyclic' takes no parameter 'm'"),
+        ("heisenberg", {"rank": 2}, "builtin group 'heisenberg' takes no parameter 'rank'"),
+    ], ids=["fractional-rank", "bool-rank", "negative-rank", "zero-rank", "order-1", "string-order",
+            "unknown-key", "heisenberg-params"])
+    def test_bad_builtin_params_rejected(self, name, params, message):
+        # a parameter is checked, not truncated by int(), and one the group
+        # does not take is not ignored
+        with pytest.raises(InputError) as err:
+            group_from_json({"builtin": name, "params": params})
+        assert str(err.value) == message

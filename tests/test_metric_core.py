@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -230,6 +231,32 @@ class TestGraphMetric:
             with pytest.raises(CapExceeded, match="graph has 3 vertices; its matrix exceeds cap 8"):
                 path_space(3)
         assert path_space(2).dist(0, 1) == 1.0  # 2 x 2 is within the cap
+
+    @pytest.mark.parametrize("build", [lambda: grid_space(5, 5), lambda: grid_space(1, 5),
+                                       lambda: path_space(5), lambda: cycle_space(5)],
+                             ids=["grid", "one-row-grid", "path", "cycle"])
+    def test_matrix_cap_before_edge_list(self, monkeypatch, build):
+        # the sizes alone trip the cap: no edge list is built for a graph
+        # whose matrix the cap rejects
+        monkeypatch.setattr(metric_core, "MATRIX_CAP", 16)
+        monkeypatch.setattr(metric_core, "_grid_edges", no_allocation)
+        with pytest.raises(CapExceeded, match="vertices; its matrix exceeds cap 16"):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: grid_space(0, 3), "rows must be a real number in [1, inf), not 0"),
+        (lambda: grid_space(3, -2), "cols must be a real number in [1, inf), not -2"),
+        (lambda: grid_space(2.5, 3), "rows 2.5 is not a whole number"),
+        (lambda: grid_space(True, 3), "rows True is a bool"),
+        (lambda: path_space(0), "vertex count must be a real number in [1, inf), not 0"),
+        (lambda: path_space(math.nan), "vertex count nan is not a whole number"),
+        (lambda: cycle_space(-4), "vertex count must be a real number in [1, inf), not -4"),
+        (lambda: cycle_space(2), "cycle needs at least 3 vertices"),
+    ], ids=["zero-rows", "negative-cols", "fractional-rows", "bool-rows", "empty-path", "nan-path",
+            "negative-cycle", "short-cycle"])
+    def test_bad_size_rejected(self, build, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            build()
 
     @pytest.mark.parametrize("weight", ["2", None, math.nan, math.inf, -math.inf, 0, -1.0])
     def test_bad_weight_rejected(self, weight):
