@@ -34,12 +34,12 @@ from .metric_core import (
     PointSet,
     _first_max,
     _in_range,
+    _min_of_rows,
     _point_set_in,
     _points_in,
     _row_blocks,
     as_point_set,
     diameter_of,
-    distance_to_set,
     set_distances,
 )
 
@@ -93,14 +93,26 @@ class Cover:
     @cached_property
     def depths(self) -> np.ndarray:
         """|carrier| x |sets| table of d(x, carrier minus U), rows in carrier
-        order, read in ``_row_blocks``; +inf where U is the whole carrier.
-        A carrier point lies in U exactly when its depth is positive."""
+        order; +inf where U is the whole carrier.  A carrier point lies in
+        U exactly when its depth is positive.
+
+        Only U's own rows are read, against the complement's columns, in
+        ``_row_blocks``.  A carrier point outside U gets exactly 0 without
+        a read: it lies in carrier minus U itself, so its depth is
+        d(x, x) = 0 by the identity axiom.  (A diagonal the axiom check
+        accepted within ``TOL``, such as 1e-12 or -0.0, is not read
+        there.)"""
         car = np.array(self.universe().indices)
-        out = np.full((len(car), len(self.sets)), math.inf)
+        m = self.space.matrix
+        out = np.zeros((len(car), len(self.sets)))
         for j, inside in enumerate(self.member):
             comp = car[~inside]
-            for rows in _row_blocks(len(car) if comp.size else 0, len(comp)):
-                out[rows, j] = self.space.matrix[np.ix_(car[rows], comp)].min(axis=1)
+            if not comp.size:
+                out[:, j] = math.inf
+                continue
+            own = np.flatnonzero(inside)
+            for rows in _row_blocks(len(own), len(comp)):
+                out[own[rows], j] = m[car[own[rows], None], comp].min(axis=1)
         out.setflags(write=False)
         return out
 
@@ -283,17 +295,20 @@ def finite_union_cover(
 
 
 def disjoint_to_cover(decomp: ColoredDecomposition) -> Cover:
-    """Enlarge every set by D/2 and pool all colors into one cover.
+    """Enlarge every set by D/2 inside the carrier and pool all colors into
+    one cover.  Each enlarged set is read from the set's own rows and the
+    carrier's columns of the matrix, not from whole ambient rows.
 
     The result is verified to have multiplicity at most the color count,
     Lebesgue number greater than D/2, and mesh at most B + D.
     """
     half = decomp.D / 2.0
+    m = decomp.space.matrix
     car = np.asarray(decomp.universe().indices, dtype=np.intp)
-    sets = tuple(
-        PointSet(tuple(car[distance_to_set(decomp.space, s)[car] <= half + TOL].tolist()))
-        for s in decomp.all_sets()
-    )
+    rows = [np.asarray(_point_set_in(decomp.space, s).indices, dtype=np.intp) for s in decomp.all_sets()]
+    if not all(r.size for r in rows):
+        raise InputError("decomposition sets must be nonempty")
+    sets = tuple(PointSet(tuple(car[_min_of_rows(m, r, car) <= half + TOL].tolist())) for r in rows)
     cover = Cover(decomp.space, sets, decomp.carrier)
     mult = multiplicity(cover)
     if mult > decomp.colors:
@@ -492,7 +507,7 @@ def colored_decomposition(
     t0 = time.perf_counter()
     uni = _point_set_in(space, carrier) if carrier is not None else PointSet.universe(space.n)
     idx = np.asarray(uni.indices, dtype=np.intp)
-    sub = space.matrix if idx.size == space.n else space.matrix[np.ix_(idx, idx)]
+    sub = space.matrix if idx.size == space.n else space.matrix[idx[:, None], idx]
     close = sub <= D
     labels = carve_clusters(sub, B)
     sizes = np.bincount(labels)

@@ -42,6 +42,15 @@ def geometric_radii(t0: float = 1.0, ratio: float = math.e, levels: int = 5) -> 
     _in_range(t0, "t0", 0, math.inf, "()")
     _in_range(ratio, "ratio", 1, math.inf, "()")
     _in_range(_whole(levels, "levels"), "levels", 1)
+    try:  # the largest radius: a float power raises on overflow, a product gives inf
+        top = t0 * ratio ** (levels - 1)
+    except OverflowError:
+        top = math.inf
+    if top == math.inf:
+        raise InputError(
+            f"the largest radius t0 * ratio**(levels - 1) is not a finite float "
+            f"(t0={t0!r}, ratio={ratio!r}, levels={levels!r})"
+        )
     return [t0 * ratio**i for i in range(levels)]
 
 
@@ -53,8 +62,9 @@ def hyperbolization(base: FiniteMetricSpace, radii) -> BallSpace:
     radii = sorted(set(float(t) for t in radii))
     if not radii:
         raise InputError("need at least one radius")
-    if radii[0] <= 0:
-        raise InputError("radii must be positive")
+    for t in radii:  # the metric divides by sqrt(t * s), so t * t must be positive and finite
+        if not (t > 0 and 0 < t * t < math.inf):
+            raise InputError(f"radii must be positive floats with a positive finite square, not {t!r}")
     n = len(radii) * base.n
     if n * n > MATRIX_CAP:
         raise CapExceeded(f"space of balls has {n} points; its matrix exceeds cap {MATRIX_CAP}")

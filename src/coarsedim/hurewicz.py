@@ -37,7 +37,7 @@ from .covers import (
     mesh,
     multiplicity,
 )
-from .errors import InputError, InvariantViolation, StageFailure
+from .errors import CapExceeded, InputError, InvariantViolation, StageFailure
 from .metric_core import (
     TOL,
     FiniteMetricSpace,
@@ -65,6 +65,9 @@ from .polyhedra import (
 )
 
 T_EPS = 1e-12
+# the largest dimension default_c_table measures: a measurement takes about
+# four times the one below it (on a 2-core machine, 1.2 s at 6, 19.5 s at 8)
+C_TABLE_DIM_CAP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +177,11 @@ def make_config(
     if not isinstance(f.codomain, FiniteMetricSpace):
         raise InputError("the base map must land in a finite metric space")
     _check_scale_inputs(epsilon, n, k)  # before default_c_table measures n .. n+k-1
+    if c_table is None and k and n + k - 1 > C_TABLE_DIM_CAP:
+        raise CapExceeded(
+            f"n + k - 1 = {n + k - 1}: measuring cylinder constants above dimension "
+            f"{C_TABLE_DIM_CAP} is capped; pass a c_table"
+        )
     if r is not None:
         _in_range(r, "r", 0, math.inf, "()")
     _in_range(mesh_multiplier, "mesh_multiplier", 0, math.inf, "()")
@@ -280,7 +288,7 @@ def tower_values(config: HurewiczConfig, tower: Tower) -> np.ndarray:
     pts = np.asarray(tower.fiber.indices, dtype=np.intp)
     base = tower.faces[0]
     phi = check_rows(base.nerve, projection_rows(base.cover, pts))
-    ys = np.asarray(config.f.images, dtype=np.intp)[pts]
+    ys = config.f.image_indices[pts]
     ts = [face.weights[ys] for face in tower.faces]
     off = np.abs(ts[0] - 1.0) > T_EPS
     if off.any():
@@ -402,19 +410,23 @@ def build_assembly(
             )
 
     # stage 4: towers, one per maximal flag, each evaluated over its fiber
+    maximal = base_nerve.maximal_simplices()
     towers: dict[tuple, Tower] = {}
-    for tau in base_nerve.maximal_simplices():
+    for tau in maximal:
         for perm in itertools.permutations(tau):
             flag = tuple(tuple(sorted(perm[: i + 1])) for i in range(len(perm)))
             towers[flag] = _build_tower(config, flag, faces, step_maps)
     values = {flag: tower_values(config, tower) for flag, tower in towers.items()}
 
     # stage 5: assign every point to the tower over its base position
-    maximal = base_nerve.maximal_simplices()
+    stars: dict = {}
+    for tau in maximal:
+        for v in tau:
+            stars.setdefault(v, set()).add(tau)
     weights = check_rows(base_nerve, projection_rows(enlarged_cover, image.indices))
     flag_of = {}
     for y, row in zip(image, weights):
-        flag_of[y] = _assign_flag(maximal, row)
+        flag_of[y] = _assign_flag(stars, row)
         if flag_of[y] not in towers:
             raise InvariantViolation(f"base point {y} assigned to unknown flag {flag_of[y]}")
     assignment = {x: flag_of[y] for x, y in enumerate(f.images)}
@@ -468,14 +480,16 @@ def _build_tower(config, flag, faces, step_maps) -> Tower:
     return Tower(flag, records, tuple(cylinders), tuple(lambdas))
 
 
-def _assign_flag(maximal, row: np.ndarray) -> tuple:
+def _assign_flag(stars: dict, row: np.ndarray) -> tuple:
     """Deterministic flag over a base point with projection weights
     ``row`` into the base nerve: order the cover sets through the point by
     decreasing weight (ties and the rest of the maximal simplex by index),
-    and take prefixes."""
+    and take prefixes.  The maximal simplex is the least one containing
+    the support, found in the ``stars`` (each vertex's maximal simplices)
+    of the support's vertices."""
     support = np.flatnonzero(row)
     weights = dict(zip(support.tolist(), row[support].tolist()))
-    tau = min(s for s in maximal if set(weights) <= set(s))
+    tau = min(set.intersection(*(stars[v] for v in weights)))
     in_support = sorted(weights, key=lambda v: (-weights[v], v))
     rest = sorted(v for v in tau if v not in weights)
     order = in_support + rest
@@ -570,7 +584,7 @@ def face_agreement_check(asm: Assembly, flag_a: tuple, flag_b: tuple) -> dict:
     if not set(flag_a) & set(flag_b):
         return {"adjacent": False, "ok": True, "points_checked": 0, "max_deviation": 0.0}
     both = np.intersect1d(ta.fiber.indices, tb.fiber.indices)
-    ys = np.asarray(asm.config.f.images, dtype=np.intp)[both]
+    ys = asm.config.f.image_indices[both]
 
     def zero_above(tower):
         # row q: every weight at levels q.. vanishes (row len(flag) is all True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -56,7 +57,7 @@ class PointSet:
 
     def __post_init__(self):
         idx = self.indices
-        if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
+        if any(map(operator.ge, idx, idx[1:])):
             raise InputError("PointSet indices must be strictly increasing")
         if idx and idx[0] < 0:
             raise InputError("PointSet indices must be nonnegative")
@@ -618,15 +619,17 @@ def _tree_paths(nbrs: list[list[int]], w: float) -> np.ndarray:
     return m
 
 
-def _min_of_rows(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The minimum of m's rows ``idx`` (nonempty), gathered in row blocks;
-    a copy of the row when there is one."""
-    if len(idx) == 1:
+def _min_of_rows(m: np.ndarray, idx: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """The minimum of m's rows ``idx`` (nonempty) over the columns ``cols``
+    (every column when None), gathered in row blocks of that width: only
+    the entries in those rows and columns are read.  A copy of the row
+    when there is one."""
+    if cols is None and len(idx) == 1:
         return m[idx[0]].copy()
-    blocks = _row_blocks(len(idx), m.shape[1])
-    out = m[idx[next(blocks)]].min(axis=0)
-    for rows in blocks:
-        np.minimum(out, m[idx[rows]].min(axis=0), out=out)
+    out = None
+    for rows in _row_blocks(len(idx), m.shape[1] if cols is None else len(cols)):
+        low = (m[idx[rows]] if cols is None else m[idx[rows, None], cols]).min(axis=0)
+        out = low if out is None else np.minimum(out, low, out=out)
     return out
 
 
@@ -693,20 +696,22 @@ def distance_to_set(space: FiniteMetricSpace, a) -> np.ndarray:
 
 def set_distances(space: FiniteMetricSpace, family_a: Sequence, family_b: Sequence) -> np.ndarray:
     """|family_a| x |family_b| table of set distances, 0 where two sets
-    intersect.  Each row is ``distance_to_set`` of one A, min-reduced over
-    the segments of family_b's concatenated indices.  Every member must be
-    nonempty: ``reduceat`` would fill an empty segment with its
-    neighbour's value."""
-    fam_a = [_point_set_in(space, s) for s in family_a]
+    intersect.  Each row is the minimum of one A's matrix rows over the
+    columns of family_b's concatenated indices, min-reduced over their
+    segments: only the |A| x |cols| entries the table uses are read, never
+    whole ambient rows.  Every member must be nonempty: ``reduceat`` would
+    fill an empty segment with its neighbour's value."""
+    fam_a = [_point_set_in(space, s).indices for s in family_a]
     fam_b = [_point_set_in(space, s).indices for s in family_b]
-    if not all(fam_b) or not all(a.indices for a in fam_a):
+    if not all(fam_b) or not all(fam_a):
         raise InputError("set distances need nonempty sets")
     out = np.empty((len(fam_a), len(fam_b)))
     if fam_a and fam_b:
         cols = np.fromiter(chain.from_iterable(fam_b), dtype=np.intp)
         starts = np.cumsum([0] + [len(b) for b in fam_b[:-1]])
         for i, a in enumerate(fam_a):
-            out[i] = np.minimum.reduceat(distance_to_set(space, a)[cols], starts)
+            rows = np.asarray(a, dtype=np.intp)
+            out[i] = np.minimum.reduceat(_min_of_rows(space.matrix, rows, cols), starts)
     return out
 
 
@@ -727,7 +732,7 @@ def diameter_of(space: FiniteMetricSpace, a) -> float:
     idx = np.asarray(_point_set_in(space, a).indices, dtype=np.intp)
     if not idx.size:
         return 0.0
-    return _first_max(len(idx), lambda rows: space.matrix[np.ix_(idx[rows], idx)])[0]
+    return _first_max(len(idx), lambda rows: space.matrix[idx[rows, None], idx])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +764,14 @@ class MetricMap:
     def points(self) -> range:
         return range(self.domain.n)
 
+    @cached_property
+    def image_indices(self) -> np.ndarray:
+        """A finite codomain's ``images`` as one read-only intp array, built
+        once, so a per-face or per-tower read gathers only its own points."""
+        out = np.asarray(self.images, dtype=np.intp)
+        out.setflags(write=False)
+        return out
+
 
 def map_between_spaces(
     domain: FiniteMetricSpace,
@@ -788,7 +801,7 @@ def measured_lipschitz(m: MetricMap) -> float:
     """
     if m.codomain == "reals":
         return sup_ratio(m.domain, m.points(), m.images)
-    img = np.asarray(m.images, dtype=np.intp)
+    img = m.image_indices
     cod = m.codomain.matrix
     return _pair_sup(m.domain, np.arange(m.domain.n), lambda a, b: cod[img[a], img[b]], 1)
 
@@ -809,8 +822,13 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
     The condition is scanned through a padded predecessor table (one row
     per in-degree slot, weight +inf in unused slots) in ``_row_blocks`` of
     source rows, each gathered from the matrix as the scan reaches it; the
-    |idx| x |idx| submatrix is never built.  A fractional-weight graph can miss (c) by an ulp; it then
-    gets None, and the callers fall back to their pair loop.
+    |idx| x |idx| submatrix is never built, and no entry outside ``idx``'s
+    rows and columns is read.  Per block, one running minimum over the
+    slots of d(s, u) + w, with -inf on the diagonal (s = v), is compared
+    with the block once: some slot holds exactly when the smallest does,
+    as every entry is finite.  A fractional-weight graph can miss (c) by
+    an ulp; it then gets None, and the callers fall back to their pair
+    loop.
     """
     edges = space.graph_edges
     if edges is None:
@@ -824,14 +842,15 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
     a, b, w = inside
     pred, pred_w = _predecessor_table(a, b, w, n_idx)
     for block in _row_blocks(n_idx, n_idx):
-        rows = m[np.ix_(idx[block], idx)]
-        held = np.zeros(rows.shape, dtype=bool)
-        held[np.arange(len(rows)), np.arange(block.start, block.stop)] = True
+        rows = m[idx[block, None], idx]
+        best = np.full(rows.shape, np.inf)
+        best[np.arange(len(rows)), np.arange(block.start, block.stop)] = -np.inf
+        via = np.empty_like(rows)
         for k in range(len(pred)):
-            via = rows[:, pred[k]]
+            np.take(rows, pred[k], axis=1, out=via, mode="clip")  # indices in range; "raise" would buffer out
             via += pred_w[k]
-            held |= via <= rows
-        if not held.all():
+            np.minimum(best, via, out=best)
+        if not (best <= rows).all():
             return None
     return np.minimum(a, b), np.maximum(a, b)
 

@@ -91,12 +91,12 @@ class SimplicialComplex:
         return self.sort_ids(ids) in self.simplices
 
     def maximal_simplices(self) -> list[tuple]:
-        out = [
-            s
-            for s in self.simplices
-            if not any(set(s) < set(t) for t in self.simplices)
-        ]
-        return sorted(out, key=lambda s: (len(s), s))
+        """Simplices that are no proper face of another, in (size, ids)
+        order.  The complex being face-closed, a proper face of a simplex
+        lies in one of its facets, so dropping every facet of every simplex
+        leaves exactly the maximal ones."""
+        facets = {f for t in self.simplices for f in itertools.combinations(t, len(t) - 1)}
+        return sorted(self.simplices - facets, key=lambda s: (len(s), s))
 
 
 def check_rows(complex: SimplicialComplex, block: np.ndarray) -> np.ndarray:
@@ -139,7 +139,7 @@ def nerve(cover: Cover, vertex_ids: Sequence | None = None) -> SimplicialComplex
     if len(ids) != len(cover.sets):
         raise InputError("need one vertex id per cover set")
     # every set holds a carrier point, so the closure has every vertex
-    cells = [tuple(itertools.compress(ids, pat)) for pat in np.unique(cover.member, axis=1).T]
+    cells = {tuple(itertools.compress(ids, pat)) for pat in cover.member.T.tolist()}
     return SimplicialComplex(ids, _closure(cells))
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,22 @@ class TestHyperbolization:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(InputError):
             hyperbolization(path_space(2), [0.0, 1.0])
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 1e200, 1e-200, -1.0])
+    def test_radius_without_finite_square_rejected(self, radius):
+        # sqrt(t * s) would overflow or vanish: inf or NaN entries and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"^radii must be positive floats with a positive finite square, not "):
+                hyperbolization(path_space(2), [1.0, radius])
+
+    @pytest.mark.parametrize("t0, ratio, levels", [(1.0, 1e200, 5), (1e308, math.e, 5), (1.0, 1e100, 5)])
+    def test_overflowing_radii_rejected(self, t0, ratio, levels):
+        with pytest.raises(InputError, match=r"^the largest radius t0 \* ratio\*\*\(levels - 1\) is not a finite float"):
+            geometric_radii(t0, ratio, levels)
+
+    def test_largest_finite_radius_passes(self):
+        assert geometric_radii(1.0, 1e100, 4)[-1] == 1e300
 
     def test_matrix_cap_before_allocation(self, monkeypatch):
         base = path_space(5)

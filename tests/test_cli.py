@@ -716,9 +716,15 @@ class TestCommandLine:
         (["group", "freeprod", "--max-norm", "-1"], "max_norm must be a real number in [0, inf), not -1.0"),
         (["group", "ball", "--group", '{"builtin": "cyclic", "params": {"m": 0}}', "--no-cache"],
          "builtin group 'cyclic' takes no parameter 'm'"),
+        (["group", "hyperbolize", "--space", "path8.json", "--ratio", "1e200"],
+         "the largest radius t0 * ratio**(levels - 1) is not a finite float (t0=1.0, ratio=1e+200, levels=5)"),
+        (["group", "hyperbolize", "--space", "path8.json", "--t0", "1e308"],
+         "the largest radius t0 * ratio**(levels - 1) is not a finite float (t0=1e+308, ratio=2.718"),
+        (["group", "hyperbolize", "--space", "path8.json", "--t0", "1e-200"],
+         "radii must be positive floats with a positive finite square, not 1e-200"),
     ], ids=["solve-nan-B", "profile-nan-D", "nan-r", "nan-mesh-multiplier", "infinite-r", "zero-mesh-multiplier",
             "nan-epsilon", "negative-n", "solve-nan-D", "solve-infinite-D", "nan-max-norm", "negative-max-norm",
-            "unknown-builtin-param"])
+            "unknown-builtin-param", "overflowing-ratio", "overflowing-t0", "underflowing-t0"])
     def test_parameter_out_of_range_exit_2_at_once(self, tmp_path, capsys, monkeypatch, argv, message):
         # unchecked, the first four parameters would reach a carving or assembly loop that never ends
         monkeypatch.chdir(tmp_path)
@@ -732,6 +738,20 @@ class TestCommandLine:
         assert time.monotonic() - t0 < 1.0
         assert code == 2 and out == ""
         assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+
+
+    def test_large_dimension_exit_3_at_once(self, tmp_path, capsys, monkeypatch):
+        # n = 9 would measure the cylinder constant of dimension 9 first, for minutes
+        monkeypatch.chdir(tmp_path)
+        write_space(tmp_path, "grid4x8.json", grid_space(4, 8))
+        write_space(tmp_path, "path8.json", path_space(8))
+        (tmp_path / "proj.json").write_text(json.dumps({"codomain": "path8.json",
+                                                        "assignment": list(range(8)) * 4, "lipschitz": 1}))
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *HUREWICZ_RUN[:-4], "--n", "9", "--k", "1", "--r", "2")
+        assert time.monotonic() - t0 < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("resource cap: n + k - 1 = 9: ") and err.count("\n") == 1
 
 
 class TestVerify:

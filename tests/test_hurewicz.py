@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coarsedim.errors import InputError, StageFailure
+from coarsedim import hurewicz
+from coarsedim.errors import CapExceeded, InputError, StageFailure
 from coarsedim.hurewicz import (
     all_face_agreements,
     build_assembly,
@@ -116,6 +117,30 @@ class TestConfig:
         f = constant_map(path_space(4), path_space(4), 0)
         cfg = make_config(f, 1.0, 0, 0)
         assert cfg.lam == 1.0
+
+    @pytest.mark.parametrize("n, k", [(9, 1), (6, 2), (0, 8)])
+    def test_c_table_dimension_cap_before_measuring(self, monkeypatch, n, k):
+        # measuring dimension 7 alone takes seconds, 8 about 20 s
+        def never(dim):
+            raise AssertionError(f"dimension {dim} was measured")
+
+        monkeypatch.setattr(hurewicz, "measure_uniformization_constant", never)
+        monkeypatch.setattr(hurewicz, "_C_CACHE", {})
+        f = column_projection(4, 8)
+        with pytest.raises(CapExceeded, match=rf"^n \+ k - 1 = {n + k - 1}: .* above dimension 6 is capped"):
+            make_config(f, 1.0, n, k, r=2.0, allow_sub_required=True)
+
+    def test_c_table_dimension_cap_bounds(self, monkeypatch):
+        measured = []
+        monkeypatch.setattr(hurewicz, "measure_uniformization_constant", lambda dim: measured.append(dim) or 1.5)
+        monkeypatch.setattr(hurewicz, "_C_CACHE", {})
+        f = column_projection(4, 8)
+        assert make_config(f, 1.0, 5, 2, r=2.0, allow_sub_required=True).c_table == (1.5, 1.5)
+        assert measured == [5, 6]
+        # no dimension measured: k = 0, or a c_table passed
+        assert make_config(f, 1.0, 9, 0, r=2.0, allow_sub_required=True).c_table == ()
+        assert make_config(f, 1.0, 9, 1, r=2.0, c_table=[2.0], allow_sub_required=True).c_table == (2.0,)
+        assert measured == [5, 6]
 
     def test_sub_required_needs_flag(self):
         f = column_projection(4, 8)

@@ -51,6 +51,10 @@ from coarsedim.metric_core import (
     TOL,
     FiniteMetricSpace,
     PointSet,
+    _inside_edges,
+    _predecessor_table,
+    _row_blocks,
+    build_explicit,
     build_graph_metric,
     cycle_space,
     diameter_of,
@@ -92,12 +96,23 @@ def weighted_graphs(draw, min_n=1, max_n=10, integer=False):
 
 
 @st.composite
-def covers(draw, whole=False):
+def explicit_spaces(draw, max_n=10):
+    """``build_explicit`` of distinct integer points of the plane under the
+    l1 or the Euclidean norm."""
+    pts = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=max_n, unique=True))
+    diff = np.array(pts, dtype=float)[:, None, :] - np.array(pts, dtype=float)[None, :, :]
+    euclid = draw(st.booleans())
+    return build_explicit(np.sqrt((diff**2).sum(axis=2)) if euclid else np.abs(diff).sum(axis=2))
+
+
+@st.composite
+def covers(draw, whole=False, spaces=None):
     """A cover of a random carrier (sometimes the whole space, sometimes a
     proper subset, left implicit when it is the whole space), sometimes
     with a member equal to the whole carrier; with ``whole``, always with
-    one or two such members."""
-    space = draw(weighted_graphs())
+    one or two such members.  Spaces are drawn from ``spaces``, graph
+    metrics by default."""
+    space = draw(spaces if spaces is not None else weighted_graphs())
     points = list(range(space.n))
     carrier = sorted(draw(st.sets(st.sampled_from(points), min_size=1)))
     sets = draw(st.lists(st.sets(st.sampled_from(carrier), min_size=1), min_size=1, max_size=5))
@@ -1097,6 +1112,194 @@ class TestDistanceToSet:
         space = path_space(6)
         assert set_distances(space, [[0, 1, 2], [5]], [[2, 3], [4], [0]]).tolist() == [
             [0.0, 2.0, 0.0], [2.0, 1.0, 5.0]]
+
+
+# ---------------------------------------------------------------------------
+# carrier-local reads against the whole-row reads they replaced
+
+
+def full_row_depths(cover):
+    """The depth table read from every carrier row, the rows outside U
+    included (where the minimum meets the diagonal entry d(x, x))."""
+    car = np.array(cover.universe().indices)
+    out = np.full((len(car), len(cover.sets)), math.inf)
+    for j, inside in enumerate(cover.member):
+        comp = car[~inside]
+        if comp.size:
+            out[:, j] = cover.space.matrix[np.ix_(car, comp)].min(axis=1)
+    return out
+
+
+def with_depths(cover, depths):
+    """A copy of the cover whose cached depth table is ``depths``, so its
+    projections and Lebesgue number are computed from them."""
+    other = make_cover(cover.space, cover.sets, cover.carrier)
+    other.__dict__["depths"] = depths
+    return other
+
+
+def full_row_enlargement(dec):
+    """``disjoint_to_cover``'s sets as whole ambient rows gave them."""
+    car = np.asarray(dec.universe().indices, dtype=np.intp)
+    half = dec.D / 2.0
+    return [PointSet(tuple(car[distance_to_set(dec.space, s)[car] <= half + TOL].tolist())) for s in dec.all_sets()]
+
+
+def full_row_set_distances(space, fam_a, fam_b):
+    cols = np.array([p for b in fam_b for p in sorted(b)], dtype=np.intp)
+    starts = np.cumsum([0] + [len(b) for b in fam_b[:-1]])
+    return np.array([np.minimum.reduceat(distance_to_set(space, a)[cols], starts) for a in fam_a]).reshape(
+        len(fam_a), len(fam_b))
+
+
+def boolean_or_certificate(space, idx):
+    """``edge_certificate`` with the Bellman scan as one boolean OR per
+    in-degree slot, as it was before the running minimum."""
+    edges = space.graph_edges
+    if edges is None:
+        return None
+    idx = np.asarray(idx, dtype=np.intp)
+    m = space.matrix
+    inside = _inside_edges(m, edges, idx)
+    if inside is None or (m[idx, idx] != 0).any():
+        return None
+    a, b, w = inside
+    pred, pred_w = _predecessor_table(a, b, w, len(idx))
+    for block in _row_blocks(len(idx), len(idx)):
+        rows = m[np.ix_(idx[block], idx)]
+        held = np.zeros(rows.shape, dtype=bool)
+        held[np.arange(len(rows)), np.arange(block.start, block.stop)] = True
+        for k in range(len(pred)):
+            via = rows[:, pred[k]]
+            via += pred_w[k]
+            held |= via <= rows
+        if not held.all():
+            return None
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def same_certificate(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def planted_short_entry(space, s, v, d):
+    """The graph space with d(s, v) = d(v, s) replaced by d, edges kept."""
+    m = space.matrix.copy()
+    m[s, v] = m[v, s] = d
+    return FiniteMetricSpace(m, provenance="graph-shortest-path", meta={"edges": space.meta["edges"]})
+
+
+def bits(a):
+    """An array's bytes: equal exactly when every entry has the same bits
+    (so 0.0 and -0.0 differ)."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def random_tree_space(n, seed, w=1.0):
+    """A random tree on n vertices, every edge of weight w."""
+    rng = np.random.default_rng(seed)
+    return build_graph_metric(n, [(int(rng.integers(0, v)), v, w) for v in range(1, n)])
+
+
+ANY_SPACE = st.one_of(weighted_graphs(), explicit_spaces())
+
+
+class TestCarrierLocalReads:
+    @SETTINGS
+    @given(st.one_of(covers(spaces=ANY_SPACE), covers(whole=True, spaces=ANY_SPACE)), st.integers(1, 12))
+    def test_depths_match_full_rows_bit_for_bit(self, cover, block):
+        want = full_row_depths(cover)
+        for x, row in zip(cover.universe(), want):
+            assert row.tolist() == [reference_depth(cover, x, s) for s in cover.sets]
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+            fresh = make_cover(cover.space, cover.sets, cover.carrier)
+            assert bits(fresh.depths) == bits(want)
+        assert bits(cover.depths) == bits(want)
+        old = with_depths(cover, want)
+        assert bits(cover.projections) == bits(old.projections)
+        assert lebesgue_number(cover) == lebesgue_number(old) == reference_lebesgue(cover)
+
+    @SETTINGS
+    @given(ANY_SPACE, st.data(), st.floats(0.0, 6.0), st.integers(1, 12))
+    def test_enlarged_sets_match_full_rows(self, space, data, D, block):
+        carrier = data.draw(st.sets(st.sampled_from(range(space.n)), min_size=1))
+        dec = colored_decomposition(space, D, 2.0 * D, mode="greedy", carrier=carrier)
+        want = full_row_enlargement(dec)
+        assert list(disjoint_to_cover(dec).sets) == want
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+            assert list(disjoint_to_cover(dec).sets) == want
+
+    @SETTINGS
+    @given(ANY_SPACE, st.data(), st.integers(1, 12))
+    def test_set_distances_match_full_rows_bit_for_bit(self, space, data, block):
+        fam_a = data.draw(families(space))
+        fam_b = data.draw(families(space))
+        want = full_row_set_distances(space, fam_a, fam_b) if fam_a and fam_b else np.empty((len(fam_a), len(fam_b)))
+        for size in (metric_core.SUP_RATIO_BLOCK, block):
+            with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", size):
+                got = set_distances(space, fam_a, fam_b)
+            assert got.shape == want.shape and bits(got) == bits(want)
+
+    @SETTINGS
+    @given(weighted_graphs(min_n=2), st.data(), st.integers(1, 12))
+    def test_certificate_matches_boolean_scan(self, space, data, block):
+        pts = data.draw(st.lists(st.integers(0, space.n - 1), max_size=space.n + 2))
+        for idx in (pts, range(space.n)):
+            want = boolean_or_certificate(space, idx)
+            assert same_certificate(edge_certificate(space, idx), want)
+            with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+                assert same_certificate(edge_certificate(space, idx), want)
+
+    @pytest.mark.parametrize("space", [
+        grid_space(3, 7), grid_space(1, 9), path_space(1), cycle_space(7), random_tree_space(40, 5),
+        random_tree_space(30, 2, w=0.25), build_graph_metric(5, [(0, 1, 0.1), (1, 2, 1 / 3), (2, 3, 0.7), (3, 4, 2.2),
+                                                           (0, 4, 3.3)]),
+    ], ids=["grid3x7", "grid1x9", "point", "cycle7", "tree", "quarter-tree", "fractional-cycle"])
+    def test_certificate_matches_boolean_scan_on_families(self, space):
+        want = boolean_or_certificate(space, range(space.n))
+        assert same_certificate(edge_certificate(space, range(space.n)), want)
+        half = list(range(0, space.n, 2))
+        assert same_certificate(edge_certificate(space, half), boolean_or_certificate(space, half))
+
+    def test_planted_short_entry_is_rejected(self):
+        grid = grid_space(3, 5)
+        assert edge_certificate(grid, range(15)) is not None
+        short = planted_short_entry(grid, 0, 14, 1.5)  # d(0, 14) is 6 in the grid
+        assert boolean_or_certificate(short, range(15)) is None
+        assert edge_certificate(short, range(15)) is None
+
+    @pytest.mark.parametrize("diagonal", [1e-12, -1e-12, -0.0], ids=["positive", "negative", "negative-zero"])
+    def test_diagonal_within_tolerance(self, diagonal):
+        # build_explicit accepts a diagonal within TOL and keeps it; the
+        # depth of a carrier point outside U is 0 by the identity axiom,
+        # where the full-row minimum read that diagonal entry
+        m = np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0)))
+        np.fill_diagonal(m, diagonal)
+        space = build_explicit(m)
+        assert bits(np.diag(space.matrix)) == bits(np.full(6, diagonal))
+        cover = make_cover(space, [[1, 2, 3], [2, 3, 4], [4, 5]], carrier=[1, 2, 3, 4, 5])
+        old = full_row_depths(cover)
+        outside = ~cover.member.T
+        assert bits(cover.depths[~outside]) == bits(old[~outside])
+        assert bits(old[outside]) == bits(np.full(outside.sum(), diagonal))  # the full-row read
+        assert bits(cover.depths[outside]) == bits(np.zeros(outside.sum()))  # exactly +0.0
+        assert ((cover.depths > 0) == cover.member.T).all()
+        # the projection does not depend on the diagonal; in the full-row
+        # depths a diagonal of +-1e-12 enters each row's depth total, moving
+        # weights by about 1e-12 relative, and -0.0 moves nothing
+        assert cover.projections.tolist() == [[1.0, 0.0, 0.0], [2 / 3, 1 / 3, 0.0], [1 / 3, 2 / 3, 0.0],
+                                              [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
+        before = with_depths(cover, old)
+        assert np.abs(cover.projections - before.projections).max() <= 1e-11
+        if diagonal == 0.0:
+            assert bits(cover.projections) == bits(before.projections)
+        assert lebesgue_number(cover) == lebesgue_number(before) == 1.0
+        assert nerve(cover) == nerve(before)
+        now, then = projection_lipschitz_check(cover), projection_lipschitz_check(before)
+        assert now["measured"] == pytest.approx(then["measured"], rel=1e-11, abs=0)
+        assert {k: v for k, v in now.items() if k != "measured"} == {k: v for k, v in then.items() if k != "measured"}
 
 
 class TestSetGeometry:
