@@ -41,6 +41,7 @@ from .group_spaces import (
     hyperbolization,
     height_projection,
     kernel_neighborhood_check,
+    parse_bound_expr,
     plain_free_product_z2_z3,
     tree_projection,
     z4_amalgam_z6,
@@ -274,32 +275,6 @@ def cmd_hurewicz_run(args) -> int:
 # group
 
 
-def _parse_bound_expr(text: str):
-    if text.startswith("{"):
-        return json.loads(text)
-    head, _, rest = text.partition(":")
-    parts = [p for p in rest.split(",") if p]
-    if head == "polycyclic":
-        return {"rule": "polycyclic", "series": parts}
-    if head == "freeprod":
-        a, b = parts
-        return {"rule": "free_product", "left": _leaf(a), "right": _leaf(b)}
-    if head == "amalgam":
-        c, a, b = parts
-        return {"rule": "amalgam", "c": _leaf(c), "a_quotient": _leaf(a), "b_quotient": _leaf(b)}
-    if head == "extension":
-        q, k = parts
-        return {"rule": "extension", "quotient": _leaf(q), "kernel": _leaf(k)}
-    raise InputError(f"cannot parse bound expression {text!r}")
-
-
-def _leaf(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token
-
-
 def cmd_group_ball(args) -> int:
     ws = Workspace(args.cache_dir)
     group_doc = json.loads(args.group) if args.group is not None else {"builtin": args.builtin}
@@ -374,7 +349,10 @@ def cmd_group_hyperbolize(args) -> int:
 
 
 def cmd_group_bound(args) -> int:
-    rep = asdim_upper_bound(_parse_bound_expr(args.expr))
+    try:
+        rep = asdim_upper_bound(parse_bound_expr(args.expr))
+    except RecursionError:
+        raise InputError("bound expression nests too deeply") from None
     print(f"bound <= {rep['bound']}")
     for line in rep["derivation"]:
         print(f"  {line}")
@@ -403,45 +381,54 @@ def run_verify(inject_fault: bool = False) -> list[dict]:
             results.append({"name": name, "ok": True, "detail": detail})
         except CoarsedimError as exc:
             witness = getattr(exc, "witness", None)
-            results.append({"name": name, "ok": False, "detail": f"{exc} witness={witness}"})
+            detail = str(exc) if witness is None else f"{exc} witness={witness}"
+            results.append({"name": name, "ok": False, "detail": detail})
         except AssertionError as exc:
             results.append({"name": name, "ok": False, "detail": str(exc)})
+
+    def require(ok, detail):
+        """Fail the current check with ``detail``; a plain check, unlike
+        ``assert``, also runs under ``python -O``."""
+        if not ok:
+            raise InvariantViolation(detail)
 
     def axioms():
         for space in (path_space(64), grid_space(6, 6), cycle_space(12)):
             rep = verify_metric_axioms(space)
-            assert rep["ok"], rep
+            require(rep["ok"], rep)
         if inject_fault:
             rep = verify_metric_axioms(
                 [[0, 1, 5], [1, 0, 1], [5, 1, 0]], triple_mode="exhaustive"
             )
-            assert rep["ok"], f"axiom violation at {rep['witness']}"
+            require(rep["ok"], f"axiom violation at {rep['witness']}")
         return "3 spaces"
 
     def coloring():
         space = path_space(16)
         adj = _conflict_graph(space.matrix <= 2, carve_clusters(space.matrix, 4))
         chi, _ = chromatic_number(adj)
-        assert chi == brute_force_chromatic(adj)
+        brute = brute_force_chromatic(adj)
+        require(chi == brute, f"chromatic number {chi}, brute force {brute}")
         greedy = colored_decomposition(space, 2, 4, mode="greedy")
         exact = colored_decomposition(space, 2, 4, mode="exact")
-        assert greedy.colors >= exact.colors
+        require(greedy.colors >= exact.colors, f"greedy {greedy.colors} colors < exact {exact.colors}")
         return f"chi={chi}"
 
     def projection():
         cover = make_cover(path_space(12), [range(0, 7), range(5, 12)])
         rep = projection_lipschitz_check(cover)
-        assert rep["ok"], rep
+        require(rep["ok"], rep)
         return f"measured={rep['measured']:.3f} bound={rep['bound']:.3f}"
 
     def freeprod():
         x = PointedSpace(path_space(3), 0)
         fps = free_product_space(x, x, 4)
         rep = verify_metric_axioms(fps.space)
-        assert rep["ok"], rep
+        require(rep["ok"], rep)
         tree = free_product_tree(fps)
         proj = tree_projection(fps, tree)
-        assert measured_lipschitz(proj) <= 1.0
+        lip = measured_lipschitz(proj)
+        require(lip <= 1.0, f"tree projection Lipschitz constant {lip} > 1")
         return f"{len(fps.words)} words"
 
     def hyperbolize():
@@ -451,7 +438,7 @@ def run_verify(inject_fault: bool = False) -> list[dict]:
 
     def extension():
         rep = kernel_neighborhood_check(heisenberg_center_quotient(), 1, 4)
-        assert rep["ok"], rep
+        require(rep["ok"], rep)
         return f"ball={rep['ball_size']}"
 
     check("metric-axioms", axioms)

@@ -735,8 +735,8 @@ def decomposition_from_json(doc: dict, space) -> ColoredDecomposition:
         dec = ColoredDecomposition(
             space,
             fams,
-            D=float(doc["D"]),
-            B=float(doc["B"]),
+            D=float(_in_range(doc["D"], "D", 0)),
+            B=float(_in_range(doc["B"], "B", 0, math.inf, "[]")),
             carrier=PointSet.of(_points_in(space, doc["carrier"], "point")) if "carrier" in doc else None,
         )
     except (KeyError, TypeError) as exc:

@@ -38,6 +38,7 @@ from .bounds import (  # noqa: F401
     NormalSeries,
     asdim_upper_bound,
     hirsch_length,
+    parse_bound_expr,
 )
 from .hyperbolic import (  # noqa: F401
     BallSpacePoint,

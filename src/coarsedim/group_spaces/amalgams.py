@@ -9,7 +9,7 @@ fold also implements group multiplication on normal forms, which is what
 feeds the word-metric ball machinery.
 
 Builtins: the plain free product Z2 * Z3 (trivial C), Z *_{2Z} Z, and
-Z4 *_{Z2} Z6.
+Z4 *_{Z2} Z6, each two cyclic factors from one rule (``_cyclic_factor``).
 """
 
 from __future__ import annotations
@@ -64,19 +64,13 @@ class AmalgamModel:
 
     def _left_multiply(self, fname: str, g, c, seq) -> NormalForm:
         ops = self.factors[fname]
-        h = ops.multiply(g, ops.embed_c(c))
+        u = ops.multiply(g, ops.embed_c(c))
         if seq and seq[0][0] == fname:
-            u = ops.multiply(h, seq[0][1])
-            if ops.in_c(u):
-                return (ops.to_c(u), seq[1:])
-            t = ops.transversal(u)
-            c_new = ops.to_c(ops.multiply(u, ops.inverse(t)))
-            return (c_new, ((fname, t),) + seq[1:])
-        if ops.in_c(h):
-            return (ops.to_c(h), seq)
-        t = ops.transversal(h)
-        c_new = ops.to_c(ops.multiply(h, ops.inverse(t)))
-        return (c_new, ((fname, t),) + seq)
+            u, seq = ops.multiply(u, seq[0][1]), seq[1:]
+        if ops.in_c(u):
+            return (ops.to_c(u), seq)
+        t = ops.transversal(u)
+        return (ops.to_c(ops.multiply(u, ops.inverse(t))), ((fname, t),) + seq)
 
     def multiply(self, a: NormalForm, b: NormalForm) -> NormalForm:
         return self.normalize(self.letters_of(a) + self.letters_of(b))
@@ -93,116 +87,54 @@ def amalgam_group_model(model: AmalgamModel) -> GroupModel:
 # builtins
 
 
+def _cyclic_factor(name: str, order: int, index: int) -> FactorOps:
+    """Z_order (Z when order is 0) with C the subgroup generated by
+    ``index``, which divides ``order``; C is recorded in index-units."""
+    wrap = (lambda a: a % order) if order else (lambda a: a)
+    return FactorOps(
+        name=name,
+        multiply=lambda a, b: wrap(a + b),
+        inverse=lambda a: wrap(-a),
+        identity=0,
+        in_c=lambda a: a % index == 0,
+        to_c=lambda a: wrap(a) // index,
+        embed_c=lambda c: wrap(index * c),
+        transversal=lambda a: a % index,
+    )
+
+
+def _cyclic_amalgam(name: str, a: tuple[int, int], b: tuple[int, int]) -> AmalgamModel:
+    """Z_m *_C Z_n from the (order, index) pairs of ``_cyclic_factor``,
+    generated by 1 in each factor and by its inverse when that differs."""
+    factors = {"A": _cyclic_factor("A", *a), "B": _cyclic_factor("B", *b)}
+    letters = []
+    for fname, ops in factors.items():
+        inv = ops.inverse(1)
+        letters.append((fname.lower(), (fname, 1)))
+        if inv != 1:
+            letters.append((fname.lower() + "~", (fname, inv)))
+    return AmalgamModel(name, factors, 0, tuple(letters))
+
+
 def plain_free_product_z2_z3() -> AmalgamModel:
     """Free product Z2 * Z3 seen as an amalgam over the trivial subgroup:
     cosets are the elements themselves."""
-
-    def cyclic_ops(name, m):
-        return FactorOps(
-            name=name,
-            multiply=lambda a, b: (a + b) % m,
-            inverse=lambda a: (-a) % m,
-            identity=0,
-            in_c=lambda a: a == 0,
-            to_c=lambda a: 0,
-            embed_c=lambda c: 0,
-            transversal=lambda a: a,
-        )
-
-    return AmalgamModel(
-        name="z2*z3",
-        factors={"A": cyclic_ops("A", 2), "B": cyclic_ops("B", 3)},
-        c_identity=0,
-        generator_letters=(
-            ("a", ("A", 1)),
-            ("b", ("B", 1)),
-            ("b~", ("B", 2)),
-        ),
-    )
+    return _cyclic_amalgam("z2*z3", (2, 2), (3, 3))
 
 
 def z_amalgam_2z() -> AmalgamModel:
     """Z *_{2Z} Z: two infinite cyclic factors glued along their even
     parts (a^2 = b^2 = z, central).  C is recorded in z-units."""
-
-    def z_ops(name):
-        return FactorOps(
-            name=name,
-            multiply=lambda a, b: a + b,
-            inverse=lambda a: -a,
-            identity=0,
-            in_c=lambda a: a % 2 == 0,
-            to_c=lambda a: a // 2,
-            embed_c=lambda c: 2 * c,
-            transversal=lambda a: a % 2,
-        )
-
-    return AmalgamModel(
-        name="z*_2z*z",
-        factors={"A": z_ops("A"), "B": z_ops("B")},
-        c_identity=0,
-        generator_letters=(
-            ("a", ("A", 1)),
-            ("a~", ("A", -1)),
-            ("b", ("B", 1)),
-            ("b~", ("B", -1)),
-        ),
-    )
+    return _cyclic_amalgam("z*_2z*z", (0, 2), (0, 2))
 
 
 def z4_amalgam_z6() -> AmalgamModel:
     """Z4 *_{Z2} Z6: a^2 = b^3 = z with z of order 2."""
-    a_ops = FactorOps(
-        name="A",
-        multiply=lambda x, y: (x + y) % 4,
-        inverse=lambda x: (-x) % 4,
-        identity=0,
-        in_c=lambda x: x % 2 == 0,
-        to_c=lambda x: (x % 4) // 2,
-        embed_c=lambda c: (2 * c) % 4,
-        transversal=lambda x: x % 2,
-    )
-    b_ops = FactorOps(
-        name="B",
-        multiply=lambda x, y: (x + y) % 6,
-        inverse=lambda x: (-x) % 6,
-        identity=0,
-        in_c=lambda x: x % 3 == 0,
-        to_c=lambda x: (x % 6) // 3,
-        embed_c=lambda c: (3 * c) % 6,
-        transversal=lambda x: x % 3,
-    )
-    return AmalgamModel(
-        name="z4*_z2*z6",
-        factors={"A": a_ops, "B": b_ops},
-        c_identity=0,
-        generator_letters=(
-            ("a", ("A", 1)),
-            ("a~", ("A", 3)),
-            ("b", ("B", 1)),
-            ("b~", ("B", 5)),
-        ),
-    )
+    return _cyclic_amalgam("z4*_z2*z6", (4, 2), (6, 3))
 
 
 # ---------------------------------------------------------------------------
 # the coset projection
-
-
-def _coset_reps(model: AmalgamModel, factor: str, ball_elements) -> list:
-    reps = {model.factors[factor].identity}
-    for _, seq in ball_elements:
-        for fname, rep in seq:
-            if fname == factor:
-                reps.add(rep)
-    return sorted(reps, key=repr)
-
-
-def _rep_element(model: AmalgamModel, factor: str, rep) -> NormalForm:
-    ops = model.factors[factor]
-    if ops.in_c(rep) and rep == ops.identity:
-        return model.identity_form()
-    return model.normalize([(factor, rep)])
 
 
 def amalgam_projection(model: AmalgamModel, radius: int = 4) -> dict:
@@ -219,41 +151,28 @@ def amalgam_projection(model: AmalgamModel, radius: int = 4) -> dict:
     c_elements = [e for e in ball.elements if not e[1]]
 
     def coset_space(factor: str) -> tuple[PointedSpace, list]:
-        reps = _coset_reps(model, factor, ball.elements)
-        pts = [_rep_element(model, factor, r) for r in reps]
+        letters = {rep for _, seq in ball.elements for fname, rep in seq if fname == factor}
+        reps = sorted(letters | {model.factors[factor].identity}, key=repr)
+        pts = [model.normalize([(factor, r)]) for r in reps]
         n = len(reps)
         matrix = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                best = None
-                for c in c_elements:
-                    cy = model.multiply(c, pts[j])
-                    if cy in ball.index:
-                        d = ball.space.dist(ball.index[pts[i]], ball.index[cy])
-                        best = d if best is None else min(best, d)
-                if best is None:
-                    raise InvariantViolation(
-                        f"coset distance not computable in ball of radius {radius}"
-                    )
-                matrix[i][j] = best
+        for j, y in enumerate(pts):
+            cy = [ball.index[p] for p in (model.multiply(c, y) for c in c_elements) if p in ball.index]
+            if not cy and n > 1:
+                raise InvariantViolation(f"coset distance not computable in ball of radius {radius}")
+            for i in range(n):
+                if i != j:
+                    matrix[i][j] = min(ball.space.dist(ball.index[pts[i]], k) for k in cy)
         space = build_explicit(matrix, [repr(r) for r in reps])
         base = reps.index(model.factors[factor].identity)
         return PointedSpace(space, base), reps
 
-    (space_a, reps_a) = coset_space("A")
-    (space_b, reps_b) = coset_space("B")
+    (space_a, reps_a), (space_b, reps_b) = coset_space("A"), coset_space("B")
     fps = free_product_space(space_a, space_b, float(radius))
+    letter = {"A": ("x", reps_a), "B": ("y", reps_b)}  # factor -> (word tag, coset reps)
 
     def project(form: NormalForm) -> Word:
-        word = []
-        for fname, rep in form[1]:
-            if fname == "A":
-                word.append(("x", reps_a.index(rep)))
-            else:
-                word.append(("y", reps_b.index(rep)))
-        return tuple(word)
+        return tuple((letter[f][0], letter[f][1].index(rep)) for f, rep in form[1])
 
     def coset_accounting_distance(u: Word, v: Word) -> float:
         """Image distance as the projection argument prices it: after the

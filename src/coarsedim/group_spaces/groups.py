@@ -363,6 +363,14 @@ def _heisenberg_codec(identity, gens, radius):
     return _Codec(encode(identity), step, decode)
 
 
+def _check_rank(rank: int) -> None:
+    """``CapExceeded`` unless a ball of radius 1, the identity and the
+    2·rank generators, fits ``MATRIX_CAP``; checked before any generator
+    is built."""
+    if (2 * rank + 1) ** 2 > MATRIX_CAP:
+        raise CapExceeded(f"rank {rank} gives {2 * rank} generators; a ball of radius 1 exceeds cap {MATRIX_CAP}")
+
+
 def free_group(rank: int) -> GroupModel:
     """Free group on `rank` letters; elements are reduced tuples of nonzero
     ints (sign = inverse).  From rank 2 its balls are walked on keys."""
@@ -378,6 +386,7 @@ def free_group(rank: int) -> GroupModel:
                 a.append(x)
         return tuple(a)
 
+    _check_rank(rank)
     if rank >= 2:
         mul.keyed = _word_codec(rank)
     gens = []
@@ -393,6 +402,7 @@ def free_abelian_group(rank: int) -> GroupModel:
     def mul(a, b):
         return tuple(map(operator.add, a, b))
 
+    _check_rank(rank)
     if rank >= 2:
         mul.keyed = _abelian_codec(rank)
     zero = tuple([0] * rank)

@@ -971,7 +971,7 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
         doc["edges"] = [[i, j, w] for i, j, w in space.meta["edges"]]
     else:
         doc["kind"] = "matrix"
-        doc["matrix"] = [[float(x) for x in row] for row in space.matrix]
+        doc["matrix"] = space.matrix.tolist()
     return doc
 
 

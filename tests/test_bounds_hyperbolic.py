@@ -8,7 +8,7 @@ import pytest
 from coarsedim import metric_core
 from coarsedim.errors import CapExceeded, InputError
 from coarsedim.group_spaces import hyperbolic
-from coarsedim.group_spaces.bounds import NormalSeries, asdim_upper_bound, hirsch_length
+from coarsedim.group_spaces.bounds import NormalSeries, asdim_upper_bound, hirsch_length, parse_bound_expr
 from coarsedim.group_spaces.hyperbolic import (
     BallSpace,
     BallSpacePoint,
@@ -78,6 +78,36 @@ class TestBoundCalculator:
 
     def test_series_object_accepted(self):
         assert asdim_upper_bound(NormalSeries.of(["Z", "finite:2"]))["bound"] == 1
+
+    @pytest.mark.parametrize("text, expr", [
+        ("polycyclic:Z,finite:2,Z", {"rule": "polycyclic", "series": ["Z", "finite:2", "Z"]}),
+        ("freeprod:0,Z", {"rule": "free_product", "left": 0, "right": "Z"}),
+        ("amalgam:finite:2,1,Z", {"rule": "amalgam", "c": "finite:2", "a_quotient": 1, "b_quotient": "Z"}),
+        ("extension:Z,,3", {"rule": "extension", "quotient": "Z", "kernel": 3}),
+        ('{"rule": "leaf", "value": 4}', {"rule": "leaf", "value": 4}),
+    ])
+    def test_short_forms(self, text, expr):
+        assert parse_bound_expr(text) == expr
+
+    @pytest.mark.parametrize("expr, message", [
+        (2.5, "bound expression 2.5 is not a whole number"),
+        (True, "bound expression True is a bool"),
+        (float("inf"), "bound expression inf is not a whole number"),
+        ("finite:0", "bound expression 'finite:0' is not 'Z', 'finite' or 'finite:<m>'"),
+        ("finitely", "bound expression 'finitely' is not 'Z', 'finite' or 'finite:<m>'"),
+        ({"rule": "leaf", "value": -1}, "leaf value must be a real number in [0, inf), not -1"),
+        ({"rule": "polycyclic", "series": ("Z",)}, "polycyclic series must be a list of quotients"),
+        ({"rule": "polycyclic", "series": ["Z", 5]}, "series quotient 5 is not 'Z'"),
+        ({"rule": "free_product", "left": 1, "right": 1, "extra": 0},
+         "the free_product rule takes the keys left, right; bound expression has ['left', 'right', 'extra']"),
+        ({"rule": "direct_product"}, "names no rule of leaf, polycyclic, extension, free_product, amalgam"),
+        ({"rule": ["amalgam"]}, "names no rule of leaf, polycyclic, extension, free_product, amalgam"),
+        ([1], "bound expression [1] is not a whole number"),
+    ])
+    def test_malformed_leaf_or_rule_rejected(self, expr, message):
+        with pytest.raises(InputError) as exc:
+            asdim_upper_bound(expr)
+        assert message in str(exc.value)
 
 
 def reference_ball_distance(base, p, q):

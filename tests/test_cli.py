@@ -189,6 +189,18 @@ class TestCover:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("scale, message", [
+        ({"D": math.nan}, "D must be a real number in [0, inf), not nan"),
+        ({"B": -1}, "B must be a real number in [0, inf], not -1"),
+    ], ids=["nan-D", "negative-B"])
+    def test_verify_bad_scale_exit_2(self, tmp_path, capsys, scale, message):
+        space = write_space(tmp_path, "g.json", grid_space(3, 3))
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps({"D": 1, "B": 5, "families": [[list(range(9))]], **scale}))
+        code, out, err = run(capsys, "cover", "verify", space, "--decomposition", str(dec))
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_profile_csv(self, tmp_path, capsys):
         space = write_space(tmp_path, "p64.json", path_space(64))
         out = tmp_path / "profile.csv"
@@ -412,6 +424,15 @@ class TestGroup:
         assert code == 3
         assert "matrix exceeds cap" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["free", "zn"])
+    def test_huge_rank_exit_3_at_once(self, capsys, name):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "group", "ball", "--group", f'{{"builtin": "{name}", "params": {{"rank": 1e308}}}}',
+                             "--R", "0", "--no-cache")
+        assert time.monotonic() - t0 < 1.0  # checked before a generator is built
+        assert (code, out) == (3, "")
+        assert "generators; a ball of radius 1 exceeds cap" in err
 
     def test_freeprod_and_tree(self, tmp_path, capsys):
         code, out, _ = run(capsys, "group", "freeprod", "--factor-size", "4",
@@ -722,9 +743,22 @@ class TestCommandLine:
          "the largest radius t0 * ratio**(levels - 1) is not a finite float (t0=1e+308, ratio=2.718"),
         (["group", "hyperbolize", "--space", "path8.json", "--t0", "1e-200"],
          "radii must be positive floats with a positive finite square, not 1e-200"),
+        (["group", "bound", "--expr", '{"rule": "extension", "quotient": 1e999, "kernel": 1}'],
+         "quotient inf is not a whole number"),
+        (["group", "bound", "--expr", "extension:Z,-5"], "kernel must be a real number in [0, inf), not -5"),
+        (["group", "bound", "--expr", '{"rule": "polycyclic", "series": "ZZZ"}'],
+         "polycyclic series must be a list of quotients, not 'ZZZ'"),
+        (["group", "bound", "--expr", "polycyclic:Z,finitely"], "series quotient 'finitely' is not 'Z', 'finite'"),
+        (["group", "bound", "--expr", "freeprod:1"], "freeprod takes 2 operands (left, right), not 1"),
+        (["group", "bound", "--expr", '{"rule": "extension", "quotient": 1}'],
+         "the extension rule takes the keys quotient, kernel; bound expression has ['quotient']"),
+        (["group", "bound", "--expr", '{"rule": "extension", "kernel": 0, "quotient": ' * 2000 + "0" + "}" * 2000],
+         "bound expression nests too deeply"),
     ], ids=["solve-nan-B", "profile-nan-D", "nan-r", "nan-mesh-multiplier", "infinite-r", "zero-mesh-multiplier",
             "nan-epsilon", "negative-n", "solve-nan-D", "solve-infinite-D", "nan-max-norm", "negative-max-norm",
-            "unknown-builtin-param", "overflowing-ratio", "overflowing-t0", "underflowing-t0"])
+            "unknown-builtin-param", "overflowing-ratio", "overflowing-t0", "underflowing-t0",
+            "infinite-bound", "negative-bound", "string-series", "unknown-quotient", "missing-operand",
+            "missing-key", "deep-nesting"])
     def test_parameter_out_of_range_exit_2_at_once(self, tmp_path, capsys, monkeypatch, argv, message):
         # unchecked, the first four parameters would reach a carving or assembly loop that never ends
         monkeypatch.chdir(tmp_path)
@@ -765,6 +799,14 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "axiom violation at" in out  # the first witness is printed
+
+    def test_injected_fault_exit_1_without_asserts(self):
+        # under python -O, where assert statements do not run
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-O", "-m", "coarsedim.cli", "verify", "--inject-fault"],
+                              capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert "FAIL metric-axioms: axiom violation at" in proc.stdout
 
     def test_json_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "--json")
