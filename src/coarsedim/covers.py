@@ -40,6 +40,7 @@ from .metric_core import (
     _row_blocks,
     as_point_set,
     diameter_of,
+    diameters_of,
     set_distances,
 )
 
@@ -139,8 +140,9 @@ class Cover:
 
     @cached_property
     def diameters(self) -> np.ndarray:
-        """Member diameters in set order, measured once per cover."""
-        out = np.array([diameter_of(self.space, s) for s in self.sets])
+        """Member diameters in set order, measured once per cover, in one
+        ``diameters_of`` batch."""
+        out = diameters_of(self.space, self.sets)
         out.setflags(write=False)
         return out
 
@@ -210,17 +212,24 @@ class ColoredDecomposition:
         return [s for fam in self.families for s in fam]
 
     def validate(self) -> None:
-        if any(not s.indices for s in self.all_sets()):
+        """Raise on the first failure, color by color: a family of two or
+        more sets that is not D-disjoint, then a set of diameter above B
+        (all diameters measured in one ``diameters_of`` batch, which also
+        rejects a point outside the space); then a cover that differs from
+        the carrier."""
+        sets = self.all_sets()
+        if any(not s.indices for s in sets):
             raise InputError("decomposition sets must be nonempty")
+        diameters = iter(diameters_of(self.space, sets).tolist())
         covered: set[int] = set()
         for ci, fam in enumerate(self.families):
-            ok, witness = is_d_disjoint(self.space, fam, self.D)
+            ok, witness = is_d_disjoint(self.space, fam, self.D) if len(fam) > 1 else (True, None)
             if not ok:
                 raise InvariantViolation(
                     f"color {ci} not {self.D}-disjoint", witness=(ci,) + witness
                 )
             for si, s in enumerate(fam):
-                dia = diameter_of(self.space, s)
+                dia = next(diameters)
                 if dia > self.B + TOL:
                     raise InvariantViolation(
                         f"set {si} of color {ci} has diameter {dia} > B={self.B}",
@@ -696,7 +705,9 @@ def scale_dimension_profile(
 ) -> list[dict]:
     """Minimal color counts found at each separation scale D with mesh
     policy B = multiplier * D.  Exact when the carving is small enough,
-    greedy otherwise; each row records which."""
+    greedy otherwise; each row records which.  The multiplier is checked
+    first, so a bad one is named, not the B it would make."""
+    _in_range(mesh_multiplier, "mesh_multiplier", 0, math.inf, "[]")
     rows = []
     for d in d_list:
         b = mesh_multiplier * d

@@ -44,12 +44,13 @@ from .metric_core import (
     MetricMap,
     PointSet,
     _in_range,
+    _rows_sup,
     _whole,
-    diameter_of,
+    diameters_of,
     distance_to_set,
+    edge_certificate,
     measured_lipschitz,
     neighborhood,
-    sup_ratio,
 )
 from .polyhedra import (
     SimplicialComplex,
@@ -501,9 +502,16 @@ def _finish_report(asm: Assembly) -> None:
     report = asm.report
     space_x = config.f.domain
 
+    # a fiber is shared by the towers whose flags start at one face; its
+    # certificate is found once
+    certificates: dict[PointSet, tuple | None] = {}
     per_tower = []
     for flag, tower in sorted(asm.towers.items()):
+        fiber = tower.fiber
+        if fiber not in certificates:
+            certificates[fiber] = edge_certificate(space_x, fiber.indices)
         values = asm.values[flag]
+        block = values[:, used_columns(values)]
         bound = recursion_closed_form_bound(config.n, config.r, config.c_table, tower.depth)
         per_tower.append(
             {
@@ -513,21 +521,28 @@ def _finish_report(asm: Assembly) -> None:
                 "meshes": [face.mesh for face in tower.faces],
                 "lambda_k": tower.lambdas[-1],
                 "closed_form_bound": bound,
-                "measured": sup_ratio(space_x, tower.fiber.indices, values[:, used_columns(values)]),
+                "measured": _rows_sup(space_x, np.asarray(fiber.indices, dtype=np.intp), block.__getitem__,
+                                      block.shape[1], certificates[fiber]),
             }
         )
     report["per_simplex"] = per_tower
     report["lambda_k_per_simplex"] = [t["lambda_k"] for t in per_tower]
 
-    phi = _phi_matrix(asm)
-    report["measured_lipschitz"] = sup_ratio(space_x, range(space_x.n), phi)
+    # Phi's constant over the certified edges, each chunk's rows built from
+    # the triples; without a certificate every pair is scanned, over Phi
+    # built whole
+    phi = _phi_triples(asm)
+    points = np.arange(space_x.n)
+    edges = edge_certificate(space_x, points)
+    rows = phi.rows if edges is not None else phi.rows(points).__getitem__
+    report["measured_lipschitz"] = _rows_sup(space_x, points, rows, phi.width, edges)
 
     # coboundedness over open stars: points whose image carrier contains
     # the simplex; two such points share the simplex's common set, whose
     # diameter is below twice any level mesh.  A simplex's star lies in
     # each of its vertices' stars, so the largest diameter is a vertex
     # star's: the points with a nonzero entry in one column of Phi.
-    cobound = max(diameter_of(space_x, np.flatnonzero(col).tolist()) for col in phi.T)
+    cobound = float(diameters_of(space_x, phi.stars()).max())
     cobound_bound = max(
         [2.0 * face.mesh for face in asm.faces.values()] + [2.0 * mesh(asm.enlarged_cover)]
     )
@@ -539,9 +554,38 @@ def _finish_report(asm: Assembly) -> None:
     )
 
 
-def _phi_matrix(asm: Assembly) -> np.ndarray:
-    """Coordinate matrix of Phi, read from the rows of the points assigned
-    to each tower.  Its columns are the vertices Phi uses, in the order a
+@dataclass(frozen=True, eq=False)
+class _PhiTriples:
+    """Phi's nonzero entries, row by row: row x holds ``vals[k]`` in
+    column ``cols[k]`` for k in ``start[x]:start[x + 1]``, of ``width``
+    columns in all."""
+
+    start: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    width: int
+
+    def rows(self, xs) -> np.ndarray:
+        """The dense rows of the points ``xs`` (a 1-d index array), zero
+        outside their entries."""
+        lo = self.start[xs]
+        count = self.start[xs + 1] - lo
+        at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
+        out = np.zeros((len(xs), self.width))
+        out[np.repeat(np.arange(len(xs)), count), self.cols[at]] = self.vals[at]
+        return out
+
+    def stars(self) -> list[PointSet]:
+        """Each column's points with a nonzero entry, in column order."""
+        row = np.repeat(np.arange(len(self.start) - 1), np.diff(self.start))
+        order = np.lexsort((row, self.cols))
+        cuts = np.cumsum(np.bincount(self.cols, minlength=self.width))[:-1]
+        return [PointSet(tuple(star.tolist())) for star in np.split(row[order], cuts)]
+
+
+def _phi_triples(asm: Assembly) -> _PhiTriples:
+    """Phi's triples, read from the rows of the points assigned to each
+    tower.  Its columns are the vertices Phi uses, in the order a
     row-major scan of the points in index order first meets them, as
     ``used_columns`` orders a block: a vertex is keyed by its first point
     and its column in that point's tower."""
@@ -553,17 +597,24 @@ def _phi_matrix(asm: Assembly) -> np.ndarray:
     for flag, xs in assigned.items():
         tower = asm.towers[flag]
         block = asm.values[flag][tower.fiber.rank(xs, "the tower fiber")]
-        nz = block != 0
-        used = np.flatnonzero(nz.any(axis=0)).tolist()
-        vertices = [tower.complex.vertices[c] for c in used]
-        for v, c, row in zip(vertices, used, nz[:, used].argmax(axis=0).tolist()):
-            first[v] = min(first.get(v, (xs[row], c)), (xs[row], c))
-        parts.append((xs, vertices, block[:, used]))
+        r, c = np.nonzero(block)
+        used, at = np.unique(c, return_index=True)  # each column's first row: nonzero is row-major
+        vertices = [tower.complex.vertices[j] for j in used.tolist()]
+        for v, j, row in zip(vertices, used.tolist(), r[at].tolist()):
+            first[v] = min(first.get(v, (xs[row], j)), (xs[row], j))
+        parts.append((np.asarray(xs)[r], c, block[r, c], used, vertices))
     column = {v: j for j, v in enumerate(sorted(first, key=first.__getitem__))}
-    out = np.zeros((len(asm.assignment), len(column)))
-    for xs, vertices, sub in parts:
-        out[np.ix_(xs, [column[v] for v in vertices])] = sub
-    return out
+    rows, cols, vals = [], [], []
+    for xr, c, val, used, vertices in parts:
+        to_column = np.zeros(int(used[-1]) + 1, dtype=np.intp)
+        to_column[used] = [column[v] for v in vertices]
+        rows.append(xr)
+        cols.append(to_column[c])
+        vals.append(val)
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(asm.assignment)))])
+    return _PhiTriples(start, np.concatenate(cols)[order], np.concatenate(vals)[order], len(column))
 
 
 # ---------------------------------------------------------------------------

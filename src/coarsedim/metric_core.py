@@ -137,6 +137,11 @@ class FiniteMetricSpace:
     provenance: str = "explicit-matrix"
     meta: dict = field(default_factory=dict, compare=False)
 
+    # the edge list for which build_graph_metric proved the Bellman
+    # condition on the whole space (a copy, so later edits of meta["edges"]
+    # do not reach it); None when nothing was proved
+    _proven_edges = None
+
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         m.setflags(write=False)
@@ -187,6 +192,19 @@ class FiniteMetricSpace:
         ``_triangle_violation_exhaustive`` finds it, or None; computed once,
         the matrix being frozen."""
         return _triangle_violation_exhaustive(self.matrix, TOL)
+
+    @cached_property
+    def whole_certificate(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``edge_certificate`` of the whole space in index order, computed
+        once, on first use (the matrix being frozen, and ``graph_edges``
+        read once).  Condition (c) is not scanned when ``build_graph_metric``
+        proved it and ``meta["edges"]`` still equals the edge list the
+        proof was made for; (a) and (b) are always checked."""
+        if self.graph_edges is None:
+            return None
+        edges = self.meta.get("edges")
+        proven = self._proven_edges is not None and isinstance(edges, list) and edges == self._proven_edges
+        return _certify(self, np.arange(self.n), proven)
 
 
 def _row_blocks(rows: int, width: int):
@@ -378,6 +396,19 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     keep their lightest weight; the matrix is exactly symmetric.  A bad
     entry (naming its edge), a disconnected graph and an n*n matrix over
     ``MATRIX_CAP`` are rejected, the last before it is allocated.
+
+    When every pair's lightest edge weight is one value w, the space
+    records a proof of ``edge_certificate``'s condition (c) on the whole
+    space, in place of its scan.  Proof: ``_shortest_paths`` returns
+    M[s, v] = L[h(s, v)] for the hop count h, with L[0] = 0 and
+    L[k] = fl(L[k-1] + w), bit for bit (``_tree_paths`` the same).  For
+    s != v, the predecessor u of v on a shortest hop path from s has
+    h(s, u) = h(s, v) - 1 and an edge (u, v, w), so
+    fl(M[s, u] + w) = L[h(s, v)] = M[s, v]: the scan's sum, compared
+    exactly, holds with equality.  The proof is a copy of the edge list
+    it was made for; it applies only while ``meta["edges"]`` equals it.
+    Graphs with more weights are scanned: ``_keep_smaller_side`` can cost
+    (c) an ulp there.
     """
     n = _vertex_count(n)
     given = []
@@ -403,6 +434,8 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     m = np.zeros((1, 1)) if n == 1 else _shortest_paths(n, lightest)
     space = FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path")
     space.meta["edges"] = given
+    if len(set(lightest.values())) <= 1:
+        object.__setattr__(space, "_proven_edges", list(given))
     return space
 
 
@@ -728,11 +761,37 @@ def neighborhood(space: FiniteMetricSpace, a, r: float) -> PointSet:
 
 
 def diameter_of(space: FiniteMetricSpace, a) -> float:
-    """Largest distance within the set (0.0 if empty), by ``_first_max``."""
-    idx = np.asarray(_point_set_in(space, a).indices, dtype=np.intp)
-    if not idx.size:
-        return 0.0
-    return _first_max(len(idx), lambda rows: space.matrix[idx[rows, None], idx])[0]
+    """Largest distance within the set (0.0 if empty): ``diameters_of``
+    of the one set."""
+    return float(diameters_of(space, [a])[0])
+
+
+def diameters_of(space: FiniteMetricSpace, sets: Iterable) -> np.ndarray:
+    """Each set's largest inner distance, in order (0.0 for an empty set).
+
+    The sets of one size s are stacked into one table and their s x s
+    submatrices gathered together, in ``_row_blocks`` of s * s entries
+    per set, so a family costs one gather per distinct size, not one per
+    set.  A set whose submatrix alone exceeds a block is scanned by
+    ``_first_max`` in row blocks instead.  A maximum is exact, so every
+    value is the one a per-set scan finds."""
+    m = space.matrix
+    idx = [_point_set_in(space, a).indices for a in sets]
+    out = np.zeros(len(idx))
+    by_size: dict[int, list[int]] = {}
+    for k, points in enumerate(idx):
+        if points:
+            by_size.setdefault(len(points), []).append(k)
+    for s, which in by_size.items():
+        table = np.array([idx[k] for k in which], dtype=np.intp)
+        if next(_row_blocks(s, s)).stop < s:  # one s x s submatrix exceeds a block
+            for k, row in zip(which, table):
+                out[k] = _first_max(s, lambda rows: m[row[rows, None], row])[0]
+            continue
+        for rows in _row_blocks(len(which), s * s):
+            sub = table[rows]
+            out[which[rows]] = m[sub[:, :, None], sub[:, None, :]].max(axis=(1, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -803,14 +862,15 @@ def measured_lipschitz(m: MetricMap) -> float:
         return sup_ratio(m.domain, m.points(), m.images)
     img = m.image_indices
     cod = m.codomain.matrix
-    return _pair_sup(m.domain, np.arange(m.domain.n), lambda a, b: cod[img[a], img[b]], 1)
+    idx = np.arange(m.domain.n)
+    return _pair_sup(m.domain, idx, lambda a, b: cod[img[a], img[b]], 1, edge_certificate(m.domain, idx))
 
 
 def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndarray] | None:
     """The edges of ``space`` inside the point list ``idx``, as local index
-    arrays ``(a, b)`` with a < b, when the certificate below proves that
-    they carry every pair's ratio; None otherwise.  Every comparison is
-    exact; there is no tolerance.
+    arrays ``(a, b)`` with a < b (read-only), when the certificate below
+    proves that they carry every pair's ratio; None otherwise.  Every
+    comparison is exact; there is no tolerance.
 
     (a) ``space`` is a graph metric that keeps its edges
         (``graph_edges``), ``idx`` repeats no point, and d(s, s) = 0 on it.
@@ -819,27 +879,49 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
     (c) Bellman: for every s != v in ``idx`` some edge (u, v, w) inside
         ``idx`` has d(s, u) + w <= d(s, v).
 
-    The condition is scanned through a padded predecessor table (one row
-    per in-degree slot, weight +inf in unused slots) in ``_row_blocks`` of
-    source rows, each gathered from the matrix as the scan reaches it; the
-    |idx| x |idx| submatrix is never built, and no entry outside ``idx``'s
-    rows and columns is read.  Per block, one running minimum over the
-    slots of d(s, u) + w, with -inf on the diagonal (s = v), is compared
-    with the block once: some slot holds exactly when the smallest does,
-    as every entry is finite.  A fractional-weight graph can miss (c) by
-    an ulp; it then gets None, and the callers fall back to their pair
-    loop.
+    The whole space in index order is answered by ``whole_certificate``,
+    computed once per space; there (c) holds by construction for a graph
+    metric of one edge weight (the proof is in ``build_graph_metric``'s
+    docstring), and only (a) and (b), O(n + E), are checked.  Every other
+    point list, and the whole space of any other graph, scans (c) with
+    ``_bellman_holds``.  A fractional-weight graph can miss (c) by an
+    ulp; it then gets None, and the callers fall back to their pair loop.
     """
-    edges = space.graph_edges
-    if edges is None:
+    if space.graph_edges is None:
         return None
     idx = np.asarray(idx, dtype=np.intp)
-    n_idx = len(idx)
+    if len(idx) == space.n and (idx == np.arange(space.n)).all():
+        return space.whole_certificate
+    return _certify(space, idx, proven=False)
+
+
+def _certify(space: FiniteMetricSpace, idx: np.ndarray, proven: bool):
+    """``edge_certificate`` of the point list ``idx`` of a graph metric
+    that keeps its edges, scanning condition (c) unless ``proven``."""
     m = space.matrix
-    inside = _inside_edges(m, edges, idx)
+    inside = _inside_edges(m, space.graph_edges, idx)
     if inside is None or (m[idx, idx] != 0).any():
         return None
     a, b, w = inside
+    if not (proven or _bellman_holds(m, idx, a, b, w)):
+        return None
+    out = np.minimum(a, b), np.maximum(a, b)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _bellman_holds(m: np.ndarray, idx: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> bool:
+    """Condition (c) of ``edge_certificate`` for the local edges (a, b, w)
+    of the point list ``idx``, scanned through a padded predecessor table
+    (one row per in-degree slot, weight +inf in unused slots) in
+    ``_row_blocks`` of source rows, each gathered from the matrix as the
+    scan reaches it: the |idx| x |idx| submatrix is never built, and no
+    entry outside ``idx``'s rows and columns is read.  Per block, one
+    running minimum over the slots of d(s, u) + w, with -inf on the
+    diagonal (s = v), is compared with the block once: some slot holds
+    exactly when the smallest does, as every entry is finite."""
+    n_idx = len(idx)
     pred, pred_w = _predecessor_table(a, b, w, n_idx)
     for block in _row_blocks(n_idx, n_idx):
         rows = m[idx[block, None], idx]
@@ -851,8 +933,8 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
             via += pred_w[k]
             np.minimum(best, via, out=best)
         if not (best <= rows).all():
-            return None
-    return np.minimum(a, b), np.maximum(a, b)
+            return False
+    return True
 
 
 def _inside_edges(m: np.ndarray, edges, idx: np.ndarray):
@@ -897,6 +979,23 @@ def _predecessor_table(a: np.ndarray, b: np.ndarray, w: np.ndarray, n: int):
     return pred, pred_w
 
 
+def _pair_chunks(n: int, width: int):
+    """Every pair a < b of n local points, as ``(a, b)`` chunks in
+    row-major order: rows lo:hi (a column of local indices) against the
+    columns lo + 1: (a slice), pairs with b <= a left for the caller to
+    mask.  A block's row count is ``_row_blocks``' for rows as long as its
+    first, n - 1 - lo pairs of ``width`` entries, so blocks grow as the
+    rows shorten; a row whose pairs alone exceed a block is cut into
+    column chunks of ``_row_blocks``' width."""
+    local, lo = np.arange(n), 0
+    while lo < n - 1:
+        length = n - 1 - lo
+        hi = lo + next(_row_blocks(length, length * width)).stop
+        for cols in _row_blocks(length, width):
+            yield local[lo:hi, None], slice(lo + 1 + cols.start, lo + 1 + cols.stop)
+        lo = hi
+
+
 def _row_norms(diff: np.ndarray) -> np.ndarray:
     """Norm of each pair's row difference (the last axis): |x| for one
     column, else the square root of ``"ij,ij->i"`` over the pairs' rows."""
@@ -931,21 +1030,30 @@ def sup_ratio(space: FiniteMetricSpace, pts: Sequence[int], X) -> float:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    return _pair_sup(space, idx, lambda a, b: _row_norms(X[b] - X[a]), X.shape[1])
+    return _rows_sup(space, idx, X.__getitem__, X.shape[1], edge_certificate(space, idx))
 
 
-def _pair_sup(space: FiniteMetricSpace, idx: np.ndarray, numerator, width: int) -> float:
+def _rows_sup(space: FiniteMetricSpace, idx: np.ndarray, rows, width: int, edges) -> float:
+    """``sup_ratio`` of the points ``idx`` with their certificate ``edges``
+    already found (None: every pair), reading the coordinate rows of
+    local indices a as ``rows(a)``, ``width`` columns each: ``a`` is an
+    index array, or a slice of a row block's columns.  Rows built per
+    chunk give every pair the row difference a stored block gives it."""
+    return _pair_sup(space, idx, lambda a, b: _row_norms(rows(b) - rows(a)), width, edges)
+
+
+def _pair_sup(space: FiniteMetricSpace, idx: np.ndarray, numerator, width: int, edges) -> float:
     """Largest numerator(a, b) / d(idx[a], idx[b]) over local pairs a < b
     with a positive distance, in one loop over chunks of pairs: slices of
-    the certified edges when ``edge_certificate(space, idx)`` passes, else
-    row blocks lo:hi of all pairs against the columns lo + 1: (pairs with
-    b <= a are masked out).  ``numerator(a, b)`` takes broadcastable local
-    indices (in a row block b is the slice lo + 1:, read as views) and
-    returns one value per pair, from a temporary of ``width`` entries per
-    pair; ``_row_blocks`` sizes the chunks."""
-    n, edges, local = len(idx), edge_certificate(space, idx), np.arange(len(idx))
+    the certificate ``edges`` of ``idx`` when there is one, else
+    ``_pair_chunks`` of all pairs (pairs with b <= a are masked out).
+    ``numerator(a, b)`` takes broadcastable local indices (in a row block
+    b is a slice of columns, read as views) and returns one value per
+    pair, from a temporary of ``width`` entries per pair; ``_row_blocks``
+    sizes the chunks."""
+    local = np.arange(len(idx))
     if edges is None:
-        chunks = ((local[rows, None], slice(rows.start + 1, n)) for rows in _row_blocks(n - 1, (n - 1) * width))
+        chunks = _pair_chunks(len(idx), width)
     else:
         chunks = ((edges[0][rows], edges[1][rows]) for rows in _row_blocks(len(edges[0]), width))
     best = 0.0

@@ -398,6 +398,13 @@ class TestProfile:
         rows = scale_dimension_profile(s, [2], mesh_multiplier=3)
         assert rows[0]["colors"] == 3
 
+    @pytest.mark.parametrize("multiplier", [-1, -0.5, math.nan, "3"])
+    def test_bad_mesh_multiplier_is_named(self, multiplier):
+        # checked before any B = multiplier * D is formed, even for an empty D list
+        for d_list in ([1], []):
+            with pytest.raises(InputError, match=r"^mesh_multiplier must be a real number in \[0, inf\]"):
+                scale_dimension_profile(path_space(4), d_list, mesh_multiplier=multiplier)
+
 
 class TestJson:
     @pytest.mark.parametrize("doc, message", [

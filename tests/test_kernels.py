@@ -272,10 +272,10 @@ class TestDepthTable:
 
     def test_mesh_is_measured_once(self):
         cover = make_cover(path_space(6), [[0, 1, 2], [1, 2, 3, 4], [5]])
-        with mock.patch.object(covers_module, "diameter_of", wraps=metric_core.diameter_of) as spy:
+        with mock.patch.object(covers_module, "diameters_of", wraps=metric_core.diameters_of) as spy:
             assert mesh(cover) == 3.0
             assert mesh(cover) == 3.0
-        assert spy.call_count == len(cover.sets)
+        assert spy.call_count == 1  # one batch of all the sets, once
         assert cover.diameters.tolist() == [2.0, 3.0, 0.0]
 
     def test_projection_outside_carrier_rejected(self):
@@ -1385,12 +1385,55 @@ def reference_exact_scan(space, D, B, carrier=None):
     return tuple(tuple(fam) for fam in families)
 
 
+def subset_chromatic(adj):
+    """Exact chromatic number by dynamic programming over vertex subsets:
+    a subset's count is one more than the least count of what remains
+    after removing an independent subset through its lowest vertex.
+    3^n steps for n vertices, where the backtracking of
+    ``brute_force_chromatic`` takes about (n - 1)! on a complete graph
+    (8 s for 10 vertices)."""
+    n = len(adj)
+    nbrs = [sum(1 << u for u in adj[v]) for v in range(n)]
+    independent = [True] * (1 << n)
+    for mask in range(1, 1 << n):
+        rest = mask & (mask - 1)
+        independent[mask] = independent[rest] and not nbrs[(mask & -mask).bit_length() - 1] & rest
+    count = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low, rest = mask & -mask, mask & (mask - 1)
+        best, sub = n, rest
+        while True:  # every subset of rest, each with low added
+            if independent[sub | low]:
+                best = min(best, count[rest & ~sub] + 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        count[mask] = best
+    return count[-1]
+
+
 def min_carved_chromatic(space, D, B, carrier):
-    """Brute-force minimum color count over the carvings of every seed."""
-    return min(
-        brute_force_chromatic(reference_conflict_graph(space, reference_carving(space, B, carrier, seed), D))
-        for seed in (carrier or [None])
-    )
+    """Exact minimum color count over the carvings of every seed, each
+    distinct clustering colored once."""
+    clusterings = {tuple(reference_carving(space, B, carrier, seed)) for seed in (carrier or [None])}
+    return min(subset_chromatic(reference_conflict_graph(space, list(c), D)) for c in clusterings)
+
+
+@SETTINGS
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))) if n else st.just(set()))))
+def test_subset_chromatic_matches_brute_force(graph):
+    n, pairs = graph
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    assert subset_chromatic(adj) == brute_force_chromatic(adj)
+
+
+def test_subset_chromatic_of_complete_graph():
+    # the instance that made the brute-force reference the slowest tier-1 test
+    assert subset_chromatic([set(range(10)) - {v} for v in range(10)]) == 10
 
 
 @st.composite
@@ -1562,3 +1605,237 @@ class TestProjectionConstant:
 @given(st.sets(st.integers(0, 40)), st.integers(-5, 45))
 def test_pointset_membership(members, p):
     assert (p in PointSet.of(members)) == (p in members)
+
+
+# ---------------------------------------------------------------------------
+# the certificate by construction, one scan per fiber, batched diameters
+# and the wide-row pair chunks
+
+
+@st.composite
+def single_weight_graphs(draw):
+    """(n, edges) of a connected graph whose every pair's lightest edge
+    weight is one w in {0.1, 0.5, 1, 3}: a grid, a cycle, a tree or a
+    random graph, sometimes with heavier parallel edges and self-loops."""
+    w = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+    kind = draw(st.sampled_from(["grid", "cycle", "tree", "random"]))
+    if kind == "grid":
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        n, pairs = rows * cols, metric_core._grid_edges(rows, cols)
+    elif kind == "cycle":
+        n = draw(st.integers(3, 12))
+        pairs = [(v, (v + 1) % n) for v in range(n)]
+    else:
+        n = draw(st.integers(1, 14))
+        pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        if kind == "random":
+            pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = [(u, v, w) for u, v in pairs]
+    if pairs:
+        extra = st.tuples(st.sampled_from(pairs), st.sampled_from([1.5, 2.0, 7.0]))
+        edges += [(u, v, w * k) for (u, v), k in draw(st.lists(extra, max_size=3))]
+    return n, draw(st.permutations(edges))
+
+
+def scanned_twin(space):
+    """The same matrix and edges without the proof: a hand-built graph
+    space, whose whole-space certificate is scanned."""
+    return FiniteMetricSpace(space.matrix, provenance="graph-shortest-path", meta={"edges": list(space.meta["edges"])})
+
+
+class TestCertificateByConstruction:
+    @SETTINGS
+    @given(single_weight_graphs())
+    def test_proof_matches_the_scan_without_scanning(self, graph):
+        space = build_graph_metric(*graph)
+        with mock.patch.object(metric_core, "_bellman_holds", wraps=metric_core._bellman_holds) as spy:
+            got = edge_certificate(space, range(space.n))
+            assert spy.call_count == 0
+            want = edge_certificate(scanned_twin(space), range(space.n))
+            assert spy.call_count == 1
+        assert want is not None and same_certificate(got, want)
+        assert same_certificate(got, boolean_or_certificate(space, range(space.n)))
+        assert got is space.whole_certificate is edge_certificate(space, np.arange(space.n))
+        assert not got[0].flags.writeable and not got[1].flags.writeable
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1.0), (1, 2, 2.5)],
+        [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 2)],
+        [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.75)],
+    ], ids=["path", "square", "triangle"])
+    def test_two_weights_scan(self, edges):
+        space = build_graph_metric(max(max(u, v) for u, v, _ in edges) + 1, edges)
+        with mock.patch.object(metric_core, "_bellman_holds", wraps=metric_core._bellman_holds) as spy:
+            got = edge_certificate(space, range(space.n))
+            assert spy.call_count == 1
+            assert edge_certificate(space, range(space.n)) is got  # once per space
+            assert spy.call_count == 1
+        assert same_certificate(got, boolean_or_certificate(space, range(space.n)))
+
+    @SETTINGS
+    @given(single_weight_graphs(), st.data())
+    def test_edited_edge_list_is_scanned(self, graph, data):
+        space = build_graph_metric(*graph)
+        edges = space.meta["edges"]
+        assume(edges)
+        at = data.draw(st.integers(0, len(edges) - 1))
+        edit = data.draw(st.sampled_from(["append", "replace", "remove"]))
+        if edit == "append":
+            edges.append(edges[at])
+        elif edit == "replace":
+            u, v, w = edges[at]
+            edges[at] = (v, u, w)
+        else:
+            del edges[at]
+        with mock.patch.object(metric_core, "_bellman_holds", wraps=metric_core._bellman_holds) as spy:
+            got = edge_certificate(space, range(space.n))
+        want = boolean_or_certificate(space, range(space.n))
+        assert same_certificate(got, want)
+        # the scan runs unless (a) or (b) fails first, as a removed edge can make it
+        assert spy.call_count == (want is not None or _inside_edges(space.matrix, space.graph_edges,
+                                                                    np.arange(space.n)) is not None)
+
+    @SETTINGS
+    @given(single_weight_graphs(), st.data())
+    def test_forged_edge_on_a_proven_space_is_rejected(self, graph, data):
+        space = build_graph_metric(*graph)
+        assume(space.n >= 2)
+        u, v = data.draw(st.lists(st.integers(0, space.n - 1), min_size=2, max_size=2, unique=True))
+        space.meta["edges"].append((u, v, space.dist(u, v) * data.draw(st.floats(0.01, 0.99))))
+        assert edge_certificate(space, range(space.n)) is None
+
+    def test_heavier_parallel_edge_keeps_the_proof(self):
+        space = build_graph_metric(3, [(0, 1), (1, 2), (0, 1, 5.0), (2, 2, 0.5)])
+        with mock.patch.object(metric_core, "_bellman_holds", wraps=metric_core._bellman_holds) as spy:
+            assert certified_edges(space, range(3)) == {(0, 1), (1, 2)}
+        assert spy.call_count == 0
+
+    def test_point_lists_other_than_the_whole_space_scan(self):
+        space = grid_space(3, 4)
+        with mock.patch.object(metric_core, "_bellman_holds", wraps=metric_core._bellman_holds) as spy:
+            assert edge_certificate(space, list(range(11, -1, -1))) is not None  # whole, not in index order
+            assert edge_certificate(space, range(6)) is not None
+        assert spy.call_count == 2
+
+
+def reference_diameter(space, points):
+    idx = sorted(points)
+    return float(space.matrix[np.ix_(idx, idx)].max()) if idx else 0.0
+
+
+class TestBatchedDiameters:
+    @SETTINGS
+    @given(ANY_SPACE, st.data(), st.sampled_from([1, 3, 16, metric_core.SUP_RATIO_BLOCK]))
+    def test_match_per_set_scans(self, space, data, block):
+        sets = data.draw(st.lists(st.sets(st.integers(0, space.n - 1)), max_size=8))
+        want = [reference_diameter(space, s) for s in sets]
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+            got = metric_core.diameters_of(space, [PointSet.of(s) for s in sets])
+            assert got.tolist() == want
+            assert [diameter_of(space, s) for s in sets] == want
+
+    def test_cover_and_validate_measure_in_one_batch(self):
+        space = path_space(30)
+        dec = colored_decomposition(space, 2.0, 4.0, mode="greedy")
+        with mock.patch.object(covers_module, "diameters_of", wraps=metric_core.diameters_of) as spy:
+            dec.validate()
+            cover = disjoint_to_cover(dec)
+            assert mesh(cover) == max(reference_diameter(space, s) for s in cover.sets)
+        assert spy.call_count == 2
+
+    def test_validate_reports_the_first_wide_set(self):
+        space = path_space(10)
+        dec = dataclasses.replace(colored_decomposition(space, 1.0, 4.0, mode="greedy"), B=1.5)
+        with pytest.raises(InvariantViolation, match="diameter 2.0 > B=1.5") as err:
+            dec.validate()
+        assert err.value.witness == (0, 0, 2.0) and type(err.value.witness[2]) is float
+
+    def test_point_outside_the_space_is_rejected(self):
+        with pytest.raises(InputError, match="outside the space's 4 points"):
+            metric_core.diameters_of(path_space(4), [PointSet.of([1, 2]), PointSet.of([3, 9])])
+
+
+def reference_phi_matrix(asm):
+    """The dense Phi that ``_phi_triples`` replaced: one row per point, its
+    columns the used vertices in the order a row-major scan of the points
+    first meets them."""
+    first, rows = {}, []
+    for x in range(len(asm.assignment)):
+        tower = asm.towers[asm.assignment[x]]
+        row = asm.tower_map(tower, x)
+        rows.append({tower.complex.vertices[c]: row[c] for c in np.flatnonzero(row != 0).tolist()})
+        for v in rows[-1]:
+            first.setdefault(v, len(first))
+    out = np.zeros((len(rows), len(first)))
+    for x, row in enumerate(rows):
+        for v, value in row.items():
+            out[x, first[v]] = value
+    return out
+
+
+def test_phi_triples_match_the_dense_matrix(thin_grid_assembly):
+    from coarsedim.hurewicz import _phi_triples
+
+    asm = thin_grid_assembly
+    dense = reference_phi_matrix(asm)
+    phi = _phi_triples(asm)
+    n = len(asm.assignment)
+    assert phi.width == dense.shape[1]
+    assert bits(phi.rows(np.arange(n))) == bits(dense)
+    picks = np.array([5, 0, 5, n - 1, 17])
+    assert bits(phi.rows(picks)) == bits(dense[picks])
+    assert [s.indices for s in phi.stars()] == [tuple(np.flatnonzero(col).tolist()) for col in dense.T]
+    space = asm.config.f.domain
+    assert asm.report["cobound"] == max(reference_diameter(space, np.flatnonzero(col)) for col in dense.T)
+    assert asm.report["measured_lipschitz"] == reference_sup_ratio(space, range(n), dense)
+
+
+def test_assembly_scans_each_fiber_once_and_the_domain_never():
+    grid, path = grid_space(4, 256), path_space(256)
+    f = map_between_spaces(grid, path, [p % 256 for p in range(grid.n)], 1.0)
+    with mock.patch.object(metric_core, "_bellman_holds", wraps=metric_core._bellman_holds) as spy:
+        asm = build_assembly(make_config(f, 1.0, 1, 1, r=2.0, allow_sub_required=True))
+    scanned = [tuple(call.args[1].tolist()) for call in spy.call_args_list]
+    fibers = {t.fiber.indices for t in asm.towers.values()}
+    assert len(asm.towers) == 72 and len(fibers) == 37
+    assert len(scanned) == 37 and set(scanned) == fibers
+    assert grid.whole_certificate is not None
+
+
+class TestWideRowChunks:
+    def test_two_thousand_points_take_fewer_blocks(self):
+        # five columns: one row per block before, 1,999 blocks
+        chunks = list(metric_core._pair_chunks(2000, 5))
+        assert len(chunks) == 838
+        assert max(len(a) * (b.stop - b.start) * 5 for a, b in chunks) <= metric_core.SUP_RATIO_BLOCK
+
+    @pytest.mark.parametrize("n, width", [(2, 3), (7, 1), (30, 4), (61, 13)])
+    def test_chunks_cover_every_pair_once(self, n, width):
+        for block in (1, 5, 64, metric_core.SUP_RATIO_BLOCK):
+            with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block):
+                pairs = [(int(a), b) for rows, cols in metric_core._pair_chunks(n, width)
+                         for a in rows[:, 0] for b in range(cols.start, cols.stop) if b > a]
+            assert sorted(pairs) == list(itertools.combinations(range(n), 2))
+            assert len(set(pairs)) == len(pairs)
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_wide_rows_match_reference_bit_for_bit(self, width):
+        # an edge-less space: every pair is scanned; (n - 1) * width exceeds
+        # the block, so rows are cut into column chunks
+        n, block = 200, 1024
+        space = FiniteMetricSpace(path_space(n).matrix)
+        X = np.random.default_rng(width).normal(size=(n, width))
+        want = reference_sup_ratio(space, range(n), X)
+        sizes = []
+        norms = metric_core._row_norms
+
+        def spy(diff):
+            sizes.append(diff.size)
+            return norms(diff)
+
+        with mock.patch.object(metric_core, "SUP_RATIO_BLOCK", block), \
+                mock.patch.object(metric_core, "_row_norms", spy):
+            assert sup_ratio(space, range(n), X) == want
+        ideal = math.ceil(n * (n - 1) // 2 * width / block)
+        assert max(sizes) <= block
+        assert ideal <= len(sizes) <= ideal + n - 1
