@@ -1684,6 +1684,7 @@ class TestCertificateByConstruction:
             edges.append(edges[at])
         elif edit == "replace":
             u, v, w = edges[at]
+            assume(u != v)  # a self-loop with its ends swapped is the same entry
             edges[at] = (v, u, w)
         else:
             del edges[at]
@@ -1756,9 +1757,9 @@ class TestBatchedDiameters:
 
 
 def reference_phi_matrix(asm):
-    """The dense Phi that ``_phi_triples`` replaced: one row per point, its
-    columns the used vertices in the order a row-major scan of the points
-    first meets them."""
+    """Phi as a dense matrix, built point by point from ``tower_map``: one
+    row per point, its columns the used vertices in the order a row-major
+    scan of the points first meets them."""
     first, rows = {}, []
     for x in range(len(asm.assignment)):
         tower = asm.towers[asm.assignment[x]]
@@ -1804,7 +1805,7 @@ def test_assembly_scans_each_fiber_once_and_the_domain_never():
 
 class TestWideRowChunks:
     def test_two_thousand_points_take_fewer_blocks(self):
-        # five columns: one row per block before, 1,999 blocks
+        # five columns: (n - 1) * width exceeds a block, yet rows are grouped
         chunks = list(metric_core._pair_chunks(2000, 5))
         assert len(chunks) == 838
         assert max(len(a) * (b.stop - b.start) * 5 for a, b in chunks) <= metric_core.SUP_RATIO_BLOCK
