@@ -137,11 +137,6 @@ class FiniteMetricSpace:
     provenance: str = "explicit-matrix"
     meta: dict = field(default_factory=dict, compare=False)
 
-    # the edge list for which build_graph_metric proved the Bellman
-    # condition on the whole space (a copy, so later edits of meta["edges"]
-    # do not reach it); None when nothing was proved
-    _proven_edges = None
-
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         m.setflags(write=False)
@@ -196,15 +191,11 @@ class FiniteMetricSpace:
     @cached_property
     def whole_certificate(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``edge_certificate`` of the whole space in index order, computed
-        once, on first use (the matrix being frozen, and ``graph_edges``
-        read once).  Condition (c) is not scanned when ``build_graph_metric``
-        proved it and ``meta["edges"]`` still equals the edge list the
-        proof was made for; (a) and (b) are always checked."""
+        once, on first use: the matrix is frozen and ``graph_edges`` read
+        once."""
         if self.graph_edges is None:
             return None
-        edges = self.meta.get("edges")
-        proven = self._proven_edges is not None and isinstance(edges, list) and edges == self._proven_edges
-        return _certify(self, np.arange(self.n), proven)
+        return _certify(self, np.arange(self.n))
 
 
 def _row_blocks(rows: int, width: int):
@@ -396,19 +387,6 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     keep their lightest weight; the matrix is exactly symmetric.  A bad
     entry (naming its edge), a disconnected graph and an n*n matrix over
     ``MATRIX_CAP`` are rejected, the last before it is allocated.
-
-    When every pair's lightest edge weight is one value w, the space
-    records a proof of ``edge_certificate``'s condition (c) on the whole
-    space, in place of its scan.  Proof: ``_shortest_paths`` returns
-    M[s, v] = L[h(s, v)] for the hop count h, with L[0] = 0 and
-    L[k] = fl(L[k-1] + w), bit for bit (``_tree_paths`` the same).  For
-    s != v, the predecessor u of v on a shortest hop path from s has
-    h(s, u) = h(s, v) - 1 and an edge (u, v, w), so
-    fl(M[s, u] + w) = L[h(s, v)] = M[s, v]: the scan's sum, compared
-    exactly, holds with equality.  The proof is a copy of the edge list
-    it was made for; it applies only while ``meta["edges"]`` equals it.
-    Graphs with more weights are scanned: ``_keep_smaller_side`` can cost
-    (c) an ulp there.
     """
     n = _vertex_count(n)
     given = []
@@ -434,8 +412,6 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
     m = np.zeros((1, 1)) if n == 1 else _shortest_paths(n, lightest)
     space = FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path")
     space.meta["edges"] = given
-    if len(set(lightest.values())) <= 1:
-        object.__setattr__(space, "_proven_edges", list(given))
     return space
 
 
@@ -879,31 +855,28 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
     (c) Bellman: for every s != v in ``idx`` some edge (u, v, w) inside
         ``idx`` has d(s, u) + w <= d(s, v).
 
-    The whole space in index order is answered by ``whole_certificate``,
-    computed once per space; there (c) holds by construction for a graph
-    metric of one edge weight (the proof is in ``build_graph_metric``'s
-    docstring), and only (a) and (b), O(n + E), are checked.  Every other
-    point list, and the whole space of any other graph, scans (c) with
-    ``_bellman_holds``.  A fractional-weight graph can miss (c) by an
-    ulp; it then gets None, and the callers fall back to their pair loop.
+    Condition (c) is scanned by ``_bellman_holds``; the whole space in
+    index order is answered by ``whole_certificate``, scanned once per
+    space.  A fractional-weight graph can miss (c) by an ulp; it then
+    gets None, and the callers fall back to their pair loop.
     """
     if space.graph_edges is None:
         return None
     idx = np.asarray(idx, dtype=np.intp)
     if len(idx) == space.n and (idx == np.arange(space.n)).all():
         return space.whole_certificate
-    return _certify(space, idx, proven=False)
+    return _certify(space, idx)
 
 
-def _certify(space: FiniteMetricSpace, idx: np.ndarray, proven: bool):
+def _certify(space: FiniteMetricSpace, idx: np.ndarray):
     """``edge_certificate`` of the point list ``idx`` of a graph metric
-    that keeps its edges, scanning condition (c) unless ``proven``."""
+    that keeps its edges."""
     m = space.matrix
     inside = _inside_edges(m, space.graph_edges, idx)
     if inside is None or (m[idx, idx] != 0).any():
         return None
     a, b, w = inside
-    if not (proven or _bellman_holds(m, idx, a, b, w)):
+    if not _bellman_holds(m, idx, a, b, w):
         return None
     out = np.minimum(a, b), np.maximum(a, b)
     for arr in out:
@@ -985,14 +958,14 @@ def _pair_chunks(n: int, width: int):
     columns lo + 1: (a slice), pairs with b <= a left for the caller to
     mask.  A block's row count is ``_row_blocks``' for rows as long as its
     first, n - 1 - lo pairs of ``width`` entries, so blocks grow as the
-    rows shorten; a row whose pairs alone exceed a block is cut into
-    column chunks of ``_row_blocks``' width."""
+    rows shorten; a row whose pairs alone exceed a block is one block.
+    Cutting such a row into column chunks was slower (2,000 points at 64
+    columns: about 15,600 small blocks instead of 1,999 rows)."""
     local, lo = np.arange(n), 0
     while lo < n - 1:
         length = n - 1 - lo
         hi = lo + next(_row_blocks(length, length * width)).stop
-        for cols in _row_blocks(length, width):
-            yield local[lo:hi, None], slice(lo + 1 + cols.start, lo + 1 + cols.stop)
+        yield local[lo:hi, None], slice(lo + 1, n)
         lo = hi
 
 
