@@ -958,9 +958,9 @@ def _pair_chunks(n: int, width: int):
     columns lo + 1: (a slice), pairs with b <= a left for the caller to
     mask.  A block's row count is ``_row_blocks``' for rows as long as its
     first, n - 1 - lo pairs of ``width`` entries, so blocks grow as the
-    rows shorten; a row whose pairs alone exceed a block is one block.
-    Cutting such a row into column chunks was slower (2,000 points at 64
-    columns: about 15,600 small blocks instead of 1,999 rows)."""
+    rows shorten; a row whose pairs alone exceed a block is one block, as
+    column chunks of it cost more in per-chunk work than they save (about
+    15,600 chunks instead of 1,999 rows for 2,000 points at 64 columns)."""
     local, lo = np.arange(n), 0
     while lo < n - 1:
         length = n - 1 - lo
