@@ -706,10 +706,13 @@ def scale_dimension_profile(
     """Minimal color counts found at each separation scale D with mesh
     policy B = multiplier * D.  Exact when the carving is small enough,
     greedy otherwise; each row records which.  The multiplier is checked
-    first, so a bad one is named, not the B it would make."""
+    first, so a bad one is named, not the B it would make; so is an
+    infinite one at D = 0, where B would be inf * 0 = NaN."""
     _in_range(mesh_multiplier, "mesh_multiplier", 0, math.inf, "[]")
     rows = []
     for d in d_list:
+        if mesh_multiplier == math.inf and d == 0:
+            raise InputError("mesh_multiplier inf and D 0 give no mesh bound B = mesh_multiplier * D: inf * 0 is undefined")
         b = mesh_multiplier * d
         t0 = time.perf_counter()
         dec = colored_decomposition(space, d, b, mode="auto")

@@ -33,8 +33,6 @@ from ..metric_core import (
 Letter = tuple[str, int]  # (factor tag "x"|"y", point index in that factor)
 Word = tuple[Letter, ...]
 
-WORD_CAP = 20_000
-
 
 @dataclass(frozen=True)
 class PointedSpace:
@@ -69,8 +67,6 @@ def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norms
     the n x n result, keeps this near-linear in matrix size; the root's
     block is the whole matrix, written by one broadcast add, not a scatter."""
     n = len(words)
-    if n * n > MATRIX_CAP:
-        raise CapExceeded(f"free product truncation has {n} words; its matrix exceeds cap {MATRIX_CAP}")
     out = np.zeros((n, n))
 
     def fill(indices: list[int], depth: int, remaining: np.ndarray):
@@ -99,7 +95,9 @@ def _distance_matrix(words: Sequence[Word], norms: Sequence[float], letter_norms
 def free_product_space(x: PointedSpace, y: PointedSpace, max_norm: float) -> FreeProductSpace:
     """All alternating words of norm <= max_norm, popped from a heap in
     (norm, length, word) order: every letter adds a norm >= 1, so no word
-    is pushed below one already popped."""
+    is pushed below one already popped.  The word whose count squared
+    exceeds ``MATRIX_CAP`` raises ``CapExceeded`` as it is popped, before
+    the matrix is allocated."""
     _in_range(max_norm, "max_norm", 0)
     letters = {
         "x": sorted(x.letter_norms().items()),
@@ -121,8 +119,8 @@ def free_product_space(x: PointedSpace, y: PointedSpace, max_norm: float) -> Fre
         norm, _, w = heapq.heappop(frontier)
         words.append(w)
         norms.append(norm)
-        if len(words) > WORD_CAP:
-            raise CapExceeded(f"free product truncation exceeds cap {WORD_CAP}")
+        if len(words) ** 2 > MATRIX_CAP:
+            raise CapExceeded(f"free product truncation has {len(words)} words; its matrix exceeds cap {MATRIX_CAP}")
         last = w[-1][0] if w else None
         for tag in ("x", "y"):
             if tag == last:

@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,6 +120,17 @@ PROVENANCES = (
 )
 
 
+class EdgeTable(NamedTuple):
+    """``edges``, the (i, j, w) entries as given, and their simple graph as
+    symmetric read-only rows: p's neighbours ``nbr[start[p]:start[p + 1]]``
+    in increasing order, at their pair's lightest ``weight``; no loops."""
+
+    edges: tuple[tuple[int, int, float], ...]
+    start: np.ndarray
+    nbr: np.ndarray
+    weight: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """Immutable finite metric space, compared by identity.
@@ -129,13 +140,16 @@ class FiniteMetricSpace:
     The metric axioms are checked by the constructors that say so, such as
     ``build_explicit``.  A float array is taken over and frozen, not
     copied (a copy would double a Cayley ball's peak memory), so
-    instances can be shared freely across threads.
+    instances can be shared freely across threads.  Given ``edges`` are
+    checked by ``_edge_table`` (whose result is taken as it is) and fixed:
+    ``edges`` keeps them as given, ``graph_edges`` is their table.
     """
 
     matrix: np.ndarray
     labels: tuple[str, ...] | None = None
     provenance: str = "explicit-matrix"
-    meta: dict = field(default_factory=dict, compare=False)
+    edges: tuple[tuple[int, int, float], ...] | None = None
+    graph_edges: EdgeTable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -150,6 +164,11 @@ class FiniteMetricSpace:
             raise InputError(f"distance matrix has a non-finite entry at {(i, j, float(m[i, j]))}")
         if self.labels is not None and len(self.labels) != m.shape[0]:
             raise InputError("label count does not match point count")
+        table = self.edges
+        if table is not None and not isinstance(table, EdgeTable):
+            table = _edge_table(m.shape[0], table)
+        object.__setattr__(self, "graph_edges", table)
+        object.__setattr__(self, "edges", None if table is None else table.edges)
 
     @property
     def n(self) -> int:
@@ -165,23 +184,6 @@ class FiniteMetricSpace:
         return float(self.matrix.max()) if self.n else 0.0
 
     @cached_property
-    def graph_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(start, v, w)``, the edges of ``meta["edges"]`` without
-        self-loops indexed by their first end: the edges (p, v, w) are
-        rows ``start[p]:start[p + 1]`` of ``v`` and ``w``, in their given
-        order.  None for a space that is not a graph metric keeping its
-        edges."""
-        edges = self.meta.get("edges")
-        if self.provenance != "graph-shortest-path" or edges is None:
-            return None
-        arr = np.array(edges, dtype=float).reshape(-1, 3)
-        u, v = arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp)
-        keep = np.flatnonzero(u != v)
-        keep = keep[np.argsort(u[keep], kind="stable")]
-        start = np.concatenate([[0], np.cumsum(np.bincount(u[keep], minlength=self.n))])
-        return start, v[keep], arr[keep, 2]
-
-    @cached_property
     def triangle_witness(self) -> tuple | None:
         """The exhaustive triangle check's first violation, as
         ``_triangle_violation_exhaustive`` finds it, or None; computed once,
@@ -191,8 +193,7 @@ class FiniteMetricSpace:
     @cached_property
     def whole_certificate(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``edge_certificate`` of the whole space in index order, computed
-        once, on first use: the matrix is frozen and ``graph_edges`` read
-        once."""
+        once, on first use: the matrix and ``graph_edges`` are fixed."""
         if self.graph_edges is None:
             return None
         return _certify(self, np.arange(self.n))
@@ -379,18 +380,23 @@ def _keep_smaller_side(m: np.ndarray) -> None:
 
 def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMetricSpace:
     """Shortest-path metric of a connected graph with finite positive real
-    edge weights, computed by ``_shortest_paths``.
-
-    ``edges`` is a list of ``(i, j)`` or ``(i, j, w)`` lists or tuples; a
-    weight is a real number other than a bool, 1 when missing.  The metric
-    is that of the simple graph: self-loops are dropped and parallel edges
-    keep their lightest weight; the matrix is exactly symmetric.  A bad
-    entry (naming its edge), a disconnected graph and an n*n matrix over
-    ``MATRIX_CAP`` are rejected, the last before it is allocated.
-    """
+    edge weights, computed by ``_shortest_paths`` from the edges'
+    ``_edge_table``, which the space keeps: the metric of the simple
+    graph, exactly symmetric.  A bad entry (naming its edge), a
+    disconnected graph and an n*n matrix over ``MATRIX_CAP`` are rejected,
+    the last before it is allocated."""
     n = _vertex_count(n)
+    table = _edge_table(n, edges)
+    m = np.zeros((1, 1)) if n == 1 else _shortest_paths(n, table)
+    return FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path", table)
+
+
+def _edge_table(n: int, edges: Iterable) -> EdgeTable:
+    """The ``EdgeTable`` of ``edges`` on n vertices, each a list or tuple
+    ``(i, j)`` or ``(i, j, w)`` of vertices in range(n) and a finite
+    positive real weight other than a bool (1 when missing, kept as a
+    float); a bad entry raises ``InputError`` naming it."""
     given = []
-    lightest: dict[tuple[int, int], float] = {}
     for entry in edges:
         if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
             raise InputError(f"edge {entry!r} is not a list of 2 or 3 items (i, j and an optional weight)")
@@ -404,15 +410,19 @@ def build_graph_metric(n: int, edges: Sequence[tuple], labels=None) -> FiniteMet
             raise InputError(f"edge {e} out of range")
         if not (_real(w) and 0 < w < math.inf):
             raise InputError(f"edge {e} needs a finite positive real weight")
-        w = float(w)
-        given.append((i, j, w))
-        if i != j:
-            pair = (min(i, j), max(i, j))
-            lightest[pair] = min(w, lightest.get(pair, w))
-    m = np.zeros((1, 1)) if n == 1 else _shortest_paths(n, lightest)
-    space = FiniteMetricSpace(m, tuple(labels) if labels else None, "graph-shortest-path")
-    space.meta["edges"] = given
-    return space
+        given.append((i, j, float(w)))
+    arr = np.array(given, dtype=float).reshape(-1, 3)
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    both = np.concatenate([arr, arr[:, [1, 0, 2]]])
+    both = both[np.lexsort(both.T[::-1])]  # by first end, second end, weight
+    lightest = np.ones(len(both), dtype=bool)  # a pair's first entry
+    lightest[1:] = (both[1:, :2] != both[:-1, :2]).any(axis=1)
+    u, v = both[lightest, 0].astype(np.intp), both[lightest, 1].astype(np.intp)
+    start = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=n))])
+    table = EdgeTable(tuple(given), start, v, both[lightest, 2])
+    for column in table[1:]:
+        column.setflags(write=False)
+    return table
 
 
 def _real(x) -> bool:
@@ -467,11 +477,11 @@ def _points_in(space: FiniteMetricSpace, values, what: str) -> list[int]:
     return pts
 
 
-def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarray:
+def _shortest_paths(n: int, table: EdgeTable) -> np.ndarray:
     """Dijkstra's shortest-path matrix, bit for bit, of the connected simple
-    graph on n > 1 vertices whose pairs carry the ``lightest`` weights.  A
-    graph with n - 1 edges of one weight is ``_tree_paths``'s; every other
-    one takes the relaxation below.
+    graph on n > 1 vertices of the edge table ``table``.  A graph with
+    n - 1 edges of one weight is ``_tree_paths``'s; every other one takes
+    the relaxation below.
 
     M starts at +inf with a 0 diagonal.  Passes over the vertices in Prim
     order from vertex 0 (lightest leaving edge first, ties by discovery;
@@ -511,31 +521,31 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
     p, whose row is then final everywhere (the root's subtree is the whole
     tree), so M[v, t] = fl(M[p, t] + w) = D[v] for the other t as well.
     """
-    adj: list[dict[float, list[int]]] = [{} for _ in range(n)]
-    for (i, j), w in lightest.items():
-        adj[i].setdefault(w, []).append(j)
-        adj[j].setdefault(w, []).append(i)
-    weights = set(lightest.values())
-    if len(lightest) == n - 1 and len(weights) == 1:
-        (w,) = weights
-        return _tree_paths([next(iter(a.values()), []) for a in adj], w)
+    bounds, flat, weights = table.start.tolist(), table.nbr.tolist(), table.weight.tolist()
+    nbrs = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    tree = len(flat) == 2 * (n - 1)
+    if tree and min(weights) == max(weights):
+        return _tree_paths(nbrs, weights[0])
     order, done, heap, pushed = [], [False] * n, [(0.0, 0, 0)], 0
     while heap:
         s = heapq.heappop(heap)[2]
         if not done[s]:
             done[s] = True
             order.append(s)
-            for w, nbrs in adj[s].items():
-                for t in nbrs:
-                    if not done[t]:
-                        pushed += 1
-                        heapq.heappush(heap, (w, pushed, t))
+            for t, w in zip(nbrs[s], weights[bounds[s]:bounds[s + 1]]):
+                if not done[t]:
+                    pushed += 1
+                    heapq.heappush(heap, (w, pushed, t))
     if len(order) < n:
         raise InputError(f"graph is disconnected: no path between 0 and {done.index(False)}")
     m = np.full((n, n), np.inf)
     np.fill_diagonal(m, 0.0)
-    rows = [(m[s], [(w, np.array(nbrs, dtype=np.intp)) for w, nbrs in adj[s].items()]) for s in order]
-    passes = 2 if len(lightest) == n - 1 else math.inf
+    rows = []
+    for s in order:  # one (w, neighbours) group per weight of s's edges
+        lo, hi = bounds[s], bounds[s + 1]
+        near, ws = table.nbr[lo:hi], set(weights[lo:hi])
+        rows.append((m[s], [(w, near if len(ws) == 1 else near[table.weight[lo:hi] == w]) for w in ws]))
+    passes = 2 if tree else math.inf
     changed = True
     while changed and passes:
         changed = False
@@ -543,17 +553,17 @@ def _shortest_paths(n: int, lightest: dict[tuple[int, int], float]) -> np.ndarra
         rows.reverse()
         for row, groups in rows:
             near = None
-            for w, nbrs in groups:
-                best = _min_of_rows(m, nbrs)
+            for w, group in groups:
+                best = _min_of_rows(m, group)
                 best += w
                 near = best if near is None else np.minimum(near, best, out=near)
             if changed or (near < row).any():
                 np.minimum(row, near, out=row)
                 changed = True
-    top, w_min = float(m.max()), min(lightest.values())
+    top, w_min = float(m.max()), min(weights)
     if not 2 * w_min > np.spacing(top):
         raise InputError(f"edge weight {w_min} vanishes in path sums up to {top}")
-    if len(weights) > 1:
+    if w_min != max(weights):
         _keep_smaller_side(m)
     return m
 
@@ -848,8 +858,8 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
     proves that they carry every pair's ratio; None otherwise.  Every
     comparison is exact; there is no tolerance.
 
-    (a) ``space`` is a graph metric that keeps its edges
-        (``graph_edges``), ``idx`` repeats no point, and d(s, s) = 0 on it.
+    (a) ``space`` keeps edges (``graph_edges``), ``idx`` repeats no
+        point, and d(s, s) = 0 on it.
     (b) Every edge (u, v, w) inside ``idx`` has 0 < d(u, v) <= w and
         0 < d(v, u) <= w, so a forged light edge is rejected.
     (c) Bellman: for every s != v in ``idx`` some edge (u, v, w) inside
@@ -869,33 +879,30 @@ def edge_certificate(space: FiniteMetricSpace, idx) -> tuple[np.ndarray, np.ndar
 
 
 def _certify(space: FiniteMetricSpace, idx: np.ndarray):
-    """``edge_certificate`` of the point list ``idx`` of a graph metric
-    that keeps its edges."""
+    """``edge_certificate`` of the point list ``idx`` of a space that keeps
+    its edges."""
     m = space.matrix
-    inside = _inside_edges(m, space.graph_edges, idx)
+    inside = _predecessors(m, space.graph_edges, idx)
     if inside is None or (m[idx, idx] != 0).any():
         return None
-    a, b, w = inside
-    if not _bellman_holds(m, idx, a, b, w):
+    pred, pred_w, a, b = inside
+    if not _bellman_holds(m, idx, pred, pred_w):
         return None
-    out = np.minimum(a, b), np.maximum(a, b)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
-def _bellman_holds(m: np.ndarray, idx: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> bool:
-    """Condition (c) of ``edge_certificate`` for the local edges (a, b, w)
-    of the point list ``idx``, scanned through a padded predecessor table
-    (one row per in-degree slot, weight +inf in unused slots) in
-    ``_row_blocks`` of source rows, each gathered from the matrix as the
-    scan reaches it: the |idx| x |idx| submatrix is never built, and no
-    entry outside ``idx``'s rows and columns is read.  Per block, one
-    running minimum over the slots of d(s, u) + w, with -inf on the
-    diagonal (s = v), is compared with the block once: some slot holds
+def _bellman_holds(m: np.ndarray, idx: np.ndarray, pred: np.ndarray, pred_w: np.ndarray) -> bool:
+    """Condition (c) of ``edge_certificate`` for the point list ``idx``
+    with its predecessor table ``pred``, ``pred_w`` (``_predecessors``),
+    scanned in ``_row_blocks`` of source rows, each gathered from the
+    matrix as the scan reaches it: the |idx| x |idx| submatrix is never
+    built, and no entry outside ``idx``'s rows and columns is read.  Per
+    block, one running minimum over the slots of d(s, u) + w, with -inf on
+    the diagonal (s = v), is compared with the block once: some slot holds
     exactly when the smallest does, as every entry is finite."""
     n_idx = len(idx)
-    pred, pred_w = _predecessor_table(a, b, w, n_idx)
     for block in _row_blocks(n_idx, n_idx):
         rows = m[idx[block, None], idx]
         best = np.full(rows.shape, np.inf)
@@ -910,46 +917,35 @@ def _bellman_holds(m: np.ndarray, idx: np.ndarray, a: np.ndarray, b: np.ndarray,
     return True
 
 
-def _inside_edges(m: np.ndarray, edges, idx: np.ndarray):
-    """The edges (u, v, w) with both ends in the point list ``idx``, as
-    local ``(a, b, w)`` arrays, read from the rows of ``idx``'s points in
-    the edge index ``graph_edges``; None if ``idx`` repeats a point or an
-    edge misses 0 < d(u, v) <= w or 0 < d(v, u) <= w."""
-    start, end, weight = edges
-    order = np.argsort(idx, kind="stable")
-    srt = idx[order]
-    if (srt[1:] == srt[:-1]).any():
+def _predecessors(m: np.ndarray, table: EdgeTable, idx: np.ndarray):
+    """The edges of ``table`` inside the point list ``idx``, read from its
+    points' rows, which hold their in-edges too: ``pred[k, b]`` is the
+    local index of b's k-th neighbour a and ``pred_w[k, b]`` its weight
+    (unused slots: b itself, +inf), and ``(a, b)`` lists each edge once,
+    with a < b.  None if ``idx`` repeats a point or an entry (u, v, w)
+    misses 0 < d(u, v) <= w, both directions being entries."""
+    local = np.full(len(table.start) - 1, -1, dtype=np.intp)
+    local[idx] = np.arange(len(idx))
+    if (local[idx] != np.arange(len(idx))).any():  # a repeated point keeps one position
         return None
-    first = start[idx]
-    count = start[idx + 1] - first
-    a = np.repeat(np.arange(len(idx)), count)
-    at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(a))
-    ends = end[at]
-    rank = np.minimum(np.searchsorted(srt, ends), len(idx) - 1)
-    inside = srt[rank] == ends
-    a, b, at = a[inside], order[rank[inside]], at[inside]
-    u, v, w = idx[a], idx[b], weight[at]
-    duv, dvu = m[u, v], m[v, u]
-    if not ((duv > 0) & (dvu > 0) & (duv <= w) & (dvu <= w)).all():
+    first = table.start[idx]
+    count = table.start[idx + 1] - first
+    b = np.repeat(np.arange(len(idx)), count)
+    at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(b))
+    a = local[table.nbr[at]]
+    inside = a >= 0
+    a, b, w = a[inside], b[inside], table.weight[at[inside]]
+    d = m[idx[a], idx[b]]
+    if not ((d > 0) & (d <= w)).all():
         return None
-    return a, b, w
-
-
-def _predecessor_table(a: np.ndarray, b: np.ndarray, w: np.ndarray, n: int):
-    """In-edges of the undirected edges (a, b, w) over n vertices, padded:
-    ``pred[k, v]`` is the tail of v's k-th in-edge and ``pred_w[k, v]`` its
-    weight; unused slots point at v itself with weight +inf."""
-    head = np.concatenate([b, a])
-    order = np.argsort(head, kind="stable")
-    count = np.bincount(head, minlength=n)
-    slot = np.empty_like(order)
-    slot[order] = np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count)
-    slots = int(count.max()) if n else 0
-    pred = np.tile(np.arange(n), (slots, 1))
-    pred_w = np.full((slots, n), np.inf)
-    pred[slot, head] = np.concatenate([a, b])
-    pred_w[slot, head] = np.concatenate([w, w])
-    return pred, pred_w
+    count = np.bincount(b, minlength=len(idx))
+    slot = np.arange(len(b)) - np.repeat(np.cumsum(count) - count, count)
+    pred = np.tile(np.arange(len(idx)), (int(count.max()) if len(idx) else 0, 1))
+    pred_w = np.full(pred.shape, np.inf)
+    pred[slot, b] = a
+    pred_w[slot, b] = w
+    up = a < b
+    return pred, pred_w, a[up], b[up]
 
 
 def _pair_chunks(n: int, width: int):
@@ -1047,9 +1043,9 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
     doc: dict[str, Any] = {"n": space.n}
     if space.labels:
         doc["labels"] = list(space.labels)
-    if space.provenance == "graph-shortest-path" and "edges" in space.meta:
+    if space.provenance == "graph-shortest-path" and space.edges is not None:
         doc["kind"] = "graph"
-        doc["edges"] = [[i, j, w] for i, j, w in space.meta["edges"]]
+        doc["edges"] = [[i, j, w] for i, j, w in space.edges]
     else:
         doc["kind"] = "matrix"
         doc["matrix"] = space.matrix.tolist()

@@ -727,6 +727,8 @@ class TestCommandLine:
         (["cover", "profile", "grid.json", "--Dlist", "1,nan"], "D must be a real number in [0, inf), not nan"),
         (["cover", "profile", "grid.json", "--Dlist", "1", "--mesh-multiplier", "-1"],
          "mesh_multiplier must be a real number in [0, inf], not -1.0"),
+        (["cover", "profile", "grid.json", "--Dlist", "0", "--mesh-multiplier", "inf"],
+         "mesh_multiplier inf and D 0 give no mesh bound B = mesh_multiplier * D"),
         (HUREWICZ_RUN + ["--r", "nan"], "r must be a real number in (0, inf), not nan"),
         (HUREWICZ_RUN + ["--r", "2", "--mesh-multiplier", "nan"], "mesh_multiplier must be a real number in (0, inf)"),
         (HUREWICZ_RUN + ["--r", "inf"], "r must be a real number in (0, inf), not inf"),
@@ -756,7 +758,8 @@ class TestCommandLine:
          "the extension rule takes the keys quotient, kernel; bound expression has ['quotient']"),
         (["group", "bound", "--expr", '{"rule": "extension", "kernel": 0, "quotient": ' * 2000 + "0" + "}" * 2000],
          "bound expression nests too deeply"),
-    ], ids=["solve-nan-B", "profile-nan-D", "profile-negative-mesh-multiplier", "nan-r", "nan-mesh-multiplier", "infinite-r", "zero-mesh-multiplier",
+    ], ids=["solve-nan-B", "profile-nan-D", "profile-negative-mesh-multiplier",
+            "profile-infinite-mesh-multiplier-zero-D", "nan-r", "nan-mesh-multiplier", "infinite-r", "zero-mesh-multiplier",
             "nan-epsilon", "negative-n", "solve-nan-D", "solve-infinite-D", "nan-max-norm", "negative-max-norm",
             "unknown-builtin-param", "overflowing-ratio", "overflowing-t0", "underflowing-t0",
             "infinite-bound", "negative-bound", "string-series", "unknown-quotient", "missing-operand",

@@ -398,8 +398,14 @@ class TestProfile:
         rows = scale_dimension_profile(s, [2], mesh_multiplier=3)
         assert rows[0]["colors"] == 3
 
-    @pytest.mark.parametrize("multiplier", [-1, -0.5, math.nan, "3"])
+    @pytest.mark.parametrize("multiplier", [-1, -0.5, math.nan, "3", math.inf])
     def test_bad_mesh_multiplier_is_named(self, multiplier):
+        if multiplier == math.inf:
+            # accepted, except at D = 0, where B = inf * 0 would be NaN
+            assert scale_dimension_profile(path_space(4), [1], mesh_multiplier=multiplier)[0]["B"] == math.inf
+            with pytest.raises(InputError, match=r"^mesh_multiplier inf and D 0 give no mesh bound B"):
+                scale_dimension_profile(path_space(4), [1, 0], mesh_multiplier=multiplier)
+            return
         # checked before any B = multiplier * D is formed, even for an empty D list
         for d_list in ([1], []):
             with pytest.raises(InputError, match=r"^mesh_multiplier must be a real number in \[0, inf\]"):

@@ -51,8 +51,7 @@ from coarsedim.metric_core import (
     TOL,
     FiniteMetricSpace,
     PointSet,
-    _inside_edges,
-    _predecessor_table,
+    _predecessors,
     _row_blocks,
     build_explicit,
     build_graph_metric,
@@ -67,6 +66,7 @@ from coarsedim.metric_core import (
     neighborhood,
     path_space,
     set_distances,
+    space_to_json,
     sup_ratio,
 )
 from coarsedim.polyhedra import (
@@ -526,8 +526,8 @@ def reference_sup_ratio(space, pts, X):
 def reference_certificate(space, pts):
     """Conditions (a)-(c) of ``edge_certificate``, one point and one edge
     at a time; the set of local (a, b) edges with a < b, or None."""
-    edges = space.meta.get("edges")
-    if space.provenance != "graph-shortest-path" or edges is None or len(set(pts)) != len(pts):
+    edges = space.edges
+    if edges is None or len(set(pts)) != len(pts):
         return None
     d = space.dist
     if any(d(p, p) != 0 for p in pts):
@@ -588,7 +588,7 @@ class TestEdgeCertificate:
     def test_whole_unit_graphs_pass(self, space):
         edges = certified_edges(space, range(space.n))
         assert edges == reference_certificate(space, list(range(space.n)))
-        assert len(edges) == len(space.meta["edges"])
+        assert len(edges) == len(space.edges)
 
     @SETTINGS
     @given(weighted_graphs(min_n=2), st.data(), st.integers(1, 12))
@@ -616,7 +616,8 @@ class TestEdgeCertificate:
     @given(weighted_graphs(min_n=2), st.data())
     def test_forged_light_edge_is_rejected(self, space, data):
         u, v = data.draw(st.lists(st.integers(0, space.n - 1), min_size=2, max_size=2, unique=True))
-        space.meta["edges"].append((u, v, space.dist(u, v) * data.draw(st.floats(0.01, 0.99))))
+        forged = (*space.edges, (u, v, space.dist(u, v) * data.draw(st.floats(0.01, 0.99))))
+        space = FiniteMetricSpace(space.matrix, provenance="graph-shortest-path", edges=forged)
         assert edge_certificate(space, range(space.n)) is None
         assert reference_certificate(space, list(range(space.n))) is None
 
@@ -641,6 +642,80 @@ class TestEdgeCertificate:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert edge_certificate(space, range(space.n)) is not None
+
+
+# ---------------------------------------------------------------------------
+# one edge table per space, fixed at construction
+
+
+def simple_graph(n, edges):
+    """The simple graph of ``(i, j, w)`` edges as ``(start, nbr, weight)``
+    lists: both directions, no self-loops, the lightest weight per pair,
+    each vertex's neighbours in increasing order."""
+    lightest = {}
+    for i, j, w in edges:
+        if i != j:
+            for pair in ((i, j), (j, i)):
+                lightest[pair] = min(w, lightest.get(pair, w))
+    start, nbr, weight = [0], [], []
+    for u in range(n):
+        row = sorted((v, w) for (x, v), w in lightest.items() if x == u)
+        nbr += [v for v, _ in row]
+        weight += [w for _, w in row]
+        start.append(len(nbr))
+    return start, nbr, weight
+
+
+@st.composite
+def graphs_with_loops_and_parallels(draw):
+    """``weighted_graphs`` with self-loops and heavier (or equal) parallel
+    edges, in either orientation, added and shuffled in."""
+    space = draw(weighted_graphs(min_n=2))
+    edges = list(space.edges)
+    parallels = draw(st.lists(st.sampled_from(edges), max_size=3))
+    edges += [(v, u, w + draw(st.floats(0.0, 3.0))) for u, v, w in parallels]
+    edges += [(v, v, draw(st.floats(0.25, 4.0))) for v in draw(st.lists(st.integers(0, space.n - 1), max_size=2))]
+    return build_graph_metric(space.n, draw(st.permutations(edges)))
+
+
+class TestEdgeTable:
+    @SETTINGS
+    @given(graphs_with_loops_and_parallels(), st.data())
+    def test_table_and_certificate_are_the_simple_graphs(self, space, data):
+        start, nbr, weight = simple_graph(space.n, space.edges)
+        table = space.graph_edges
+        assert (table.start.tolist(), table.nbr.tolist(), table.weight.tolist()) == (start, nbr, weight)
+        simple = build_graph_metric(space.n, [(u, nbr[k], weight[k]) for u in range(space.n)
+                                              for k in range(start[u], start[u + 1]) if u < nbr[k]])
+        assert space.matrix.tobytes() == simple.matrix.tobytes()
+        pts = data.draw(st.lists(st.integers(0, space.n - 1), max_size=space.n + 2))
+        for points in (range(space.n), pts):
+            assert same_certificate(edge_certificate(space, points), edge_certificate(simple, points))
+
+    def test_edges_are_a_fixed_tuple(self):
+        space = build_graph_metric(4, [[0, 1], (1, 2, 2), (2, 2, 5.0), (2, 1, 3.0), (2, 3)])
+        assert space.edges == ((0, 1, 1.0), (1, 2, 2.0), (2, 2, 5.0), (2, 1, 3.0), (2, 3, 1.0))
+        assert all(type(e) is tuple for e in space.edges)
+        assert space.graph_edges.edges is space.edges
+        assert not hasattr(space, "meta")
+        assert "meta" not in {f.name for f in dataclasses.fields(FiniteMetricSpace)}
+        assert not any(column.flags.writeable for column in space.graph_edges[1:])
+        assert space_to_json(space)["edges"] == [list(e) for e in space.edges]
+        certified = edge_certificate(space, range(4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.edges = space.edges + ((0, 3, 0.5),)
+        with pytest.raises(AttributeError):
+            space.edges.append((0, 3, 0.5))
+        assert edge_certificate(space, range(4)) is certified
+
+    def test_explicit_matrix_with_a_graphs_edges_gets_its_certificate(self):
+        grid = grid_space(3, 4)
+        space = FiniteMetricSpace(grid.matrix, edges=grid.edges)
+        assert space.provenance == "explicit-matrix"
+        got = edge_certificate(space, range(space.n))
+        assert got is not None and same_certificate(got, edge_certificate(grid, range(grid.n)))
+        X = np.arange(space.n, dtype=float) % 4
+        assert sup_ratio(space, range(space.n), X) == sup_ratio(grid, range(grid.n), X) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1160,11 +1235,10 @@ def boolean_or_certificate(space, idx):
         return None
     idx = np.asarray(idx, dtype=np.intp)
     m = space.matrix
-    inside = _inside_edges(m, edges, idx)
+    inside = _predecessors(m, edges, idx)
     if inside is None or (m[idx, idx] != 0).any():
         return None
-    a, b, w = inside
-    pred, pred_w = _predecessor_table(a, b, w, len(idx))
+    pred, pred_w, a, b = inside
     for block in _row_blocks(len(idx), len(idx)):
         rows = m[np.ix_(idx[block], idx)]
         held = np.zeros(rows.shape, dtype=bool)
@@ -1175,7 +1249,7 @@ def boolean_or_certificate(space, idx):
             held |= via <= rows
         if not held.all():
             return None
-    return np.minimum(a, b), np.maximum(a, b)
+    return a, b
 
 
 def same_certificate(got, want):
@@ -1188,7 +1262,7 @@ def planted_short_entry(space, s, v, d):
     """The graph space with d(s, v) = d(v, s) replaced by d, edges kept."""
     m = space.matrix.copy()
     m[s, v] = m[v, s] = d
-    return FiniteMetricSpace(m, provenance="graph-shortest-path", meta={"edges": space.meta["edges"]})
+    return FiniteMetricSpace(m, provenance="graph-shortest-path", edges=space.edges)
 
 
 def bits(a):
@@ -1513,7 +1587,7 @@ class TestExactScan:
     @given(weighted_graphs(min_n=2), st.data())
     def test_connected_two_colorable_first_carving_is_the_only_one(self, space, data):
         # D at least every edge weight: the whole space is D-connected
-        D = max(w for _, _, w in space.meta["edges"]) + data.draw(st.floats(0.0, 2.0))
+        D = max(w for _, _, w in space.edges) + data.draw(st.floats(0.0, 2.0))
         B = data.draw(st.floats(0.0, 2.0 * space.diameter()))
         m = space.matrix
         assume(_color_floor(m, m <= D, B) == 2)
@@ -1647,7 +1721,7 @@ class TestWholeCertificate:
         with mock.patch.object(metric_core, "_bellman_holds", wraps=metric_core._bellman_holds) as spy:
             got = edge_certificate(space, range(space.n))
             assert edge_certificate(space, np.arange(space.n)) is got is space.whole_certificate
-        assert spy.call_count == (_inside_edges(space.matrix, space.graph_edges, np.arange(space.n)) is not None)
+        assert spy.call_count == (_predecessors(space.matrix, space.graph_edges, np.arange(space.n)) is not None)
         assert same_certificate(got, boolean_or_certificate(space, range(space.n)))
         if got is not None:
             assert not got[0].flags.writeable and not got[1].flags.writeable

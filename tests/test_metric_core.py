@@ -126,7 +126,7 @@ def star_and_path(n, seed=3):
 
 def random_weight_grid(rows, cols, seed=4):
     """A grid graph whose edges have random weights in [0.25, 4]."""
-    grid = grid_space(rows, cols).meta["edges"]
+    grid = grid_space(rows, cols).edges
     weights = 0.25 + 3.75 * np.random.default_rng(seed).random(len(grid))
     return build_graph_metric(rows * cols, [(i, j, w) for (i, j, _), w in zip(grid, weights.tolist())])
 
@@ -275,6 +275,9 @@ class TestGraphMetric:
     def test_malformed_edge_rejected(self, edges, message):
         with pytest.raises(InputError, match=message):
             build_graph_metric(3, edges)
+        # a space given its edges directly checks them the same way
+        with pytest.raises(InputError, match=message):
+            metric_core.FiniteMetricSpace(path_space(3).matrix, edges=edges)
 
     def test_weights_too_far_apart_rejected(self):
         # fl(1e17 + 1) = 1e17: the weight-1 edge vanishes from path sums
@@ -391,7 +394,7 @@ class TestGraphMetric:
     ], ids=["grid31x31", "grid4x512", "cycle500", "coset-tree", "erdos-renyi"])
     def test_equal_weights_match_scipy_exactly(self, build):
         space = build()
-        assert np.array_equal(space.matrix, scipy_metric(space.n, space.meta["edges"]))
+        assert np.array_equal(space.matrix, scipy_metric(space.n, space.edges))
 
     @settings(max_examples=100, deadline=None)
     @given(weighted_multigraphs())
@@ -403,7 +406,7 @@ class TestGraphMetric:
                              ids=["star-and-path1000", "random-weight-grid31x31"])
     def test_weighted_graphs_match_scipy_exactly(self, build):
         space = build()
-        assert np.array_equal(space.matrix, scipy_metric(space.n, space.meta["edges"]))
+        assert np.array_equal(space.matrix, scipy_metric(space.n, space.edges))
 
     @pytest.mark.parametrize("build", [
         lambda: grid_space(4, 512), lambda: path_space(2600),
