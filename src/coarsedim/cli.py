@@ -9,6 +9,10 @@ output apart from timing fields.
 Exit codes: 0 ok, 1 invariant failure, 2 input error, 3 resource cap.
 Expensive enumerations are cached under $COARSEDIM_CACHE (content-hash
 keyed, version-stamped).
+
+This module imports only ``errors`` and ``metric_core`` of the package;
+each command imports the layers it runs, so a process loads and compiles
+only what its command needs.
 """
 
 from __future__ import annotations
@@ -23,33 +27,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import __version__
-from .covers import (
-    colored_decomposition,
-    decomposition_from_json,
-    decomposition_to_json,
-    scale_dimension_profile,
-)
 from .errors import CapExceeded, CoarsedimError, InputError, InvariantViolation, StageFailure
-from .group_spaces import (
-    amalgam_projection,
-    asdim_upper_bound,
-    cayley_ball,
-    free_product_space,
-    free_product_tree,
-    group_from_json,
-    heisenberg_center_quotient,
-    hyperbolization,
-    height_projection,
-    kernel_neighborhood_check,
-    parse_bound_expr,
-    plain_free_product_z2_z3,
-    tree_projection,
-    z4_amalgam_z6,
-    z_amalgam_2z,
-)
-from .group_spaces.free_products import PointedSpace
-from .group_spaces.hyperbolic import geometric_radii
-from .hurewicz import build_assembly, make_config
 from .metric_core import (
     cycle_space,
     grid_space,
@@ -64,10 +42,11 @@ from .metric_core import (
 
 SPACE_PARAMS = {"grid": ("rows", "cols"), "path": ("n",), "cycle": ("n",), "file": ("file",)}
 
+# each model's factory in ``group_spaces.amalgams``, looked up when the command runs
 AMALGAM_MODELS = {
-    "z2_z3": plain_free_product_z2_z3,
-    "z_2z": z_amalgam_2z,
-    "z4_z6": z4_amalgam_z6,
+    "z2_z3": "plain_free_product_z2_z3",
+    "z_2z": "z_amalgam_2z",
+    "z4_z6": "z4_amalgam_z6",
 }
 
 
@@ -145,7 +124,60 @@ def _report(args, doc: dict, rule: str, *echo: str, seed: int = 0) -> int:
 
 
 def _report_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json`` encodes in pure Python, which on a ball
+    report means one call per matrix entry.  Here each list of floats (a
+    matrix row) goes through the C encoder, whose ``", "`` separators
+    become the indented line breaks: a float's repr never holds ``", "``,
+    and NaN and the infinities are spelled as ``json`` spells them.  Every
+    subtree without such a list is left to ``json.dumps`` whole."""
+    text = _float_rows_text(doc, "\n")
+    return (_indented(doc, "\n") if text is None else text) + "\n"
+
+
+_encode_row = json.JSONEncoder().encode  # no indent: the C encoder
+_FLOATS = frozenset((float,))
+_CONTAINERS = frozenset((list, tuple, dict))
+
+
+def _indented(obj, newline: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` placed where
+    ``newline`` (a line break and the indent) starts each line; a JSON
+    string never holds a raw line break."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def _float_rows_text(obj, newline: str) -> str | None:
+    """The indented text of ``obj`` at the indent ``newline`` ends with,
+    or None when ``obj`` holds no list of floats where this function looks
+    (a dict with a key other than a string is not looked into), which
+    ``_indented`` then encodes whole."""
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        types = set(map(type, obj))
+        if types == _FLOATS:
+            return "[" + inner + _encode_row(obj)[1:-1].replace(", ", "," + inner) + newline + "]"
+        if types == {list}:  # rows, such as a matrix or edges: typed without a call per row
+            row_types = {frozenset(map(type, row)) for row in obj}
+            if _FLOATS not in row_types and _CONTAINERS.isdisjoint(frozenset().union(*row_types)):
+                return None
+        elif _CONTAINERS.isdisjoint(types):
+            return None
+        items = [("", value) for value in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict) and all(type(key) is str for key in obj):
+        items = [(json.encoder.encode_basestring_ascii(key) + ": ", obj[key]) for key in sorted(obj)]
+        brackets = "{}"
+    else:
+        return None
+    texts = [_float_rows_text(value, inner) for _, value in items]
+    if all(text is None for text in texts):
+        return None
+    body = ("," + inner).join(
+        key + (_indented(value, inner) if text is None else text) for (key, value), text in zip(items, texts)
+    )
+    return brackets[0] + inner + body + newline + brackets[1]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -201,6 +233,8 @@ def cmd_space_info(args) -> int:
 
 
 def cmd_cover_solve(args) -> int:
+    from .covers import colored_decomposition, decomposition_to_json
+
     dec = colored_decomposition(load_space(args.space), args.D, args.B, mode=args.mode)
     doc = decomposition_to_json(dec)
     doc["colors"] = dec.colors
@@ -209,6 +243,8 @@ def cmd_cover_solve(args) -> int:
 
 
 def cmd_cover_verify(args) -> int:
+    from .covers import decomposition_from_json
+
     space = load_space(args.space)
     with open(args.decomposition) as f:
         doc = json.load(f)
@@ -222,6 +258,8 @@ def cmd_cover_verify(args) -> int:
 
 
 def cmd_cover_profile(args) -> int:
+    from .covers import scale_dimension_profile
+
     space = load_space(args.space)
     d_list = [float(d) for d in args.Dlist.split(",")]
     rows = scale_dimension_profile(space, d_list, mesh_multiplier=args.mesh_multiplier)
@@ -237,6 +275,8 @@ def cmd_cover_profile(args) -> int:
 
 
 def cmd_hurewicz_run(args) -> int:
+    from .hurewicz import build_assembly, make_config
+
     space = load_space(args.space)
     with open(args.map) as f:
         map_doc = json.load(f)
@@ -276,6 +316,8 @@ def cmd_hurewicz_run(args) -> int:
 
 
 def cmd_group_ball(args) -> int:
+    from .group_spaces.groups import cayley_ball, group_from_json
+
     ws = Workspace(args.cache_dir)
     group_doc = json.loads(args.group) if args.group is not None else {"builtin": args.builtin}
     params = {"group": group_doc, "R": args.R}
@@ -300,6 +342,8 @@ def cmd_group_ball(args) -> int:
 
 
 def _free_product(args):
+    from .group_spaces.free_products import PointedSpace, free_product_space
+
     x = PointedSpace(path_space(args.factor_size), 0)
     return free_product_space(x, x, args.max_norm)
 
@@ -316,6 +360,8 @@ def cmd_group_freeprod(args) -> int:
 
 
 def cmd_group_tree(args) -> int:
+    from .group_spaces.free_products import free_product_tree, tree_projection
+
     fps = _free_product(args)
     tree = free_product_tree(fps)
     proj = tree_projection(fps, tree)
@@ -329,7 +375,9 @@ def cmd_group_tree(args) -> int:
 
 
 def cmd_group_amalgam(args) -> int:
-    rep = amalgam_projection(AMALGAM_MODELS[args.model](), radius=args.R)
+    from .group_spaces import amalgams
+
+    rep = amalgams.amalgam_projection(getattr(amalgams, AMALGAM_MODELS[args.model])(), radius=args.R)
     doc = {k: v for k, v in rep.items() if k in (
         "model", "radius", "ball_size", "pairs_checked",
         "max_generator_ratio", "max_generator_ratio_plain_metric", "lipschitz_ok",
@@ -339,6 +387,8 @@ def cmd_group_amalgam(args) -> int:
 
 
 def cmd_group_hyperbolize(args) -> int:
+    from .group_spaces.hyperbolic import geometric_radii, height_projection, hyperbolization
+
     base = load_space(args.space)
     ratio = math.e if args.ratio == "e" else float(args.ratio)
     hspace = hyperbolization(base, geometric_radii(args.t0, ratio, args.levels))
@@ -349,6 +399,8 @@ def cmd_group_hyperbolize(args) -> int:
 
 
 def cmd_group_bound(args) -> int:
+    from .group_spaces.bounds import asdim_upper_bound, parse_bound_expr
+
     try:
         rep = asdim_upper_bound(parse_bound_expr(args.expr))
     except RecursionError:
@@ -369,8 +421,12 @@ def run_verify(inject_fault: bool = False) -> list[dict]:
         brute_force_chromatic,
         carve_clusters,
         chromatic_number,
+        colored_decomposition,
         make_cover,
     )
+    from .group_spaces.free_products import PointedSpace, free_product_space, free_product_tree, tree_projection
+    from .group_spaces.groups import heisenberg_center_quotient, kernel_neighborhood_check
+    from .group_spaces.hyperbolic import geometric_radii, height_projection, hyperbolization
     from .polyhedra import projection_lipschitz_check
 
     results = []

@@ -120,7 +120,8 @@ def free_product_space(x: PointedSpace, y: PointedSpace, max_norm: float) -> Fre
         words.append(w)
         norms.append(norm)
         if len(words) ** 2 > MATRIX_CAP:
-            raise CapExceeded(f"free product truncation has {len(words)} words; its matrix exceeds cap {MATRIX_CAP}")
+            raise CapExceeded(f"free product truncation has more than {math.isqrt(MATRIX_CAP)} words; "
+                              f"its matrix exceeds cap {MATRIX_CAP}")
         last = w[-1][0] if w else None
         for tag in ("x", "y"):
             if tag == last:

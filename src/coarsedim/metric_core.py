@@ -349,14 +349,15 @@ def verify_metric_axioms(
     return report
 
 
-def build_explicit(matrix, labels=None) -> FiniteMetricSpace:
+def build_explicit(matrix, labels=None, edges=None) -> FiniteMetricSpace:
     """Build a space from an explicit square distance matrix, verifying the
     axioms first (exhaustively up to 300 points, sampled above).  The
     axioms accept an asymmetry within tolerance; the kept matrix is exactly
     symmetric, d(s, t) being the smaller of the two given entries, so no
     set-geometry result depends on which side it reads.  The matrix is
     copied once and symmetrized in place; a caller's array is not
-    modified."""
+    modified.  Given ``edges`` are kept, as ``FiniteMetricSpace`` keeps
+    them."""
     m = np.array(matrix, dtype=float)
     report = verify_metric_axioms(m)
     if not report["ok"]:
@@ -365,7 +366,7 @@ def build_explicit(matrix, labels=None) -> FiniteMetricSpace:
             witness=report["witness"],
         )
     _keep_smaller_side(m)
-    return FiniteMetricSpace(m, tuple(labels) if labels else None)
+    return FiniteMetricSpace(m, tuple(labels) if labels else None, edges=edges)
 
 
 def _keep_smaller_side(m: np.ndarray) -> None:
@@ -1036,7 +1037,8 @@ def _pair_sup(space: FiniteMetricSpace, idx: np.ndarray, numerator, width: int, 
 
 # ---------------------------------------------------------------------------
 # JSON format: {"kind": "matrix"|"graph", "n": int, "labels": [...],
-#               "matrix": [[...]] | "edges": [[i, j, w], ...]}
+#               "matrix": [[...]] | "edges": [[i, j, w], ...]}; a matrix
+# space that keeps edges writes them beside its matrix
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
@@ -1045,10 +1047,11 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
         doc["labels"] = list(space.labels)
     if space.provenance == "graph-shortest-path" and space.edges is not None:
         doc["kind"] = "graph"
-        doc["edges"] = [[i, j, w] for i, j, w in space.edges]
     else:
         doc["kind"] = "matrix"
         doc["matrix"] = space.matrix.tolist()
+    if space.edges is not None:  # a matrix space that keeps edges keeps its certificate too
+        doc["edges"] = [[i, j, w] for i, j, w in space.edges]
     return doc
 
 
@@ -1064,8 +1067,11 @@ def space_from_json(doc: dict) -> FiniteMetricSpace:
     key = "matrix" if kind == "matrix" else "edges"
     if not isinstance(doc.get(key), list):
         raise InputError(f"{kind} space JSON needs a list {key!r}, not {doc.get(key)!r}")
+    edges = doc.get("edges")
     if kind == "graph":
-        return build_graph_metric(n, doc["edges"], labels)
+        return build_graph_metric(n, edges, labels)
+    if edges is not None and not isinstance(edges, list):
+        raise InputError(f"matrix space JSON needs a list 'edges' when it has one, not {edges!r}")
     m = doc["matrix"]
     if len(m) != n:
         raise InputError("matrix size does not match n")
@@ -1075,7 +1081,7 @@ def space_from_json(doc: dict) -> FiniteMetricSpace:
         for x in row:
             if not _real(x):
                 raise InputError(f"matrix row {i} has a non-numeric entry {x!r}")
-    return build_explicit(m, labels)
+    return build_explicit(m, labels, edges)
 
 
 def load_space(path) -> FiniteMetricSpace:

@@ -10,9 +10,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsedim import __version__, metric_core
-from coarsedim.cli import Workspace, build_parser, main
+from coarsedim.cli import Workspace, _report_text, build_parser, main
 from coarsedim.group_spaces import free_products, groups, hyperbolic
 from coarsedim.metric_core import grid_space, path_space, space_to_json
 
@@ -594,6 +596,47 @@ print(json.dumps(codes))
 """
 
 
+MODULES_PROBE = """
+import contextlib, io, sys
+from coarsedim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+print(" ".join(sorted(name for name in sys.modules if name.startswith("coarsedim"))))
+"""
+
+PACKAGE_PROBE = """
+import sys
+import coarsedim.group_spaces
+print(" ".join(sorted(name for name in sys.modules if name.startswith("coarsedim.group_spaces."))))
+"""
+
+# every name ``coarsedim.group_spaces`` exports, by the submodule that defines it
+GROUP_SPACES_EXPORTS = {
+    "groups": ["CayleyBall", "ExternalGroupOracle", "GroupModel", "QuotientPresentation", "cayley_ball",
+               "cyclic_group", "enumerate_ball", "free_abelian_group", "free_group", "group_from_json",
+               "heisenberg_center_quotient", "heisenberg_group", "kernel_neighborhood_check"],
+    "free_products": ["FreeProductSpace", "PointedSpace", "TreeSpace", "free_product_space",
+                      "free_product_tree", "tree_projection", "word_stratification"],
+    "amalgams": ["AmalgamModel", "amalgam_group_model", "amalgam_projection", "plain_free_product_z2_z3",
+                 "z4_amalgam_z6", "z_amalgam_2z"],
+    "bounds": ["NormalSeries", "asdim_upper_bound", "hirsch_length", "parse_bound_expr"],
+    "hyperbolic": ["BallSpacePoint", "height_projection", "hyperbolization"],
+}
+
+EXPORTS_PROBE = """
+import importlib, json, sys
+for module, names in json.loads(sys.argv[1]).items():
+    scope = {}
+    exec(f"from coarsedim.group_spaces import {', '.join(names)}", scope)
+    submodule = importlib.import_module(f"coarsedim.group_spaces.{module}")
+    assert all(scope[name] is getattr(submodule, name) for name in names), module
+star = {}
+exec("from coarsedim.group_spaces import *", star)
+assert {name for names in json.loads(sys.argv[1]).values() for name in names} <= set(star)
+print("ok")
+"""
+
+
 def fresh_python(code, *argv, cwd=None):
     """Standard output of ``code`` run in a new interpreter on this source tree."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -605,7 +648,7 @@ def fresh_python(code, *argv, cwd=None):
 
 class TestColdStart:
     """No command loads scipy: graph metrics of any weights are computed
-    in numpy."""
+    in numpy.  Each command loads only the package layers it runs."""
 
     @pytest.mark.parametrize("argv, loaded", [
         (["group", "ball", "--builtin", "heisenberg", "--R", "2", "--no-cache"], "False"),
@@ -650,6 +693,29 @@ class TestColdStart:
 
     def test_no_module_imports_scipy(self):
         assert fresh_python(IMPORT_ALL) == "False"
+
+    @pytest.mark.parametrize("argv, needed, unneeded", [
+        (["space", "check", "--file", "g.json"], [], ["covers", "polyhedra", "hurewicz", "group_spaces"]),
+        (["space", "build", "grid", "3", "3"], [], ["covers", "polyhedra", "hurewicz", "group_spaces"]),
+        (["group", "ball", "--builtin", "heisenberg", "--R", "2", "--no-cache"], ["group_spaces.groups"],
+         ["covers", "polyhedra", "hurewicz", "group_spaces.free_products", "group_spaces.amalgams",
+          "group_spaces.bounds", "group_spaces.hyperbolic"]),
+        (["cover", "solve", "g.json"], ["covers"], ["hurewicz", "polyhedra", "group_spaces"]),
+    ], ids=["space check", "space build", "group ball", "cover solve"])
+    def test_command_loads_only_its_layers(self, tmp_path, argv, needed, unneeded):
+        write_space(tmp_path, "g.json", grid_space(3, 3))
+        loaded = fresh_python(MODULES_PROBE, *argv, cwd=tmp_path).split()
+        assert {"coarsedim.metric_core", *(f"coarsedim.{layer}" for layer in needed)} <= set(loaded)
+        assert [name for name in loaded for layer in unneeded
+                if name == f"coarsedim.{layer}" or name.startswith(f"coarsedim.{layer}.")] == []
+
+    def test_group_spaces_import_loads_no_submodule(self):
+        assert fresh_python(PACKAGE_PROBE) == ""
+
+    def test_group_spaces_names_resolve_on_first_use(self):
+        assert fresh_python(EXPORTS_PROBE, json.dumps(GROUP_SPACES_EXPORTS)) == "ok"
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from coarsedim.group_spaces import no_such_name", {})
 
 
 def action_parsers():
@@ -856,3 +922,56 @@ class TestWorkspace:
         assert ws.get("thing", {}) is None
         ws.put("thing", {}, cache_entry({}))
         assert ws.get("thing", {}) == cache_entry({})
+
+
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324])
+JSON_LEAVES = (FLOATS | st.integers() | st.booleans() | st.none()
+               | st.text() | st.sampled_from(['say "a"', "a, b", "two\nlines", "Grüße, ∞"]))
+JSON_DOCS = st.recursive(
+    JSON_LEAVES | st.lists(FLOATS, min_size=1),
+    lambda children: st.lists(children, max_size=6) | st.dictionaries(st.text(max_size=8), children, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestReportText:
+    """Reports are encoded byte for byte as ``json.dumps`` with indent 2
+    and sorted keys encodes them."""
+
+    @staticmethod
+    def dumps(doc):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @staticmethod
+    def first_difference(got, expected):
+        """None when the texts are equal, else the first differing offset
+        with both texts around it: pytest's own diff of two megabyte texts
+        takes minutes."""
+        if got == expected:
+            return None
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+        return at, got[at - 40:at + 40], expected[at - 40:at + 40]
+
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_DOCS)
+    def test_equals_json_dumps(self, doc):
+        assert _report_text(doc) == self.dumps(doc)
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data").glob("*.json")), ids=lambda p: p.name)
+    def test_golden_documents(self, path):
+        doc = json.loads(path.read_text())
+        assert self.first_difference(_report_text(doc), self.dumps(doc)) is None
+
+    def test_float_rows_bypass_the_python_encoder(self, monkeypatch):
+        doc = {"matrix": [[0.0, 1.5], [1.5, 0.0]], "norms": [0.0, 1.0]}
+        expected = self.dumps(doc)
+        monkeypatch.setattr(json, "dumps", None)  # a call would raise
+        assert _report_text(doc) == expected
+
+    def test_heisenberg_ball_report(self, capsys):
+        code, out, _ = run(capsys, "group", "ball", "--builtin", "heisenberg", "--R", "5", "--no-cache")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["matrix"]) == doc["n"] > 1
+        assert self.first_difference(out, self.dumps(doc)) is None
+        assert self.first_difference(_report_text(doc), out) is None

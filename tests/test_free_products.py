@@ -87,7 +87,7 @@ class TestWordSpace:
         monkeypatch.setattr(free_products, "MATRIX_CAP", 8)
         with monkeypatch.context() as m:
             m.setattr(np, "zeros", no_allocation)
-            with pytest.raises(CapExceeded, match="has 3 words; its matrix exceeds cap 8"):
+            with pytest.raises(CapExceeded, match="has more than 2 words; its matrix exceeds cap 8"):
                 free_product_space(x, x, max_norm=1)  # e, x1, y1
         assert free_product_space(x, x, max_norm=0).space.n == 1
 

@@ -66,6 +66,7 @@ from coarsedim.metric_core import (
     neighborhood,
     path_space,
     set_distances,
+    space_from_json,
     space_to_json,
     sup_ratio,
 )
@@ -716,6 +717,15 @@ class TestEdgeTable:
         assert got is not None and same_certificate(got, edge_certificate(grid, range(grid.n)))
         X = np.arange(space.n, dtype=float) % 4
         assert sup_ratio(space, range(space.n), X) == sup_ratio(grid, range(grid.n), X) == 1.0
+
+    def test_explicit_matrix_keeps_its_edges_through_json(self):
+        grid = grid_space(3, 4)
+        doc = space_to_json(FiniteMetricSpace(grid.matrix, edges=grid.edges))
+        assert doc["kind"] == "matrix"
+        space = space_from_json(doc)
+        assert space.provenance == "explicit-matrix" and space.edges == grid.edges
+        got = edge_certificate(space, range(space.n))
+        assert got is not None and same_certificate(got, edge_certificate(grid, range(grid.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,9 @@ class TestGraphMetric:
         ({"kind": "graph", "n": 3}, "graph space JSON needs a list 'edges', not None"),
         ({"kind": "matrix", "n": 2, "matrix": 5}, "matrix space JSON needs a list 'matrix', not 5"),
         ({"kind": "matrix", "n": 2, "matrix": "ab"}, "needs a list 'matrix', not 'ab'"),
-    ], ids=["int-edges", "no-edges", "int-matrix", "string-matrix"])
+        ({"kind": "matrix", "n": 2, "matrix": [[0, 1], [1, 0]], "edges": 5}, "needs a list 'edges' when it has one"),
+        ({"kind": "matrix", "n": 2, "matrix": [[0, 1], [1, 0]], "edges": [[0, 2]]}, r"edge \(0, 2\) out of range"),
+    ], ids=["int-edges", "no-edges", "int-matrix", "string-matrix", "int-matrix-edges", "matrix-edge-out-of-range"])
     def test_json_shape_errors_are_input_errors(self, doc, message):
         with pytest.raises(InputError, match=message):
             space_from_json(doc)
