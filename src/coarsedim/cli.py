@@ -123,61 +123,44 @@ def _report(args, doc: dict, rule: str, *echo: str, seed: int = 0) -> int:
     return 0
 
 
-def _report_text(doc: dict) -> str:
+def _report_text(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     With ``indent`` set, ``json`` encodes in pure Python, which on a ball
-    report means one call per matrix entry.  Here each list of floats (a
-    matrix row) goes through the C encoder, whose ``", "`` separators
-    become the indented line breaks: a float's repr never holds ``", "``,
-    and NaN and the infinities are spelled as ``json`` spells them.  Every
-    subtree without such a list is left to ``json.dumps`` whole."""
-    text = _float_rows_text(doc, "\n")
-    return (_indented(doc, "\n") if text is None else text) + "\n"
+    report means one call per matrix entry.  Here a top-level value that
+    is a list of floats, or a matrix of such rows, goes through the C
+    encoder row by row, its ``", "`` separators becoming the indented line
+    breaks: a float's repr never holds ``", "``, and NaN and the infinities
+    are spelled as ``json`` spells them.  Every other value, at any depth,
+    is left to ``json.dumps``; no report holds a long float list below
+    its top level."""
+    if not isinstance(doc, dict) or not doc or not all(type(key) is str for key in doc):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    fields = []
+    for key in sorted(doc):
+        value = doc[key]
+        if _is_row(value):
+            text = _row_text(value, "\n  ")
+        elif type(value) is list and value and all(map(_is_row, value)):
+            text = "[\n    " + ",\n    ".join([_row_text(row, "\n    ") for row in value]) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields.append(json.encoder.encode_basestring_ascii(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 _encode_row = json.JSONEncoder().encode  # no indent: the C encoder
-_FLOATS = frozenset((float,))
-_CONTAINERS = frozenset((list, tuple, dict))
 
 
-def _indented(obj, newline: str) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` placed where
-    ``newline`` (a line break and the indent) starts each line; a JSON
-    string never holds a raw line break."""
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+def _is_row(value) -> bool:
+    """Whether ``value`` is a nonempty list of floats."""
+    return type(value) is list and set(map(type, value)) == {float}
 
 
-def _float_rows_text(obj, newline: str) -> str | None:
-    """The indented text of ``obj`` at the indent ``newline`` ends with,
-    or None when ``obj`` holds no list of floats where this function looks
-    (a dict with a key other than a string is not looked into), which
-    ``_indented`` then encodes whole."""
+def _row_text(row: list, newline: str) -> str:
+    """The indented text of a float row whose own line starts with ``newline``."""
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        types = set(map(type, obj))
-        if types == _FLOATS:
-            return "[" + inner + _encode_row(obj)[1:-1].replace(", ", "," + inner) + newline + "]"
-        if types == {list}:  # rows, such as a matrix or edges: typed without a call per row
-            row_types = {frozenset(map(type, row)) for row in obj}
-            if _FLOATS not in row_types and _CONTAINERS.isdisjoint(frozenset().union(*row_types)):
-                return None
-        elif _CONTAINERS.isdisjoint(types):
-            return None
-        items = [("", value) for value in obj]
-        brackets = "[]"
-    elif isinstance(obj, dict) and all(type(key) is str for key in obj):
-        items = [(json.encoder.encode_basestring_ascii(key) + ": ", obj[key]) for key in sorted(obj)]
-        brackets = "{}"
-    else:
-        return None
-    texts = [_float_rows_text(value, inner) for _, value in items]
-    if all(text is None for text in texts):
-        return None
-    body = ("," + inner).join(
-        key + (_indented(value, inner) if text is None else text) for (key, value), text in zip(items, texts)
-    )
-    return brackets[0] + inner + body + newline + brackets[1]
+    return "[" + inner + _encode_row(row)[1:-1].replace(", ", "," + inner) + newline + "]"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -510,8 +493,7 @@ def cmd_verify(args) -> int:
     results = run_verify(inject_fault=args.inject_fault)
     ok = all(r["ok"] for r in results)
     if args.json:
-        print(json.dumps({"ok": ok, "results": results, "version": __version__},
-                         indent=2, sort_keys=True))
+        sys.stdout.write(_report_text({"ok": ok, "results": results, "version": __version__}))
     else:
         for r in results:
             print(f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}")

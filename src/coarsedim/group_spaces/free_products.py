@@ -208,11 +208,9 @@ def free_product_tree(fps: FreeProductSpace) -> TreeSpace:
     return tree
 
 
-def tree_projection(fps: FreeProductSpace, tree: TreeSpace | None = None) -> MetricMap:
+def tree_projection(fps: FreeProductSpace, tree: TreeSpace) -> MetricMap:
     """Word -> its X-coset vertex; verified 1-Lipschitz exhaustively by the
     caller via measured_lipschitz (letter norms >= 1 make it so)."""
-    if tree is None:
-        tree = free_product_tree(fps)
     assignment = []
     for w in fps.words:
         v = ("X", _strip_trailing(w, "x"))

@@ -212,8 +212,8 @@ class SimplicialMap:
 def refinement_map(
     fine: Cover,
     coarse: Cover,
-    fine_nerve: SimplicialComplex | None = None,
-    coarse_nerve: SimplicialComplex | None = None,
+    fine_nerve: SimplicialComplex,
+    coarse_nerve: SimplicialComplex,
 ) -> SimplicialMap:
     """Send each fine set to the first coarse set containing it.
 
@@ -223,10 +223,6 @@ def refinement_map(
     space so that a fine point outside the coarse carrier lies in no coarse
     set.
     """
-    if fine_nerve is None:
-        fine_nerve = nerve(fine)
-    if coarse_nerve is None:
-        coarse_nerve = nerve(coarse)
     leb = lebesgue_number(coarse)
     b = mesh(fine)
     if not leb > b:
@@ -267,10 +263,6 @@ class MappingCylinder:
     @property
     def source(self) -> SimplicialComplex:
         return self.map.source
-
-    @property
-    def target(self) -> SimplicialComplex:
-        return self.map.target
 
     def rows(self, block: np.ndarray, t) -> np.ndarray:
         """The quotient map on a block of source rows, with one parameter

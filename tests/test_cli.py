@@ -962,6 +962,20 @@ class TestReportText:
         doc = json.loads(path.read_text())
         assert self.first_difference(_report_text(doc), self.dumps(doc)) is None
 
+    @pytest.mark.parametrize("doc", [
+        # only a top-level nonempty list of floats, or a list of such rows,
+        # is written row by row: an empty list or row, an int, a bool or a
+        # tuple row, a matrix one level down and a document that is not a
+        # nonempty dict all go to json.dumps
+        {"m": []}, {"m": [[]]}, {"m": [[0.0], [1]]},
+        {"m": [[math.nan, math.inf, -math.inf]]}, {"m": [[True]]},
+        {"m": [(0.5,)]},
+        {"space": {"matrix": [[0.0, 1.0], [1.0, 0.0]]}},
+        {}, [], None,
+    ], ids=repr)
+    def test_one_level_rule(self, doc):
+        assert _report_text(doc) == self.dumps(doc)
+
     def test_float_rows_bypass_the_python_encoder(self, monkeypatch):
         doc = {"matrix": [[0.0, 1.5], [1.5, 0.0]], "norms": [0.0, 1.0]}
         expected = self.dumps(doc)

@@ -114,7 +114,7 @@ class TestTree:
         assert len(tree.edges) == len(tree.vertices) - 1
 
     def test_projection_one_lipschitz(self, fps):
-        proj = tree_projection(fps)
+        proj = tree_projection(fps, free_product_tree(fps))
         assert measured_lipschitz(proj) <= 1.0
 
     def test_projection_common_beginning_bound(self, fps):

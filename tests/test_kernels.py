@@ -373,7 +373,7 @@ class TestMembershipTable:
     def test_refinement_matches_subset_loop(self, pair):
         coarse, fine = pair
         assume(lebesgue_number(coarse) > mesh(fine))
-        assert refinement_map(fine, coarse).assignment == reference_refinement(fine, coarse)
+        assert refinement_map(fine, coarse, nerve(fine), nerve(coarse)).assignment == reference_refinement(fine, coarse)
 
     def test_fine_set_outside_coarse_carrier(self):
         s = path_space(6)
@@ -381,7 +381,7 @@ class TestMembershipTable:
         fine = make_cover(s, [[0], [4]], carrier=[0, 4])
         assert reference_refinement(fine, coarse) == {0: 0, 1: None}
         with pytest.raises(InvariantViolation, match="fine set 1 is contained in no coarse set"):
-            refinement_map(fine, coarse)
+            refinement_map(fine, coarse, nerve(fine), nerve(coarse))
 
     @SETTINGS
     @given(weighted_graphs(), st.data(), st.floats(0.0, 6.0))

@@ -171,14 +171,14 @@ class TestRefinement:
         # legal; each set prefers itself over mere containment
         s = path_space(10)
         cover = make_cover(s, [range(0, 10), range(0, 6)])
-        rm = refinement_map(cover, cover)
+        rm = refinement_map(cover, cover, nerve(cover), nerve(cover))
         assert rm.assignment == {0: 0, 1: 1}
 
     def test_singletons_point_location(self):
         s = path_space(6)
         fine = make_cover(s, [[i] for i in range(6)])
         coarse = make_cover(s, [range(0, 4), range(2, 6)])
-        rm = refinement_map(fine, coarse)
+        rm = refinement_map(fine, coarse, nerve(fine), nerve(coarse))
         assert rm.assignment[0] == 0
         assert rm.assignment[5] == 1
         assert rm.assignment[2] == 0  # lowest index wins in the overlap
@@ -189,7 +189,7 @@ class TestRefinement:
         coarse = make_cover(s, [range(0, 6), range(4, 10)])
         # Lebesgue(coarse) = 2 is not > mesh(fine) = 2, so widen the halves
         coarse = make_cover(s, [range(0, 7), range(3, 10)])
-        rm = refinement_map(fine, coarse)
+        rm = refinement_map(fine, coarse, nerve(fine), nerve(coarse))
         assert rm.assignment == {0: 0, 1: 0, 2: 1, 3: 1}
 
     def test_precondition_enforced(self):
@@ -197,7 +197,7 @@ class TestRefinement:
         fine = make_cover(s, [range(0, 6), range(4, 10)])
         coarse = make_cover(s, [range(0, 6), range(4, 10)])
         with pytest.raises(InputError):
-            refinement_map(fine, coarse)
+            refinement_map(fine, coarse, nerve(fine), nerve(coarse))
 
 
 class TestMappingCylinder:
